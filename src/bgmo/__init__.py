@@ -48,7 +48,7 @@ from .series import (
     pwm_mo,
     renyi_entropy,
 )
-from .special import ToleranceConfig, beta_quantile, digamma, log_beta, reg_inc_beta
+from .special import beta_quantile, digamma, log_beta, reg_inc_beta
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "Lomax",
     "ModelTemplate",
     "ModifiedWeibull",
-    "ToleranceConfig",
     "TruncationPolicy",
     "Weibull",
     "ZFunction",

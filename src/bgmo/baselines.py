@@ -53,6 +53,7 @@ class Baseline:
 
     tag = ""
     param_names: tuple[str, ...] = ()
+    option_names: tuple[str, ...] = ()  # structural settings, never fitted
     support_low = 0.0
 
     def params(self) -> dict[str, float]:
@@ -165,9 +166,9 @@ class Exponential(Baseline):
     def _isf(self, q):
         return -np.log(q) / self.lam
 
-    def cdf_partials(self, t):
-        """dG/d(param) for the analytic score."""
-        return {"lam": t * np.exp(-self.lam * t)}
+    def log_sf_partials(self, t):
+        """d(log sf_G)/d(param) for the analytic score."""
+        return {"lam": -t}
 
     def log_pdf_partials(self, t):
         """d(log g)/d(param) for the analytic score."""
@@ -205,10 +206,9 @@ class Weibull(Baseline):
     def _isf(self, q):
         return (-np.log(q) / self.lam) ** (1.0 / self.beta)
 
-    def cdf_partials(self, t):
+    def log_sf_partials(self, t):
         tb = t**self.beta
-        sf = np.exp(-self.lam * tb)
-        return {"lam": tb * sf, "beta": self.lam * tb * np.log(t) * sf}
+        return {"lam": -tb, "beta": -self.lam * tb * np.log(t)}
 
     def log_pdf_partials(self, t):
         tb = t**self.beta
@@ -380,6 +380,7 @@ class ExtendedWeibull(Baseline):
 
     tag = "extended_weibull"
     param_names = ("delta",)
+    option_names = ("z", "k", "beta")
 
     def __post_init__(self):
         _require_positive(delta=self.delta)

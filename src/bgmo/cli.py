@@ -74,12 +74,14 @@ def parse_model_spec(text: str):
     family = {}
     baseline = {}
     for name, value in pairs.items():
-        if name in FAMILY_NAMES:
-            family[name] = float(value)
-        elif name == "z":
+        if name == "z":
             baseline[name] = value
-        else:
-            baseline[name] = float(value)
+            continue
+        try:
+            number = float(value)
+        except ValueError:
+            raise CliError(f"{name}={value!r} is not a number") from None
+        (family if name in FAMILY_NAMES else baseline)[name] = number
     return tag, family, baseline
 
 
@@ -137,14 +139,20 @@ def _fit_config(args) -> FitConfig:
     )
 
 
-def _fit_template(spec: str):
+def _fit_template(spec: str) -> ModelTemplate:
     tag, family, baseline = parse_model_spec(spec)
+    option_names = BASELINE_FAMILIES[tag].option_names
     fixed = dict(family)
+    options = {}
     for name, value in baseline.items():
-        if name == "z":
-            continue  # hazard-shape selectors are not fittable parameters
-        fixed[PARAM_ALIASES.get(name, name)] = value
-    return ModelTemplate(tag, fixed=fixed)
+        if name in option_names:
+            options[name] = value  # structural, e.g. the extended Weibull's Z
+        else:
+            fixed[PARAM_ALIASES.get(name, name)] = value
+    try:
+        return ModelTemplate(tag, fixed=fixed, options=options)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 # --- subcommand bodies -------------------------------------------------------

@@ -5,11 +5,14 @@ A baseline survival function sf_G is tilted into
 resulting cdf ``1 - s^theta`` is pushed through a Beta(m, n) distribution:
 
     F(t)  = I_{1 - s(t)^theta}(m, n)
+    1-F   = I_{s(t)^theta}(n, m)
     f(t)  = (1/B(m,n)) * theta*alpha^theta*g*sf_G^(theta-1)
             / (1-(1-alpha)*sf_G)^(theta+1) * [1-s^theta]^(m-1) * [s^theta]^(n-1)
 
 Densities are always computed as exp(log density); the raw product underflows
-in tails long before the log-density leaves the representable range.
+in tails long before the log-density leaves the representable range.  The cdf
+and the survival function are each taken from their own incomplete beta, so
+both keep their relative precision in their small tail.
 """
 
 from __future__ import annotations
@@ -21,14 +24,31 @@ import numpy as np
 
 from . import special
 from .baselines import Baseline
-from .gmo import GmoParams, gmo_log_pdf, gmo_log_sf, gmo_pdf, mo_pdf
+from .gmo import GmoParams, _tilt_inverse, gmo_pdf, mo_pdf
 
 __all__ = ["BgmoParams", "BgmoDistribution", "reduction_check"]
+
+
+_LN2 = math.log(2.0)
 
 
 def _zmul(c: float, v):
     """c*v with the convention 0 * (+-inf) = 0, for vanishing exponents."""
     return 0.0 if c == 0.0 else c * v
+
+
+def _log_one_minus_power(theta: float, log_s, log_1ms):
+    """log(1 - s^theta) from log s and log(1 - s).
+
+    Where 1 - s is below exp(-700) its leading term theta*(1 - s) is used,
+    whose log stays finite even where 1 - s underflows to 0.
+    """
+    with np.errstate(all="ignore"):
+        return np.where(
+            log_1ms > -700.0,
+            np.log(-np.expm1(theta * log_s)),
+            math.log(theta) + log_1ms,
+        )
 
 
 @dataclass(frozen=True)
@@ -70,31 +90,43 @@ class BgmoDistribution:
     def gmo(self) -> GmoParams:
         return GmoParams(alpha=self.params.alpha, theta=self.params.theta)
 
-    # --- log-space building block ----------------------------------------
+    # --- log-space building blocks ---------------------------------------
 
-    def _log_s_theta(self, t):
-        """theta * log s(t), the log of the tilted-and-powered survival."""
-        return gmo_log_sf(self.gmo, self.baseline, t)
+    def _log_tilt(self, t):
+        """log s, log(1 - s), log sf_G and log D for the tilted survival s.
+
+        s = alpha*sf_G/D and 1 - s = G/D with D = 1 - (1-alpha)*sf_G, so
+        log s comes from the baseline log sf where s is small and as
+        log1p(-(1 - s)) from the baseline log cdf where 1 - s is small:
+        neither tail takes a difference of nearly equal numbers.
+        """
+        alpha = self.params.alpha
+        log_gbar = self.baseline.log_sf(t)
+        log_g = self.baseline.log_cdf(t)
+        with np.errstate(all="ignore"):
+            log_d = np.log1p(-(1.0 - alpha) * np.exp(log_gbar))
+            log_1ms = log_g - log_d
+            log_s = np.where(
+                log_1ms < -_LN2,
+                np.log1p(-np.exp(log_1ms)),
+                math.log(alpha) + log_gbar - log_d,
+            )
+        return log_s, log_1ms, log_gbar, log_d
 
     def log_pdf(self, t):
         scalar = np.isscalar(t)
         p = self.params
-        ls_theta = np.asarray(self._log_s_theta(t), dtype=float)
+        log_s, log_1ms, log_gbar, log_d = self._log_tilt(t)
         with np.errstate(all="ignore"):
-            # log(1 - s^theta) via expm1 keeps precision when s^theta ~ 1;
-            # when theta*log(s) itself rounds to zero (baseline cdf below
-            # float granularity) fall back to the limit 1 - s^theta ~
-            # theta*G/alpha, evaluated through the baseline log-cdf
-            log_one_minus = np.where(
-                ls_theta < 0.0,
-                np.log(-np.expm1(np.minimum(ls_theta, -1e-300))),
-                math.log(p.theta) - math.log(p.alpha) + self.baseline.log_cdf(t),
-            )
             out = (
-                -special.log_beta(p.m, p.n)
-                + gmo_log_pdf(self.gmo, self.baseline, t)
-                + _zmul(p.m - 1.0, log_one_minus)
-                + _zmul(p.n - 1.0, ls_theta)
+                math.log(p.theta)
+                + p.theta * math.log(p.alpha)
+                - special.log_beta(p.m, p.n)
+                + self.baseline.log_pdf(t)
+                + (p.theta - 1.0) * log_gbar
+                - (p.theta + 1.0) * log_d
+                + _zmul(p.m - 1.0, _log_one_minus_power(p.theta, log_s, log_1ms))
+                + _zmul(p.n - 1.0, p.theta * log_s)
             )
         t_arr = np.asarray(t, dtype=float)
         out = np.where(t_arr >= self.support_low, out, -np.inf)
@@ -106,26 +138,34 @@ class BgmoDistribution:
         return out
 
     def cdf(self, t):
-        scalar = np.isscalar(t)
+        """I_z(m, n) at z = 1 - s^theta."""
         p = self.params
-        t_arr = np.asarray(t, dtype=float)
-        ls_theta = np.asarray(self._log_s_theta(t), dtype=float)
-        z = -np.expm1(ls_theta)  # 1 - s^theta, the inner cdf
-        z = np.clip(np.where(t_arr >= self.support_low, z, 0.0), 0.0, 1.0)
-        out = np.fromiter(
-            (special.reg_inc_beta(zi, p.m, p.n) for zi in np.atleast_1d(z)),
-            dtype=float,
-            count=np.atleast_1d(z).size,
-        ).reshape(z.shape)
-        return float(out) if scalar else out
+        z = -np.expm1(p.theta * self._log_tilt(t)[0])
+        return special.reg_inc_beta(z, p.m, p.n)
 
     def sf(self, t):
-        return 1.0 - self.cdf(t)
+        """I_w(n, m) at w = s^theta, exact where the cdf rounds to 1."""
+        p = self.params
+        w = np.exp(p.theta * self._log_tilt(t)[0])
+        return special.reg_inc_beta(w, p.n, p.m)
+
+    def log_sf(self, t):
+        """log sf; where the sf underflows, the leading term w^n/(n B(m, n))."""
+        p = self.params
+        log_w = p.theta * self._log_tilt(t)[0]
+        sf = special.reg_inc_beta(np.exp(log_w), p.n, p.m)
+        with np.errstate(divide="ignore"):
+            out = np.where(
+                sf > 1e-300,
+                np.log(sf),
+                p.n * log_w - math.log(p.n) - special.log_beta(p.m, p.n),
+            )
+        return float(out) if np.isscalar(t) else out
 
     def hrf(self, t):
-        """Hazard pdf/sf; +inf past the point where the sf underflows."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.pdf(t) / self.sf(t)
+        """Hazard pdf/sf, taken as exp(log pdf - log sf)."""
+        with np.errstate(all="ignore"):
+            return np.exp(self.log_pdf(t) - self.log_sf(t))
 
     def rhrf(self, t):
         """Reversed hazard pdf/cdf."""
@@ -134,39 +174,29 @@ class BgmoDistribution:
 
     def chrf(self, t):
         """Cumulative hazard -log sf."""
-        with np.errstate(divide="ignore"):
-            return -np.log(self.sf(t))
+        return -self.log_sf(t)
 
     def quantile(self, u):
         """Inverse cdf via the beta quantile and the closed-form tilt inverse.
 
-        Every step is carried in whichever of a quantity and its complement
-        is small, so the round trip through ``cdf`` holds to ~1e-10 even at
-        extreme levels.
+        z = 1 - s^theta solves I_z(m, n) = u.  Below z = 1/2 the beta
+        quantile is taken for z, above it for 1 - z through the mirror
+        I_(1-z)(n, m) = 1 - u, so the smaller of the two, and with it
+        theta*log s, keeps full relative precision at extreme levels.
         """
         scalar = np.isscalar(u)
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
+        u = np.asarray(u, dtype=float)
+        if np.any((u <= 0.0) | (u >= 1.0)):
             raise ValueError("quantile requires u in (0, 1)")
         p = self.params
-        out = np.empty_like(u_arr)
-        for i, ui in enumerate(u_arr):
-            z = special.beta_quantile(ui, p.m, p.n)
-            if z <= 0.5:
-                zc = 1.0 - z  # exact
-            else:
-                # complement quantile by beta symmetry, full relative precision
-                zc = special.beta_quantile(1.0 - ui, p.n, p.m)
-            log_s = math.log(max(zc, 1e-300)) / p.theta
-            s = math.exp(log_s)
-            one_minus_s = -math.expm1(log_s)
-            den = p.alpha + (1.0 - p.alpha) * s
-            g = p.alpha * one_minus_s / den
-            if g <= 0.5:
-                out[i] = self.baseline.quantile(max(g, 1e-300))
-            else:
-                out[i] = self.baseline.isf(max(s / den, 1e-300))
-        return float(out[0]) if scalar else out.reshape(np.shape(u))
+        low = u <= special.reg_inc_beta(0.5, p.m, p.n)
+        x = special.beta_quantile(
+            np.where(low, u, 1.0 - u), np.where(low, p.m, p.n), np.where(low, p.n, p.m)
+        )
+        with np.errstate(divide="ignore"):
+            log_s_theta = np.where(low, np.log1p(-x), np.log(x))
+        out = _tilt_inverse(p.alpha, self.baseline, log_s_theta / p.theta)
+        return float(out) if scalar else out
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Inverse-transform draws; deterministic for a fixed seed."""

@@ -21,9 +21,9 @@ from scipy.optimize import minimize
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from . import special
 from .baselines import BASELINE_FAMILIES, make_baseline
-from .family import BgmoDistribution, BgmoParams
-from .special import digamma
+from .family import BgmoDistribution, BgmoParams, _log_one_minus_power
 
 __all__ = [
     "FitConfig",
@@ -52,10 +52,14 @@ class ModelTemplate:
     Free parameters are the four family shapes (m, n, theta, alpha) and the
     baseline parameters, minus whatever ``fixed`` pins.  Fixing
     m = n = theta = 1 yields the plain tilted baseline, and so on.
+    ``options`` are structural baseline settings that are never fitted, such
+    as the extended Weibull's Z-function (``z``, ``k``, ``beta``); they are
+    passed to ``make_baseline`` as given.
     """
 
     baseline: str
     fixed: dict[str, float] = field(default_factory=dict)
+    options: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.baseline not in BASELINE_FAMILIES:
@@ -64,6 +68,15 @@ class ModelTemplate:
         bad = set(self.fixed) - set(self.param_names)
         if bad:
             raise ValueError(f"fixed parameters {sorted(bad)} not in {self.param_names}")
+        allowed = BASELINE_FAMILIES[self.baseline].option_names
+        bad = set(self.options) - set(allowed)
+        if bad:
+            raise ValueError(f"options {sorted(bad)} not in {allowed} for {self.baseline}")
+        if self.options:
+            # the option values are checked by building the baseline once
+            make_baseline(
+                self.baseline, **dict.fromkeys(self.baseline_param_names, 1.0), **self.options
+            )
 
     @property
     def baseline_param_names(self) -> tuple[str, ...]:
@@ -90,7 +103,7 @@ class ModelTemplate:
         fam = {name: float(values[name]) for name in FAMILY_PARAM_NAMES}
         base = {name: float(values[name]) for name in self.baseline_param_names}
         return BgmoDistribution(
-            BgmoParams(**fam), make_baseline(self.baseline, **base)
+            BgmoParams(**fam), make_baseline(self.baseline, **base, **self.options)
         )
 
 
@@ -193,54 +206,47 @@ def log_likelihood(template: ModelTemplate, params, data) -> float:
 
 
 def _score_analytic(template, values: dict[str, float], data):
-    p = {name: values[name] for name in FAMILY_PARAM_NAMES}
+    """Closed-form score, written through log s, log(1 - s) and d(log sf_G).
+
+    With D = 1 - (1-alpha)*sf_G the tilted survival s = alpha*sf_G/D has
+    d(log s)/d(alpha) = (1 - s)/alpha and d(log s)/d(phi) = d(log sf_G)/d(phi)/D
+    for a baseline parameter phi.  Every term is then a bounded factor times a
+    quantity taken in log space, so the score stays finite wherever the
+    log-likelihood is, including where sf_G or 1 - s underflows.
+    """
     dist = template.build(values)
+    p = dist.params
+    m, n, theta, alpha = p.m, p.n, p.theta, p.alpha
     b = dist.baseline
     t = np.asarray(data, dtype=float)
     r = len(t)
-    m, n, theta, alpha = p["m"], p["n"], p["theta"], p["alpha"]
-    abar = 1.0 - alpha
 
-    log_gbar = b.log_sf(t)
-    gbar = np.exp(log_gbar)
-    G = b.cdf(t)
-    log_denom = np.log1p(-abar * gbar)
-    denom = np.exp(log_denom)
-    log_s = math.log(alpha) + log_gbar - log_denom
-    s = np.exp(log_s)
-    ls_theta = theta * log_s
-    one_minus = -np.expm1(ls_theta)  # 1 - s^theta
-    # s^(theta-1)/(1-s^theta), stable through logs
-    ratio = np.exp((theta - 1.0) * log_s - np.log(one_minus))
+    log_s, log_1ms, log_gbar, log_d = dist._log_tilt(t)
+    log_z = _log_one_minus_power(theta, log_s, log_1ms)  # log(1 - s^theta)
+    odds = np.exp(theta * log_s - log_z)  # s^theta/(1 - s^theta)
+    # d(log f)/d(alpha) = theta/alpha - (theta+1)*sf_G/D + theta/alpha * w_alpha
+    w_alpha = (1.0 - m) * np.exp(theta * log_s + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
+    gbar_d = np.exp(log_gbar - log_d)  # sf_G/D
 
     out = {}
-    psi_mn = digamma(m + n)
-    out["m"] = -r * digamma(m) + r * psi_mn + float(np.sum(np.log(one_minus)))
-    out["n"] = -r * digamma(n) + r * psi_mn + float(theta * np.sum(log_s))
-    s_theta = np.exp(ls_theta)
-    out["theta"] = float(
-        r / theta
-        + r * math.log(alpha)
-        + np.sum(log_gbar)
-        - np.sum(log_denom)
-        + (1.0 - m) * np.sum(s_theta * log_s / one_minus)
-        + (n - 1.0) * np.sum(log_s)
-    )
-    ds_dalpha = gbar * G / denom**2
-    w = (1.0 - m) * theta * ratio + (n - 1.0) * theta / s
+    psi_mn = special.digamma(m + n)
+    out["m"] = r * (psi_mn - special.digamma(m)) + float(np.sum(log_z))
+    out["n"] = r * (psi_mn - special.digamma(n)) + float(theta * np.sum(log_s))
+    out["theta"] = float(r / theta + np.sum(log_s * (n + (1.0 - m) * odds)))
     out["alpha"] = float(
-        r * theta / alpha - (theta + 1.0) * np.sum(gbar / denom) + np.sum(w * ds_dalpha)
+        r * theta / alpha - (theta + 1.0) * np.sum(gbar_d) + theta / alpha * np.sum(w_alpha)
+    )
+    # d(log f)/d(log sf_G): the tilt's own terms plus d(log s)/d(log sf_G) = 1/D
+    # times the beta layer's d(log f)/d(log s)
+    per_log_sf = (
+        theta - 1.0
+        + (theta + 1.0) * (1.0 - alpha) * gbar_d
+        + theta * np.exp(-log_d) * ((1.0 - m) * odds + n - 1.0)
     )
     dlogg = b.log_pdf_partials(t)
-    dG = b.cdf_partials(t)
+    dlogsf = b.log_sf_partials(t)
     for name in template.baseline_param_names:
-        ds = -alpha * dG[name] / denom**2
-        out[name] = float(
-            np.sum(dlogg[name])
-            + (1.0 - theta) * np.sum(dG[name] / gbar)
-            - (theta + 1.0) * np.sum(abar * dG[name] / denom)
-            + np.sum(w * ds)
-        )
+        out[name] = float(np.sum(dlogg[name]) + np.sum(dlogsf[name] * per_log_sf))
     return out
 
 
@@ -257,7 +263,7 @@ def score(template: ModelTemplate, params, data, mode: str = "analytic") -> np.n
         values = dict(template.fixed, **dict(zip(template.free_names, np.asarray(params, dtype=float))))
     if mode == "analytic":
         b_cls = BASELINE_FAMILIES[template.baseline]
-        if not (hasattr(b_cls, "cdf_partials") and hasattr(b_cls, "log_pdf_partials")):
+        if not (hasattr(b_cls, "log_sf_partials") and hasattr(b_cls, "log_pdf_partials")):
             warnings.warn(
                 f"no analytic partials for baseline {template.baseline!r}; "
                 "falling back to finite differences",

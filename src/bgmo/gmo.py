@@ -113,25 +113,32 @@ def gmo_chrf(p: GmoParams, b: Baseline, t):
     return -gmo_log_sf(p, b, t)
 
 
+def _tilt_inverse(alpha: float, b: Baseline, log_s):
+    """The t whose tilted survival alpha*sf_G/(1 - (1-alpha)*sf_G) is exp(log_s).
+
+    Inverting the tilt gives G = alpha*(1 - s)/D and sf_G = s/D with
+    D = alpha + (1-alpha)*s; the baseline is inverted through whichever of
+    the two is at most 1/2, so both tails keep their relative precision.
+    """
+    s = np.exp(log_s)
+    den = alpha + (1.0 - alpha) * s
+    g = alpha * -np.expm1(log_s) / den
+    gbar = s / den
+    with np.errstate(all="ignore"):
+        return np.where(
+            g <= 0.5,
+            b.quantile(np.clip(g, 1e-300, 0.75)),
+            b.isf(np.clip(gbar, 1e-300, 1.0)),
+        )
+
+
 def gmo_quantile(p: GmoParams, b: Baseline, u):
     """Inverse cdf: closed form through the baseline quantile."""
     scalar = np.isscalar(u)
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("quantile requires u in (0, 1)")
-    log_s = np.log1p(-u) / p.theta
-    s = np.exp(log_s)
-    one_minus_s = -np.expm1(log_s)
-    den = p.alpha + p.alpha_bar * s
-    # invert s = alpha*gbar/(1 - (1-alpha)*gbar) for the baseline cdf value
-    g = p.alpha * one_minus_s / den
-    gbar = s / den
-    with np.errstate(all="ignore"):
-        out = np.where(
-            g <= 0.5,
-            b.quantile(np.clip(g, 1e-300, 0.75)),
-            b.isf(np.clip(gbar, 1e-300, 1.0)),
-        )
+    out = _tilt_inverse(p.alpha, b, np.log1p(-u) / p.theta)
     return float(out) if scalar else out
 
 

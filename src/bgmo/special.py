@@ -1,18 +1,22 @@
-"""Self-contained special functions used throughout the package.
+"""Special functions used throughout the package.
 
-Everything here is scalar, pure, and dependency-free (stdlib ``math`` only):
-log-beta, the regularized incomplete beta function and its inverse, a small-u
-power-series approximation of the beta quantile, and the digamma function.
+The incomplete beta function, its inverse and the digamma function are thin
+wrappers over ``scipy.special`` (Boost-backed; DiDonato & Morris 1992,
+ACM TOMS 708): they add the package's domain checks and exact endpoints and
+take scalars or arrays, returning a float for scalar input.  ``log_beta`` is
+a scalar ``math.lgamma`` sum, cheapest where it runs once per likelihood
+evaluation, and ``beta_quantile_series`` is the small-u power series of the
+beta quantile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
+import scipy.special as sc
 
 __all__ = [
-    "ToleranceConfig",
-    "ConvergenceError",
     "log_beta",
     "reg_inc_beta",
     "beta_quantile",
@@ -21,30 +25,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Absolute/relative tolerances and iteration cap for iterative routines."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+def _scalar_or_array(out, *inputs):
+    return float(out) if all(np.ndim(x) == 0 for x in inputs) else out
 
 
-DEFAULT_TOL = ToleranceConfig()
-
-
-class ConvergenceError(ArithmeticError):
-    """Iteration budget exhausted; ``estimate`` carries the best value found."""
-
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
+def _checked(name: str, arg: str, x, m, n) -> np.ndarray:
+    """``x`` as a float array, once m, n > 0 and x in [0, 1] hold everywhere."""
+    if np.any(~(np.asarray(m) > 0)) or np.any(~(np.asarray(n) > 0)):
+        raise ValueError(f"{name} requires positive shapes, got ({m}, {n})")
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(~((x_arr >= 0.0) & (x_arr <= 1.0))):
+        raise ValueError(f"{name} requires {arg} in [0, 1], got {x}")
+    return x_arr
 
 
 def log_beta(m: float, n: float) -> float:
@@ -54,121 +46,27 @@ def log_beta(m: float, n: float) -> float:
     return math.lgamma(m) + math.lgamma(n) - math.lgamma(m + n)
 
 
-def _beta_contfrac(x: float, a: float, b: float, tol: ToleranceConfig) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz iteration).
-
-    Converges rapidly for x < (a + 1)/(a + b + 2); callers switch to the
-    complementary tail otherwise.
-    """
-    tiny = 1e-300
-    # a handful of extra iterations buys machine precision, so never stop
-    # coarser than ~4 ulp even when the caller's tolerance is loose
-    stop = min(tol.rel_tol, 1e-15)
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for i in range(1, tol.max_iter + 1):
-        m2 = 2 * i
-        # even step
-        aa = i * (b - i) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + i) * (qab + i) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < stop:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction stalled for x={x}, a={a}, b={b}", h
-    )
-
-
-def reg_inc_beta(x: float, m: float, n: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def reg_inc_beta(x, m, n):
     """Regularized incomplete beta function I_x(m, n).
 
-    I_x(m, n) = (1/B(m, n)) * integral_0^x t^(m-1) (1-t)^(n-1) dt, evaluated
-    via the continued fraction on whichever tail converges fast.
+    I_x(m, n) = (1/B(m, n)) * integral_0^x t^(m-1) (1-t)^(n-1) dt, for x in
+    [0, 1] and m, n > 0, elementwise over broadcast arrays; I_0 = 0 and
+    I_1 = 1 exactly.
     """
-    if m <= 0 or n <= 0:
-        raise ValueError(f"reg_inc_beta requires positive shapes, got ({m}, {n})")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"reg_inc_beta requires x in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        m * math.log(x) + n * math.log1p(-x) - log_beta(m, n)
-    )
-    front = math.exp(log_front)
-    if x < (m + 1.0) / (m + n + 2.0):
-        return front * _beta_contfrac(x, m, n, tol) / m
-    return 1.0 - front * _beta_contfrac(1.0 - x, n, m, tol) / n
+    out = sc.betainc(m, n, _checked("reg_inc_beta", "x", x, m, n))
+    return _scalar_or_array(out, x, m, n)
 
 
-def beta_quantile(u: float, m: float, n: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def beta_quantile(u, m, n):
     """Inverse of ``reg_inc_beta`` in x: the z with I_z(m, n) = u.
 
-    Bisection brackets the root, then safeguarded Newton steps (the integrand
-    x^(m-1)(1-x)^(n-1)/B(m,n) is the exact derivative) polish it.  Roots in
-    the upper half are found through the mirrored problem so that a root
-    crowding 1 stays resolvable.
+    Elementwise over broadcast arrays, for u in [0, 1] and m, n > 0; u = 0
+    and u = 1 map to 0 and 1 exactly.  The relative precision is that of
+    the smaller of z and u, so callers wanting 1 - z near 0 should invert
+    the mirrored problem I_{1-z}(n, m) = 1 - u instead.
     """
-    if m <= 0 or n <= 0:
-        raise ValueError(f"beta_quantile requires positive shapes, got ({m}, {n})")
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"beta_quantile requires u in [0, 1], got {u}")
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        return 1.0
-    if u > 0.5:
-        return 1.0 - _beta_quantile_low(1.0 - u, n, m, tol)
-    return _beta_quantile_low(u, m, n, tol)
-
-
-def _beta_quantile_low(u: float, m: float, n: float, tol: ToleranceConfig) -> float:
-    # safeguarded Newton: a sign bracket always shrinks (midpoint fallback),
-    # and convergence is judged on the bracket in x, not on the residual,
-    # which is uninformative where the incomplete beta is nearly flat
-    lo, hi = 0.0, 1.0
-    x = 0.5
-    lbeta = log_beta(m, n)
-    for _ in range(max(tol.max_iter, 80)):
-        f = reg_inc_beta(x, m, n, tol) - u
-        if f > 0:
-            hi = x
-        else:
-            lo = x
-        if hi - lo <= lo * min(tol.rel_tol, 1e-13) + 1e-290:
-            return 0.5 * (lo + hi)
-        log_pdf = (m - 1.0) * math.log(x) + (n - 1.0) * math.log1p(-x) - lbeta
-        step = f * math.exp(-log_pdf) if log_pdf > -700 else 0.0
-        x_new = x - step
-        if step == 0.0 or not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    raise ConvergenceError(f"beta_quantile stalled for u={u}, m={m}, n={n}", x)
+    out = sc.betaincinv(m, n, _checked("beta_quantile", "u", u, m, n))
+    return _scalar_or_array(out, u, m, n)
 
 
 def _quantile_series_coeffs(m: float, n: float) -> tuple[float, float, float, float]:
@@ -213,30 +111,8 @@ def beta_quantile_series(u: float, m: float, n: float, order: int = 4) -> float:
     return sum(d[i] * w ** (i + 1) for i in range(order))
 
 
-# Coefficients of the asymptotic series psi(x) ~ ln x - 1/(2x) - sum B_2k/(2k x^2k).
-_DIGAMMA_ASYMPT = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
-
-
-def digamma(x: float) -> float:
-    """Digamma psi(x) for x > 0 via upward recurrence plus asymptotic series."""
-    if x <= 0:
+def digamma(x):
+    """Digamma psi(x) for x > 0, elementwise over arrays."""
+    if np.any(~(np.asarray(x) > 0)):
         raise ValueError(f"digamma requires a positive argument, got {x}")
-    result = 0.0
-    while x < 10.0:
-        result -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = inv2
-    for coeff in _DIGAMMA_ASYMPT:
-        series += coeff * power
-        power *= inv2
-    return result + math.log(x) - 0.5 / x + series
+    return _scalar_or_array(sc.digamma(x), x)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bgmo.cli import DEFAULT_GALLERY, main
+from bgmo.datasets import builtin_dataset
 
 REDUCTION = "exponential m=1 n=1 theta=1 alpha=1 lambda=1"
 
@@ -92,6 +93,33 @@ class TestFit:
         )
         doc = json.loads(out)
         assert doc["k"] == 2
+
+    def test_extended_weibull_z_function_reaches_the_fit(self, capsys, tmp_path):
+        # with the family shapes fixed at 1 the model is sf = exp(-delta*Z(t)),
+        # whose MLE is n / sum Z(t); a linear Z would give n / sum t instead.
+        # The data are scaled so that both MLEs lie inside the default box.
+        data = builtin_dataset("turbocharger").values / 4.0
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(repr(float(v)) for v in data))
+        fixed = "m=1 n=1 theta=1 alpha=1"
+        for z_spec, z_values in (
+            ("z=square", data**2),
+            ("z=log_ratio k=0.25", np.log(data / 0.25)),
+        ):
+            rc, out, err = run(
+                capsys, "fit", "--data", str(path),
+                "--dist", f"extended_weibull {fixed} {z_spec}", "--starts", "2", "--seed", "1",
+            )
+            assert rc in (0, 2), err
+            doc = json.loads(out)
+            assert doc["k"] == 1
+            assert doc["estimates"]["delta"] == pytest.approx(len(data) / np.sum(z_values), rel=1e-4)
+
+    def test_bad_template_is_a_usage_error(self, capsys):
+        for spec in ("weibull zeta=1", "extended_weibull z=cubic", "extended_weibull z=log_ratio k=-1"):
+            rc, out, err = run(capsys, "fit", "--data", "builtin:turbocharger", "--dist", spec)
+            assert rc == 1 and out == ""
+            assert err.startswith("error:")
 
     def test_writes_report_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -232,3 +260,8 @@ class TestUsageErrors:
     def test_unknown_family(self, capsys):
         rc, _, err = run(capsys, "eval", "--dist", "normal m=1 n=1 theta=1 alpha=1", "--t", "1")
         assert rc == 1
+
+    def test_non_numeric_value(self, capsys):
+        spec = "exponential m=1 n=1 theta=1 alpha=1 lambda=abc"
+        rc, _, err = run(capsys, "eval", "--dist", spec, "--t", "1")
+        assert rc == 1 and "lambda='abc' is not a number" in err

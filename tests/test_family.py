@@ -6,6 +6,7 @@ import pytest
 from bgmo.baselines import Exponential, Frechet, Lomax, Weibull
 from bgmo.family import BgmoDistribution, BgmoParams, reduction_check
 from bgmo.gmo import GmoParams, gmo_hrf, gmo_quantile
+from bgmo.series import asymptote
 
 
 def dist(m, n, theta, alpha, baseline=None):
@@ -95,6 +96,58 @@ class TestReliabilityIdentities:
         ch = d.chrf(ts)
         assert np.all(np.diff(ch) >= -1e-12)
         np.testing.assert_allclose(ch, -np.log(d.sf(ts)), atol=1e-12)
+
+
+def weibull_sf_oracle(m, n, theta, alpha, t):
+    """1 - F at Weibull(1, 2) for integer m, n, with no cancelling step.
+
+    s is formed directly from the baseline sf, which is small here, and
+    I_w(n, m) is the finite binomial sum of positive terms.
+    """
+    gbar = math.exp(-(t**2))
+    w = (alpha * gbar / (1.0 - (1.0 - alpha) * gbar)) ** theta
+    top = m + n - 1
+    return sum(math.comb(top, j) * w**j * (1.0 - w) ** (top - j) for j in range(n, top + 1))
+
+
+class TestTails:
+    @pytest.mark.parametrize("shapes", [(2, 3, 0.8, 2.0), (3, 1, 1.7, 0.4), (1, 2, 0.5, 3.0)])
+    def test_sf_relative_precision_in_upper_tail(self, shapes):
+        d = dist(*shapes, Weibull(1.0, 2.0))
+        for t in (6.0, 8.0, 12.0):
+            want = weibull_sf_oracle(*shapes, t)
+            assert want <= 1e-12
+            assert d.sf(t) == pytest.approx(want, rel=1e-9)
+            assert d.chrf(t) == pytest.approx(-math.log(want), rel=1e-12)
+
+    def test_hrf_matches_upper_asymptote(self):
+        # 1 - cdf is 0 from t = 6 on; the hazard must stay finite and exact
+        d = dist(2, 1.5, 0.8, 2.0, Weibull(1.0, 2.0))
+        h_tail = asymptote(d, "upper").hrf
+        ts = np.array([6.0, 8.0, 12.0, 20.0, 30.0, 100.0])  # sf underflows from 30 on
+        np.testing.assert_allclose(d.hrf(ts), h_tail(ts), rtol=1e-9)
+        assert d.hrf(6.0) == pytest.approx(14.4, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "shapes, baseline",
+        [
+            ((0.7, 2.5, 0.5, 2.5), Weibull(1.0, 2.0)),
+            ((2, 3, 1.5, 0.5), Frechet(2.0, 1.0)),
+            ((0.689, 2.39, 0.533, 2.28), Exponential(0.986)),
+        ],
+    )
+    def test_cdf_and_pdf_match_lower_asymptote(self, shapes, baseline):
+        # the leading-order forms are off by O(G) relative, at most 1e-8 here
+        d = dist(*shapes, baseline)
+        lower = asymptote(d, "lower")
+        ts = baseline.quantile(10.0 ** -np.arange(8, 17, 2))
+        np.testing.assert_allclose(d.cdf(ts), lower.tail_prob(ts), rtol=1e-6)
+        np.testing.assert_allclose(d.pdf(ts), lower.pdf(ts), rtol=1e-6)
+
+    def test_quantile_round_trip_is_relative_at_tiny_levels(self):
+        d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
+        us = 10.0 ** -np.arange(4, 16, 2)
+        np.testing.assert_allclose(d.cdf(d.quantile(us)), us, rtol=1e-12)
 
 
 class TestQuantile:

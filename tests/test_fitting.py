@@ -116,6 +116,19 @@ class TestScore:
             rel = np.max(np.abs(sa - sf) / np.maximum(np.abs(sf), 1e-6))
             assert rel <= 1e-5
 
+    def test_analytic_is_finite_where_baseline_sf_underflows(self):
+        # the baseline sf of the largest observations underflows to 0 here,
+        # while the log-likelihood stays finite
+        data = builtin_dataset("turbocharger").values
+        tpl = ModelTemplate("weibull")
+        values = {"m": 0.3107, "n": 0.2833, "theta": 0.5414, "alpha": 0.3384,
+                  "lam": 3.6325, "beta": 2.9785}
+        assert math.isfinite(log_likelihood(tpl, values, data))
+        sa = score(tpl, values, data, "analytic")
+        sf = score(tpl, values, data, "finite_difference")
+        assert np.all(np.isfinite(sa))
+        np.testing.assert_allclose(sa, sf, rtol=1e-6)
+
     def test_digamma_terms_in_shape_gradient(self):
         # the m-component separates into digamma terms plus a data sum;
         # verify the digamma part against finite differences of log B(m, n)
