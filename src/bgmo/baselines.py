@@ -46,9 +46,10 @@ def _require_positive(**params):
 class Baseline:
     """Common behaviour for the concrete families below.
 
-    Subclasses implement ``_log_pdf``, ``_log_sf``, ``_cdf`` and ``_quantile``
-    on arrays already clipped to the support; this class handles support
-    masking and scalar passthrough.
+    Subclasses implement ``_log_pdf``, ``_log_sf`` and ``_quantile`` on arrays
+    already clipped to the support, plus ``_cdf`` where ``-expm1(_log_sf)``
+    loses precision; this class handles support masking and scalar
+    passthrough.
     """
 
     tag = ""
@@ -66,57 +67,25 @@ class Baseline:
     # --- public API -----------------------------------------------------
 
     def pdf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.where(t >= self.support_low, np.exp(self._log_pdf(np.maximum(t, self._eval_floor()))), 0.0)
-        return _maybe_scalar(out, scalar)
+        return self._on_support(lambda x: np.exp(self._log_pdf(x)), t, 0.0)
 
     def log_pdf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.where(t >= self.support_low, self._log_pdf(np.maximum(t, self._eval_floor())), -np.inf)
-        return _maybe_scalar(out, scalar)
+        return self._on_support(self._log_pdf, t, -np.inf)
 
     def cdf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.where(t >= self.support_low, self._cdf(np.maximum(t, self._eval_floor())), 0.0)
-        return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
+        return self._on_support(lambda x: np.clip(self._cdf(x), 0.0, 1.0), t, 0.0)
 
     def sf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.where(t >= self.support_low, np.exp(self._log_sf(np.maximum(t, self._eval_floor()))), 1.0)
-        return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
+        return self._on_support(lambda x: np.clip(np.exp(self._log_sf(x)), 0.0, 1.0), t, 1.0)
 
     def log_sf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.where(t >= self.support_low, self._log_sf(np.maximum(t, self._eval_floor())), 0.0)
-        return _maybe_scalar(out, scalar)
+        return self._on_support(self._log_sf, t, 0.0)
 
     def log_cdf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.where(t >= self.support_low, self._log_cdf(np.maximum(t, self._eval_floor())), -np.inf)
-        return _maybe_scalar(out, scalar)
-
-    def _log_cdf(self, t):
-        with np.errstate(all="ignore"):
-            return np.log(self._cdf(t))
+        return self._on_support(self._log_cdf, t, -np.inf)
 
     def hrf(self, t):
-        scalar = np.isscalar(t)
-        t = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.exp(self.log_pdf(t) - self.log_sf(t))
-        return _maybe_scalar(out, scalar)
+        return self._on_support(lambda x: np.exp(self._log_pdf(x) - self._log_sf(x)), t, 0.0)
 
     def quantile(self, u):
         scalar = np.isscalar(u)
@@ -131,6 +100,20 @@ class Baseline:
         q = np.asarray(q, dtype=float)
         out = self._isf(q)
         return _maybe_scalar(out, scalar)
+
+    def _on_support(self, fn, t, outside):
+        """fn on the support (points nudged up to its floor), ``outside`` below it."""
+        scalar = np.isscalar(t)
+        t = np.asarray(t, dtype=float)
+        with np.errstate(all="ignore"):
+            out = np.where(t >= self.support_low, fn(np.maximum(t, self._eval_floor())), outside)
+        return _maybe_scalar(out, scalar)
+
+    def _cdf(self, t):
+        return -np.expm1(self._log_sf(t))
+
+    def _log_cdf(self, t):
+        return np.log(self._cdf(t))
 
     def _isf(self, q):
         return self._quantile(1.0 - q)
@@ -156,9 +139,6 @@ class Exponential(Baseline):
 
     def _log_sf(self, t):
         return -self.lam * t
-
-    def _cdf(self, t):
-        return -np.expm1(-self.lam * t)
 
     def _quantile(self, u):
         return -np.log1p(-u) / self.lam
@@ -196,9 +176,6 @@ class Weibull(Baseline):
 
     def _log_sf(self, t):
         return -self.lam * t**self.beta
-
-    def _cdf(self, t):
-        return -np.expm1(-self.lam * t**self.beta)
 
     def _quantile(self, u):
         return (-np.log1p(-u) / self.lam) ** (1.0 / self.beta)
@@ -239,9 +216,6 @@ class Lomax(Baseline):
 
     def _log_sf(self, t):
         return -self.beta * np.log1p(t / self.delta)
-
-    def _cdf(self, t):
-        return -np.expm1(self._log_sf(t))
 
     def _quantile(self, u):
         return self.delta * np.expm1(-np.log1p(-u) / self.beta)
@@ -310,9 +284,6 @@ class Gompertz(Baseline):
 
     def _log_sf(self, t):
         return -self._cum_hazard(t)
-
-    def _cdf(self, t):
-        return -np.expm1(-self._cum_hazard(t))
 
     def _quantile(self, u):
         return np.log1p(-(self.lam / self.beta) * np.log1p(-u)) / self.lam
@@ -403,9 +374,6 @@ class ExtendedWeibull(Baseline):
     def _log_sf(self, t):
         return -self.delta * self.z.value(t)
 
-    def _cdf(self, t):
-        return -np.expm1(-self.delta * self.z.value(t))
-
     def _quantile(self, u):
         return self.z.inverse(-np.log1p(-u) / self.delta)
 
@@ -438,9 +406,6 @@ class ModifiedWeibull(Baseline):
 
     def _log_sf(self, t):
         return -self._cum_hazard(t)
-
-    def _cdf(self, t):
-        return -np.expm1(-self._cum_hazard(t))
 
     def _quantile(self, u):
         # no closed form: bisect the increasing cumulative hazard

@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="baseline tag plus any parameters to hold fixed",
     )
-    p.add_argument("--model", default="bgmo", choices=("bgmo",), help="model family")
     p.add_argument("--baseline", default=None, help="baseline spec (alias for --dist)")
     p.add_argument("--out", default=None, help="report path (default stdout)")
     _add_fit_flags(p)

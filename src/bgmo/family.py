@@ -128,8 +128,10 @@ class BgmoDistribution:
                 + _zmul(p.m - 1.0, _log_one_minus_power(p.theta, log_s, log_1ms))
                 + _zmul(p.n - 1.0, p.theta * log_s)
             )
+        # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G
+        # alone would be +inf for theta < 1
         t_arr = np.asarray(t, dtype=float)
-        out = np.where(t_arr >= self.support_low, out, -np.inf)
+        out = np.where((t_arr >= self.support_low) & (log_gbar > -np.inf), out, -np.inf)
         return float(out) if scalar else out
 
     def pdf(self, t):

@@ -28,8 +28,6 @@ __all__ = [
     "gmo_rhrf",
     "gmo_chrf",
     "gmo_quantile",
-    "mo_sf",
-    "mo_cdf",
     "mo_pdf",
     "mo_log_pdf",
 ]
@@ -143,16 +141,6 @@ def gmo_quantile(p: GmoParams, b: Baseline, u):
 
 
 # Plain tilt (theta = 1), coded independently for cross-checks.
-
-
-def mo_sf(alpha: float, b: Baseline, t):
-    gbar = b.sf(t)
-    return alpha * gbar / (1.0 - (1.0 - alpha) * gbar)
-
-
-def mo_cdf(alpha: float, b: Baseline, t):
-    gbar = b.sf(t)
-    return b.cdf(t) / (1.0 - (1.0 - alpha) * gbar)
 
 
 def mo_log_pdf(alpha: float, b: Baseline, t):

@@ -20,8 +20,7 @@ from scipy.integrate import quad
 
 from . import special
 from .baselines import Baseline
-from .family import BgmoDistribution
-from .gmo import GmoParams, gmo_log_sf, mo_log_pdf
+from .family import BgmoDistribution, _zmul
 
 __all__ = [
     "TruncationPolicy",
@@ -118,26 +117,13 @@ def expansion_coefficients(
     psi = _psi_cdf_coeffs(m, n, theta, policy) if _is_int(m) and _is_int(n) else None
     xi = d_table = None
     if r is not None and sample_n is not None:
-        if not 1 <= r <= sample_n:
-            raise ValueError(f"need 1 <= r <= sample_n, got r={r}, sample_n={sample_n}")
-        K = policy.max_terms
-        rows = []
-        for j in range(sample_n - r + 1):
-            power = j + r - 1
-            chi_pow = np.zeros(K)
-            chi_pow[0] = 1.0
-            for _ in range(power):
-                chi_pow = np.convolve(chi_pow, chi[:K])[:K]
-            rows.append(chi_pow)
-        d_table = np.vstack(rows)
-        const = math.factorial(sample_n) / (
-            math.factorial(r - 1) * math.factorial(sample_n - r)
-        )
+        const = _order_stat_const(r, sample_n)
+        d_table = _chi_powers(chi, r, sample_n)
         weights = np.array(
             [(-1.0) ** j * math.comb(sample_n - r, j) for j in range(sample_n - r + 1)]
         )
         # xi[l, k] = const * sum_j w_j * phi_l * d_table[j, k]
-        xi = const * np.outer(phi[:K], weights @ d_table)
+        xi = const * np.outer(phi, weights @ d_table)
     return ExpansionCoeffs(
         delta=delta, delta_prime=delta_prime, phi=phi, chi=chi, psi=psi, xi=xi, d_table=d_table
     )
@@ -147,13 +133,33 @@ def _is_int(x: float) -> bool:
     return abs(x - round(x)) < 1e-9
 
 
-def _binom_row(r: float, length: int) -> np.ndarray:
-    """Generalized binomial coefficients C(r, j) for j = 0..length-1."""
+def _binom_row(r: float, cap: int) -> np.ndarray:
+    """Generalized binomial coefficients C(r, j), j = 0, 1, ...
+
+    A nonnegative integer r gives the r + 1 terms of the finite expansion
+    (all later ones vanish); any other r gives ``cap`` terms.
+    """
+    length = int(round(r)) + 1 if _is_int(r) and round(r) >= 0 else cap
     out = np.empty(length)
     out[0] = 1.0
     for j in range(1, length):
         out[j] = out[j - 1] * (r - (j - 1)) / j
     return out
+
+
+def _chi_powers(chi: np.ndarray, r: int, sample_n: int) -> np.ndarray:
+    """Rows chi^(r-1), ..., chi^(sample_n-1) of truncated Cauchy products."""
+    rows = [np.eye(1, len(chi))[0]]
+    for _ in range(sample_n - 1):
+        rows.append(np.convolve(rows[-1], chi)[: len(chi)])
+    return np.vstack(rows[r - 1 :])
+
+
+def _order_stat_const(r: int, sample_n: int) -> float:
+    """n!/((r-1)!(n-r)!) of the r-th of n order statistics."""
+    if not 1 <= r <= sample_n:
+        raise ValueError(f"need 1 <= r <= sample_n, got r={r}, sample_n={sample_n}")
+    return math.factorial(sample_n) / (math.factorial(r - 1) * math.factorial(sample_n - r))
 
 
 def _sum_with_policy(terms, policy: TruncationPolicy) -> SeriesEval:
@@ -195,10 +201,9 @@ def delta_coeffs(m: float, n: float, theta: float, policy: TruncationPolicy = DE
     """
     if m <= 0 or n <= 0 or theta <= 0:
         raise ValueError("shape parameters must be positive")
-    count = int(round(m)) if _is_int(m) else policy.max_terms
-    binom = _binom_row(m - 1.0, count)
+    binom = _binom_row(m - 1.0, policy.max_terms)
     inv_beta = math.exp(-special.log_beta(m, n))
-    j = np.arange(count)
+    j = np.arange(len(binom))
     signs = np.where(j % 2 == 0, 1.0, -1.0)
     delta = signs * theta * binom * inv_beta
     delta_prime = -signs * binom * inv_beta / (j + n)
@@ -211,33 +216,23 @@ def _phi_coeffs(m, n, theta, policy):
     L = policy.max_terms
     phi = np.zeros(L)
     for j, dj in enumerate(delta):
-        expo = theta * (j + n) - 1.0
-        row = _binom_row(expo, L)
-        signs = np.where(np.arange(L) % 2 == 0, 1.0, -1.0)
-        phi += dj * signs * row
+        row = _binom_row(theta * (j + n) - 1.0, L)[:L]
+        phi[: len(row)] += dj * (-1.0) ** np.arange(len(row)) * row
     return phi
 
 
 def _chi_coeffs(m, n, theta, policy):
     """Coefficients of F = sum_k chi_k C^k from the incomplete-beta series."""
     K = policy.max_terms
-    i_count = int(round(n)) if _is_int(n) else policy.max_terms
     inv_beta = math.exp(-special.log_beta(m, n))
     chi = np.zeros(K)
-    binom_n = _binom_row(n - 1.0, i_count)
-    for i in range(i_count):
+    for i, binom_n_i in enumerate(_binom_row(n - 1.0, K)):
         mi = m + i
-        j_count = int(round(mi)) + 1 if _is_int(mi) else K + policy.max_terms
-        binom_mi = _binom_row(mi, j_count)
-        w_i = binom_n[i] * inv_beta / mi * (-1.0) ** i
-        for j_idx in range(j_count):
-            if binom_mi[j_idx] == 0.0:
-                continue
-            theta_j = theta * j_idx
-            kmax = min(K, int(round(theta_j)) + 1 if _is_int(theta_j) else K)
-            row = _binom_row(theta_j, kmax)
-            for k in range(kmax):
-                chi[k] += w_i * (-1.0) ** (j_idx + k) * binom_mi[j_idx] * row[k]
+        w_i = binom_n_i * inv_beta / mi * (-1.0) ** i
+        for j_idx, binom_mi_j in enumerate(_binom_row(mi, 2 * K)):
+            row = _binom_row(theta * j_idx, K)[:K]
+            signs = (-1.0) ** (j_idx + np.arange(len(row)))
+            chi[: len(row)] += w_i * signs * binom_mi_j * row
     return chi
 
 
@@ -256,26 +251,33 @@ def _psi_cdf_coeffs(m, n, theta, policy):
     for p in range(mi, top + 1):
         c_top_p = math.comb(top, p)
         for q in range(p + 1):
-            expo = theta * (top - p + q)
-            r_count = min(R, int(round(expo)) + 1 if _is_int(expo) else R)
-            row = _binom_row(expo, r_count)
+            row = _binom_row(theta * (top - p + q), R)[:R]
             w = (-1.0) ** q * math.comb(p, q) * c_top_p
-            for r_idx in range(r_count):
-                coeffs[r_idx] += w * (-1.0) ** r_idx * row[r_idx]
+            coeffs[: len(row)] += w * (-1.0) ** np.arange(len(row)) * row
     return coeffs
 
 
 # --- building blocks at a point ---------------------------------------------
 
 
+def _mo_log_parts(alpha: float, baseline: Baseline, t: float):
+    """(log f_MO, log S_MO, log C_MO) of the plain tilt at a point.
+
+    With D = 1 - (1-alpha)*sf_G, S = alpha*sf_G/D and f = alpha*g/D^2.
+    """
+    log_gbar = baseline.log_sf(t)
+    log_d = np.log1p((alpha - 1.0) * np.exp(log_gbar))
+    log_s = math.log(alpha) + log_gbar - log_d
+    log_f = math.log(alpha) + baseline.log_pdf(t) - 2.0 * log_d
+    c = 1.0 - math.exp(log_s)
+    return log_f, log_s, (math.log(c) if c > 0.0 else -math.inf)
+
+
 def _mo_parts(dist: BgmoDistribution, t: float):
     """(f_MO, S_MO, C_MO) of the plain tilt at a point, in linear scale."""
-    alpha = dist.params.alpha
-    mo = GmoParams(alpha=alpha, theta=1.0)
-    log_s = gmo_log_sf(mo, dist.baseline, t)
+    log_f, log_s, _ = _mo_log_parts(dist.params.alpha, dist.baseline, t)
     s = math.exp(log_s)
-    f = math.exp(mo_log_pdf(alpha, dist.baseline, t))
-    return f, s, 1.0 - s
+    return math.exp(log_f), s, 1.0 - s
 
 
 def pdf_via_expansion(
@@ -331,8 +333,7 @@ def cdf_via_expansion(
         chi = _psi_cdf_coeffs(p.m, p.n, p.theta, policy)
     else:
         raise ValueError(f"unknown cdf expansion form {form!r}")
-    ev = _sum_with_policy((chi[k] * c_mo**k for k in range(len(chi))), policy)
-    return SeriesEval(ev.value, ev.converged, ev.tail)
+    return _sum_with_policy((chi[k] * c_mo**k for k in range(len(chi))), policy)
 
 
 # --- order statistics --------------------------------------------------------
@@ -341,20 +342,12 @@ def cdf_via_expansion(
 def _order_stat_poly(dist: BgmoDistribution, r: int, sample_n: int, policy):
     """Coefficients W_w of f_{r:n} = f_MO * sum_w W_w C^w (constants folded in)."""
     p = dist.params
-    K = policy.max_terms
-    phi = _phi_coeffs(p.m, p.n, p.theta, policy)[:K]
-    chi = _chi_coeffs(p.m, p.n, p.theta, policy)[:K]
-    const = math.factorial(sample_n) / (
-        math.factorial(r - 1) * math.factorial(sample_n - r)
-    )
-    total = np.zeros(K)
-    for j in range(sample_n - r + 1):
-        power = j + r - 1
-        chi_pow = np.zeros(K)
-        chi_pow[0] = 1.0
-        for _ in range(power):
-            chi_pow = np.convolve(chi_pow, chi)[:K]
-        combined = np.convolve(phi, chi_pow)[:K]
+    const = _order_stat_const(r, sample_n)
+    phi = _phi_coeffs(p.m, p.n, p.theta, policy)
+    chi = _chi_coeffs(p.m, p.n, p.theta, policy)
+    total = np.zeros(len(phi))
+    for j, chi_pow in enumerate(_chi_powers(chi, r, sample_n)):
+        combined = np.convolve(phi, chi_pow)[: len(phi)]
         total += (-1.0) ** j * math.comb(sample_n - r, j) * combined
     return const * total
 
@@ -374,14 +367,10 @@ def order_stat_pdf(
     needed powers of the cdf series built by repeated truncated Cauchy
     products.
     """
-    if not 1 <= r <= sample_n:
-        raise ValueError(f"need 1 <= r <= sample_n, got r={r}, sample_n={sample_n}")
+    const = _order_stat_const(r, sample_n)
     if method == "direct":
         f = dist.pdf(t)
         F = dist.cdf(t)
-        const = math.factorial(sample_n) / (
-            math.factorial(r - 1) * math.factorial(sample_n - r)
-        )
         return float(const * f * F ** (r - 1) * (1.0 - F) ** (sample_n - r))
     if method == "series":
         f_mo, _, c_mo = _mo_parts(dist, t)
@@ -438,6 +427,69 @@ def _check_tail_decay(weight, baseline, what: str):
         )
 
 
+def _log_integral(log_fn: Callable[[float], float], baseline: Baseline, check: str | None = None):
+    """Integral of exp(log_fn) over the support.
+
+    ``check`` names the integral in the tail-decay check, which runs only
+    when it is given.
+    """
+
+    def fn(t):
+        out = log_fn(t)
+        return math.exp(out) if out > -700 else 0.0
+
+    if check:
+        _check_tail_decay(fn, baseline, check)
+    return _support_quad(fn, baseline)
+
+
+def _tilt_integral(
+    alpha: float,
+    baseline: Baseline,
+    what: str,
+    t_power: float = 0.0,
+    c_power: float = 0.0,
+    s_power: float = 0.0,
+    f_power: float = 1.0,
+    rate: float = 0.0,
+) -> float:
+    """Integral of t^t_power C^c_power S^s_power f^f_power e^(rate t) of the plain tilt.
+
+    The integrands of every tilt functional below.  The tail-decay check,
+    labelled ``what``, runs when t_power or rate is positive.
+    """
+
+    def log_fn(t):
+        log_f, log_s, log_c = _mo_log_parts(alpha, baseline, t)
+        log_t = math.log(t) if t > 0 else -math.inf
+        return (
+            f_power * log_f
+            + _zmul(c_power, log_c)
+            + _zmul(s_power, log_s)
+            + _zmul(t_power, log_t)
+            + _zmul(rate, t)
+        )
+
+    return _log_integral(log_fn, baseline, what if t_power > 0 or rate > 0 else None)
+
+
+def _weighted_sum(weights, integral: Callable[[int], float], tail_tol: float) -> float:
+    """sum_k weights[k] * integral(k), skipping zero weights.
+
+    Stops at the first term after the leading one whose size is at most
+    ``tail_tol`` times the running total.
+    """
+    total = 0.0
+    for k, w in enumerate(weights):
+        if w == 0.0:
+            continue
+        term = w * integral(k)
+        total += term
+        if k > 0 and abs(term) <= tail_tol * max(abs(total), 1e-300):
+            break
+    return total
+
+
 def pwm_mo(alpha: float, baseline: Baseline, p: int, q: float, r: float) -> float:
     """Probability weighted moment E[t^p F^q S^r] of the plain tilt.
 
@@ -448,27 +500,7 @@ def pwm_mo(alpha: float, baseline: Baseline, p: int, q: float, r: float) -> floa
     """
     if p < 0 or q < 0 or r < 0:
         raise ValueError("pwm orders must be nonnegative")
-    mo = GmoParams(alpha=alpha, theta=1.0)
-
-    def integrand(t):
-        log_s = gmo_log_sf(mo, baseline, t)
-        s = math.exp(log_s)
-        log_f = mo_log_pdf(alpha, baseline, t)
-        out = log_f
-        if q:
-            c = 1.0 - s
-            if c <= 0.0:
-                return 0.0
-            out += q * math.log(c)
-        if r:
-            out += r * log_s
-        if p:
-            out += p * math.log(t) if t > 0 else -math.inf
-        return math.exp(out) if out > -700 else 0.0
-
-    if p > 0:
-        _check_tail_decay(integrand, baseline, f"pwm({p},{q},{r})")
-    return _support_quad(integrand, baseline)
+    return _tilt_integral(alpha, baseline, f"pwm({p},{q},{r})", t_power=p, c_power=q, s_power=r)
 
 
 def moment_series(
@@ -479,28 +511,20 @@ def moment_series(
         raise ValueError("moment order must be a positive integer")
     p = dist.params
     delta, _ = delta_coeffs(p.m, p.n, p.theta, policy)
-    total = 0.0
-    for j, dj in enumerate(delta):
-        if dj == 0.0:
-            continue
-        gamma_j = pwm_mo(p.alpha, dist.baseline, s, 0.0, p.theta * (j + p.n) - 1.0)
-        term = dj * gamma_j
-        total += term
-        if abs(term) <= policy.tail_tol * max(abs(total), 1e-300) and j > 0:
-            break
-    return total
+    return _weighted_sum(
+        delta,
+        lambda j: pwm_mo(p.alpha, dist.baseline, s, 0.0, p.theta * (j + p.n) - 1.0),
+        policy.tail_tol,
+    )
 
 
 def moment_direct(dist: BgmoDistribution, s: float) -> float:
     """E[T^s] by direct quadrature of t^s against the density."""
-
-    def integrand(t):
-        lp = dist.log_pdf(t)
-        out = lp + s * math.log(t) if t > 0 else -math.inf
-        return math.exp(out) if out > -700 else 0.0
-
-    _check_tail_decay(integrand, dist.baseline, f"moment({s})")
-    return _support_quad(integrand, dist.baseline)
+    return _log_integral(
+        lambda t: (dist.log_pdf(t) + s * math.log(t)) if t > 0 else -math.inf,
+        dist.baseline,
+        f"moment({s})",
+    )
 
 
 def order_stat_moment(
@@ -511,35 +535,21 @@ def order_stat_moment(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> float:
     """E[T_{r:n}^s] through the order-statistic series and tilted PWMs."""
-    if not 1 <= r <= sample_n:
-        raise ValueError(f"need 1 <= r <= sample_n, got r={r}, sample_n={sample_n}")
     w = _order_stat_poly(dist, r, sample_n, policy)
-    alpha = dist.params.alpha
-    total = 0.0
-    for k, wk in enumerate(w):
-        if wk == 0.0:
-            continue
-        term = wk * pwm_mo(alpha, dist.baseline, s, float(k), 0.0)
-        total += term
-        if k > 0 and abs(term) <= policy.tail_tol * max(abs(total), 1e-300):
-            break
-    return total
+    return _weighted_sum(
+        w, lambda k: pwm_mo(dist.params.alpha, dist.baseline, s, float(k), 0.0), policy.tail_tol
+    )
 
 
-def mgf(dist: BgmoDistribution, s: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def mgf(dist: BgmoDistribution, s: float) -> float:
     """Moment generating function E[e^(sT)] by direct quadrature.
 
     Raises ``DivergenceError`` when s sits at or beyond the abscissa of
     convergence of the baseline tail.
     """
-
-    def integrand(t):
-        out = dist.log_pdf(t) + s * t
-        return math.exp(out) if out > -700 else 0.0
-
-    if s > 0:
-        _check_tail_decay(integrand, dist.baseline, f"mgf({s})")
-    return _support_quad(integrand, dist.baseline)
+    return _log_integral(
+        lambda t: dist.log_pdf(t) + s * t, dist.baseline, f"mgf({s})" if s > 0 else None
+    )
 
 
 def mgf_series(
@@ -552,22 +562,10 @@ def mgf_series(
     """
     p = dist.params
     delta, _ = delta_coeffs(p.m, p.n, p.theta, policy)
-    mo = GmoParams(alpha=p.alpha, theta=1.0)
-    total = 0.0
-    for j, dj in enumerate(delta):
-        if dj == 0.0:
-            continue
-        c = p.theta * (j + p.n)
-
-        def integrand(t, c=c):
-            log_s = gmo_log_sf(mo, dist.baseline, t)
-            out = math.log(c) + (c - 1.0) * log_s + mo_log_pdf(p.alpha, dist.baseline, t) + s * t
-            return math.exp(out) if out > -700 else 0.0
-
-        if s > 0:
-            _check_tail_decay(integrand, dist.baseline, f"mgf_series({s})")
-        total += dj / c * _support_quad(integrand, dist.baseline)
-    return total
+    return sum(
+        dj * _tilt_integral(p.alpha, dist.baseline, f"mgf_series({s})", s_power=c - 1.0, rate=s)
+        for dj, c in zip(delta, p.theta * (np.arange(len(delta)) + p.n))
+    )
 
 
 def renyi_entropy(
@@ -586,37 +584,25 @@ def renyi_entropy(
         raise ValueError("entropy order must be positive and different from 1")
     p = dist.params
     if method == "direct":
-
-        def integrand(t):
-            out = delta * dist.log_pdf(t)
-            return math.exp(out) if out > -700 else 0.0
-
-        total = _support_quad(integrand, dist.baseline)
+        total = _log_integral(lambda t: delta * dist.log_pdf(t), dist.baseline)
         return math.log(total) / (1.0 - delta)
     if method != "series":
         raise ValueError(f"unknown entropy method {method!r}")
 
-    expo_top = delta * (p.m - 1.0)
-    count = int(round(expo_top)) + 1 if _is_int(expo_top) else policy.max_terms
-    binom = _binom_row(expo_top, count)
+    binom = _binom_row(delta * (p.m - 1.0), policy.max_terms)
     z_front = delta * (math.log(p.theta) - special.log_beta(p.m, p.n))
-    mo = GmoParams(alpha=p.alpha, theta=1.0)
-    total = 0.0
-    for j in range(count):
-        if binom[j] == 0.0:
-            continue
-        zj = math.exp(z_front) * binom[j] * (-1.0) ** j
-        expo_s = p.theta * j + delta * (p.theta * p.n - 1.0)
-
-        def integrand(t, expo_s=expo_s):
-            log_s = gmo_log_sf(mo, dist.baseline, t)
-            out = delta * mo_log_pdf(p.alpha, dist.baseline, t) + expo_s * log_s
-            return math.exp(out) if out > -700 else 0.0
-
-        term = zj * _support_quad(integrand, dist.baseline)
-        total += term
-        if j > 0 and abs(term) <= policy.tail_tol * max(abs(total), 1e-300):
-            break
+    weights = math.exp(z_front) * binom * (-1.0) ** np.arange(len(binom))
+    total = _weighted_sum(
+        weights,
+        lambda j: _tilt_integral(
+            p.alpha,
+            dist.baseline,
+            f"renyi_entropy({delta})",
+            f_power=delta,
+            s_power=p.theta * j + delta * (p.theta * p.n - 1.0),
+        ),
+        policy.tail_tol,
+    )
     if total <= 0:
         raise DivergenceError("entropy series produced a non-positive integral sum")
     return math.log(total) / (1.0 - delta)
@@ -662,7 +648,7 @@ def asymptote(dist: BgmoDistribution, end: str) -> TailApproximant:
                 out = (
                     p.m * math.log(p.theta)
                     + b.log_pdf(t)
-                    + _zmul0(p.m - 1.0, logG)
+                    + _zmul(p.m - 1.0, logG)
                     - log_b
                     - p.m * math.log(p.alpha)
                 )
@@ -700,6 +686,3 @@ def asymptote(dist: BgmoDistribution, end: str) -> TailApproximant:
         return TailApproximant("upper", f_approx, sf_approx, h_approx)
     raise ValueError(f"end must be 'lower' or 'upper', got {end!r}")
 
-
-def _zmul0(c, v):
-    return 0.0 if c == 0.0 else c * v

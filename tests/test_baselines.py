@@ -58,6 +58,20 @@ class TestCommonContracts:
         assert b.pdf(below) == 0.0
         assert b.cdf(below) == 0.0
         assert b.sf(below) == 1.0
+        assert b.log_pdf(below) == -math.inf
+        assert b.log_sf(below) == 0.0
+        assert b.log_cdf(below) == -math.inf
+        # a mixed array is masked pointwise and matches the scalar calls
+        ts = np.array([below, float(b.quantile(0.3)), below - 1.0, float(b.quantile(0.8))])
+        inside = np.array([False, True, False, True])
+        for name, outside in (("pdf", 0.0), ("cdf", 0.0), ("sf", 1.0), ("log_pdf", -math.inf),
+                              ("log_sf", 0.0), ("log_cdf", -math.inf), ("hrf", 0.0)):
+            fn = getattr(b, name)
+            got = fn(ts)
+            assert got.shape == ts.shape
+            np.testing.assert_array_equal(got[~inside], outside)
+            np.testing.assert_array_equal(got[inside], [fn(t) for t in ts[inside]])
+            assert np.all(np.isfinite(got[inside]))
 
     def test_log_forms_consistent(self, b):
         ts = b.quantile(np.linspace(0.1, 0.9, 9))

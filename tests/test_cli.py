@@ -86,9 +86,9 @@ class TestFit:
         assert doc["k"] == 1 and list(doc["estimates"]) == ["beta"]
 
     def test_model_baseline_flag_spelling(self, capsys):
-        # --model bgmo --baseline weibull is an accepted alias for --dist
+        # --baseline weibull is an accepted alias for --dist
         rc, out, _ = run(
-            capsys, "fit", "--data", "builtin:turbocharger", "--model", "bgmo",
+            capsys, "fit", "--data", "builtin:turbocharger",
             "--baseline", "weibull m=1 n=1 theta=1 alpha=1", "--starts", "2", "--seed", "1",
         )
         doc = json.loads(out)

@@ -37,6 +37,13 @@ class TestDensity:
         d = dist(2, 3, 0.5, 2.0)
         assert d.pdf(-1.0) == 0.0
         assert d.log_pdf(-1.0) == -math.inf
+        # with theta < 1, (theta - 1) * log sf_G is +inf where the baseline
+        # log sf overflows to -inf; the density there is still 0
+        d = dist(2, 1.5, 0.8, 2, Weibull(1.0, 2.0))
+        for t in (1e200, math.inf):
+            assert d.log_pdf(t) == -math.inf
+            assert d.pdf(t) == 0.0
+        np.testing.assert_array_equal(d.pdf(np.array([-1.0, 1e200, math.inf])), 0.0)
 
     def test_deep_tail_stays_finite(self):
         # log-space evaluation: finite positive density wherever the

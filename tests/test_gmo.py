@@ -24,8 +24,20 @@ from bgmo.gmo import (
     gmo_rhrf,
     gmo_sf,
     mo_pdf,
-    mo_sf,
 )
+
+# Plain tilt (theta = 1), coded independently for cross-checks.
+
+
+def mo_sf(alpha, b, t):
+    gbar = b.sf(t)
+    return alpha * gbar / (1.0 - (1.0 - alpha) * gbar)
+
+
+def mo_cdf(alpha, b, t):
+    gbar = b.sf(t)
+    return b.cdf(t) / (1.0 - (1.0 - alpha) * gbar)
+
 
 ALL_BASELINES = [
     Exponential(1.0),
@@ -95,6 +107,7 @@ class TestIdentities:
             p = GmoParams(alpha=alpha, theta=1.0)
             ts = b.quantile(np.linspace(0.05, 0.95, 20))
             np.testing.assert_allclose(gmo_sf(p, b, ts), mo_sf(alpha, b, ts), atol=1e-15)
+            np.testing.assert_allclose(gmo_cdf(p, b, ts), mo_cdf(alpha, b, ts), atol=1e-15)
             np.testing.assert_allclose(gmo_pdf(p, b, ts), mo_pdf(alpha, b, ts), rtol=1e-13)
 
 

@@ -31,6 +31,15 @@ def dist(m, n, theta, alpha, baseline=EXP):
 
 
 class TestDeltaCoeffs:
+    def test_binom_row_term_count(self):
+        from bgmo.series import _binom_row
+
+        # a nonnegative integer exponent gives the finite expansion, any other
+        # the capped series, negative integers included
+        np.testing.assert_array_equal(_binom_row(2.0, 10), [1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(_binom_row(-1.0, 5), [1.0, -1.0, 1.0, -1.0, 1.0])
+        np.testing.assert_allclose(_binom_row(0.5, 4), [1.0, 0.5, -0.125, 0.0625], rtol=1e-15)
+
     def test_single_term_for_m_one(self):
         delta, _ = delta_coeffs(1.0, 3.0, 2.0)
         assert len(delta) == 1
