@@ -55,6 +55,7 @@ class Baseline:
     tag = ""
     param_names: tuple[str, ...] = ()
     option_names: tuple[str, ...] = ()  # structural settings, never fitted
+    hazard_rate: str | None = None  # the r of log sf = -r*Z(t), if any
     support_low = 0.0
 
     def params(self) -> dict[str, float]:
@@ -130,6 +131,7 @@ class Exponential(Baseline):
 
     tag = "exponential"
     param_names = ("lam",)
+    hazard_rate = "lam"
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
@@ -162,6 +164,7 @@ class Weibull(Baseline):
 
     tag = "weibull"
     param_names = ("lam", "beta")
+    hazard_rate = "lam"
 
     def __post_init__(self):
         _require_positive(lam=self.lam, beta=self.beta)
@@ -203,6 +206,7 @@ class Lomax(Baseline):
 
     tag = "lomax"
     param_names = ("beta", "delta")
+    hazard_rate = "beta"
 
     def __post_init__(self):
         _require_positive(beta=self.beta, delta=self.delta)
@@ -272,6 +276,7 @@ class Gompertz(Baseline):
 
     tag = "gompertz"
     param_names = ("beta", "lam")
+    hazard_rate = "beta"
 
     def __post_init__(self):
         _require_positive(beta=self.beta, lam=self.lam)
@@ -351,6 +356,7 @@ class ExtendedWeibull(Baseline):
 
     tag = "extended_weibull"
     param_names = ("delta",)
+    hazard_rate = "delta"
     option_names = ("z", "k", "beta")
 
     def __post_init__(self):

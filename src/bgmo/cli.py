@@ -289,7 +289,7 @@ def _cmd_shapes(args) -> int:
 
 def _add_fit_flags(sub):
     sub.add_argument("--starts", type=int, default=24, help="multi-start restarts")
-    sub.add_argument("--max-iter", type=int, default=2000, help="simplex iteration cap")
+    sub.add_argument("--max-iter", type=int, default=2000, help="optimizer iteration cap")
     sub.add_argument("--seed", type=int, default=0, help="restart sampling seed")
     sub.add_argument("--level", type=float, default=0.05, help="1 - confidence level")
 

@@ -1,18 +1,27 @@
-"""Maximum-likelihood fitting with multi-start simplex search.
+"""Maximum-likelihood fitting with multi-start bounded L-BFGS-B.
 
 The likelihood is maximized over log-transformed parameters (positivity is
 structural) inside a compact search box.  For several baselines this family's
 likelihood has no interior maximum: it keeps rising along a degenerate ridge
 of extreme parameter combinations, so an unbounded search never terminates at
-a statistically meaningful point.  The box makes the maximization well posed;
-estimates that end up pinned against the box are reported with
-``converged = False`` and named in ``at_boundary``.
+a statistically meaningful point.  The box makes the maximization well posed.
+
+Each restart is one L-BFGS-B run (Byrd, Lu, Nocedal & Zhu 1995) driven by the
+analytic score, or by scipy's differences of the likelihood for a baseline
+without coded partials.  A Weibull baseline with both parameters free is searched in
+its scale sigma = lam**(-1/beta) instead of its rate: lam and beta are nearly
+collinear along the likelihood's ridge, sigma and beta are not.  An estimate
+counts as pinned against the box when, at the optimum, a search coordinate
+sits on a bound and the projected gradient points out of the box (the KKT
+conditions of the bounded problem); such fits are reported with
+``converged = False`` and the coordinate named in ``at_boundary``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +37,7 @@ from .family import BgmoDistribution, BgmoParams, _log_one_minus_power
 __all__ = [
     "FitConfig",
     "FitResult",
+    "Restart",
     "FitError",
     "ModelTemplate",
     "log_likelihood",
@@ -109,35 +119,69 @@ class ModelTemplate:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Search controls: restart count, iteration budgets, tolerances, box.
+    """Search controls: restart count, iteration budget, tolerance, box.
 
-    ``start_box`` maps parameter names to (low, high) ranges, sampled
-    log-uniformly; it is also the hard search region.  Unlisted parameters use
-    (0.05, 20), except a baseline rate ``lam`` whose default box is scaled by
-    the reciprocal sample mean.
+    ``start_box`` maps search-coordinate names to (low, high) ranges, sampled
+    log-uniformly; it is also the hard search region.  The coordinates are
+    the free parameters, except that a Weibull baseline with ``lam`` and
+    ``beta`` both free is searched in ``sigma`` = lam**(-1/beta), so its box
+    key is ``sigma``, not ``lam``; ``fit_mle`` rejects any other key.
+    Unlisted coordinates use (0.05, 20), except:
+
+    - ``sigma``: the sample mean times or divided by 100;
+    - a cumulative-hazard rate r (log sf = -r*Z(t)) whose Z is fully known,
+      such as the exponential ``lam`` or the extended Weibull ``delta``: its
+      closed-form MLE n / sum Z(t), times or divided by 100;
+    - the exponentiated-Pareto location ``theta_p``: below the smallest
+      observation.
+
+    ``f_tol`` is L-BFGS-B's relative reduction tolerance and the gap within
+    which two restarts tie.
     """
 
     starts: int = 24
     max_iter: int = 2000
     f_tol: float = 1e-9
-    x_tol: float = 1e-8
     seed: int = 0
     level: float = 0.05
     start_box: dict[str, tuple[float, float]] = field(default_factory=dict)
-    polish_rounds: int = 4
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if self.f_tol <= 0 or self.x_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.f_tol <= 0:
+            raise ValueError("f_tol must be positive")
         if not 0 < self.level < 1:
             raise ValueError("level must be in (0, 1)")
 
 
 @dataclass(frozen=True)
+class Restart:
+    """One L-BFGS-B run of ``fit_mle``, kept in ``FitResult.trace``.
+
+    ``start`` and ``end`` are parameter values; ``at_bound`` names the search
+    coordinates pinned at the end by the KKT rule; ``status`` and ``message``
+    are scipy's (0 is convergence, 1 an iteration or evaluation limit, 2 a
+    failed line search).
+    """
+
+    start: dict[str, float]
+    end: dict[str, float]
+    neg_log_lik: float
+    nfev: int
+    status: int
+    message: str
+    at_bound: tuple[str, ...]
+    seconds: float
+
+
+@dataclass(frozen=True)
 class FitResult:
-    """Estimates plus the usual large-sample summaries."""
+    """Estimates plus the usual large-sample summaries.
+
+    ``trace`` holds one ``Restart`` per start, in start order; it is not
+    part of ``to_dict``/``to_json``.
+    """
 
     estimates: dict[str, float]
     log_likelihood: float
@@ -154,6 +198,7 @@ class FitResult:
     n_obs: int
     k_params: int
     level: float
+    trace: tuple[Restart, ...] = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         ci = None
@@ -250,6 +295,12 @@ def _score_analytic(template, values: dict[str, float], data):
     return out
 
 
+def _has_partials(template: ModelTemplate) -> bool:
+    """Whether the baseline codes the partials that the analytic score needs."""
+    b_cls = BASELINE_FAMILIES[template.baseline]
+    return hasattr(b_cls, "log_sf_partials") and hasattr(b_cls, "log_pdf_partials")
+
+
 def score(template: ModelTemplate, params, data, mode: str = "analytic") -> np.ndarray:
     """Gradient of the log-likelihood in the template's free parameters.
 
@@ -262,8 +313,7 @@ def score(template: ModelTemplate, params, data, mode: str = "analytic") -> np.n
     else:
         values = dict(template.fixed, **dict(zip(template.free_names, np.asarray(params, dtype=float))))
     if mode == "analytic":
-        b_cls = BASELINE_FAMILIES[template.baseline]
-        if not (hasattr(b_cls, "log_sf_partials") and hasattr(b_cls, "log_pdf_partials")):
+        if not _has_partials(template):
             warnings.warn(
                 f"no analytic partials for baseline {template.baseline!r}; "
                 "falling back to finite differences",
@@ -368,11 +418,33 @@ def info_criteria(log_l: float, k: int, n: int) -> InfoCriteria:
 # --- the fitter ----------------------------------------------------------------
 
 
+def _weibull_scale(template: ModelTemplate) -> bool:
+    """Whether Weibull's ``lam`` is searched as the scale sigma (``beta`` is free too)."""
+    return template.baseline == "weibull" and {"lam", "beta"} <= set(template.free_names)
+
+
+def _search_names(template: ModelTemplate) -> tuple[str, ...]:
+    """Names of ``fit_mle``'s search coordinates, in free-parameter order."""
+    if _weibull_scale(template):
+        return tuple("sigma" if name == "lam" else name for name in template.free_names)
+    return template.free_names
+
+
 def _default_box(template: ModelTemplate, data) -> dict[str, tuple[float, float]]:
-    box = {name: (0.05, 20.0) for name in template.free_names}
-    if "lam" in box:
-        lam0 = 1.0 / float(np.mean(data))
-        box["lam"] = (lam0 * 1e-2, lam0 * 1e2)
+    box = dict.fromkeys(_search_names(template), (0.05, 20.0))
+    if _weibull_scale(template):
+        mean = float(np.mean(data))
+        box["sigma"] = (mean * 1e-2, mean * 1e2)
+    rate = BASELINE_FAMILIES[template.baseline].hazard_rate
+    if rate in box and set(template.baseline_param_names) - {rate} <= set(template.fixed):
+        # log sf = -rate*Z(t) with Z known, so the baseline alone has the
+        # closed-form MLE n / sum Z(t); Z is minus the log sf at rate 1
+        unit = {name: template.fixed.get(name, 1.0) for name in template.baseline_param_names}
+        unit_baseline = make_baseline(template.baseline, **unit, **template.options)
+        total = -float(np.sum(unit_baseline.log_sf(data)))
+        if 0 < total < math.inf:
+            rate0 = data.size / total
+            box[rate] = (rate0 * 1e-2, rate0 * 1e2)
     if "theta_p" in box:
         # exponentiated-Pareto location must stay below the smallest observation
         tmin = float(np.min(data))
@@ -380,14 +452,65 @@ def _default_box(template: ModelTemplate, data) -> dict[str, tuple[float, float]
     return box
 
 
-def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> FitResult:
-    """Box-constrained multi-start simplex maximum likelihood.
+def _to_params(x, scale: tuple[int, int] | None):
+    """Free parameters at search point x, and their Jacobian d(params)/dx.
 
-    Runs ``config.starts`` Nelder-Mead descents from scrambled-Sobol points in
-    the log-space box, each polished by restarts until the improvement drops
-    below ``f_tol``, and keeps the best final value (ties broken toward the
-    lexicographically smaller parameter vector).  Estimates pinned against the
-    box are flagged: ``converged`` is False and ``at_boundary`` names them.
+    Every coordinate is a log parameter, except that with ``scale = (i, j)``
+    coordinate i is log sigma and parameter i is lam = sigma**(-beta), beta
+    being parameter j.
+    """
+    params = np.exp(x)
+    jac = np.diag(params)
+    if scale is not None:
+        i, j = scale
+        beta = params[j]
+        params[i] = math.exp(-beta * x[i])
+        jac[i, i] = -beta * params[i]
+        jac[i, j] = -x[i] * beta * params[i]
+    return params, jac
+
+
+def _neg_log_lik(x, template: ModelTemplate, data, scale) -> float:
+    """Negative log-likelihood at search point x; inf where the likelihood is zero."""
+    value = log_likelihood(template, _to_params(x, scale)[0], data)
+    return -value if math.isfinite(value) else math.inf
+
+
+def _objective(x, template: ModelTemplate, data, scale):
+    """Negative log-likelihood at search point x and its gradient in x.
+
+    The gradient is the analytic score chained through d(params)/dx.  Where
+    the likelihood is zero the value is inf and the gradient zero.
+    """
+    params, jac = _to_params(x, scale)
+    value = log_likelihood(template, params, data)
+    if not math.isfinite(value):
+        return math.inf, np.zeros(len(x))
+    return -value, -(jac.T @ score(template, params, data))
+
+
+def _pinned(names, x, grad, lo, hi) -> tuple[str, ...]:
+    """Coordinates on a bound with the objective's gradient pointing out of the box (KKT)."""
+    hit = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
+    return tuple(name for name, h in zip(names, hit) if h)
+
+
+def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> FitResult:
+    """Box-constrained multi-start L-BFGS-B maximum likelihood.
+
+    Runs one L-BFGS-B descent from each of ``config.starts`` scrambled-Sobol
+    points in the log-space box of the search coordinates (see ``FitConfig``
+    for the coordinates, their ``start_box`` keys and default boxes), on the
+    negative log-likelihood and its gradient: the analytic score times
+    d(params)/d(coordinates), or scipy's 3-point differences in the box for
+    a baseline without coded partials.  It keeps the best final value (ties
+    within ``f_tol`` broken toward the lexicographically smaller coordinate
+    vector).
+    A coordinate that ends on a bound with the projected gradient pointing
+    out of the box is pinned by the box: ``at_boundary`` names it and
+    ``converged`` is False.  ``converged`` is also False when the best run
+    stopped at its iteration or evaluation limit.  ``trace`` records every
+    run.  Estimates are reported under the template's parameter names.
     """
     data = np.asarray(data, dtype=float)
     if data.size == 0:
@@ -399,20 +522,22 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     if bad.size:
         raise ValueError(f"observations at indices {bad.tolist()} are outside the support")
 
-    names = template.free_names
-    k = len(names)
+    free = template.free_names
+    k = len(free)
     if k == 0:
         raise ValueError("template fixes every parameter; nothing to fit")
+    names = _search_names(template)
+    unknown = set(config.start_box) - set(names)
+    if unknown:
+        raise ValueError(f"start_box keys {sorted(unknown)} are not search coordinates {names}")
     box = _default_box(template, data)
-    box.update({n: v for n, v in config.start_box.items() if n in names})
+    box.update(config.start_box)
     lo = np.log([box[n][0] for n in names])
     hi = np.log([box[n][1] for n in names])
+    scale = (names.index("sigma"), names.index("beta")) if _weibull_scale(template) else None
 
-    def neg_ll(x):
-        if np.any(x < lo) or np.any(x > hi):
-            return 1e300
-        value = log_likelihood(template, np.exp(x), data)
-        return -value if math.isfinite(value) else 1e300
+    def param_dict(x):
+        return {n: float(v) for n, v in zip(free, _to_params(x, scale)[0])}
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -420,45 +545,51 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     starts = lo + sob * (hi - lo)
 
     best = None
-    best_x = None
-    any_finite = False
-    nm_opts = dict(maxiter=config.max_iter, fatol=config.f_tol, xatol=config.x_tol)
-    # polish restarts rebuild the simplex with dimension-adapted coefficients,
-    # which reliably frees runs stuck on descent plateaus
-    polish_opts = dict(nm_opts, adaptive=True)
+    trace = []
+    bounds = list(zip(lo, hi))
+    options = dict(maxiter=config.max_iter, ftol=config.f_tol)
+    # without coded partials, scipy differences the objective itself: its
+    # stencil stays in the box, where score's fixed finite-difference stencil
+    # can leave the support (the exponentiated-Pareto location near min(data))
+    fun, jac = (_objective, True) if _has_partials(template) else (_neg_log_lik, "3-point")
     for x0 in starts:
-        run = minimize(neg_ll, x0, method="Nelder-Mead", options=nm_opts)
-        for _ in range(config.polish_rounds):
-            prev = run.fun
-            run = minimize(neg_ll, run.x, method="Nelder-Mead", options=polish_opts)
-            if prev - run.fun < config.f_tol:
-                break
-        if run.fun >= 1e300:
+        t0 = time.perf_counter()
+        run = minimize(
+            fun, x0, args=(template, data, scale), jac=jac,
+            method="L-BFGS-B", bounds=bounds, options=options,
+        )
+        trace.append(Restart(
+            start=param_dict(x0),
+            end=param_dict(run.x),
+            neg_log_lik=float(run.fun),
+            nfev=int(run.nfev),
+            status=int(run.status),
+            message=str(run.message),
+            at_bound=_pinned(names, run.x, run.jac, lo, hi),
+            seconds=time.perf_counter() - t0,
+        ))
+        if not math.isfinite(run.fun):
             continue
-        any_finite = True
         if (
             best is None
             or run.fun < best.fun - config.f_tol
-            or (abs(run.fun - best.fun) <= config.f_tol and tuple(run.x) < tuple(best_x))
+            or (abs(run.fun - best.fun) <= config.f_tol and tuple(run.x) < tuple(best.x))
         ):
-            best, best_x = run, run.x
-    if not any_finite:
+            best = run
+    if best is None:
         raise FitError(
             f"all {config.starts} restarts produced non-finite likelihood "
             f"(baseline={template.baseline}, n={data.size}); widen start_box or check data"
         )
 
-    edge = 1e-4 * (hi - lo)
-    at_boundary = tuple(
-        names[i] for i in range(k) if best_x[i] < lo[i] + edge[i] or best_x[i] > hi[i] - edge[i]
-    )
-    estimates_vec = np.exp(best_x)
-    estimates = {n: float(v) for n, v in zip(names, estimates_vec)}
+    at_boundary = _pinned(names, best.x, best.jac, lo, hi)
+    estimates_vec = _to_params(best.x, scale)[0]
+    estimates = {n: float(v) for n, v in zip(free, estimates_vec)}
     log_l = -float(best.fun)
 
     info_pd = False
     cov = None
-    se = {n: math.nan for n in names}
+    se = {n: math.nan for n in free}
     ci = None
     try:
         info = observed_information(template, estimates_vec, data)
@@ -467,9 +598,9 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         diag = np.diag(cov)
         if np.all(diag >= 0):
             info_pd = True
-            se = {n: float(math.sqrt(d)) for n, d in zip(names, diag)}
+            se = {n: float(math.sqrt(d)) for n, d in zip(free, diag)}
             ci = {
-                n: wald_interval(estimates[n], se[n], config.level) for n in names
+                n: wald_interval(estimates[n], se[n], config.level) for n in free
             }
     except (np.linalg.LinAlgError, ArithmeticError):
         pass
@@ -491,4 +622,5 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         n_obs=int(data.size),
         k_params=k,
         level=config.level,
+        trace=tuple(trace),
     )

@@ -498,8 +498,8 @@ def pwm_mo(alpha: float, baseline: Baseline, p: int, q: float, r: float) -> floa
     integrand fails its tail-decay check (heavy-tailed baselines with p too
     large).
     """
-    if p < 0 or q < 0 or r < 0:
-        raise ValueError("pwm orders must be nonnegative")
+    if p < 0 or q <= -1 or r <= -1:
+        raise ValueError("pwm orders need p >= 0, q > -1 and r > -1")
     return _tilt_integral(alpha, baseline, f"pwm({p},{q},{r})", t_power=p, c_power=q, s_power=r)
 
 

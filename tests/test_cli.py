@@ -115,6 +115,19 @@ class TestFit:
             assert doc["k"] == 1
             assert doc["estimates"]["delta"] == pytest.approx(len(data) / np.sum(z_values), rel=1e-4)
 
+    def test_hazard_rate_box_follows_the_data(self, capsys):
+        # delta's default box is centred on its closed-form MLE n / sum Z(t),
+        # which for Z = t^2 on the unscaled data is 0.02335, below 0.05
+        data = builtin_dataset("turbocharger").values
+        rc, out, err = run(
+            capsys, "fit", "--data", "builtin:turbocharger",
+            "--dist", "extended_weibull m=1 n=1 theta=1 alpha=1 z=square",
+            "--starts", "2", "--seed", "1",
+        )
+        assert rc == 0, err
+        delta = json.loads(out)["estimates"]["delta"]
+        assert delta == pytest.approx(len(data) / np.sum(data**2), rel=1e-6)
+
     def test_bad_template_is_a_usage_error(self, capsys):
         for spec in ("weibull zeta=1", "extended_weibull z=cubic", "extended_weibull z=log_ratio k=-1"):
             rc, out, err = run(capsys, "fit", "--data", "builtin:turbocharger", "--dist", spec)

@@ -7,6 +7,8 @@ import pytest
 from bgmo.datasets import builtin_dataset
 from bgmo.fitting import (
     FitConfig,
+    _objective,
+    _pinned,
     ModelTemplate,
     fit_mle,
     info_criteria,
@@ -156,6 +158,38 @@ class TestScore:
             score(ModelTemplate("exponential"), {}, [1.0], "symbolic")
 
 
+class TestSearchGradient:
+    @pytest.mark.parametrize(
+        "fixed,x",
+        [
+            # six parameters, lam searched as log sigma: x holds log m, log n,
+            # log theta, log alpha, log sigma, log beta
+            ({}, np.log([1.3, 0.9, 1.1, 2.0, 6.0, 2.5])),
+            # the nested model near its optimum
+            ({"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0}, np.log([6.9, 3.9])),
+        ],
+    )
+    def test_matches_central_differences(self, fixed, x):
+        data = builtin_dataset("turbocharger").values
+        tpl = ModelTemplate("weibull", fixed=fixed)
+        scale = (len(x) - 2, len(x) - 1)
+        sigma, beta = np.exp(x[-2:])
+        params = np.append(np.exp(x[:-2]), [sigma**-beta, beta])  # lam = sigma**(-beta)
+        value, grad = _objective(x, tpl, data, scale)
+        assert value == pytest.approx(-log_likelihood(tpl, params, data), rel=1e-13)
+        h = 1e-6
+        for i in range(len(x)):
+            e = np.zeros(len(x))
+            e[i] = h
+            fd = (_objective(x + e, tpl, data, scale)[0] - _objective(x - e, tpl, data, scale)[0]) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    def test_zero_likelihood_is_infinite(self):
+        tpl = ModelTemplate("exponentiated_pareto", fixed={"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0})
+        value, grad = _objective(np.log([2.0, 1.0, 1.0]), tpl, np.array([3.0, 1.0]), None)
+        assert value == math.inf and np.all(grad == 0)
+
+
 class TestObservedInformation:
     def test_symmetric_by_construction(self):
         tpl = ModelTemplate("weibull")
@@ -180,7 +214,7 @@ class TestFitMle:
         result = fit_mle(exp_reduction_template(), data, FitConfig(starts=6, seed=1))
         # the exact single-parameter MLE is 1/mean
         assert result.estimates["lam"] == pytest.approx(1.0 / data.mean(), rel=1e-4)
-        assert result.converged
+        assert result.converged and result.at_boundary == ()
         assert result.information_pd
         assert result.k_params == 1
         lo, hi = result.conf_intervals["lam"]
@@ -220,26 +254,88 @@ class TestFitMle:
         b = fit_mle(tpl, data, FitConfig(seed=1))
         assert abs(a.log_likelihood - b.log_likelihood) <= 0.05
 
-    def test_simplex_descent_is_monotone(self):
-        from scipy.optimize import minimize
+    def test_nested_weibull_reaches_scipy(self):
+        # the nested Weibull MLE sits at lam = 5.6e-4, beta = 3.87, far from
+        # lam's data-scaled centre 1/mean(data); the sigma coordinate reaches it
+        from scipy.stats import weibull_min
 
         data = builtin_dataset("turbocharger").values
-        tpl = ModelTemplate("weibull")
+        tpl = ModelTemplate("weibull", fixed={"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0})
+        result = fit_mle(tpl, data)
+        shape, _, scale = weibull_min.fit(data, floc=0)
+        want = float(np.sum(weibull_min.logpdf(data, shape, 0, scale)))
+        assert result.log_likelihood >= want - 1e-4
+        assert result.estimates["beta"] == pytest.approx(shape, rel=1e-3)
+        assert result.estimates["lam"] == pytest.approx(scale ** -shape, rel=1e-2)
+        assert result.converged and result.at_boundary == ()
 
-        def neg_ll(x):
-            v = log_likelihood(tpl, np.exp(x), data)
-            return -v if math.isfinite(v) else 1e300
-
-        trace = []
-        minimize(
-            neg_ll,
-            np.zeros(6),
-            method="Nelder-Mead",
-            callback=lambda xk: trace.append(neg_ll(xk)),
-            options=dict(maxiter=300),
+    def test_fit_without_coded_partials(self):
+        # exponentiated Pareto has no coded partials; its likelihood rises
+        # toward theta_p = min(data), where a fixed finite-difference stencil
+        # leaves the support.  A Nelder-Mead search of the same box reaches
+        # -300.5447 with gamma on its upper bound.
+        data = builtin_dataset("nicotine").values
+        tpl = ModelTemplate(
+            "exponentiated_pareto", fixed={"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0}
         )
-        # the tracked best vertex never gets worse
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+        result = fit_mle(tpl, data, FitConfig(starts=8))
+        assert result.log_likelihood >= -300.5448
+        assert result.at_boundary == ("gamma",)
+
+    def test_kkt_boundary_flag(self):
+        # the exponential rate's MLE 1/mean lies above this box: the fit ends
+        # on the upper bound with the gradient pointing out, and says so
+        rng = np.random.default_rng(3)
+        data = rng.exponential(1 / 1.7, 500)
+        cap = 0.5 / data.mean()
+        result = fit_mle(
+            exp_reduction_template(), data,
+            FitConfig(starts=3, seed=1, start_box={"lam": (0.01, cap)}),
+        )
+        assert result.estimates["lam"] == pytest.approx(cap, rel=1e-12)
+        assert result.at_boundary == ("lam",)
+        assert not result.converged
+        assert all(r.at_bound == ("lam",) for r in result.trace)
+
+    def test_kkt_rule_needs_an_outward_gradient(self):
+        lo, hi = np.zeros(3), np.ones(3)
+        x = np.array([0.0, 1.0, 0.5])
+        names = ("a", "b", "c")
+        # the objective's gradient points out of the box at both bounds
+        assert _pinned(names, x, np.array([1.0, -1.0, 5.0]), lo, hi) == ("a", "b")
+        # on the bounds, but the descent direction points into the box
+        assert _pinned(names, x, np.array([-1.0, 1.0, 5.0]), lo, hi) == ()
+
+    def test_restart_trace(self):
+        data = builtin_dataset("turbocharger").values
+        tpl = ModelTemplate("weibull", fixed={"m": 1.0, "n": 1.0})
+        result = fit_mle(tpl, data, FitConfig(starts=4, seed=5))
+        assert len(result.trace) == 4
+        best = min(result.trace, key=lambda r: r.neg_log_lik)
+        assert -best.neg_log_lik == pytest.approx(result.log_likelihood, abs=1e-9)
+        for r in result.trace:
+            assert set(r.start) == set(r.end) == set(tpl.free_names)
+            assert r.nfev >= 1 and r.seconds >= 0 and isinstance(r.message, str)
+            assert r.status in (0, 1, 2)
+        assert set(result.to_dict()) == {
+            "estimates", "se", "ci", "logLik", "aic", "bic", "caic", "hqic", "converged", "n", "k"
+        }
+
+    def test_start_box_keys_are_search_coordinates(self):
+        data = builtin_dataset("turbocharger").values
+        six = ModelTemplate("weibull")
+        with pytest.raises(ValueError, match="zeta"):
+            fit_mle(six, data, FitConfig(starts=1, start_box={"zeta": (0.1, 1.0)}))
+        # with beta free, Weibull is searched in sigma = lam**(-1/beta)
+        with pytest.raises(ValueError, match="lam"):
+            fit_mle(six, data, FitConfig(starts=1, start_box={"lam": (0.1, 1.0)}))
+        nested = ModelTemplate("weibull", fixed={"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0})
+        result = fit_mle(nested, data, FitConfig(starts=2, start_box={"sigma": (1.0, 5.0)}))
+        assert result.estimates["lam"] ** (-1.0 / result.estimates["beta"]) <= 5.0 * (1 + 1e-12)
+        # with beta fixed, lam is searched directly
+        rate = ModelTemplate("weibull", fixed=dict(nested.fixed, beta=2.0))
+        result = fit_mle(rate, data, FitConfig(starts=2, start_box={"lam": (0.1, 1.0)}))
+        assert 0.1 <= result.estimates["lam"] <= 1.0
 
     def test_json_schema(self):
         rng = np.random.default_rng(8)

@@ -205,6 +205,13 @@ class TestPwm:
         # E[survival] = 1/2 under any tilt
         assert pwm_mo(2.0, EXP, 0, 0, 1) == pytest.approx(0.5, abs=1e-9)
 
+    def test_order_domain(self):
+        # E[S^r] = 1/(r + 1) under any tilt, finite for every r > -1
+        assert pwm_mo(2.0, EXP, 0, 0, -0.5) == pytest.approx(2.0, rel=1e-8)
+        for p, q, r in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+            with pytest.raises(ValueError):
+                pwm_mo(1.0, EXP, p, q, r)
+
     def test_heavy_tail_divergence(self):
         with pytest.raises(DivergenceError):
             pwm_mo(1.0, Frechet(1.0, 1.0), 1, 0, 0)
@@ -241,6 +248,14 @@ class TestMoments:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             moment_series(dist(1, 1, 1, 1), 0)
+
+    def test_theta_n_below_one(self):
+        # the series' PWMs have survival power theta*(j + n) - 1 > -1, negative
+        # when theta*n < 1; the integrals are finite there
+        d = dist(2, 0.5, 1, 1, Weibull(1.0, 2.0))
+        assert moment_series(d, 2) == pytest.approx(8.0 / 3.0, rel=1e-9)
+        d = dist(1.5, 0.7, 1.3, 0.6)
+        assert moment_series(d, 2) == pytest.approx(moment_direct(d, 2), rel=1e-6)
 
 
 class TestOrderStatMoments:
