@@ -32,9 +32,9 @@ __all__ = ["BgmoParams", "BgmoDistribution", "reduction_check"]
 _LN2 = math.log(2.0)
 
 
-def _zmul(c: float, v):
-    """c*v with the convention 0 * (+-inf) = 0, for vanishing exponents."""
-    return 0.0 if c == 0.0 else c * v
+def _zmul(c, v):
+    """c*v with the convention 0 * (+-inf) = 0, for vanishing exponents (c may be an array)."""
+    return np.where(c == 0.0, 0.0, c * v)
 
 
 def _log_one_minus_power(theta: float, log_s, log_1ms):

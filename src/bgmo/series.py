@@ -5,8 +5,10 @@ the tilted survival S(t) = alpha*sf_G/(1-(1-alpha)*sf_G) or of its complement
 C(t) = 1 - S(t).  For integer shape m the expansions are finite and exact;
 for real m they are generalized-binomial series truncated by a
 ``TruncationPolicy``.  Everything here is cross-checkable against the direct
-evaluations in ``family``; quadrature-based functionals (PWMs, moments, mgf,
-entropy) use adaptive Gauss-Kronrod integration over the baseline support.
+evaluations in ``family``.  The integral functionals (PWMs, moments, mgf,
+entropy) integrate over v = G(t) with scipy's vectorised tanh-sinh rule, split
+at v = 1/2; each series is one batched integral, one per term, and one dot
+product with its weight table.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import tanhsinh
+from scipy.special import binom
 
 from . import special
 from .baselines import Baseline
@@ -117,13 +120,9 @@ def expansion_coefficients(
     psi = _psi_cdf_coeffs(m, n, theta, policy) if _is_int(m) and _is_int(n) else None
     xi = d_table = None
     if r is not None and sample_n is not None:
-        const = _order_stat_const(r, sample_n)
         d_table = _chi_powers(chi, r, sample_n)
-        weights = np.array(
-            [(-1.0) ** j * math.comb(sample_n - r, j) for j in range(sample_n - r + 1)]
-        )
-        # xi[l, k] = const * sum_j w_j * phi_l * d_table[j, k]
-        xi = const * np.outer(phi, weights @ d_table)
+        # xi[l, k] = sum_j w_j * phi_l * d_table[j, k]
+        xi = np.outer(phi, _order_stat_weights(r, sample_n) @ d_table)
     return ExpansionCoeffs(
         delta=delta, delta_prime=delta_prime, phi=phi, chi=chi, psi=psi, xi=xi, d_table=d_table
     )
@@ -147,6 +146,17 @@ def _binom_row(r: float, cap: int) -> np.ndarray:
     return out
 
 
+def _alt_binom_table(x, length: int) -> np.ndarray:
+    """Rows (-1)^k C(x_i, k), k < length, one per element of x.
+
+    scipy's ``binom`` is exact zero past a nonnegative integer x, so finite
+    expansions end by themselves; it is NaN at negative integers, which the
+    tables below never reach (every x is above -1).
+    """
+    k = np.arange(length)
+    return (-1.0) ** k * binom(np.asarray(x, dtype=float)[..., None], k)
+
+
 def _chi_powers(chi: np.ndarray, r: int, sample_n: int) -> np.ndarray:
     """Rows chi^(r-1), ..., chi^(sample_n-1) of truncated Cauchy products."""
     rows = [np.eye(1, len(chi))[0]]
@@ -160,6 +170,11 @@ def _order_stat_const(r: int, sample_n: int) -> float:
     if not 1 <= r <= sample_n:
         raise ValueError(f"need 1 <= r <= sample_n, got r={r}, sample_n={sample_n}")
     return math.factorial(sample_n) / (math.factorial(r - 1) * math.factorial(sample_n - r))
+
+
+def _order_stat_weights(r: int, sample_n: int) -> np.ndarray:
+    """const * (-1)^j C(n-r, j): f_{r:n}/f = sum_j of these times F^(r-1+j)."""
+    return _order_stat_const(r, sample_n) * _alt_binom_table(sample_n - r, sample_n - r + 1)
 
 
 def _sum_with_policy(terms, policy: TruncationPolicy) -> SeriesEval:
@@ -213,71 +228,61 @@ def delta_coeffs(m: float, n: float, theta: float, policy: TruncationPolicy = DE
 def _phi_coeffs(m, n, theta, policy):
     """Weights of the cdf-power expansion: phi[l] = sum_j delta_j (-1)^l C(theta(j+n)-1, l)."""
     delta, _ = delta_coeffs(m, n, theta, policy)
-    L = policy.max_terms
-    phi = np.zeros(L)
-    for j, dj in enumerate(delta):
-        row = _binom_row(theta * (j + n) - 1.0, L)[:L]
-        phi[: len(row)] += dj * (-1.0) ** np.arange(len(row)) * row
-    return phi
+    return delta @ _alt_binom_table(theta * (np.arange(len(delta)) + n) - 1.0, policy.max_terms)
 
 
 def _chi_coeffs(m, n, theta, policy):
-    """Coefficients of F = sum_k chi_k C^k from the incomplete-beta series."""
+    """Coefficients of F = sum_k chi_k C^k from the incomplete-beta series.
+
+    chi[k] = sum_i w_i sum_j (-1)^(j+k) C(m+i, j) C(theta j, k) with
+    w_i = (-1)^i C(n-1, i) / ((m+i) B(m, n)), j < 2K and k < K.
+    """
     K = policy.max_terms
-    inv_beta = math.exp(-special.log_beta(m, n))
-    chi = np.zeros(K)
-    for i, binom_n_i in enumerate(_binom_row(n - 1.0, K)):
-        mi = m + i
-        w_i = binom_n_i * inv_beta / mi * (-1.0) ** i
-        for j_idx, binom_mi_j in enumerate(_binom_row(mi, 2 * K)):
-            row = _binom_row(theta * j_idx, K)[:K]
-            signs = (-1.0) ** (j_idx + np.arange(len(row)))
-            chi[: len(row)] += w_i * signs * binom_mi_j * row
-    return chi
+    binom_n = _binom_row(n - 1.0, K)
+    i = np.arange(len(binom_n))
+    w = (-1.0) ** i * binom_n * math.exp(-special.log_beta(m, n)) / (m + i)
+    outer = w @ _alt_binom_table(m + i, 2 * K)
+    return outer @ _alt_binom_table(theta * np.arange(2 * K), K)
 
 
 def _psi_cdf_coeffs(m, n, theta, policy):
     """Coefficients of C^r in the order-statistic-identity cdf expansion.
 
     Derivation relies on integer beta shapes; the identity expands
-    I_z(m, n) as a binomial sum over m..m+n-1.
+    I_z(m, n) as a binomial sum over m..m+n-1:
+    psi[r] = sum_{p=m}^{m+n-1} sum_{q<=p} C(m+n-1, p) (-1)^q C(p, q) (-1)^r C(theta(m+n-1-p+q), r).
     """
     if not (_is_int(m) and _is_int(n)):
         raise ValueError("this cdf expansion requires integer m and n")
     mi, ni = int(round(m)), int(round(n))
     top = mi + ni - 1
-    R = policy.max_terms
-    coeffs = np.zeros(R)
-    for p in range(mi, top + 1):
-        c_top_p = math.comb(top, p)
-        for q in range(p + 1):
-            row = _binom_row(theta * (top - p + q), R)[:R]
-            w = (-1.0) ** q * math.comb(p, q) * c_top_p
-            coeffs[: len(row)] += w * (-1.0) ** np.arange(len(row)) * row
-    return coeffs
+    p = np.arange(mi, top + 1)[:, None]
+    q = np.arange(top + 1)[None, :]
+    w = binom(top, p) * (-1.0) ** q * binom(p, q)
+    return w.ravel() @ _alt_binom_table(theta * (top - p + q).ravel(), policy.max_terms)
 
 
 # --- building blocks at a point ---------------------------------------------
 
 
-def _mo_log_parts(alpha: float, baseline: Baseline, t: float):
-    """(log f_MO, log S_MO, log C_MO) of the plain tilt at a point.
+def _mo_log_parts(alpha: float, baseline: Baseline, t):
+    """(log f_MO, log S_MO, log C_MO) of the plain tilt at the points t.
 
     With D = 1 - (1-alpha)*sf_G, S = alpha*sf_G/D and f = alpha*g/D^2.
     """
     log_gbar = baseline.log_sf(t)
-    log_d = np.log1p((alpha - 1.0) * np.exp(log_gbar))
-    log_s = math.log(alpha) + log_gbar - log_d
-    log_f = math.log(alpha) + baseline.log_pdf(t) - 2.0 * log_d
-    c = 1.0 - math.exp(log_s)
-    return log_f, log_s, (math.log(c) if c > 0.0 else -math.inf)
+    with np.errstate(all="ignore"):
+        log_d = np.log1p((alpha - 1.0) * np.exp(log_gbar))
+        log_s = math.log(alpha) + log_gbar - log_d
+        log_f = math.log(alpha) + baseline.log_pdf(t) - 2.0 * log_d
+        return log_f, log_s, np.log(np.maximum(-np.expm1(log_s), 0.0))
 
 
-def _mo_parts(dist: BgmoDistribution, t: float):
-    """(f_MO, S_MO, C_MO) of the plain tilt at a point, in linear scale."""
+def _mo_parts(dist: BgmoDistribution, t):
+    """(f_MO, S_MO, C_MO) of the plain tilt at the points t, in linear scale."""
     log_f, log_s, _ = _mo_log_parts(dist.params.alpha, dist.baseline, t)
-    s = math.exp(log_s)
-    return math.exp(log_f), s, 1.0 - s
+    s = np.exp(log_s)
+    return np.exp(log_f), s, 1.0 - s
 
 
 def pdf_via_expansion(
@@ -342,14 +347,10 @@ def cdf_via_expansion(
 def _order_stat_poly(dist: BgmoDistribution, r: int, sample_n: int, policy):
     """Coefficients W_w of f_{r:n} = f_MO * sum_w W_w C^w (constants folded in)."""
     p = dist.params
-    const = _order_stat_const(r, sample_n)
     phi = _phi_coeffs(p.m, p.n, p.theta, policy)
     chi = _chi_coeffs(p.m, p.n, p.theta, policy)
-    total = np.zeros(len(phi))
-    for j, chi_pow in enumerate(_chi_powers(chi, r, sample_n)):
-        combined = np.convolve(phi, chi_pow)[: len(phi)]
-        total += (-1.0) ** j * math.comb(sample_n - r, j) * combined
-    return const * total
+    cdf_part = _order_stat_weights(r, sample_n) @ _chi_powers(chi, r, sample_n)
+    return np.convolve(phi, cdf_part)[: len(phi)]
 
 
 def order_stat_pdf(
@@ -382,112 +383,106 @@ def order_stat_pdf(
 
 # --- quadrature over the support ---------------------------------------------
 
-_QUAD_OPTS = dict(limit=200, epsabs=1e-10, epsrel=1e-9)
+# tanh-sinh stops once its error estimate is below atol or rtol * |integral|.
+# The estimate of its first two levels can be 100 times too small, and
+# rtol = 1e-14 forces one more level; atol only lets an exact zero stop.
+_TANHSINH_TOL = dict(atol=1e-300, rtol=1e-14)
 
 
-def _support_quad(fn: Callable[[float], float], baseline: Baseline) -> float:
-    """Adaptive integral of fn over the support.
+def _support_quad(fn: Callable, baseline: Baseline, *args):
+    """Integral of fn(t, *args) over the support, one per element of the broadcast args.
 
-    Substituting t = Q_G(v) maps the support onto (0, 1) and turns both tails
-    into power-type endpoint behaviour, which the Gauss-Kronrod extrapolation
-    handles uniformly well (heavy-tailed baselines included).
+    Substituting t = Q_G(v) turns both tails into power-type endpoint
+    behaviour in v, which scipy's tanh-sinh rule handles uniformly well
+    (heavy-tailed baselines included).  The v range is split at 1/2 and
+    folded onto w in (0, 1/2]: the lower half takes t = Q_G(w), the upper
+    half t = isf(w), so both tails keep their relative precision.
+    Non-finite values of fn/g count as 0; ``DivergenceError`` is raised
+    where the rule does not converge.
     """
-    import warnings
-    from scipy.integrate import IntegrationWarning
 
-    def integrand(v: float) -> float:
-        t = float(baseline.quantile(v))
-        g = float(baseline.pdf(t))
-        if not math.isfinite(t) or not math.isfinite(g) or g <= 0.0:
-            return 0.0
-        w = fn(t) / g
-        return w if math.isfinite(w) else 0.0
+    def ratio(t, *args):
+        w = fn(t, *args) / baseline.pdf(t)
+        return np.where(np.isfinite(w), w, 0.0)
 
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, _ = quad(
-            integrand, 0.0, 1.0, points=(0.05, 0.25, 0.5, 0.75, 0.95), **_QUAD_OPTS
-        )
-    return value
+    def integrand(w, *args):
+        return ratio(baseline.quantile(w), *args) + ratio(baseline.isf(w), *args)
 
-
-def _check_tail_decay(weight, baseline, what: str):
-    """Reject integrands whose far-tail contribution is not shrinking."""
-    t1 = float(baseline.isf(1e-8))
-    t2 = float(baseline.isf(1e-11))
     with np.errstate(all="ignore"):
-        w1 = abs(weight(t1)) * t1
-        w2 = abs(weight(t2)) * t2
-    if not (np.isfinite(w1) and np.isfinite(w2)):
-        raise DivergenceError(f"{what}: integrand not finite in the upper tail")
-    if w2 > 0.9 * w1 and w2 > 1e-280:
+        res = tanhsinh(integrand, 0.0, 0.5, args=args, **_TANHSINH_TOL)
+    if np.any(res.status != 0):
+        k = np.flatnonzero(res.status)[0]
         raise DivergenceError(
-            f"{what}: upper-tail contribution is not decaying "
-            f"({w1:.3g} at sf=1e-8 vs {w2:.3g} at sf=1e-11)"
+            f"tanh-sinh quadrature did not converge: status {res.status.flat[k]}, "
+            f"error estimate {res.error.flat[k]:.3g}"
         )
+    return float(res.integral) if res.integral.ndim == 0 else res.integral
 
 
-def _log_integral(log_fn: Callable[[float], float], baseline: Baseline, check: str | None = None):
-    """Integral of exp(log_fn) over the support.
+def _exp_of(log_fn: Callable) -> Callable:
+    """exp(log_fn(...)), quiet where the log is infinite."""
 
-    ``check`` names the integral in the tail-decay check, which runs only
-    when it is given.
+    def fn(*args):
+        with np.errstate(all="ignore"):
+            return np.exp(log_fn(*args))
+
+    return fn
+
+
+def _log_integral(log_fn: Callable, baseline: Baseline, check: str | None, *args):
+    """Integral of exp(log_fn(t, *args)) over the support, one per element of args.
+
+    When ``check`` is given, it names the integral in a check that rejects
+    integrands whose far-tail contribution is not shrinking.
     """
-
-    def fn(t):
-        out = log_fn(t)
-        return math.exp(out) if out > -700 else 0.0
-
+    fn = _exp_of(log_fn)
     if check:
-        _check_tail_decay(fn, baseline, check)
-    return _support_quad(fn, baseline)
+        t1, t2 = (float(baseline.isf(q)) for q in (1e-8, 1e-11))
+        w1 = np.ravel(np.abs(fn(t1, *args)) * t1)
+        w2 = np.ravel(np.abs(fn(t2, *args)) * t2)
+        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
+            raise DivergenceError(f"{check}: integrand not finite in the upper tail")
+        growing = np.flatnonzero((w2 > 0.9 * w1) & (w2 > 1e-280))
+        if growing.size:
+            k = growing[0]
+            raise DivergenceError(
+                f"{check}: upper-tail contribution is not decaying "
+                f"({w1[k]:.3g} at sf=1e-8 vs {w2[k]:.3g} at sf=1e-11)"
+            )
+    return _support_quad(fn, baseline, *args)
 
 
 def _tilt_integral(
-    alpha: float,
-    baseline: Baseline,
-    what: str,
-    t_power: float = 0.0,
-    c_power: float = 0.0,
-    s_power: float = 0.0,
-    f_power: float = 1.0,
-    rate: float = 0.0,
-) -> float:
-    """Integral of t^t_power C^c_power S^s_power f^f_power e^(rate t) of the plain tilt.
+    alpha, baseline, what, t_power=0.0, c_power=0.0, s_power=0.0, f_power=1.0, rate=0.0
+):
+    """Integrals of t^t_power C^c_power S^s_power f^f_power e^(rate t) of the plain tilt.
 
-    The integrands of every tilt functional below.  The tail-decay check,
-    labelled ``what``, runs when t_power or rate is positive.
+    The integrands of every tilt functional below.  The powers may be
+    arrays: the result holds one integral per element of their broadcast.
+    The tail-decay check, labelled ``what``, runs when some t_power or rate
+    is positive.
     """
 
-    def log_fn(t):
+    def log_fn(t, t_power, c_power, s_power, f_power, rate):
         log_f, log_s, log_c = _mo_log_parts(alpha, baseline, t)
-        log_t = math.log(t) if t > 0 else -math.inf
         return (
             f_power * log_f
             + _zmul(c_power, log_c)
             + _zmul(s_power, log_s)
-            + _zmul(t_power, log_t)
+            + _zmul(t_power, np.log(t))
             + _zmul(rate, t)
         )
 
-    return _log_integral(log_fn, baseline, what if t_power > 0 or rate > 0 else None)
+    check = what if np.any(np.asarray(t_power) > 0) or np.any(np.asarray(rate) > 0) else None
+    return _log_integral(log_fn, baseline, check, t_power, c_power, s_power, f_power, rate)
 
 
-def _weighted_sum(weights, integral: Callable[[int], float], tail_tol: float) -> float:
-    """sum_k weights[k] * integral(k), skipping zero weights.
-
-    Stops at the first term after the leading one whose size is at most
-    ``tail_tol`` times the running total.
-    """
-    total = 0.0
-    for k, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        term = w * integral(k)
-        total += term
-        if k > 0 and abs(term) <= tail_tol * max(abs(total), 1e-300):
-            break
-    return total
+def _delta_mixture(dist: BgmoDistribution, policy, what: str, **powers) -> float:
+    """sum_j delta_j * integral of S^(theta(j+n)-1) f of the plain tilt, times ``powers``."""
+    p = dist.params
+    delta, _ = delta_coeffs(p.m, p.n, p.theta, policy)
+    s_power = p.theta * (np.arange(len(delta)) + p.n) - 1.0
+    return float(delta @ _tilt_integral(p.alpha, dist.baseline, what, s_power=s_power, **powers))
 
 
 def pwm_mo(alpha: float, baseline: Baseline, p: int, q: float, r: float) -> float:
@@ -509,19 +504,13 @@ def moment_series(
     """E[T^s] as the delta-weighted sum of tilted-survival PWMs."""
     if s < 1:
         raise ValueError("moment order must be a positive integer")
-    p = dist.params
-    delta, _ = delta_coeffs(p.m, p.n, p.theta, policy)
-    return _weighted_sum(
-        delta,
-        lambda j: pwm_mo(p.alpha, dist.baseline, s, 0.0, p.theta * (j + p.n) - 1.0),
-        policy.tail_tol,
-    )
+    return _delta_mixture(dist, policy, f"moment_series({s})", t_power=s)
 
 
 def moment_direct(dist: BgmoDistribution, s: float) -> float:
     """E[T^s] by direct quadrature of t^s against the density."""
     return _log_integral(
-        lambda t: (dist.log_pdf(t) + s * math.log(t)) if t > 0 else -math.inf,
+        lambda t: np.where(t > 0, dist.log_pdf(t) + s * np.log(t), -np.inf),
         dist.baseline,
         f"moment({s})",
     )
@@ -536,9 +525,9 @@ def order_stat_moment(
 ) -> float:
     """E[T_{r:n}^s] through the order-statistic series and tilted PWMs."""
     w = _order_stat_poly(dist, r, sample_n, policy)
-    return _weighted_sum(
-        w, lambda k: pwm_mo(dist.params.alpha, dist.baseline, s, float(k), 0.0), policy.tail_tol
-    )
+    k = np.flatnonzero(w)
+    what = f"order_stat_moment({r},{sample_n},{s})"
+    return float(w[k] @ _tilt_integral(dist.params.alpha, dist.baseline, what, s, c_power=k))
 
 
 def mgf(dist: BgmoDistribution, s: float) -> float:
@@ -560,12 +549,7 @@ def mgf_series(
     Each term is the mgf of a variable with survival S^(theta(j+n)), weighted
     by delta_j/(theta(j+n)); the weights sum to one for integer m.
     """
-    p = dist.params
-    delta, _ = delta_coeffs(p.m, p.n, p.theta, policy)
-    return sum(
-        dj * _tilt_integral(p.alpha, dist.baseline, f"mgf_series({s})", s_power=c - 1.0, rate=s)
-        for dj, c in zip(delta, p.theta * (np.arange(len(delta)) + p.n))
-    )
+    return _delta_mixture(dist, policy, f"mgf_series({s})", rate=s)
 
 
 def renyi_entropy(
@@ -584,24 +568,18 @@ def renyi_entropy(
         raise ValueError("entropy order must be positive and different from 1")
     p = dist.params
     if method == "direct":
-        total = _log_integral(lambda t: delta * dist.log_pdf(t), dist.baseline)
+        total = _log_integral(lambda t: delta * dist.log_pdf(t), dist.baseline, None)
         return math.log(total) / (1.0 - delta)
     if method != "series":
         raise ValueError(f"unknown entropy method {method!r}")
 
-    binom = _binom_row(delta * (p.m - 1.0), policy.max_terms)
+    row = _binom_row(delta * (p.m - 1.0), policy.max_terms)
+    j = np.arange(len(row))
     z_front = delta * (math.log(p.theta) - special.log_beta(p.m, p.n))
-    weights = math.exp(z_front) * binom * (-1.0) ** np.arange(len(binom))
-    total = _weighted_sum(
-        weights,
-        lambda j: _tilt_integral(
-            p.alpha,
-            dist.baseline,
-            f"renyi_entropy({delta})",
-            f_power=delta,
-            s_power=p.theta * j + delta * (p.theta * p.n - 1.0),
-        ),
-        policy.tail_tol,
+    weights = math.exp(z_front) * (-1.0) ** j * row
+    s_power = p.theta * j + delta * (p.theta * p.n - 1.0)
+    total = weights @ _tilt_integral(
+        p.alpha, dist.baseline, f"renyi_entropy({delta})", f_power=delta, s_power=s_power
     )
     if total <= 0:
         raise DivergenceError("entropy series produced a non-positive integral sum")
@@ -641,48 +619,19 @@ def asymptote(dist: BgmoDistribution, end: str) -> TailApproximant:
     b = dist.baseline
     log_b = special.log_beta(p.m, p.n)
     if end == "lower":
-
-        def f_approx(t):
-            with np.errstate(all="ignore"):
-                logG = np.log(b.cdf(t))
-                out = (
-                    p.m * math.log(p.theta)
-                    + b.log_pdf(t)
-                    + _zmul(p.m - 1.0, logG)
-                    - log_b
-                    - p.m * math.log(p.alpha)
-                )
-            return np.exp(out)
-
-        def F_approx(t):
-            with np.errstate(all="ignore"):
-                out = p.m * (math.log(p.theta) + np.log(b.cdf(t)) - math.log(p.alpha))
-            return np.exp(out - math.log(p.m) - log_b)
-
-        return TailApproximant("lower", f_approx, F_approx, f_approx)
+        log_front = p.m * (math.log(p.theta) - math.log(p.alpha))
+        f = _exp_of(lambda t: log_front + b.log_pdf(t) + _zmul(p.m - 1.0, b.log_cdf(t)) - log_b)
+        F = _exp_of(lambda t: log_front + p.m * b.log_cdf(t) - math.log(p.m) - log_b)
+        return TailApproximant("lower", f, F, f)
     if end == "upper":
         tn = p.theta * p.n
-
-        def f_approx(t):
-            with np.errstate(all="ignore"):
-                out = (
-                    math.log(p.theta)
-                    + tn * math.log(p.alpha)
-                    + b.log_pdf(t)
-                    + (tn - 1.0) * b.log_sf(t)
-                    - log_b
-                )
-            return np.exp(out)
-
-        def sf_approx(t):
-            with np.errstate(all="ignore"):
-                out = tn * (math.log(p.alpha) + b.log_sf(t))
-            return np.exp(out - math.log(p.n) - log_b)
-
-        def h_approx(t):
-            with np.errstate(all="ignore"):
-                return p.theta * p.n * np.exp(b.log_pdf(t) - b.log_sf(t))
-
-        return TailApproximant("upper", f_approx, sf_approx, h_approx)
+        log_front = tn * math.log(p.alpha) - log_b
+        log_theta = math.log(p.theta)
+        return TailApproximant(
+            "upper",
+            _exp_of(lambda t: log_theta + log_front + b.log_pdf(t) + (tn - 1.0) * b.log_sf(t)),
+            _exp_of(lambda t: log_front + tn * b.log_sf(t) - math.log(p.n)),
+            _exp_of(lambda t: math.log(tn) + b.log_pdf(t) - b.log_sf(t)),
+        )
     raise ValueError(f"end must be 'lower' or 'upper', got {end!r}")
 

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta as scipy_beta
 
 from bgmo.baselines import Exponential, Frechet, Weibull
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.series import (
     DivergenceError,
+    _support_quad,
     TruncationPolicy,
+    _binom_row,
     asymptote,
     cdf_via_expansion,
     delta_coeffs,
@@ -32,8 +35,6 @@ def dist(m, n, theta, alpha, baseline=EXP):
 
 class TestDeltaCoeffs:
     def test_binom_row_term_count(self):
-        from bgmo.series import _binom_row
-
         # a nonnegative integer exponent gives the finite expansion, any other
         # the capped series, negative integers included
         np.testing.assert_array_equal(_binom_row(2.0, 10), [1.0, 2.0, 1.0])
@@ -98,6 +99,63 @@ class TestExpansionCoeffs:
 
         co = expansion_coefficients(2.5, 2, 1.0)
         assert co.psi is None and co.xi is None
+
+
+def _loop_phi(m, n, theta, L):
+    delta, _ = delta_coeffs(m, n, theta, TruncationPolicy(max_terms=L))
+    phi = np.zeros(L)
+    for j, dj in enumerate(delta):
+        row = _binom_row(theta * (j + n) - 1.0, L)[:L]
+        phi[: len(row)] += dj * (-1.0) ** np.arange(len(row)) * row
+    return phi
+
+
+def _loop_chi(m, n, theta, K):
+    inv_beta = 1.0 / scipy_beta(m, n)
+    chi = np.zeros(K)
+    for i, binom_n_i in enumerate(_binom_row(n - 1.0, K)):
+        w_i = binom_n_i * inv_beta / (m + i) * (-1.0) ** i
+        for j, binom_mi_j in enumerate(_binom_row(m + i, 2 * K)):
+            row = _binom_row(theta * j, K)[:K]
+            chi[: len(row)] += w_i * (-1.0) ** (j + np.arange(len(row))) * binom_mi_j * row
+    return chi
+
+
+def _loop_psi(m, n, theta, R):
+    top = m + n - 1
+    psi = np.zeros(R)
+    for p in range(m, top + 1):
+        for q in range(p + 1):
+            row = _binom_row(theta * (top - p + q), R)[:R]
+            w = (-1.0) ** q * math.comb(p, q) * math.comb(top, p)
+            psi[: len(row)] += w * (-1.0) ** np.arange(len(row)) * row
+    return psi
+
+
+class TestTablesAgainstLoops:
+    """The broadcast scipy tables against term-by-term recurrence loops."""
+
+    POLICY = TruncationPolicy()
+
+    @staticmethod
+    def close(got, want):
+        # the sums run over up to 60 x 120 terms of either sign
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "m,n,theta", [(2, 3, 2), (3, 2, 1), (2, 2, 0.7), (0.7, 2.5, 0.5), (1.5, 0.7, 1.3)]
+    )
+    def test_phi_and_chi(self, m, n, theta):
+        from bgmo.series import _chi_coeffs, _phi_coeffs
+
+        self.close(_phi_coeffs(m, n, theta, self.POLICY), _loop_phi(m, n, theta, 60))
+        self.close(_chi_coeffs(m, n, theta, self.POLICY), _loop_chi(m, n, theta, 60))
+
+    @pytest.mark.parametrize("m,n,theta", [(2, 3, 2), (3, 2, 1), (2, 2, 0.7), (1, 4, 1.5)])
+    def test_psi(self, m, n, theta):
+        from bgmo.series import _psi_cdf_coeffs
+
+        self.close(_psi_cdf_coeffs(m, n, theta, self.POLICY), _loop_psi(m, n, theta, 60))
 
 
 class TestPdfExpansion:
@@ -194,6 +252,24 @@ class TestOrderStatPdf:
             order_stat_pdf(dist(1, 1, 1, 1), 4, 3, 1.0)
 
 
+class TestSupportQuad:
+    def test_array_argument_gives_one_integral_per_element(self):
+        # int t^k e^-t dt = k!
+        k = np.arange(4.0)
+        got = _support_quad(lambda t, k: t**k * EXP.pdf(t), EXP, k)
+        np.testing.assert_allclose(got, [1.0, 1.0, 2.0, 6.0], rtol=1e-12)
+
+    def test_scalar_integrand_returns_float(self):
+        value = _support_quad(EXP.pdf, EXP)
+        assert isinstance(value, float)
+        assert value == pytest.approx(1.0, rel=1e-12)
+
+    def test_non_convergence_raises(self):
+        # f ~ t^(-1/2) at 0 for m = 1/2, so f^2 is not integrable there
+        with pytest.raises(DivergenceError, match="status"):
+            renyi_entropy(dist(0.5, 2.5, 0.5, 2.5), 2.0, method="direct")
+
+
 class TestPwm:
     def test_total_mass(self):
         assert pwm_mo(1.0, EXP, 0, 0, 0) == pytest.approx(1.0, abs=1e-9)
@@ -278,6 +354,24 @@ class TestOrderStatMoments:
         direct, _ = quad(integrand, 0, 80, limit=200)
         assert series == pytest.approx(direct, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "params,baseline,tol",
+        [((2, 3, 2, 2), EXP, 1e-6), ((1, 3, 2, 3), Frechet(3.0, 1.0), 1e-8)],
+    )
+    def test_middle_of_three_against_quadrature(self, params, baseline, tol):
+        # the order-statistic weights alternate and reach 1e8 here, so the
+        # PWMs must be accurate far beyond the tolerance
+        d = dist(*params, baseline)
+
+        def integrand(t):
+            return t * order_stat_pdf(d, 2, 3, t, "direct")
+
+        direct = sum(
+            quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for a, b in ((0.0, 1.0), (1.0, np.inf))
+        )
+        assert order_stat_moment(d, 2, 3, 1) == pytest.approx(direct, rel=tol)
+
 
 class TestMgf:
     def test_at_zero(self):
@@ -348,6 +442,17 @@ class TestAsymptotes:
         levels = [10.0**-k for k in range(3, 8)]
         gaps = [abs(d.cdf(t := float(d.baseline.quantile(u))) / low.tail_prob(t) - 1.0) for u in levels]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(gaps, gaps[1:]))
+
+    def test_lower_tail_beyond_baseline_cdf_underflow(self):
+        # the baseline cdf exp(-1111.1) underflows, its log does not
+        d = dist(0.1, 1, 1, 1, Frechet(2.0, 1.0))
+        ap = asymptote(d, "lower")
+        t = 0.03
+        log_g = d.baseline.log_cdf(t)
+        assert log_g == pytest.approx(-1 / t**2, rel=1e-14)
+        assert ap.pdf(t) == pytest.approx(d.pdf(t), rel=1e-9)
+        # F ~ G^m / (m B(m, 1)) = G^m
+        assert ap.tail_prob(t) == pytest.approx(math.exp(0.1 * log_g), rel=1e-12)
 
     def test_end_validation(self):
         with pytest.raises(ValueError):
