@@ -179,8 +179,8 @@ def _cmd_sample(args) -> int:
     dist = build_distribution(args.dist)
     if args.count < 1:
         raise CliError("--count must be positive")
-    for v in dist.sample(args.count, args.seed):
-        print(_fmt(v))
+    # one write: repr of a Python float is _fmt's text
+    print("\n".join(map(repr, dist.sample(args.count, args.seed).tolist())))
     return 0
 
 

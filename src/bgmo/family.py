@@ -113,10 +113,11 @@ class BgmoDistribution:
             )
         return log_s, log_1ms, log_gbar, log_d
 
-    def log_pdf(self, t):
-        scalar = np.isscalar(t)
+    def _log_pdf_parts(self, t):
+        """Arrays log f, log s, log(1 - s), log sf_G, log D and log z, z = 1 - s^theta."""
         p = self.params
         log_s, log_1ms, log_gbar, log_d = self._log_tilt(t)
+        log_z = _log_one_minus_power(p.theta, log_s, log_1ms)
         with np.errstate(all="ignore"):
             out = (
                 math.log(p.theta)
@@ -125,14 +126,18 @@ class BgmoDistribution:
                 + self.baseline.log_pdf(t)
                 + (p.theta - 1.0) * log_gbar
                 - (p.theta + 1.0) * log_d
-                + _zmul(p.m - 1.0, _log_one_minus_power(p.theta, log_s, log_1ms))
+                + _zmul(p.m - 1.0, log_z)
                 + _zmul(p.n - 1.0, p.theta * log_s)
             )
         # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G
         # alone would be +inf for theta < 1
         t_arr = np.asarray(t, dtype=float)
         out = np.where((t_arr >= self.support_low) & (log_gbar > -np.inf), out, -np.inf)
-        return float(out) if scalar else out
+        return out, log_s, log_1ms, log_gbar, log_d, log_z
+
+    def log_pdf(self, t):
+        out = self._log_pdf_parts(t)[0]
+        return float(out) if np.isscalar(t) else out
 
     def pdf(self, t):
         with np.errstate(all="ignore"):
@@ -140,10 +145,15 @@ class BgmoDistribution:
         return out
 
     def cdf(self, t):
-        """I_z(m, n) at z = 1 - s^theta."""
+        """I_z(m, n) at z = 1 - s^theta; where z underflows, the leading term z^m/(m B(m, n))."""
         p = self.params
-        z = -np.expm1(p.theta * self._log_tilt(t)[0])
-        return special.reg_inc_beta(z, p.m, p.n)
+        log_s, log_1ms = self._log_tilt(t)[:2]
+        z = -np.expm1(p.theta * log_s)
+        out = special.reg_inc_beta(z, p.m, p.n)
+        if np.any(z == 0.0):  # I_0 = 0: add the leading term there, exp(-inf) = 0 elsewhere
+            log_z = np.where(z > 0.0, -np.inf, _log_one_minus_power(p.theta, log_s, log_1ms))
+            out = out + np.exp(p.m * log_z - math.log(p.m) - special.log_beta(p.m, p.n))
+        return out
 
     def sf(self, t):
         """I_w(n, m) at w = s^theta, exact where the cdf rounds to 1."""

@@ -32,7 +32,7 @@ from scipy.stats import qmc
 
 from . import special
 from .baselines import BASELINE_FAMILIES, make_baseline
-from .family import BgmoDistribution, BgmoParams, _log_one_minus_power
+from .family import BgmoDistribution, BgmoParams
 
 __all__ = [
     "FitConfig",
@@ -250,14 +250,15 @@ def log_likelihood(template: ModelTemplate, params, data) -> float:
     return total if math.isfinite(total) else -math.inf
 
 
-def _score_analytic(template, values: dict[str, float], data):
-    """Closed-form score, written through log s, log(1 - s) and d(log sf_G).
+def _log_lik_and_score(template: ModelTemplate, values, data, score_where_zero: bool = False):
+    """Log-likelihood and analytic score in the free parameters from one ``_log_pdf_parts``.
 
     With D = 1 - (1-alpha)*sf_G the tilted survival s = alpha*sf_G/D has
     d(log s)/d(alpha) = (1 - s)/alpha and d(log s)/d(phi) = d(log sf_G)/d(phi)/D
     for a baseline parameter phi.  Every term is then a bounded factor times a
     quantity taken in log space, so the score stays finite wherever the
-    log-likelihood is, including where sf_G or 1 - s underflows.
+    log-likelihood is, including where sf_G or 1 - s underflows.  Where the
+    likelihood is zero the result is (-inf, None) unless ``score_where_zero``.
     """
     dist = template.build(values)
     p = dist.params
@@ -266,17 +267,19 @@ def _score_analytic(template, values: dict[str, float], data):
     t = np.asarray(data, dtype=float)
     r = len(t)
 
-    log_s, log_1ms, log_gbar, log_d = dist._log_tilt(t)
-    log_z = _log_one_minus_power(theta, log_s, log_1ms)  # log(1 - s^theta)
+    log_f, log_s, log_1ms, log_gbar, log_d, log_z = dist._log_pdf_parts(t)
+    total = float(np.sum(log_f))
+    if not (math.isfinite(total) or score_where_zero):
+        return -math.inf, None
     odds = np.exp(theta * log_s - log_z)  # s^theta/(1 - s^theta)
     # d(log f)/d(alpha) = theta/alpha - (theta+1)*sf_G/D + theta/alpha * w_alpha
     w_alpha = (1.0 - m) * np.exp(theta * log_s + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
     gbar_d = np.exp(log_gbar - log_d)  # sf_G/D
 
     out = {}
-    psi_mn = special.digamma(m + n)
-    out["m"] = r * (psi_mn - special.digamma(m)) + float(np.sum(log_z))
-    out["n"] = r * (psi_mn - special.digamma(n)) + float(theta * np.sum(log_s))
+    psi_mn, psi_m, psi_n = special.digamma(np.array([m + n, m, n]))
+    out["m"] = r * (psi_mn - psi_m) + float(np.sum(log_z))
+    out["n"] = r * (psi_mn - psi_n) + float(theta * np.sum(log_s))
     out["theta"] = float(r / theta + np.sum(log_s * (n + (1.0 - m) * odds)))
     out["alpha"] = float(
         r * theta / alpha - (theta + 1.0) * np.sum(gbar_d) + theta / alpha * np.sum(w_alpha)
@@ -292,7 +295,7 @@ def _score_analytic(template, values: dict[str, float], data):
     dlogsf = b.log_sf_partials(t)
     for name in template.baseline_param_names:
         out[name] = float(np.sum(dlogg[name]) + np.sum(dlogsf[name] * per_log_sf))
-    return out
+    return total, np.array([out[name] for name in template.free_names])
 
 
 def _has_partials(template: ModelTemplate) -> bool:
@@ -321,8 +324,7 @@ def score(template: ModelTemplate, params, data, mode: str = "analytic") -> np.n
             )
             mode = "finite_difference"
         else:
-            full = _score_analytic(template, values, data)
-            return np.array([full[name] for name in template.free_names])
+            return _log_lik_and_score(template, values, data, score_where_zero=True)[1]
     if mode != "finite_difference":
         raise ValueError(f"unknown score mode {mode!r}")
     x = np.array([values[name] for name in template.free_names])
@@ -352,7 +354,7 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
         x = np.asarray(params_hat, dtype=float)
     names = template.free_names
     k = len(x)
-    h = np.maximum(1e-4 * np.abs(x), 1e-6)
+    h = 1e-4 * np.abs(x)  # relative: an absolute floor would swamp a small rate
 
     def ll(vec):
         return log_likelihood(template, vec, data)
@@ -483,10 +485,13 @@ def _objective(x, template: ModelTemplate, data, scale):
     the likelihood is zero the value is inf and the gradient zero.
     """
     params, jac = _to_params(x, scale)
-    value = log_likelihood(template, params, data)
+    try:
+        value, grad = _log_lik_and_score(template, params, data)
+    except ValueError:
+        value = -math.inf
     if not math.isfinite(value):
         return math.inf, np.zeros(len(x))
-    return -value, -(jac.T @ score(template, params, data))
+    return -value, -(jac.T @ grad)
 
 
 def _pinned(names, x, grad, lo, hi) -> tuple[str, ...]:

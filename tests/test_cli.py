@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bgmo.cli import DEFAULT_GALLERY, main
+from bgmo.cli import DEFAULT_GALLERY, build_distribution, main
 from bgmo.datasets import builtin_dataset
 
 REDUCTION = "exponential m=1 n=1 theta=1 alpha=1 lambda=1"
@@ -41,6 +41,13 @@ class TestEvalQuantileSample:
         assert rc1 == rc2 == 0
         assert out1 == out2
         assert len(out1.strip().splitlines()) == 5
+
+    def test_sample_lines_are_repr_of_draws(self, capsys):
+        spec = "weibull m=0.7 n=2.5 theta=0.5 alpha=2.5 lambda=1 beta=2"
+        rc, out, _ = run(capsys, "sample", "--dist", spec, "--count", "2000", "--seed", "3")
+        assert rc == 0
+        draws = build_distribution(spec).sample(2000, 3)
+        assert out == "".join(repr(float(v)) + "\n" for v in draws)
 
     def test_quantile_level_validation(self, capsys):
         rc, _, err = run(capsys, "quantile", "--dist", REDUCTION, "--u", "1.5")

@@ -151,6 +151,18 @@ class TestTails:
         np.testing.assert_allclose(d.cdf(ts), lower.tail_prob(ts), rtol=1e-6)
         np.testing.assert_allclose(d.pdf(ts), lower.pdf(ts), rtol=1e-6)
 
+    @pytest.mark.parametrize("shapes", [(0.1, 1, 1, 1), (0.1, 2, 1.5, 0.7), (0.5, 0.5, 0.4, 2.0)])
+    def test_cdf_beyond_underflow_of_one_minus_s_power(self, shapes):
+        # z = 1 - s^theta underflows to 0 with the baseline cdf exp(-1/t^2),
+        # while F ~ G^m does not; F keeps the leading term z^m/(m B(m, n)) there
+        d = dist(*shapes, Frechet(2.0, 1.0))
+        ts = np.array([0.028, 0.03, 0.035])
+        want = asymptote(d, "lower").tail_prob(ts)
+        assert np.all(want > 0)
+        np.testing.assert_allclose(d.cdf(ts), want, rtol=1e-12)
+        assert d.cdf(0.03) == pytest.approx(float(want[1]), rel=1e-12)
+        assert d.cdf(0.0) == 0.0
+
     def test_quantile_round_trip_is_relative_at_tiny_levels(self):
         d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
         us = 10.0 ** -np.arange(4, 16, 2)

@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from bgmo.baselines import Weibull
 from bgmo.datasets import builtin_dataset
 from bgmo.fitting import (
     FitConfig,
+    _default_box,
     _objective,
     _pinned,
+    _search_names,
+    _to_params,
     ModelTemplate,
     fit_mle,
     info_criteria,
@@ -17,6 +21,9 @@ from bgmo.fitting import (
     score,
     wald_interval,
 )
+
+
+NESTED = {"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0}
 
 
 def exp_reduction_template():
@@ -190,6 +197,58 @@ class TestSearchGradient:
         assert value == math.inf and np.all(grad == 0)
 
 
+class TestObjectiveKernel:
+    """``_objective`` takes its value and gradient from one pass over the data."""
+
+    @staticmethod
+    def search_setup(baseline, fixed):
+        tpl = ModelTemplate(baseline, fixed=fixed)
+        names = _search_names(tpl)
+        scale = (names.index("sigma"), names.index("beta")) if "sigma" in names else None
+        return tpl, names, scale
+
+    @staticmethod
+    def assert_matches_public(tpl, x, data, scale):
+        params, jac = _to_params(x, scale)
+        value, grad = _objective(x, tpl, data, scale)
+        assert value == -log_likelihood(tpl, params, data)
+        np.testing.assert_array_equal(grad, -(jac.T @ score(tpl, params, data)))
+
+    @pytest.mark.parametrize("baseline", ["exponential", "weibull"])
+    @pytest.mark.parametrize("fixed", [{}, NESTED], ids=["six", "nested"])
+    def test_equals_public_functions_in_the_box(self, baseline, fixed):
+        data = builtin_dataset("turbocharger").values
+        tpl, names, scale = self.search_setup(baseline, fixed)
+        box = _default_box(tpl, data)
+        lo, hi = np.log([box[n] for n in names]).T
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            self.assert_matches_public(tpl, lo + rng.random(len(names)) * (hi - lo), data, scale)
+
+    def test_equals_public_functions_where_baseline_sf_underflows(self):
+        # the point of TestScore.test_analytic_is_finite_where_baseline_sf_underflows
+        data = builtin_dataset("turbocharger").values
+        tpl, _, scale = self.search_setup("weibull", {})
+        lam, beta = 3.6325, 2.9785
+        x = np.log([0.3107, 0.2833, 0.5414, 0.3384, lam ** (-1.0 / beta), beta])
+        self.assert_matches_public(tpl, x, data, scale)
+        assert math.isfinite(_objective(x, tpl, data, scale)[0])
+
+    def test_one_baseline_pass_per_evaluation(self, monkeypatch):
+        calls = []
+        log_sf = Weibull.log_sf
+
+        def counted(self, t):
+            calls.append(t)
+            return log_sf(self, t)
+
+        monkeypatch.setattr(Weibull, "log_sf", counted)
+        data = builtin_dataset("turbocharger").values
+        tpl, _, scale = self.search_setup("weibull", {})
+        _objective(np.log([1.3, 0.9, 1.1, 2.0, 6.0, 2.5]), tpl, data, scale)
+        assert len(calls) == 1
+
+
 class TestObservedInformation:
     def test_symmetric_by_construction(self):
         tpl = ModelTemplate("weibull")
@@ -205,6 +264,20 @@ class TestObservedInformation:
         lam_hat = 1.0 / data.mean()
         info = observed_information(tpl, np.array([lam_hat]), data)
         assert info[0, 0] == pytest.approx(len(data) / lam_hat**2, rel=0.01)
+
+
+    def test_relative_steps_follow_the_data_scale(self):
+        # in units 100 times smaller the nested Weibull rate is about 1e-11,
+        # far below an absolute step of 1e-6; SE(beta) does not depend on
+        # the units, up to the stencil's truncation error (1.1e-3 measured)
+        data = builtin_dataset("turbocharger").values
+        tpl = ModelTemplate("weibull", fixed=NESTED)
+        se = []
+        for scale in (1.0, 100.0):
+            result = fit_mle(tpl, data * scale)
+            assert result.information_pd
+            se.append(result.std_errors["beta"])
+        assert se[1] == pytest.approx(se[0], rel=2e-3)
 
 
 class TestFitMle:
