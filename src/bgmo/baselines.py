@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
 def _maybe_scalar(out, scalar_in: bool):
     return float(out) if scalar_in else out
 
@@ -179,6 +182,16 @@ class Weibull(Baseline):
 
     def _log_sf(self, t):
         return -self.lam * t**self.beta
+
+    def _log_cdf(self, t):
+        # log(1 - e^-x), x = lam*t^beta; where x is not a normal double,
+        # log x = log(lam) + beta*log(t), finite where x itself underflows
+        log_sf = self._log_sf(t)
+        out = np.log(-np.expm1(log_sf))
+        tiny = log_sf > -_TINY
+        if np.any(tiny):
+            out = np.where(tiny, math.log(self.lam) + self.beta * np.log(t), out)
+        return out
 
     def _quantile(self, u):
         return (-np.log1p(-u) / self.lam) ** (1.0 / self.beta)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .baselines import Baseline
+from .baselines import _TINY, Baseline
 from .gmo import GmoParams, _tilt_inverse, gmo_pdf, mo_pdf
 
 __all__ = ["BgmoParams", "BgmoDistribution", "reduction_check"]
@@ -34,6 +34,8 @@ _LN2 = math.log(2.0)
 
 def _zmul(c, v):
     """c*v with the convention 0 * (+-inf) = 0, for vanishing exponents (c may be an array)."""
+    if np.ndim(c) == 0:
+        return c * v if c != 0.0 else np.zeros_like(v)
     return np.where(c == 0.0, 0.0, c * v)
 
 
@@ -41,14 +43,14 @@ def _log_one_minus_power(theta: float, log_s, log_1ms):
     """log(1 - s^theta) from log s and log(1 - s).
 
     Where 1 - s is below exp(-700) its leading term theta*(1 - s) is used,
-    whose log stays finite even where 1 - s underflows to 0.
+    whose log stays finite even where 1 - s underflows to 0.  Call it under
+    ``np.errstate(all="ignore")``.
     """
-    with np.errstate(all="ignore"):
-        return np.where(
-            log_1ms > -700.0,
-            np.log(-np.expm1(theta * log_s)),
-            math.log(theta) + log_1ms,
-        )
+    return np.where(
+        log_1ms > -700.0,
+        np.log(-np.expm1(theta * log_s)),
+        math.log(theta) + log_1ms,
+    )
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class BgmoParams:
     def __post_init__(self):
         for name in ("m", "n", "theta", "alpha"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"parameter {name} must be positive and finite, got {value}")
 
     def as_dict(self) -> dict[str, float]:
@@ -90,7 +92,7 @@ class BgmoDistribution:
     def gmo(self) -> GmoParams:
         return GmoParams(alpha=self.params.alpha, theta=self.params.theta)
 
-    # --- log-space building blocks ---------------------------------------
+    # --- log-space building blocks, called under np.errstate(all="ignore") ---
 
     def _log_tilt(self, t):
         """log s, log(1 - s), log sf_G and log D for the tilted survival s.
@@ -103,14 +105,13 @@ class BgmoDistribution:
         alpha = self.params.alpha
         log_gbar = self.baseline.log_sf(t)
         log_g = self.baseline.log_cdf(t)
-        with np.errstate(all="ignore"):
-            log_d = np.log1p(-(1.0 - alpha) * np.exp(log_gbar))
-            log_1ms = log_g - log_d
-            log_s = np.where(
-                log_1ms < -_LN2,
-                np.log1p(-np.exp(log_1ms)),
-                math.log(alpha) + log_gbar - log_d,
-            )
+        log_d = np.log1p(-(1.0 - alpha) * np.exp(log_gbar))
+        log_1ms = log_g - log_d
+        log_s = np.where(
+            log_1ms < -_LN2,
+            np.log1p(-np.exp(log_1ms)),
+            math.log(alpha) + log_gbar - log_d,
+        )
         return log_s, log_1ms, log_gbar, log_d
 
     def _log_pdf_parts(self, t):
@@ -118,17 +119,16 @@ class BgmoDistribution:
         p = self.params
         log_s, log_1ms, log_gbar, log_d = self._log_tilt(t)
         log_z = _log_one_minus_power(p.theta, log_s, log_1ms)
-        with np.errstate(all="ignore"):
-            out = (
-                math.log(p.theta)
-                + p.theta * math.log(p.alpha)
-                - special.log_beta(p.m, p.n)
-                + self.baseline.log_pdf(t)
-                + (p.theta - 1.0) * log_gbar
-                - (p.theta + 1.0) * log_d
-                + _zmul(p.m - 1.0, log_z)
-                + _zmul(p.n - 1.0, p.theta * log_s)
-            )
+        out = (
+            math.log(p.theta)
+            + p.theta * math.log(p.alpha)
+            - special.log_beta(p.m, p.n)
+            + self.baseline.log_pdf(t)
+            + (p.theta - 1.0) * log_gbar
+            - (p.theta + 1.0) * log_d
+            + _zmul(p.m - 1.0, log_z)
+            + _zmul(p.n - 1.0, p.theta * log_s)
+        )
         # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G
         # alone would be +inf for theta < 1
         t_arr = np.asarray(t, dtype=float)
@@ -136,7 +136,8 @@ class BgmoDistribution:
         return out, log_s, log_1ms, log_gbar, log_d, log_z
 
     def log_pdf(self, t):
-        out = self._log_pdf_parts(t)[0]
+        with np.errstate(all="ignore"):
+            out = self._log_pdf_parts(t)[0]
         return float(out) if np.isscalar(t) else out
 
     def pdf(self, t):
@@ -145,28 +146,38 @@ class BgmoDistribution:
         return out
 
     def cdf(self, t):
-        """I_z(m, n) at z = 1 - s^theta; where z underflows, the leading term z^m/(m B(m, n))."""
+        """I_z(m, n) at z = 1 - s^theta; where z is not a normal double, z^m/(m B(m, n)).
+
+        Below the smallest normal double z keeps only a few significant bits
+        (none where it underflows to 0), so there the leading term of I_z,
+        taken from log z, replaces it.
+        """
         p = self.params
-        log_s, log_1ms = self._log_tilt(t)[:2]
-        z = -np.expm1(p.theta * log_s)
-        out = special.reg_inc_beta(z, p.m, p.n)
-        if np.any(z == 0.0):  # I_0 = 0: add the leading term there, exp(-inf) = 0 elsewhere
-            log_z = np.where(z > 0.0, -np.inf, _log_one_minus_power(p.theta, log_s, log_1ms))
-            out = out + np.exp(p.m * log_z - math.log(p.m) - special.log_beta(p.m, p.n))
-        return out
+        with np.errstate(all="ignore"):
+            log_s, log_1ms = self._log_tilt(t)[:2]
+            z = -np.expm1(p.theta * log_s)
+            out = special.reg_inc_beta(z, p.m, p.n)
+            tiny = z < _TINY
+            if not np.any(tiny):
+                return out
+            log_z = _log_one_minus_power(p.theta, log_s, log_1ms)
+            lead = np.exp(p.m * log_z - math.log(p.m) - special.log_beta(p.m, p.n))
+        out = np.where(tiny, lead, out)
+        return float(out) if np.isscalar(t) else out
 
     def sf(self, t):
         """I_w(n, m) at w = s^theta, exact where the cdf rounds to 1."""
         p = self.params
-        w = np.exp(p.theta * self._log_tilt(t)[0])
+        with np.errstate(all="ignore"):
+            w = np.exp(p.theta * self._log_tilt(t)[0])
         return special.reg_inc_beta(w, p.n, p.m)
 
     def log_sf(self, t):
         """log sf; where the sf underflows, the leading term w^n/(n B(m, n))."""
         p = self.params
-        log_w = p.theta * self._log_tilt(t)[0]
-        sf = special.reg_inc_beta(np.exp(log_w), p.n, p.m)
-        with np.errstate(divide="ignore"):
+        with np.errstate(all="ignore"):
+            log_w = p.theta * self._log_tilt(t)[0]
+            sf = special.reg_inc_beta(np.exp(log_w), p.n, p.m)
             out = np.where(
                 sf > 1e-300,
                 np.log(sf),

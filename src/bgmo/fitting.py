@@ -8,13 +8,16 @@ a statistically meaningful point.  The box makes the maximization well posed.
 
 Each restart is one L-BFGS-B run (Byrd, Lu, Nocedal & Zhu 1995) driven by the
 analytic score, or by scipy's differences of the likelihood for a baseline
-without coded partials.  A Weibull baseline with both parameters free is searched in
-its scale sigma = lam**(-1/beta) instead of its rate: lam and beta are nearly
-collinear along the likelihood's ridge, sigma and beta are not.  An estimate
-counts as pinned against the box when, at the optimum, a search coordinate
-sits on a bound and the projected gradient points out of the box (the KKT
-conditions of the bounded problem); such fits are reported with
-``converged = False`` and the coordinate named in ``at_boundary``.
+without coded partials.  The template is bound once per fit: ``ModelTemplate``
+resolves its names, free slots and baseline class at construction, and each
+evaluation binds its parameter vector by position.  A Weibull baseline with
+both parameters free is searched in its scale sigma = lam**(-1/beta) instead
+of its rate: lam and beta are nearly collinear along the likelihood's ridge,
+sigma and beta are not.  An estimate counts as pinned against the box when,
+at the optimum, a search coordinate sits on a bound and the projected
+gradient points out of the box (the KKT conditions of the bounded problem);
+such fits are reported with ``converged = False`` and the coordinate named in
+``at_boundary``.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import ndtri
+from scipy.special import digamma, ndtri
 from scipy.stats import qmc
 
-from . import special
-from .baselines import BASELINE_FAMILIES, make_baseline
+from .baselines import BASELINE_FAMILIES, Baseline, make_baseline
 from .family import BgmoDistribution, BgmoParams
 
 __all__ = [
@@ -65,55 +69,75 @@ class ModelTemplate:
     ``options`` are structural baseline settings that are never fitted, such
     as the extended Weibull's Z-function (``z``, ``k``, ``beta``); they are
     passed to ``make_baseline`` as given.
+
+    The names, the slots of the free parameters and the baseline class are
+    resolved once, at construction, so that ``build`` binds a vector by
+    position.
     """
 
     baseline: str
     fixed: dict[str, float] = field(default_factory=dict)
     options: dict[str, object] = field(default_factory=dict)
+    baseline_param_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    param_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    free_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # every parameter's value in param_names order, NaN in the free slots
+    _values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _free_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the baseline class, with its built options (e.g. the extended Weibull's Z) bound
+    _new_baseline: Callable[..., Baseline] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.baseline not in BASELINE_FAMILIES:
             known = ", ".join(sorted(BASELINE_FAMILIES))
             raise ValueError(f"unknown baseline family {self.baseline!r} (known: {known})")
-        bad = set(self.fixed) - set(self.param_names)
+        b_cls = BASELINE_FAMILIES[self.baseline]
+        base_names = b_cls.param_names
+        names = FAMILY_PARAM_NAMES + base_names
+        bad = set(self.fixed) - set(names)
         if bad:
-            raise ValueError(f"fixed parameters {sorted(bad)} not in {self.param_names}")
-        allowed = BASELINE_FAMILIES[self.baseline].option_names
-        bad = set(self.options) - set(allowed)
+            raise ValueError(f"fixed parameters {sorted(bad)} not in {names}")
+        bad = set(self.options) - set(b_cls.option_names)
         if bad:
+            allowed = b_cls.option_names
             raise ValueError(f"options {sorted(bad)} not in {allowed} for {self.baseline}")
-        if self.options:
-            # the option values are checked by building the baseline once
-            make_baseline(
-                self.baseline, **dict.fromkeys(self.baseline_param_names, 1.0), **self.options
-            )
-
-    @property
-    def baseline_param_names(self) -> tuple[str, ...]:
-        return BASELINE_FAMILIES[self.baseline].param_names
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return FAMILY_PARAM_NAMES + self.baseline_param_names
-
-    @property
-    def free_names(self) -> tuple[str, ...]:
-        return tuple(name for name in self.param_names if name not in self.fixed)
+        # building the baseline once checks the option values
+        probe = make_baseline(self.baseline, **dict.fromkeys(base_names, 1.0), **self.options)
+        built_options = {f.name: getattr(probe, f.name) for f in fields(probe)}
+        resolved = dict(
+            baseline_param_names=base_names,
+            param_names=names,
+            free_names=tuple(name for name in names if name not in self.fixed),
+            _values=tuple(float(self.fixed.get(name, math.nan)) for name in names),
+            _free_slots=tuple(i for i, name in enumerate(names) if name not in self.fixed),
+            _new_baseline=partial(
+                b_cls, **{k: v for k, v in built_options.items() if k not in base_names}
+            ),
+        )
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
 
     @property
     def k_params(self) -> int:
         return len(self.free_names)
 
     def build(self, free_values) -> BgmoDistribution:
-        """Bind free parameter values (array in free_names order, or mapping)."""
+        """Bind free parameter values (array in free_names order, or mapping).
+
+        ``BgmoParams`` and the baseline reject values outside their domain
+        with ``ValueError``, fixed values included.
+        """
         if isinstance(free_values, dict):
             values = dict(self.fixed, **free_values)
+            full = [float(values[name]) for name in self.param_names]
         else:
-            values = dict(self.fixed, **dict(zip(self.free_names, np.asarray(free_values, dtype=float))))
-        fam = {name: float(values[name]) for name in FAMILY_PARAM_NAMES}
-        base = {name: float(values[name]) for name in self.baseline_param_names}
+            full = list(self._values)
+            for slot, value in zip(self._free_slots, np.asarray(free_values, dtype=float).tolist()):
+                full[slot] = value
+        m, n, theta, alpha, *base = full
         return BgmoDistribution(
-            BgmoParams(**fam), make_baseline(self.baseline, **base, **self.options)
+            BgmoParams(m, n, theta, alpha),
+            self._new_baseline(**dict(zip(self.baseline_param_names, base))),
         )
 
 
@@ -250,7 +274,7 @@ def log_likelihood(template: ModelTemplate, params, data) -> float:
     return total if math.isfinite(total) else -math.inf
 
 
-def _log_lik_and_score(template: ModelTemplate, values, data, score_where_zero: bool = False):
+def _log_lik_and_score(template: ModelTemplate, values, data):
     """Log-likelihood and analytic score in the free parameters from one ``_log_pdf_parts``.
 
     With D = 1 - (1-alpha)*sf_G the tilted survival s = alpha*sf_G/D has
@@ -258,7 +282,7 @@ def _log_lik_and_score(template: ModelTemplate, values, data, score_where_zero: 
     for a baseline parameter phi.  Every term is then a bounded factor times a
     quantity taken in log space, so the score stays finite wherever the
     log-likelihood is, including where sf_G or 1 - s underflows.  Where the
-    likelihood is zero the result is (-inf, None) unless ``score_where_zero``.
+    likelihood is zero the result is -inf and an all-NaN score.
     """
     dist = template.build(values)
     p = dist.params
@@ -267,35 +291,42 @@ def _log_lik_and_score(template: ModelTemplate, values, data, score_where_zero: 
     t = np.asarray(data, dtype=float)
     r = len(t)
 
-    log_f, log_s, log_1ms, log_gbar, log_d, log_z = dist._log_pdf_parts(t)
-    total = float(np.sum(log_f))
-    if not (math.isfinite(total) or score_where_zero):
-        return -math.inf, None
-    odds = np.exp(theta * log_s - log_z)  # s^theta/(1 - s^theta)
-    # d(log f)/d(alpha) = theta/alpha - (theta+1)*sf_G/D + theta/alpha * w_alpha
-    w_alpha = (1.0 - m) * np.exp(theta * log_s + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
-    gbar_d = np.exp(log_gbar - log_d)  # sf_G/D
-
-    out = {}
-    psi_mn, psi_m, psi_n = special.digamma(np.array([m + n, m, n]))
-    out["m"] = r * (psi_mn - psi_m) + float(np.sum(log_z))
-    out["n"] = r * (psi_mn - psi_n) + float(theta * np.sum(log_s))
-    out["theta"] = float(r / theta + np.sum(log_s * (n + (1.0 - m) * odds)))
-    out["alpha"] = float(
-        r * theta / alpha - (theta + 1.0) * np.sum(gbar_d) + theta / alpha * np.sum(w_alpha)
-    )
-    # d(log f)/d(log sf_G): the tilt's own terms plus d(log s)/d(log sf_G) = 1/D
-    # times the beta layer's d(log f)/d(log s)
-    per_log_sf = (
-        theta - 1.0
-        + (theta + 1.0) * (1.0 - alpha) * gbar_d
-        + theta * np.exp(-log_d) * ((1.0 - m) * odds + n - 1.0)
-    )
-    dlogg = b.log_pdf_partials(t)
-    dlogsf = b.log_sf_partials(t)
-    for name in template.baseline_param_names:
-        out[name] = float(np.sum(dlogg[name]) + np.sum(dlogsf[name] * per_log_sf))
-    return total, np.array([out[name] for name in template.free_names])
+    with np.errstate(all="ignore"):
+        log_f, log_s, log_1ms, log_gbar, log_d, log_z = dist._log_pdf_parts(t)
+        total = float(log_f.sum())
+        if not math.isfinite(total):
+            return -math.inf, np.full(template.k_params, math.nan)
+        theta_log_s = theta * log_s
+        m_odds = (1.0 - m) * np.exp(theta_log_s - log_z)  # (1-m) * s^theta/(1 - s^theta)
+        # d(log f)/d(alpha) = theta/alpha - (theta+1)*sf_G/D + theta/alpha * w_alpha
+        w_alpha = (1.0 - m) * np.exp(theta_log_s + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
+        gbar_d = np.exp(log_gbar - log_d)  # sf_G/D
+        # d(log f)/d(log sf_G): the tilt's own terms plus d(log s)/d(log sf_G) = 1/D
+        # times the beta layer's d(log f)/d(log s)
+        per_log_sf = (
+            theta - 1.0
+            + (theta + 1.0) * (1.0 - alpha) * gbar_d
+            + theta * np.exp(-log_d) * (m_odds + n - 1.0)
+        )
+        dlogg = b.log_pdf_partials(t)
+        dlogsf = b.log_sf_partials(t)
+        terms = [log_z, log_s, log_s * (n + m_odds), gbar_d, w_alpha]
+        for name in template.baseline_param_names:
+            terms += [dlogg[name], dlogsf[name] * per_log_sf]
+        # one reduction over all per-observation terms: the same pairwise sums as one by one
+        sum_log_z, sum_log_s, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = np.array(
+            terms
+        ).sum(axis=1)
+    # BgmoParams has checked m, n > 0: scipy's ufunc on the scalars needs no domain check
+    psi_mn = digamma(m + n)
+    full = np.array([
+        r * (psi_mn - digamma(m)) + sum_log_z,
+        r * (psi_mn - digamma(n)) + theta * sum_log_s,
+        r / theta + sum_theta,
+        r * theta / alpha - (theta + 1.0) * sum_gbar_d + theta / alpha * sum_w_alpha,
+        *(g + sf for g, sf in zip(sum_base[::2], sum_base[1::2])),
+    ])
+    return total, full.take(template._free_slots)
 
 
 def _has_partials(template: ModelTemplate) -> bool:
@@ -308,26 +339,26 @@ def score(template: ModelTemplate, params, data, mode: str = "analytic") -> np.n
     """Gradient of the log-likelihood in the template's free parameters.
 
     ``analytic`` uses closed-form partials (requires a baseline with coded
-    derivatives; falls back to finite differences with a warning otherwise).
-    ``finite_difference`` uses 5-point central differencing.
+    derivatives; falls back to finite differences with a warning otherwise);
+    where the likelihood is zero it returns an all-NaN vector, without a
+    warning.  ``finite_difference`` uses 5-point central differencing.
     """
-    if isinstance(params, dict):
-        values = dict(template.fixed, **params)
-    else:
-        values = dict(template.fixed, **dict(zip(template.free_names, np.asarray(params, dtype=float))))
     if mode == "analytic":
-        if not _has_partials(template):
-            warnings.warn(
-                f"no analytic partials for baseline {template.baseline!r}; "
-                "falling back to finite differences",
-                stacklevel=2,
-            )
-            mode = "finite_difference"
-        else:
-            return _log_lik_and_score(template, values, data, score_where_zero=True)[1]
+        if _has_partials(template):
+            return _log_lik_and_score(template, params, data)[1]
+        warnings.warn(
+            f"no analytic partials for baseline {template.baseline!r}; "
+            "falling back to finite differences",
+            stacklevel=2,
+        )
+        mode = "finite_difference"
     if mode != "finite_difference":
         raise ValueError(f"unknown score mode {mode!r}")
-    x = np.array([values[name] for name in template.free_names])
+    if isinstance(params, dict):
+        values = dict(template.fixed, **params)
+        x = np.array([values[name] for name in template.free_names])
+    else:
+        x = np.asarray(params, dtype=float)
 
     def ll(vec):
         return log_likelihood(template, vec, data)

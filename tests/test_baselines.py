@@ -80,6 +80,22 @@ class TestCommonContracts:
         np.testing.assert_allclose(np.exp(b.log_cdf(ts)), b.cdf(ts), rtol=1e-10)
 
 
+class TestWeibullLogCdf:
+    def test_log_of_rate_where_cdf_underflows(self):
+        b = Weibull(0.8, 2.2)
+        ts = np.array([1e-300, 1e-200, 1e-150])
+        np.testing.assert_allclose(b.log_cdf(ts), math.log(0.8) + 2.2 * np.log(ts), rtol=1e-15)
+        assert np.all(np.isfinite(b.log_cdf(ts)))
+
+    def test_unchanged_where_rate_term_is_normal(self):
+        # bit-identical to log(-expm1(log sf)) wherever lam*t^beta is a normal double
+        b = Weibull(0.8, 2.2)
+        ts = np.concatenate(
+            [10.0 ** -np.arange(1, 140, 7.5), b.quantile(np.linspace(0.01, 0.99, 50))]
+        )
+        np.testing.assert_array_equal(b.log_cdf(ts), np.log(-np.expm1(b.log_sf(ts))))
+
+
 class TestSpotValues:
     def test_exponential_pdf_at_zero(self):
         assert Exponential(1.0).pdf(0.0) == pytest.approx(1.0)

@@ -163,6 +163,26 @@ class TestTails:
         assert d.cdf(0.03) == pytest.approx(float(want[1]), rel=1e-12)
         assert d.cdf(0.0) == 0.0
 
+    def test_log_pdf_where_weibull_cdf_underflows(self):
+        # the baseline cdf t^2 underflows below t = 1e-154; log G = 2 log t does not
+        d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
+        lower = asymptote(d, "lower")
+        ts = np.array([1e-300, 1e-200])
+        np.testing.assert_allclose(d.log_pdf(ts), np.log(lower.pdf(ts)), rtol=0, atol=1e-12)
+        assert d.log_pdf(1e-300) == pytest.approx(-276.40381580727905, abs=1e-12)
+        assert d.log_pdf(1e-200) == pytest.approx(-184.30041208751723, abs=1e-12)
+
+    def test_cdf_where_one_minus_s_power_is_subnormal(self):
+        # z = 1 - s^theta is about 2e-321 at t = 1e-160: I_z would see a few
+        # significant bits, the leading term z^m/(m B(m, n)) keeps them all
+        d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
+        want = asymptote(d, "lower").tail_prob(1e-160)
+        assert 0.0 < want
+        assert d.cdf(1e-160) == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(d.cdf(np.array([1e-160, 1e-100])),
+                                   asymptote(d, "lower").tail_prob(np.array([1e-160, 1e-100])),
+                                   rtol=1e-12)
+
     def test_quantile_round_trip_is_relative_at_tiny_levels(self):
         d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
         us = 10.0 ** -np.arange(4, 16, 2)

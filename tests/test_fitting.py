@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bgmo.baselines import Weibull
-from bgmo.datasets import builtin_dataset
+from bgmo.datasets import BUILTIN_NAMES, builtin_dataset
 from bgmo.fitting import (
     FitConfig,
     _default_box,
@@ -164,6 +165,15 @@ class TestScore:
         with pytest.raises(ValueError):
             score(ModelTemplate("exponential"), {}, [1.0], "symbolic")
 
+    def test_nan_where_likelihood_is_zero(self):
+        tpl = ModelTemplate("weibull")
+        values = {"m": 1.3, "n": 0.9, "theta": 1.1, "alpha": 2.0, "lam": 0.8, "beta": 1.5}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_likelihood(tpl, values, [-1.0, 1.0]) == -math.inf
+            g = score(tpl, values, [-1.0, 1.0])
+        assert g.shape == (6,) and np.all(np.isnan(g))
+
 
 class TestSearchGradient:
     @pytest.mark.parametrize(
@@ -215,15 +225,21 @@ class TestObjectiveKernel:
         np.testing.assert_array_equal(grad, -(jac.T @ score(tpl, params, data)))
 
     @pytest.mark.parametrize("baseline", ["exponential", "weibull"])
-    @pytest.mark.parametrize("fixed", [{}, NESTED], ids=["six", "nested"])
+    @pytest.mark.parametrize(
+        "fixed",
+        # the partial fixes bind free values into scattered slots
+        [{}, NESTED, {"m": 1.0, "n": 1.0}, {"theta": 1.0}, {"alpha": 2.0}],
+        ids=["six", "nested", "m1n1", "theta1", "alpha2"],
+    )
     def test_equals_public_functions_in_the_box(self, baseline, fixed):
-        data = builtin_dataset("turbocharger").values
         tpl, names, scale = self.search_setup(baseline, fixed)
-        box = _default_box(tpl, data)
-        lo, hi = np.log([box[n] for n in names]).T
         rng = np.random.default_rng(8)
-        for _ in range(25):
-            self.assert_matches_public(tpl, lo + rng.random(len(names)) * (hi - lo), data, scale)
+        for name in BUILTIN_NAMES:
+            data = builtin_dataset(name).values
+            box = _default_box(tpl, data)
+            lo, hi = np.log([box[n] for n in names]).T
+            for _ in range(25):
+                self.assert_matches_public(tpl, lo + rng.random(len(names)) * (hi - lo), data, scale)
 
     def test_equals_public_functions_where_baseline_sf_underflows(self):
         # the point of TestScore.test_analytic_is_finite_where_baseline_sf_underflows
@@ -447,6 +463,27 @@ class TestModelTemplate:
         d = tpl.build([2.0, 3.0, 0.5, 1.0, 2.0])
         assert d.params.m == 2.0 and d.params.theta == 1.0
         assert d.baseline.beta == 2.0
+
+    def test_build_binds_partial_fixes_by_position(self):
+        tpl = ModelTemplate("weibull", fixed={"n": 0.5, "alpha": 3.0})
+        d = tpl.build([2.0, 0.7, 1.5, 2.5])
+        assert d.params.as_dict() == {"m": 2.0, "n": 0.5, "theta": 0.7, "alpha": 3.0}
+        assert (d.baseline.lam, d.baseline.beta) == (1.5, 2.5)
+        assert tpl.build({"m": 2.0, "theta": 0.7, "lam": 1.5, "beta": 2.5}) == d
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("name", ["m", "alpha", "lam", "beta"])
+    def test_build_rejects_non_positive_values(self, name, bad):
+        free = ModelTemplate("weibull", fixed={"theta": 1.0})
+        values = {"m": 1.3, "n": 0.9, "alpha": 2.0, "lam": 0.8, "beta": 1.5}
+        values[name] = bad
+        with pytest.raises(ValueError, match="positive"):
+            free.build([values[n] for n in free.free_names])
+        with pytest.raises(ValueError, match="positive"):
+            free.build(values)
+        fixed = ModelTemplate("weibull", fixed={name: bad})
+        with pytest.raises(ValueError, match="positive"):
+            fixed.build(np.ones(fixed.k_params))
 
     def test_validation(self):
         with pytest.raises(ValueError):
