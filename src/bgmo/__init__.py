@@ -19,7 +19,7 @@ from .baselines import (
     make_baseline,
 )
 from .datasets import Dataset, builtin_dataset, load_dataset, save_dataset
-from .family import BgmoDistribution, BgmoParams, reduction_check
+from .family import BgmoDistribution, BgmoParams
 from .fitting import (
     FitConfig,
     FitResult,
@@ -31,7 +31,6 @@ from .fitting import (
     score,
     wald_interval,
 )
-from .gmo import GmoParams
 from .series import (
     ExpansionCoeffs,
     TruncationPolicy,
@@ -63,7 +62,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "Frechet",
-    "GmoParams",
     "Gompertz",
     "Lomax",
     "ModelTemplate",
@@ -93,7 +91,6 @@ __all__ = [
     "order_stat_pdf",
     "pdf_via_expansion",
     "pwm_mo",
-    "reduction_check",
     "reg_inc_beta",
     "renyi_entropy",
     "save_dataset",

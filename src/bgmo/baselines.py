@@ -50,9 +50,10 @@ class Baseline:
     """Common behaviour for the concrete families below.
 
     Subclasses implement ``_log_pdf``, ``_log_sf`` and ``_quantile`` on arrays
-    already clipped to the support, plus ``_cdf`` where ``-expm1(_log_sf)``
-    loses precision; this class handles support masking and scalar
-    passthrough.
+    already clipped to the support, plus ``_cdf`` and ``_log_cdf`` where
+    ``-expm1(_log_sf)`` loses precision, or ``_log_cum_hazard`` where the
+    cumulative hazard underflows near 0; this class handles support masking
+    and scalar passthrough.
     """
 
     tag = ""
@@ -65,7 +66,10 @@ class Baseline:
         return {name: getattr(self, name) for name in self.param_names}
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v:g}" for k, v in self.params().items())
+        inner = ", ".join(
+            f"{k}={v:g}" if isinstance(v, (int, float)) else f"{k}={v}"
+            for k, v in self.params().items()
+        )
         return f"{type(self).__name__}({inner})"
 
     # --- public API -----------------------------------------------------
@@ -117,7 +121,17 @@ class Baseline:
         return -np.expm1(self._log_sf(t))
 
     def _log_cdf(self, t):
-        return np.log(self._cdf(t))
+        # log(1 - e^-H), H = -log sf; where H is not a normal double, log H,
+        # finite where H itself underflows
+        log_sf = self._log_sf(t)
+        out = np.log(-np.expm1(log_sf))
+        tiny = log_sf > -_TINY
+        if np.any(tiny):
+            out = np.where(tiny, self._log_cum_hazard(t), out)
+        return out
+
+    def _log_cum_hazard(self, t):
+        return np.log(-self._log_sf(t))
 
     def _isf(self, q):
         return self._quantile(1.0 - q)
@@ -183,15 +197,8 @@ class Weibull(Baseline):
     def _log_sf(self, t):
         return -self.lam * t**self.beta
 
-    def _log_cdf(self, t):
-        # log(1 - e^-x), x = lam*t^beta; where x is not a normal double,
-        # log x = log(lam) + beta*log(t), finite where x itself underflows
-        log_sf = self._log_sf(t)
-        out = np.log(-np.expm1(log_sf))
-        tiny = log_sf > -_TINY
-        if np.any(tiny):
-            out = np.where(tiny, math.log(self.lam) + self.beta * np.log(t), out)
-        return out
+    def _log_cum_hazard(self, t):
+        return math.log(self.lam) + self.beta * np.log(t)
 
     def _quantile(self, u):
         return (-np.log1p(-u) / self.lam) ** (1.0 / self.beta)
@@ -341,6 +348,12 @@ class ZFunction:
             return np.log(t / self.k)
         return np.expm1(self.beta * t) / self.beta
 
+    def log_value(self, t):
+        """log Z(t), finite where t^2 underflows."""
+        if self.kind == "square":
+            return 2.0 * np.log(t)
+        return np.log(self.value(t))
+
     def deriv(self, t):
         if self.kind == "linear":
             return np.ones_like(np.asarray(t, dtype=float))
@@ -393,6 +406,9 @@ class ExtendedWeibull(Baseline):
     def _log_sf(self, t):
         return -self.delta * self.z.value(t)
 
+    def _log_cum_hazard(self, t):
+        return math.log(self.delta) + self.z.log_value(t)
+
     def _quantile(self, u):
         return self.z.inverse(-np.log1p(-u) / self.delta)
 
@@ -425,6 +441,10 @@ class ModifiedWeibull(Baseline):
 
     def _log_sf(self, t):
         return -self._cum_hazard(t)
+
+    def _log_cum_hazard(self, t):
+        log_t = np.log(t)
+        return np.logaddexp(np.log(self.sigma) + log_t, np.log(self.beta) + self.gamma * log_t)
 
     def _quantile(self, u):
         # no closed form: bisect the increasing cumulative hazard

@@ -24,9 +24,7 @@ import numpy as np
 from .baselines import BASELINE_FAMILIES, PARAM_ALIASES, make_baseline
 from .datasets import BUILTIN_NAMES, Dataset, builtin_dataset, load_dataset
 from .family import BgmoDistribution, BgmoParams
-from .fitting import FitConfig, FitError, ModelTemplate, fit_mle
-
-FAMILY_NAMES = ("m", "n", "theta", "alpha")
+from .fitting import FAMILY_PARAM_NAMES, FitConfig, FitError, ModelTemplate, fit_mle
 
 # shown by ``shapes`` when no spec is given; spans monotone and bathtub hazards
 DEFAULT_GALLERY = (
@@ -81,13 +79,13 @@ def parse_model_spec(text: str):
             number = float(value)
         except ValueError:
             raise CliError(f"{name}={value!r} is not a number") from None
-        (family if name in FAMILY_NAMES else baseline)[name] = number
+        (family if name in FAMILY_PARAM_NAMES else baseline)[name] = number
     return tag, family, baseline
 
 
 def build_distribution(spec: str) -> BgmoDistribution:
     tag, family, baseline = parse_model_spec(spec)
-    missing = [n for n in FAMILY_NAMES if n not in family]
+    missing = [n for n in FAMILY_PARAM_NAMES if n not in family]
     if missing:
         raise CliError(f"model spec must set {missing} (got {spec!r})")
     try:

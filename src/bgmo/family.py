@@ -1,8 +1,9 @@
 """The beta generalized Marshall-Olkin family.
 
 A baseline survival function sf_G is tilted into
-``s(t) = alpha*sf_G/(1 - (1-alpha)*sf_G)``, exponentiated by theta, and the
-resulting cdf ``1 - s^theta`` is pushed through a Beta(m, n) distribution:
+``s(t) = alpha*sf_G/(1 - (1-alpha)*sf_G)`` (``gmo.log_tilt``), exponentiated
+by theta, and the resulting cdf ``1 - s^theta`` is pushed through a
+Beta(m, n) distribution:
 
     F(t)  = I_{1 - s(t)^theta}(m, n)
     1-F   = I_{s(t)^theta}(n, m)
@@ -24,12 +25,9 @@ import numpy as np
 
 from . import special
 from .baselines import _TINY, Baseline
-from .gmo import GmoParams, _tilt_inverse, gmo_pdf, mo_pdf
+from .gmo import log_tilt, tilt_inverse
 
-__all__ = ["BgmoParams", "BgmoDistribution", "reduction_check"]
-
-
-_LN2 = math.log(2.0)
+__all__ = ["BgmoParams", "BgmoDistribution"]
 
 
 def _zmul(c, v):
@@ -88,36 +86,12 @@ class BgmoDistribution:
     def support_low(self) -> float:
         return self.baseline.support_low
 
-    @property
-    def gmo(self) -> GmoParams:
-        return GmoParams(alpha=self.params.alpha, theta=self.params.theta)
-
     # --- log-space building blocks, called under np.errstate(all="ignore") ---
-
-    def _log_tilt(self, t):
-        """log s, log(1 - s), log sf_G and log D for the tilted survival s.
-
-        s = alpha*sf_G/D and 1 - s = G/D with D = 1 - (1-alpha)*sf_G, so
-        log s comes from the baseline log sf where s is small and as
-        log1p(-(1 - s)) from the baseline log cdf where 1 - s is small:
-        neither tail takes a difference of nearly equal numbers.
-        """
-        alpha = self.params.alpha
-        log_gbar = self.baseline.log_sf(t)
-        log_g = self.baseline.log_cdf(t)
-        log_d = np.log1p(-(1.0 - alpha) * np.exp(log_gbar))
-        log_1ms = log_g - log_d
-        log_s = np.where(
-            log_1ms < -_LN2,
-            np.log1p(-np.exp(log_1ms)),
-            math.log(alpha) + log_gbar - log_d,
-        )
-        return log_s, log_1ms, log_gbar, log_d
 
     def _log_pdf_parts(self, t):
         """Arrays log f, log s, log(1 - s), log sf_G, log D and log z, z = 1 - s^theta."""
         p = self.params
-        log_s, log_1ms, log_gbar, log_d = self._log_tilt(t)
+        log_s, log_1ms, log_gbar, log_d = log_tilt(p.alpha, self.baseline, t)
         log_z = _log_one_minus_power(p.theta, log_s, log_1ms)
         out = (
             math.log(p.theta)
@@ -154,7 +128,7 @@ class BgmoDistribution:
         """
         p = self.params
         with np.errstate(all="ignore"):
-            log_s, log_1ms = self._log_tilt(t)[:2]
+            log_s, log_1ms = log_tilt(p.alpha, self.baseline, t)[:2]
             z = -np.expm1(p.theta * log_s)
             out = special.reg_inc_beta(z, p.m, p.n)
             tiny = z < _TINY
@@ -169,14 +143,14 @@ class BgmoDistribution:
         """I_w(n, m) at w = s^theta, exact where the cdf rounds to 1."""
         p = self.params
         with np.errstate(all="ignore"):
-            w = np.exp(p.theta * self._log_tilt(t)[0])
+            w = np.exp(p.theta * log_tilt(p.alpha, self.baseline, t)[0])
         return special.reg_inc_beta(w, p.n, p.m)
 
     def log_sf(self, t):
         """log sf; where the sf underflows, the leading term w^n/(n B(m, n))."""
         p = self.params
         with np.errstate(all="ignore"):
-            log_w = p.theta * self._log_tilt(t)[0]
+            log_w = p.theta * log_tilt(p.alpha, self.baseline, t)[0]
             sf = special.reg_inc_beta(np.exp(log_w), p.n, p.m)
             out = np.where(
                 sf > 1e-300,
@@ -218,7 +192,7 @@ class BgmoDistribution:
         )
         with np.errstate(divide="ignore"):
             log_s_theta = np.where(low, np.log1p(-x), np.log(x))
-        out = _tilt_inverse(p.alpha, self.baseline, log_s_theta / p.theta)
+        out = tilt_inverse(p.alpha, self.baseline, log_s_theta / p.theta)
         return float(out) if scalar else out
 
     def sample(self, count: int, seed: int) -> np.ndarray:
@@ -247,69 +221,3 @@ class BgmoDistribution:
         if denom <= 0 or not np.isfinite(denom):
             raise ArithmeticError("degenerate octiles: Q(6/8) - Q(2/8) is not positive")
         return (e[2] - e[0] + e[6] - e[4]) / denom
-
-
-# --- independently coded reduction targets --------------------------------
-
-
-def _beta_g_pdf(m: float, n: float, b: Baseline, t):
-    """Classical beta-generated density g*G^(m-1)*(1-G)^(n-1)/B(m,n)."""
-    g = b.pdf(t)
-    G = b.cdf(t)
-    with np.errstate(all="ignore"):
-        return (
-            g
-            * np.exp(_zmul(m - 1.0, np.log(G)) + _zmul(n - 1.0, np.log1p(-G)))
-            / math.exp(special.log_beta(m, n))
-        )
-
-
-def _bmo_pdf(m: float, n: float, alpha: float, b: Baseline, t):
-    """Beta layer over the plain tilt (theta = 1), written out directly."""
-    gbar = b.sf(t)
-    denom = 1.0 - (1.0 - alpha) * gbar
-    s = alpha * gbar / denom
-    core = alpha * b.pdf(t) / denom**2
-    with np.errstate(all="ignore"):
-        return (
-            core
-            * np.exp(_zmul(m - 1.0, np.log1p(-s)) + _zmul(n - 1.0, np.log(s)))
-            / math.exp(special.log_beta(m, n))
-        )
-
-
-_REDUCTIONS = {
-    "mo": (("m", 1.0), ("n", 1.0), ("theta", 1.0)),
-    "gmo": (("m", 1.0), ("n", 1.0)),
-    "bmo": (("theta", 1.0),),
-    "beta_g": (("alpha", 1.0), ("theta", 1.0)),
-}
-
-
-def reduction_check(dist: BgmoDistribution, target: str, grid_size: int = 200) -> float:
-    """Max pointwise pdf gap between ``dist`` and an independently coded target.
-
-    ``target`` is one of ``mo``, ``gmo``, ``bmo``, ``beta_g``; the
-    distribution's parameters must satisfy the corresponding constraints
-    (e.g. theta = 1 for ``bmo``).
-    """
-    target = target.lower()
-    if target not in _REDUCTIONS:
-        raise ValueError(f"unknown reduction target {target!r}")
-    p = dist.params
-    for name, required in _REDUCTIONS[target]:
-        if getattr(p, name) != required:
-            raise ValueError(
-                f"reduction to {target} requires {name} = {required}, got {getattr(p, name)}"
-            )
-    u = np.linspace(0.005, 0.995, grid_size)
-    t = dist.baseline.quantile(u)
-    if target == "mo":
-        other = mo_pdf(p.alpha, dist.baseline, t)
-    elif target == "gmo":
-        other = gmo_pdf(dist.gmo, dist.baseline, t)
-    elif target == "bmo":
-        other = _bmo_pdf(p.m, p.n, p.alpha, dist.baseline, t)
-    else:
-        other = _beta_g_pdf(p.m, p.n, dist.baseline, t)
-    return float(np.max(np.abs(dist.pdf(t) - other)))

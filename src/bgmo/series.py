@@ -24,6 +24,7 @@ from scipy.special import binom
 from . import special
 from .baselines import Baseline
 from .family import BgmoDistribution, _zmul
+from .gmo import log_tilt
 
 __all__ = [
     "TruncationPolicy",
@@ -268,21 +269,17 @@ def _psi_cdf_coeffs(m, n, theta, policy):
 def _mo_log_parts(alpha: float, baseline: Baseline, t):
     """(log f_MO, log S_MO, log C_MO) of the plain tilt at the points t.
 
-    With D = 1 - (1-alpha)*sf_G, S = alpha*sf_G/D and f = alpha*g/D^2.
+    S and C = 1 - S are the tilt of ``log_tilt``, each exact in its small
+    tail, and f = alpha*g/D^2.
     """
-    log_gbar = baseline.log_sf(t)
     with np.errstate(all="ignore"):
-        log_d = np.log1p((alpha - 1.0) * np.exp(log_gbar))
-        log_s = math.log(alpha) + log_gbar - log_d
-        log_f = math.log(alpha) + baseline.log_pdf(t) - 2.0 * log_d
-        return log_f, log_s, np.log(np.maximum(-np.expm1(log_s), 0.0))
+        log_s, log_c, _, log_d = log_tilt(alpha, baseline, t)
+        return math.log(alpha) + baseline.log_pdf(t) - 2.0 * log_d, log_s, log_c
 
 
 def _mo_parts(dist: BgmoDistribution, t):
     """(f_MO, S_MO, C_MO) of the plain tilt at the points t, in linear scale."""
-    log_f, log_s, _ = _mo_log_parts(dist.params.alpha, dist.baseline, t)
-    s = np.exp(log_s)
-    return np.exp(log_f), s, 1.0 - s
+    return tuple(np.exp(part) for part in _mo_log_parts(dist.params.alpha, dist.baseline, t))
 
 
 def pdf_via_expansion(

@@ -1,0 +1,85 @@
+"""Closed forms of the family's special cases, coded independently of ``bgmo``.
+
+Each takes a baseline and works in linear scale from its pdf, cdf and sf, with
+none of the package's log-space tilt; the tests compare the shipped family at
+the matching parameters against them.  Names follow the sub-families:
+
+- ``mo``: the plain Marshall-Olkin tilt (m = n = theta = 1);
+- ``gmo``: the exponentiated tilt (m = n = 1);
+- ``bmo``: the beta layer over the plain tilt (theta = 1);
+- ``beta_g``: the classical beta-generated family (alpha = theta = 1).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.special import beta as beta_fn
+
+
+def _tilt_denominator(alpha, b, t):
+    """D = 1 - (1-alpha)*sf_G."""
+    return 1.0 - (1.0 - alpha) * b.sf(t)
+
+
+def gmo_sf(alpha, theta, b, t):
+    """Survival [alpha*sf_G/D]^theta."""
+    return (alpha * b.sf(t) / _tilt_denominator(alpha, b, t)) ** theta
+
+
+def gmo_cdf(alpha, theta, b, t):
+    return 1.0 - gmo_sf(alpha, theta, b, t)
+
+
+def gmo_pdf(alpha, theta, b, t):
+    """Density theta*alpha^theta*g*sf_G^(theta-1)/D^(theta+1)."""
+    return (
+        theta * alpha**theta * b.pdf(t) * b.sf(t) ** (theta - 1.0)
+        / _tilt_denominator(alpha, b, t) ** (theta + 1.0)
+    )
+
+
+def gmo_hrf(alpha, theta, b, t):
+    """Hazard theta*h_G/D."""
+    return theta * b.hrf(t) / _tilt_denominator(alpha, b, t)
+
+
+def gmo_quantile(alpha, theta, b, u):
+    """Inverse cdf: s = (1-u)^(1/theta) and G = alpha*(1-s)/(alpha + (1-alpha)*s)."""
+    u = np.asarray(u, dtype=float)
+    one_minus_s = -np.expm1(np.log1p(-u) / theta)
+    return b.quantile(alpha * one_minus_s / (alpha + (1.0 - alpha) * (1.0 - one_minus_s)))
+
+
+def mo_pdf(alpha, b, t):
+    """Density alpha*g/D^2 of the plain tilt."""
+    return alpha * b.pdf(t) / _tilt_denominator(alpha, b, t) ** 2
+
+
+def bmo_pdf(m, n, alpha, b, t):
+    """Beta(m, n) layer over the plain tilt: f_MO*(1-S)^(m-1)*S^(n-1)/B(m,n)."""
+    s = gmo_sf(alpha, 1.0, b, t)
+    return mo_pdf(alpha, b, t) * (1.0 - s) ** (m - 1.0) * s ** (n - 1.0) / beta_fn(m, n)
+
+
+def beta_g_pdf(m, n, b, t):
+    """Classical beta-generated density g*G^(m-1)*(1-G)^(n-1)/B(m,n)."""
+    return b.pdf(t) * b.cdf(t) ** (m - 1.0) * b.sf(t) ** (n - 1.0) / beta_fn(m, n)
+
+
+def reduction_gap(dist, target: str, grid_size: int = 200) -> float:
+    """Max pointwise pdf gap between ``dist`` and the closed form of ``target``.
+
+    ``target`` is one of ``mo``, ``gmo``, ``bmo`` and ``beta_g``; the
+    distribution's parameters must be the sub-family's (e.g. theta = 1 for
+    ``bmo``), or the gap is that of a different density.  The grid is the
+    baseline's quantiles at levels 0.005 to 0.995.
+    """
+    p, b = dist.params, dist.baseline
+    t = b.quantile(np.linspace(0.005, 0.995, grid_size))
+    other = {
+        "mo": lambda: mo_pdf(p.alpha, b, t),
+        "gmo": lambda: gmo_pdf(p.alpha, p.theta, b, t),
+        "bmo": lambda: bmo_pdf(p.m, p.n, p.alpha, b, t),
+        "beta_g": lambda: beta_g_pdf(p.m, p.n, b, t),
+    }[target]()
+    return float(np.max(np.abs(dist.pdf(t) - other)))

@@ -79,6 +79,14 @@ class TestCommonContracts:
         np.testing.assert_allclose(np.exp(b.log_sf(ts)), b.sf(ts), rtol=1e-12)
         np.testing.assert_allclose(np.exp(b.log_cdf(ts)), b.cdf(ts), rtol=1e-10)
 
+    def test_repr(self, b):
+        # numeric parameters in %g form, options such as the Z kind as they are
+        text = repr(b)
+        assert text.startswith(f"{type(b).__name__}(") and text.endswith(")")
+        for name, value in b.params().items():
+            shown = f"{value:g}" if isinstance(value, float) else value
+            assert f"{name}={shown}" in text
+
 
 class TestWeibullLogCdf:
     def test_log_of_rate_where_cdf_underflows(self):

@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from bgmo.baselines import Exponential, Frechet, Lomax, Weibull
-from bgmo.family import BgmoDistribution, BgmoParams, reduction_check
-from bgmo.gmo import GmoParams, gmo_hrf, gmo_quantile
+import oracles
+from bgmo.baselines import (
+    Exponential,
+    ExtendedWeibull,
+    Frechet,
+    Lomax,
+    ModifiedWeibull,
+    Weibull,
+    ZFunction,
+)
+from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.series import asymptote
 
 
@@ -63,11 +71,9 @@ class TestCdf:
         assert d.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_shapes_reduce_to_tilted_cdf(self):
-        from bgmo.gmo import gmo_cdf
-
         d = dist(1, 1, 2.0, 3.0)
         ts = np.linspace(0.05, 6, 30)
-        np.testing.assert_allclose(d.cdf(ts), gmo_cdf(d.gmo, d.baseline, ts), atol=1e-13)
+        np.testing.assert_allclose(d.cdf(ts), oracles.gmo_cdf(3.0, 2.0, d.baseline, ts), atol=1e-13)
 
     def test_hand_value(self):
         d = dist(1, 1, 1, 2.0)
@@ -93,9 +99,7 @@ class TestReliabilityIdentities:
     def test_unit_shape_hazard_matches_tilted_hazard(self):
         d = dist(1, 1, 2.0, 3.0)
         ts = np.linspace(0.1, 5, 20)
-        np.testing.assert_allclose(
-            d.hrf(ts), gmo_hrf(GmoParams(3.0, 2.0), d.baseline, ts), rtol=1e-9
-        )
+        np.testing.assert_allclose(d.hrf(ts), oracles.gmo_hrf(3.0, 2.0, d.baseline, ts), rtol=1e-9)
 
     def test_chrf_monotone_and_matches_sf(self):
         d = dist(1.5, 0.8, 1.2, 2.0)
@@ -172,6 +176,18 @@ class TestTails:
         assert d.log_pdf(1e-300) == pytest.approx(-276.40381580727905, abs=1e-12)
         assert d.log_pdf(1e-200) == pytest.approx(-184.30041208751723, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "baseline", [ExtendedWeibull(1.0, ZFunction("square")), ModifiedWeibull(0.0, 1.0, 2.0)]
+    )
+    def test_log_pdf_where_power_cumulative_hazard_underflows(self, baseline):
+        # both have cumulative hazard t^2, as Weibull(1, 2) has: log G = 2 log t
+        # where t^2 underflows (1e-300, 1e-200) or is subnormal (1e-160)
+        ts = np.array([1e-300, 1e-200, 1e-160])
+        want = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0)).log_pdf(ts)
+        np.testing.assert_allclose(want, [-276.403816, -184.300412, -147.459051], rtol=1e-8)
+        got = dist(0.7, 2.5, 0.5, 2.5, baseline).log_pdf(ts)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_cdf_where_one_minus_s_power_is_subnormal(self):
         # z = 1 - s^theta is about 2e-321 at t = 1e-160: I_z would see a few
         # significant bits, the leading term z^m/(m B(m, n)) keeps them all
@@ -197,7 +213,7 @@ class TestQuantile:
         d = dist(1, 1, 2.0, 3.0)
         us = np.linspace(0.05, 0.95, 19)
         np.testing.assert_allclose(
-            d.quantile(us), gmo_quantile(GmoParams(3.0, 2.0), d.baseline, us), rtol=1e-9
+            d.quantile(us), oracles.gmo_quantile(3.0, 2.0, d.baseline, us), rtol=1e-9
         )
 
     def test_round_trip_random_draws(self):
@@ -266,26 +282,16 @@ class TestShapeMeasures:
 
 class TestReductionCheck:
     def test_all_unit_matches_plain_tilt(self):
-        assert reduction_check(dist(1, 1, 1, 1), "mo") < 1e-14
+        assert oracles.reduction_gap(dist(1, 1, 1, 1), "mo") < 1e-14
 
     def test_beta_layer_over_tilt(self):
-        assert reduction_check(dist(2, 3, 1, 2), "bmo") <= 1e-12
+        assert oracles.reduction_gap(dist(2, 3, 1, 2), "bmo") <= 1e-12
 
     def test_exponentiated_tilt(self):
-        assert reduction_check(dist(1, 1, 2, 3), "gmo") <= 1e-12
+        assert oracles.reduction_gap(dist(1, 1, 2, 3), "gmo") <= 1e-12
 
     def test_classical_beta_generated(self):
-        assert reduction_check(dist(2, 3, 1, 1, Weibull(1.0, 2.0)), "beta_g") <= 1e-12
-
-    def test_constraint_violation_raises(self):
-        with pytest.raises(ValueError):
-            reduction_check(dist(2, 3, 2, 2), "bmo")
-        with pytest.raises(ValueError):
-            reduction_check(dist(2, 1, 1, 1), "gmo")
-
-    def test_unknown_target(self):
-        with pytest.raises(ValueError):
-            reduction_check(dist(1, 1, 1, 1), "weibull")
+        assert oracles.reduction_gap(dist(2, 3, 1, 1, Weibull(1.0, 2.0)), "beta_g") <= 1e-12
 
 
 class TestParams:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta as scipy_beta
 
-from bgmo.baselines import Exponential, Frechet, Weibull
+from bgmo.baselines import Exponential, Frechet, Lomax, Weibull
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.series import (
     DivergenceError,
@@ -216,6 +216,17 @@ class TestCdfExpansion:
         with pytest.raises(ValueError):
             cdf_via_expansion(dist(2.5, 2, 1, 1), 1.0, "order_stat_identity")
 
+    def test_relative_precision_in_lower_tail(self):
+        # C = 1 - S comes from the baseline cdf, not from 1 - S, so the powers
+        # of C keep their relative precision where the baseline cdf is tiny
+        d = dist(2, 3, 1.5, 0.7, Weibull(1.0, 2.0))
+        for level in (1e-4, 1e-8, 1e-12):
+            t = float(d.baseline.quantile(level))
+            cdf = cdf_via_expansion(d, t).value
+            pdf = pdf_via_expansion(d, t, "cdf_powers").value
+            assert cdf == pytest.approx(d.cdf(t), rel=1e-12, abs=0)
+            assert pdf == pytest.approx(d.pdf(t), rel=1e-12, abs=0)
+
 
 class TestOrderStatPdf:
     def test_single_observation(self):
@@ -287,6 +298,16 @@ class TestPwm:
         for p, q, r in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
             with pytest.raises(ValueError):
                 pwm_mo(1.0, EXP, p, q, r)
+
+    @pytest.mark.parametrize(
+        "baseline", [EXP, Weibull(1.0, 2.0), Lomax(3.0, 1.0)], ids=lambda b: b.tag
+    )
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("q", [-0.5, -0.9])
+    def test_negative_cdf_order(self, baseline, alpha, q):
+        # E[F^q] = 1/(q + 1) under any tilt; C^q diverges at the lower end,
+        # where C = 1 - S must come from the baseline cdf, not from 1 - S
+        assert pwm_mo(alpha, baseline, 0, q, 0) == pytest.approx(1.0 / (1.0 + q), rel=1e-12)
 
     def test_heavy_tail_divergence(self):
         with pytest.raises(DivergenceError):
