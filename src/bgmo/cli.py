@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="levels in (0,1)")
     p.set_defaults(run=_cmd_quantile)
 
-    p = subs.add_parser("sample", help="draw an inverse-transform sample")
+    p = subs.add_parser("sample", help="draw a seeded random sample")
     p.add_argument("--dist", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -31,9 +31,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import digamma, ndtri
-from scipy.stats import qmc
 
 from .baselines import BASELINE_FAMILIES, Baseline, make_baseline
 from .family import BgmoDistribution, BgmoParams
@@ -186,7 +184,9 @@ class Restart:
     ``start`` and ``end`` are parameter values; ``at_bound`` names the search
     coordinates pinned at the end by the KKT rule; ``status`` and ``message``
     are scipy's (0 is convergence, 1 an iteration or evaluation limit, 2 a
-    failed line search).
+    failed line search).  ``moved`` is False for a run that ended exactly at
+    its start: where every trial point has zero likelihood, L-BFGS-B stays
+    put and still reports status 0.
     """
 
     start: dict[str, float]
@@ -197,6 +197,7 @@ class Restart:
     message: str
     at_bound: tuple[str, ...]
     seconds: float
+    moved: bool
 
 
 @dataclass(frozen=True)
@@ -545,9 +546,14 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     A coordinate that ends on a bound with the projected gradient pointing
     out of the box is pinned by the box: ``at_boundary`` names it and
     ``converged`` is False.  ``converged`` is also False when the best run
-    stopped at its iteration or evaluation limit.  ``trace`` records every
-    run.  Estimates are reported under the template's parameter names.
+    stopped at its iteration or evaluation limit, or never left its start.
+    ``trace`` records every run.  Estimates are reported under the
+    template's parameter names.
     """
+    # imported here so that ``import bgmo`` does not load scipy.optimize and scipy.stats
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
+
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ValueError("data is empty")
@@ -603,6 +609,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
             message=str(run.message),
             at_bound=_pinned(names, run.x, run.jac, lo, hi),
             seconds=time.perf_counter() - t0,
+            moved=not np.array_equal(run.x, x0),
         ))
         if not math.isfinite(run.fun):
             continue
@@ -611,7 +618,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
             or run.fun < best.fun - config.f_tol
             or (abs(run.fun - best.fun) <= config.f_tol and tuple(run.x) < tuple(best.x))
         ):
-            best = run
+            best, best_moved = run, trace[-1].moved
     if best is None:
         raise FitError(
             f"all {config.starts} restarts produced non-finite likelihood "
@@ -652,7 +659,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         bic=crit.bic,
         caic=crit.caic,
         hqic=crit.hqic,
-        converged=bool(best.success) and not at_boundary,
+        converged=bool(best.success) and best_moved and not at_boundary,
         information_pd=info_pd,
         at_boundary=at_boundary,
         n_obs=int(data.size),

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import tanhsinh
 from scipy.special import binom
 
 from . import special
@@ -397,6 +396,8 @@ def _support_quad(fn: Callable, baseline: Baseline, *args):
     Non-finite values of fn/g count as 0; ``DivergenceError`` is raised
     where the rule does not converge.
     """
+
+    from scipy.integrate import tanhsinh  # loaded on first use, not by ``import bgmo``
 
     def ratio(t, *args):
         w = fn(t, *args) / baseline.pdf(t)

@@ -8,6 +8,9 @@ the matching parameters against them.  Names follow the sub-families:
 - ``gmo``: the exponentiated tilt (m = n = 1);
 - ``bmo``: the beta layer over the plain tilt (theta = 1);
 - ``beta_g``: the classical beta-generated family (alpha = theta = 1).
+
+``inverse_transform_sample`` is the quantile route to random draws, against
+which the family's gamma-ratio sampler is compared.
 """
 
 from __future__ import annotations
@@ -83,3 +86,9 @@ def reduction_gap(dist, target: str, grid_size: int = 200) -> float:
         "beta_g": lambda: beta_g_pdf(p.m, p.n, b, t),
     }[target]()
     return float(np.max(np.abs(dist.pdf(t) - other)))
+
+
+def inverse_transform_sample(dist, count: int, seed: int):
+    """``count`` draws quantile(U) with U uniform, levels kept off 0 and 1."""
+    u = np.random.default_rng(seed).random(count)
+    return dist.quantile(np.clip(u, 1e-15, 1.0 - 1e-15))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats
 
 import oracles
 from bgmo.baselines import (
@@ -15,6 +18,11 @@ from bgmo.baselines import (
 )
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.series import asymptote
+from test_gmo import ALL_BASELINES
+
+KS_LEVEL = 1e-6  # the benchmark's: a 1% level would reject correct draws on one seed in a hundred
+# m, n < 1 draws each gamma variate through the shape + 1 boost; m, n > 1 directly
+SAMPLER_SHAPES = [(0.3, 0.6, 0.7, 1.8), (2.5, 1.7, 1.4, 0.6)]
 
 
 def dist(m, n, theta, alpha, baseline=None):
@@ -259,6 +267,40 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             dist(1, 1, 1, 1).sample(0, seed=1)
+
+    @pytest.mark.parametrize("shapes", SAMPLER_SHAPES)
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda b: b.tag)
+    def test_ks_against_cdf(self, shapes, baseline):
+        d = dist(*shapes, baseline)
+        assert stats.kstest(d.sample(20000, seed=21), d.cdf).pvalue >= KS_LEVEL
+
+    @pytest.mark.parametrize("shapes", SAMPLER_SHAPES + [(30.0, 0.2, 2.0, 0.5)])
+    def test_two_sample_ks_against_inverse_transform(self, shapes):
+        d = dist(*shapes, Weibull(1.0, 2.0))
+        drawn = d.sample(20000, seed=31)
+        inverted = oracles.inverse_transform_sample(d, 20000, seed=32)
+        assert stats.ks_2samp(drawn, inverted).pvalue >= KS_LEVEL
+
+    @pytest.mark.parametrize("shapes", [(1e-3, 1e-3, 1.0, 1.0), (1e4, 1e-2, 1.0, 1.0)])
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda b: b.tag)
+    def test_extreme_shapes_stay_on_the_support(self, shapes, baseline):
+        # at m = n = 1e-3 about half of the plain Gamma(1e-3) variates are 0
+        d = dist(*shapes, baseline)
+        draws = d.sample(5000, seed=41)
+        assert np.all(np.isfinite(draws))
+        assert np.all(draws >= d.support_low)
+
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda b: b.tag)
+    @given(
+        shapes=st.tuples(*[st.floats(-2.0, 2.0).map(lambda e: 10.0**e)] * 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_over_the_parameter_box(self, baseline, shapes, seed):
+        d = dist(*shapes, baseline)
+        draws = d.sample(64, seed)
+        assert np.all(np.isfinite(draws))
+        assert np.all(draws >= d.support_low)
+        np.testing.assert_array_equal(draws, d.sample(64, seed))
 
 
 class TestShapeMeasures:

@@ -410,6 +410,27 @@ class TestFitMle:
             "estimates", "se", "ci", "logLik", "aic", "bic", "caic", "hqic", "converged", "n", "k"
         }
 
+    def test_restart_that_never_moves_is_not_converged(self):
+        # with theta_p boxed near min(data), some starts have only zero-likelihood
+        # trial points: L-BFGS-B stays at the start and still reports status 0
+        data = builtin_dataset("turbocharger").values
+        tpl = ModelTemplate("exponentiated_pareto", fixed=NESTED)
+        box = {"theta_p": (0.5 * data.min(), 2.0 * data.min())}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = fit_mle(tpl, data, FitConfig(start_box=box))
+            stuck = [r for r in result.trace
+                     if not r.moved and r.status == 0 and math.isfinite(r.neg_log_lik)]
+            assert len(stuck) == 7
+            assert all(r.end == r.start for r in stuck)
+            assert all(r.moved for r in result.trace if r.end != r.start)
+            # here the best of four restarts is one of them
+            result = fit_mle(tpl, data, FitConfig(starts=4, seed=4, start_box=box))
+        best = min(result.trace, key=lambda r: r.neg_log_lik)
+        assert not best.moved and best.status == 0 and result.at_boundary == ()
+        assert -best.neg_log_lik == pytest.approx(result.log_likelihood, abs=1e-9)
+        assert not result.converged
+
     def test_start_box_keys_are_search_coordinates(self):
         data = builtin_dataset("turbocharger").values
         six = ModelTemplate("weibull")

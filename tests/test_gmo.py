@@ -1,5 +1,9 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,17 @@ class TestApi:
             mod = importlib.import_module(f"bgmo.{layer}")
             for name in getattr(mod, "__all__", None) or ["main"]:
                 assert hasattr(mod, name), f"bgmo.{layer}.{name}"
+
+    def test_import_leaves_optimizer_stats_and_quadrature_unloaded(self):
+        # fit_mle and _support_quad import them on first use, so the
+        # subcommands that need neither do not pay for them at start-up
+        heavy = ("scipy.optimize", "scipy.stats", "scipy.integrate")
+        code = f"import sys, bgmo; print([m for m in {heavy!r} if m in sys.modules])"
+        src = str(Path(bgmo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=120).stdout
+        assert out.strip() == "[]"
 
     def test_gmo_exports_are_not_empty(self):
         # with an empty __all__ the tracer falls back to a missing ``main``
