@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special import _TINY
+
 __all__ = [
     "Baseline",
     "Exponential",
@@ -33,8 +35,6 @@ __all__ = [
 ]
 
 
-_TINY = np.finfo(float).tiny  # the smallest normal double
-
 
 def _maybe_scalar(out, scalar_in: bool):
     return float(out) if scalar_in else out
@@ -49,11 +49,19 @@ def _require_positive(**params):
 class Baseline:
     """Common behaviour for the concrete families below.
 
-    Subclasses implement ``_log_pdf``, ``_log_sf`` and ``_quantile`` on arrays
-    already clipped to the support, plus ``_cdf`` and ``_log_cdf`` where
-    ``-expm1(_log_sf)`` loses precision, or ``_log_cum_hazard`` where the
-    cumulative hazard underflows near 0; this class handles support masking
-    and scalar passthrough.
+    Subclasses implement, on arrays already floored to the support:
+
+    - ``_log_pdf``, ``_log_sf`` and ``_quantile``;
+    - ``_log_cdf(t, log_sf)``, given the log sf, and ``_cdf`` where
+      ``-expm1(log_sf)`` loses precision, or ``_log_cum_hazard`` where the
+      cumulative hazard underflows near 0;
+    - ``log_partials`` where the analytic score is coded.
+
+    This class handles support masking and scalar passthrough.  ``log_parts``
+    (or ``log_tails`` where the density is not needed) is the one pass the
+    family layer makes: log g, log sf and log G from one floor, one
+    ``_log_sf`` and one support mask (none where every point is on the
+    support).
     """
 
     tag = ""
@@ -90,7 +98,17 @@ class Baseline:
         return self._on_support(self._log_sf, t, 0.0)
 
     def log_cdf(self, t):
-        return self._on_support(self._log_cdf, t, -np.inf)
+        return self._on_support(lambda x: self._log_cdf(x, self._log_sf(x)), t, -np.inf)
+
+    def log_parts(self, t):
+        """(log g, log sf, log G) at t, as arrays equal to ``log_pdf``, ``log_sf`` and ``log_cdf``."""
+        return self._masked(
+            lambda x: (self._log_pdf(x), *self._log_tails(x)), t, (-np.inf, 0.0, -np.inf)
+        )
+
+    def log_tails(self, t):
+        """(log sf, log G) at t: the pass of ``log_parts`` without the density."""
+        return self._masked(self._log_tails, t, (0.0, -np.inf))
 
     def hrf(self, t):
         return self._on_support(lambda x: np.exp(self._log_pdf(x) - self._log_sf(x)), t, 0.0)
@@ -111,35 +129,49 @@ class Baseline:
 
     def _on_support(self, fn, t, outside):
         """fn on the support (points nudged up to its floor), ``outside`` below it."""
-        scalar = np.isscalar(t)
+        return _maybe_scalar(self._masked(lambda x: (fn(x),), t, (outside,))[0], np.isscalar(t))
+
+    def _masked(self, fn, t, outside):
+        """The arrays of fn at t floored to the support, each set to its ``outside`` value below it.
+
+        Where every point is on the support no mask is applied.
+        """
         t = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
-            out = np.where(t >= self.support_low, fn(np.maximum(t, self._eval_floor())), outside)
-        return _maybe_scalar(out, scalar)
+            parts = fn(np.maximum(t, self._eval_floor()))
+        on = t >= self.support_low
+        if on.all():
+            return parts
+        return tuple(np.where(on, part, value) for part, value in zip(parts, outside))
+
+    def _log_tails(self, t):
+        # one _log_sf, from which the log cdf follows
+        log_sf = self._log_sf(t)
+        return log_sf, self._log_cdf(t, log_sf)
 
     def _cdf(self, t):
         return -np.expm1(self._log_sf(t))
 
-    def _log_cdf(self, t):
+    def _log_cdf(self, t, log_sf):
         # log(1 - e^-H), H = -log sf; where H is not a normal double, log H,
         # finite where H itself underflows
-        log_sf = self._log_sf(t)
         out = np.log(-np.expm1(log_sf))
         tiny = log_sf > -_TINY
         if np.any(tiny):
-            out = np.where(tiny, self._log_cum_hazard(t), out)
+            out = np.where(tiny, self._log_cum_hazard(t, log_sf), out)
         return out
 
-    def _log_cum_hazard(self, t):
-        return np.log(-self._log_sf(t))
+    def _log_cum_hazard(self, t, log_sf):
+        return np.log(-log_sf)
 
     def _isf(self, q):
         return self._quantile(1.0 - q)
 
     def _eval_floor(self):
-        # evaluation points are nudged just above the support edge so that
-        # formulas with t**negative stay finite; masks zero them out anyway
-        return self.support_low + 1e-300 if self.support_low > 0 else 1e-300
+        # evaluation points are nudged just above the support edge, to the next
+        # double, so that formulas with t**negative or log(1 - edge/t) stay
+        # finite; masks zero them out anyway
+        return math.nextafter(self.support_low, math.inf) if self.support_low > 0 else 1e-300
 
 
 @dataclass(frozen=True, repr=False)
@@ -165,13 +197,9 @@ class Exponential(Baseline):
     def _isf(self, q):
         return -np.log(q) / self.lam
 
-    def log_sf_partials(self, t):
-        """d(log sf_G)/d(param) for the analytic score."""
-        return {"lam": -t}
-
-    def log_pdf_partials(self, t):
-        """d(log g)/d(param) for the analytic score."""
-        return {"lam": 1.0 / self.lam - t}
+    def log_partials(self, t):
+        """(d log g, d log sf) per parameter, in ``param_names`` order, for the analytic score."""
+        return ((1.0 / self.lam - t, -t),)
 
 
 @dataclass(frozen=True, repr=False)
@@ -197,7 +225,7 @@ class Weibull(Baseline):
     def _log_sf(self, t):
         return -self.lam * t**self.beta
 
-    def _log_cum_hazard(self, t):
+    def _log_cum_hazard(self, t, log_sf):
         return math.log(self.lam) + self.beta * np.log(t)
 
     def _quantile(self, u):
@@ -206,17 +234,11 @@ class Weibull(Baseline):
     def _isf(self, q):
         return (-np.log(q) / self.lam) ** (1.0 / self.beta)
 
-    def log_sf_partials(self, t):
-        tb = t**self.beta
-        return {"lam": -tb, "beta": -self.lam * tb * np.log(t)}
-
-    def log_pdf_partials(self, t):
+    def log_partials(self, t):
         tb = t**self.beta
         lt = np.log(t)
-        return {
-            "lam": 1.0 / self.lam - tb,
-            "beta": 1.0 / self.beta + lt - self.lam * tb * lt,
-        }
+        lam_tb_lt = self.lam * tb * lt
+        return (1.0 / self.lam - tb, -tb), (1.0 / self.beta + lt - lam_tb_lt, -lam_tb_lt)
 
 
 @dataclass(frozen=True, repr=False)
@@ -271,7 +293,7 @@ class Frechet(Baseline):
     def _cdf(self, t):
         return np.exp(-((self.delta / t) ** self.lam))
 
-    def _log_cdf(self, t):
+    def _log_cdf(self, t, log_sf):
         return -((self.delta / t) ** self.lam)
 
     def _log_sf(self, t):
@@ -406,7 +428,7 @@ class ExtendedWeibull(Baseline):
     def _log_sf(self, t):
         return -self.delta * self.z.value(t)
 
-    def _log_cum_hazard(self, t):
+    def _log_cum_hazard(self, t, log_sf):
         return math.log(self.delta) + self.z.log_value(t)
 
     def _quantile(self, u):
@@ -442,7 +464,7 @@ class ModifiedWeibull(Baseline):
     def _log_sf(self, t):
         return -self._cum_hazard(t)
 
-    def _log_cum_hazard(self, t):
+    def _log_cum_hazard(self, t, log_sf):
         log_t = np.log(t)
         return np.logaddexp(np.log(self.sigma) + log_t, np.log(self.beta) + self.gamma * log_t)
 
@@ -501,7 +523,7 @@ class ExponentiatedPareto(Baseline):
     def _cdf(self, t):
         return np.exp(self.gamma * self._log_base(t))
 
-    def _log_cdf(self, t):
+    def _log_cdf(self, t, log_sf):
         return self.gamma * self._log_base(t)
 
     def _log_sf(self, t):

@@ -24,16 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .baselines import _TINY, Baseline
+from .baselines import Baseline
 from .gmo import _LN2, log_tilt, tilt_inverse
 
 __all__ = ["BgmoParams", "BgmoDistribution"]
 
 
 def _zmul(c, v):
-    """c*v with the convention 0 * (+-inf) = 0, for vanishing exponents (c may be an array)."""
+    """c*v with the convention 0 * (+-inf) = 0, for vanishing exponents (c may be an array).
+
+    A scalar c of 0 gives 0.0, which adds to arrays as an array of zeros would.
+    """
     if np.ndim(c) == 0:
-        return c * v if c != 0.0 else np.zeros_like(v)
+        return c * v if c != 0.0 else 0.0
     return np.where(c == 0.0, 0.0, c * v)
 
 
@@ -102,13 +105,14 @@ class BgmoDistribution:
     def _log_pdf_parts(self, t):
         """Arrays log f, log s, log(1 - s), log sf_G, log D and log z, z = 1 - s^theta."""
         p = self.params
-        log_s, log_1ms, log_gbar, log_d = log_tilt(p.alpha, self.baseline, t)
+        log_g, log_gbar, log_gcdf = self.baseline.log_parts(t)
+        log_s, log_1ms, log_d = log_tilt(p.alpha, log_gbar, log_gcdf)
         log_z = _log_one_minus_power(p.theta, log_s, log_1ms)
         out = (
             math.log(p.theta)
             + p.theta * math.log(p.alpha)
             - special.log_beta(p.m, p.n)
-            + self.baseline.log_pdf(t)
+            + log_g
             + (p.theta - 1.0) * log_gbar
             - (p.theta + 1.0) * log_d
             + _zmul(p.m - 1.0, log_z)
@@ -130,55 +134,74 @@ class BgmoDistribution:
             out = np.exp(self.log_pdf(t))
         return out
 
-    def cdf(self, t):
-        """I_z(m, n) at z = 1 - s^theta; where z is not a normal double, z^m/(m B(m, n)).
+    def _tilt_tails(self, t):
+        """log s and log(1 - s) at t, from one ``Baseline.log_tails`` pass."""
+        return log_tilt(self.params.alpha, *self.baseline.log_tails(t))[:2]
 
-        Below the smallest normal double z keeps only a few significant bits
-        (none where it underflows to 0), so there the leading term of I_z,
-        taken from log z, replaces it.
+    def _beta_args(self, log_s, log_1ms):
+        """(z, log z) and (w, log w) of the beta layer's arguments z = 1 - s^theta and w = s^theta.
+
+        log z is its leading term log(theta*(1 - s)), exact where z is not a
+        normal double, the one place ``special.reg_inc_beta_mirrored`` reads it.
+        """
+        log_w = self.params.theta * log_s
+        return (-np.expm1(log_w), math.log(self.params.theta) + log_1ms), (np.exp(log_w), log_w)
+
+    def _log_sf_from(self, log_s, log_1ms):
+        """log sf; where the sf underflows, the leading term w^n/(n B(m, n))."""
+        p = self.params
+        z, w = self._beta_args(log_s, log_1ms)
+        sf = special.reg_inc_beta_mirrored(*w, *z, p.n, p.m)
+        lead = p.n * w[1] - math.log(p.n) - special.log_beta(p.m, p.n)
+        return np.where(sf > 1e-300, np.log(sf), lead)
+
+    def cdf(self, t):
+        """I_z(m, n) at z = 1 - s^theta where z <= 1/2, else 1 - I_w(n, m) at w = s^theta.
+
+        No incomplete beta reads an argument rounded to 1 (see
+        ``special.reg_inc_beta_mirrored``), so at small shapes too the cdf
+        keeps its digits near 1 and sums with the sf to 1.  Where z is not a
+        normal double, the leading term z^m/(m B(m, n)) replaces I_z.
         """
         p = self.params
         with np.errstate(all="ignore"):
-            log_s, log_1ms = log_tilt(p.alpha, self.baseline, t)[:2]
-            z = -np.expm1(p.theta * log_s)
-            out = special.reg_inc_beta(z, p.m, p.n)
-            tiny = z < _TINY
-            if not np.any(tiny):
-                return out
-            log_z = _log_one_minus_power(p.theta, log_s, log_1ms)
-            lead = np.exp(p.m * log_z - math.log(p.m) - special.log_beta(p.m, p.n))
-        out = np.where(tiny, lead, out)
+            z, w = self._beta_args(*self._tilt_tails(t))
+            out = special.reg_inc_beta_mirrored(*z, *w, p.m, p.n)
         return float(out) if np.isscalar(t) else out
 
     def sf(self, t):
-        """I_w(n, m) at w = s^theta, exact where the cdf rounds to 1."""
+        """I_w(n, m) at w = s^theta where w <= 1/2, else 1 - I_z(m, n) at z = 1 - w.
+
+        Exact where the cdf rounds to 1; as in ``cdf``, no incomplete beta
+        reads an argument rounded to 1.
+        """
         p = self.params
         with np.errstate(all="ignore"):
-            w = np.exp(p.theta * log_tilt(p.alpha, self.baseline, t)[0])
-        return special.reg_inc_beta(w, p.n, p.m)
+            z, w = self._beta_args(*self._tilt_tails(t))
+            out = special.reg_inc_beta_mirrored(*w, *z, p.n, p.m)
+        return float(out) if np.isscalar(t) else out
 
     def log_sf(self, t):
         """log sf; where the sf underflows, the leading term w^n/(n B(m, n))."""
-        p = self.params
         with np.errstate(all="ignore"):
-            log_w = p.theta * log_tilt(p.alpha, self.baseline, t)[0]
-            sf = special.reg_inc_beta(np.exp(log_w), p.n, p.m)
-            out = np.where(
-                sf > 1e-300,
-                np.log(sf),
-                p.n * log_w - math.log(p.n) - special.log_beta(p.m, p.n),
-            )
+            out = self._log_sf_from(*self._tilt_tails(t))
         return float(out) if np.isscalar(t) else out
 
     def hrf(self, t):
-        """Hazard pdf/sf, taken as exp(log pdf - log sf)."""
+        """Hazard pdf/sf, taken as exp(log pdf - log sf) from one baseline pass."""
         with np.errstate(all="ignore"):
-            return np.exp(self.log_pdf(t) - self.log_sf(t))
+            log_f, log_s, log_1ms = self._log_pdf_parts(t)[:3]
+            out = np.exp(log_f - self._log_sf_from(log_s, log_1ms))
+        return float(out) if np.isscalar(t) else out
 
     def rhrf(self, t):
-        """Reversed hazard pdf/cdf."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.pdf(t) / self.cdf(t)
+        """Reversed hazard pdf/cdf, from one baseline pass."""
+        p = self.params
+        with np.errstate(all="ignore"):
+            log_f, log_s, log_1ms = self._log_pdf_parts(t)[:3]
+            z, w = self._beta_args(log_s, log_1ms)
+            out = np.exp(log_f) / special.reg_inc_beta_mirrored(*z, *w, p.m, p.n)
+        return float(out) if np.isscalar(t) else out
 
     def chrf(self, t):
         """Cumulative hazard -log sf."""

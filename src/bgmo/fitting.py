@@ -309,11 +309,9 @@ def _log_lik_and_score(template: ModelTemplate, values, data):
             + (theta + 1.0) * (1.0 - alpha) * gbar_d
             + theta * np.exp(-log_d) * (m_odds + n - 1.0)
         )
-        dlogg = b.log_pdf_partials(t)
-        dlogsf = b.log_sf_partials(t)
         terms = [log_z, log_s, log_s * (n + m_odds), gbar_d, w_alpha]
-        for name in template.baseline_param_names:
-            terms += [dlogg[name], dlogsf[name] * per_log_sf]
+        for dlogg, dlogsf in b.log_partials(t):
+            terms += [dlogg, dlogsf * per_log_sf]
         # one reduction over all per-observation terms: the same pairwise sums as one by one
         sum_log_z, sum_log_s, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = np.array(
             terms
@@ -333,7 +331,7 @@ def _log_lik_and_score(template: ModelTemplate, values, data):
 def _has_partials(template: ModelTemplate) -> bool:
     """Whether the baseline codes the partials that the analytic score needs."""
     b_cls = BASELINE_FAMILIES[template.baseline]
-    return hasattr(b_cls, "log_sf_partials") and hasattr(b_cls, "log_pdf_partials")
+    return hasattr(b_cls, "log_partials")
 
 
 def score(template: ModelTemplate, params, data, mode: str = "analytic") -> np.ndarray:

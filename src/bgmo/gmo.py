@@ -22,24 +22,23 @@ __all__ = ["log_tilt", "tilt_inverse"]
 _LN2 = math.log(2.0)
 
 
-def log_tilt(alpha: float, baseline: Baseline, t):
-    """log s, log(1 - s), log sf_G and log D of the tilted survival s at t.
+def log_tilt(alpha: float, log_gbar, log_gcdf):
+    """log s, log(1 - s) and log D of the tilted survival s, from log sf_G and log G.
 
-    log s comes from the baseline log sf where s is small and as
-    log1p(-(1 - s)) from the baseline log cdf where 1 - s is small: neither
-    tail takes a difference of nearly equal numbers.  Call it under
+    The baseline logs are those of one ``Baseline.log_parts`` pass.  log s
+    comes from the baseline log sf where s is small and as log1p(-(1 - s))
+    from the baseline log cdf where 1 - s is small: neither tail takes a
+    difference of nearly equal numbers.  Call it under
     ``np.errstate(all="ignore")``.
     """
-    log_gbar = baseline.log_sf(t)
-    log_g = baseline.log_cdf(t)
     log_d = np.log1p(-(1.0 - alpha) * np.exp(log_gbar))
-    log_1ms = log_g - log_d
+    log_1ms = log_gcdf - log_d
     log_s = np.where(
         log_1ms < -_LN2,
         np.log1p(-np.exp(log_1ms)),
         math.log(alpha) + log_gbar - log_d,
     )
-    return log_s, log_1ms, log_gbar, log_d
+    return log_s, log_1ms, log_d
 
 
 def tilt_inverse(alpha: float, baseline: Baseline, log_s):

@@ -272,8 +272,9 @@ def _mo_log_parts(alpha: float, baseline: Baseline, t):
     tail, and f = alpha*g/D^2.
     """
     with np.errstate(all="ignore"):
-        log_s, log_c, _, log_d = log_tilt(alpha, baseline, t)
-        return math.log(alpha) + baseline.log_pdf(t) - 2.0 * log_d, log_s, log_c
+        log_g, log_gbar, log_gcdf = baseline.log_parts(t)
+        log_s, log_c, log_d = log_tilt(alpha, log_gbar, log_gcdf)
+        return math.log(alpha) + log_g - 2.0 * log_d, log_s, log_c
 
 
 def _mo_parts(dist: BgmoDistribution, t):

@@ -3,7 +3,9 @@
 The incomplete beta function, its inverse and the digamma function are thin
 wrappers over ``scipy.special`` (Boost-backed; DiDonato & Morris 1992,
 ACM TOMS 708): they add the package's domain checks and exact endpoints and
-take scalars or arrays, returning a float for scalar input.  ``log_beta`` is
+take scalars or arrays, returning a float for scalar input.
+``reg_inc_beta_mirrored`` takes the argument and its complement apart, so
+that neither is read rounded to 1.  ``log_beta`` is
 a scalar ``math.lgamma`` sum, cheapest where it runs once per likelihood
 evaluation, and ``beta_quantile_series`` is the small-u power series of the
 beta quantile.
@@ -16,9 +18,12 @@ import math
 import numpy as np
 import scipy.special as sc
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
 __all__ = [
     "log_beta",
     "reg_inc_beta",
+    "reg_inc_beta_mirrored",
     "beta_quantile",
     "beta_quantile_series",
     "digamma",
@@ -55,6 +60,34 @@ def reg_inc_beta(x, m, n):
     """
     out = sc.betainc(m, n, _checked("reg_inc_beta", "x", x, m, n))
     return _scalar_or_array(out, x, m, n)
+
+
+def reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
+    """I_x(m, n) from x and y = 1 - x given apart, each exact in its own small tail.
+
+    An incomplete beta is taken directly only where its argument is at most
+    1/2, so none reads an argument rounded to 1: I_x(m, n) where x <= 1/2,
+    else 1 - I_y(n, m), or scipy's ``betaincc`` (several times the cost) on
+    the few points where that difference is below 1/10 and would lose a
+    digit to cancellation.  Where the argument u taken is not a normal
+    double, its leading term u^a/(a B(m, n)), from log u, replaces it (a is
+    m for u = x, n for u = y); the logs are read only there.  Elementwise
+    over arrays of one shape, for x, y in [0, 1] and m, n > 0.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    low = x <= 0.5
+    u = _checked("reg_inc_beta_mirrored", "x and y", np.where(low, x, y), m, n)
+    first = np.where(low, m, n)
+    c = sc.betainc(first, np.where(low, n, m), u)
+    tiny = u < _TINY
+    if np.any(tiny):
+        lead = first * np.where(low, log_x, log_y) - np.where(low, math.log(m), math.log(n))
+        c = np.where(tiny, np.exp(lead - log_beta(m, n)), c)
+    out = np.where(low, c, 1.0 - c)
+    hard = ~low & (c > 0.9)
+    if np.any(hard):
+        out[hard] = sc.betaincc(n, m, y[hard])
+    return _scalar_or_array(out, x, y)
 
 
 def beta_quantile(u, m, n):

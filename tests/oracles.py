@@ -10,11 +10,13 @@ the matching parameters against them.  Names follow the sub-families:
 - ``beta_g``: the classical beta-generated family (alpha = theta = 1).
 
 ``inverse_transform_sample`` is the quantile route to random draws, against
-which the family's gamma-ratio sampler is compared.
+which the family's gamma-ratio sampler is compared, and ``cdf_sf_mp`` the
+family's cdf and sf at 50 digits.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from scipy.special import beta as beta_fn
 
@@ -92,3 +94,24 @@ def inverse_transform_sample(dist, count: int, seed: int):
     """``count`` draws quantile(U) with U uniform, levels kept off 0 and 1."""
     u = np.random.default_rng(seed).random(count)
     return dist.quantile(np.clip(u, 1e-15, 1.0 - 1e-15))
+
+
+def cdf_sf_mp(m, n, theta, alpha, log_gbar):
+    """The family's cdf and sf at 50 digits, from a baseline log sf taken as exact.
+
+    The incomplete beta is evaluated at the smaller of z = 1 - s^theta and
+    w = s^theta, and the other tail as its complement (I_z(m, n) = 1 - I_w(n, m)),
+    so no argument within 1e-50 of 1 is rounded.
+    """
+    with mpmath.workdps(50):
+        log_gbar = mpmath.mpf(log_gbar)
+        gbar, gcdf = mpmath.exp(log_gbar), -mpmath.expm1(log_gbar)
+        d = 1 - (1 - mpmath.mpf(alpha)) * gbar
+        one_minus_s = gcdf / d
+        log_s = mpmath.log1p(-one_minus_s) if one_minus_s < 0.5 else mpmath.log(alpha * gbar / d)
+        w, z = mpmath.exp(theta * log_s), -mpmath.expm1(theta * log_s)
+        if z <= w:
+            cdf = mpmath.betainc(m, n, 0, z, regularized=True)
+            return float(cdf), float(1 - cdf)
+        sf = mpmath.betainc(n, m, 0, w, regularized=True)
+        return float(1 - sf), float(sf)

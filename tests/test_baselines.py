@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -86,6 +87,21 @@ class TestCommonContracts:
         for name, value in b.params().items():
             shown = f"{value:g}" if isinstance(value, float) else value
             assert f"{name}={shown}" in text
+
+
+@pytest.mark.parametrize("b", [Exponential(1.3), Weibull(0.8, 2.2)], ids=lambda b: b.tag)
+def test_log_partials_match_central_differences(b):
+    ts = b.quantile(np.linspace(0.02, 0.98, 13))
+    partials = b.log_partials(ts)
+    assert len(partials) == len(b.param_names)
+    for name, (d_log_pdf, d_log_sf) in zip(b.param_names, partials):
+        value = getattr(b, name)
+        h = 1e-6 * value
+        up = dataclasses.replace(b, **{name: value + h})
+        down = dataclasses.replace(b, **{name: value - h})
+        for got, fn in ((d_log_pdf, "_log_pdf"), (d_log_sf, "_log_sf")):
+            diff = (getattr(up, fn)(ts) - getattr(down, fn)(ts)) / (2.0 * h)
+            np.testing.assert_allclose(got, diff, rtol=1e-6)
 
 
 class TestWeibullLogCdf:

@@ -9,6 +9,7 @@ from scipy import stats
 import oracles
 from bgmo.baselines import (
     Exponential,
+    ExponentiatedPareto,
     ExtendedWeibull,
     Frechet,
     Lomax,
@@ -20,6 +21,8 @@ from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.series import asymptote
 from test_gmo import ALL_BASELINES
 
+# (m, n, theta, alpha), each log-uniform on [1e-2, 1e2]
+SHAPE_BOX = st.tuples(*[st.floats(-2.0, 2.0).map(lambda e: 10.0**e)] * 4)
 KS_LEVEL = 1e-6  # the benchmark's: a 1% level would reject correct draws on one seed in a hundred
 # m, n < 1 draws each gamma variate through the shape + 1 boost; m, n > 1 directly
 SAMPLER_SHAPES = [(0.3, 0.6, 0.7, 1.8), (2.5, 1.7, 1.4, 0.6)]
@@ -71,8 +74,32 @@ class TestDensity:
             if lp > -700:
                 assert d.pdf(t) > 0.0
 
+    def test_finite_at_the_exponentiated_pareto_location(self):
+        # points at the edge are evaluated at the next double above it, not at the edge itself
+        d = dist(0.5, 1, 1, 1, ExponentiatedPareto(0.8, 1.7, 2.4))
+        assert math.isfinite(d.log_pdf(0.8))
+        # a quantile that lands on the edge
+        d = dist(0.2424, 57.96, 1.2128, 0.3942, ExponentiatedPareto(0.8, 1.7, 2.4))
+        assert d.quantile(1e-12) == 0.8
+        assert math.isfinite(d.log_pdf(d.quantile(1e-12)))
+
 
 class TestCdf:
+    @pytest.mark.parametrize("shapes", [(0.01, 2, 1, 1), (2, 0.01, 1, 1)])
+    def test_median_at_small_shapes(self, shapes):
+        # at (0.01, 2) the median sits at t = 2.9e-31, where s = e^-t rounds to 1;
+        # at (2, 0.01) it sits at t = 70.3, where 1 - s does: each incomplete
+        # beta must read the argument of its own small tail
+        d = dist(*shapes)
+        t = d.quantile(0.5)
+        cdf, sf = oracles.cdf_sf_mp(*shapes, -t)  # Exponential(1): log sf_G = -t
+        assert d.cdf(t) == pytest.approx(cdf, rel=1e-14)
+        assert d.sf(t) == pytest.approx(sf, rel=1e-14)
+        assert d.log_sf(t) == pytest.approx(math.log(sf), rel=1e-14)
+        assert d.chrf(t) == pytest.approx(-math.log(sf), rel=1e-14)
+        assert d.hrf(t) == pytest.approx(d.pdf(t) / sf, rel=1e-14)
+        assert cdf == pytest.approx(0.5, rel=1e-14)
+
     def test_limits(self):
         d = dist(2, 3, 0.5, 2.0)
         assert d.cdf(0.0) == pytest.approx(0.0, abs=1e-300)
@@ -292,7 +319,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda b: b.tag)
     @given(
-        shapes=st.tuples(*[st.floats(-2.0, 2.0).map(lambda e: 10.0**e)] * 4),
+        shapes=SHAPE_BOX,
         seed=st.integers(0, 2**32 - 1),
     )
     def test_draws_over_the_parameter_box(self, baseline, shapes, seed):
@@ -301,6 +328,56 @@ class TestSampling:
         assert np.all(np.isfinite(draws))
         assert np.all(draws >= d.support_low)
         np.testing.assert_array_equal(draws, d.sample(64, seed))
+
+
+class TestEvaluationOverTheBox:
+    """Properties over (m, n, theta, alpha) in [1e-2, 1e2]^4.
+
+    At the quantiles of levels in [1e-12, 1 - 1e-12]:
+    - log_pdf is finite or -inf, never +inf or NaN;
+    - |cdf + sf - 1| <= 1e-14;
+    - the baseline pass equals the public baseline functions bit for bit,
+      also below the support, at its edge and at inf and NaN.
+    """
+
+    LEVELS = np.concatenate(
+        [10.0 ** -np.arange(12.0, 0.0, -2.0), [0.5], 1.0 - 10.0 ** -np.arange(2.0, 13.0, 2.0)]
+    )
+
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda b: b.tag)
+    @given(shapes=SHAPE_BOX, level=st.floats(1e-12, 1.0 - 1e-12))
+    def test_properties(self, baseline, shapes, level):
+        d = dist(*shapes, baseline)
+        with np.errstate(all="ignore"):
+            t = d.quantile(np.append(self.LEVELS, level))
+        log_f = d.log_pdf(t)
+        assert not np.any(np.isnan(log_f) | (log_f == math.inf))
+        assert np.max(np.abs(d.cdf(t) + d.sf(t) - 1.0)) <= 1e-14
+
+        lo = baseline.support_low
+        t = np.append(t, [lo - 1.0, lo, math.nextafter(lo, math.inf), math.inf, math.nan])
+        log_g, log_sf, log_cdf = baseline.log_parts(t)
+        np.testing.assert_array_equal(log_g, baseline.log_pdf(t))
+        np.testing.assert_array_equal(log_sf, baseline.log_sf(t))
+        np.testing.assert_array_equal(log_cdf, baseline.log_cdf(t))
+        for got, want in zip(baseline.log_tails(t), (log_sf, log_cdf)):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestOneBaselinePass:
+    @pytest.mark.parametrize("name", ["log_pdf", "pdf", "cdf", "sf", "log_sf", "hrf", "rhrf"])
+    def test_one_log_sf_per_call(self, monkeypatch, name):
+        # the baseline log cdf comes from the same log sf, not from a second one
+        calls = []
+        log_sf = Weibull._log_sf
+
+        def counted(self, t):
+            calls.append(t)
+            return log_sf(self, t)
+
+        monkeypatch.setattr(Weibull, "_log_sf", counted)
+        getattr(dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0)), name)(np.linspace(0.1, 3.0, 20))
+        assert len(calls) == 1
 
 
 class TestShapeMeasures:

@@ -251,18 +251,21 @@ class TestObjectiveKernel:
         assert math.isfinite(_objective(x, tpl, data, scale)[0])
 
     def test_one_baseline_pass_per_evaluation(self, monkeypatch):
+        # one log_parts pass, whose one _log_sf also feeds the baseline log cdf;
+        # no public baseline evaluation besides it
         calls = []
-        log_sf = Weibull.log_sf
+        for name in ("log_parts", "_log_sf", "log_pdf", "log_sf", "log_cdf"):
+            method = getattr(Weibull, name)
 
-        def counted(self, t):
-            calls.append(t)
-            return log_sf(self, t)
+            def counted(self, t, name=name, method=method):
+                calls.append(name)
+                return method(self, t)
 
-        monkeypatch.setattr(Weibull, "log_sf", counted)
+            monkeypatch.setattr(Weibull, name, counted)
         data = builtin_dataset("turbocharger").values
         tpl, _, scale = self.search_setup("weibull", {})
         _objective(np.log([1.3, 0.9, 1.1, 2.0, 6.0, 2.5]), tpl, data, scale)
-        assert len(calls) == 1
+        assert sorted(calls) == ["_log_sf", "log_parts"]
 
 
 class TestObservedInformation:

@@ -144,7 +144,8 @@ class TestTilt:
         ts = b.quantile(np.linspace(0.01, 0.99, 15))
         for alpha in (0.25, 4.0):
             with np.errstate(all="ignore"):
-                log_s, log_1ms, log_gbar, log_d = log_tilt(alpha, b, ts)
+                log_gbar = b.log_parts(ts)[1]
+                log_s, log_1ms, log_d = log_tilt(alpha, *b.log_parts(ts)[1:])
             np.testing.assert_allclose(np.exp(log_s) + np.exp(log_1ms), 1.0, rtol=1e-14)
             np.testing.assert_allclose(np.exp(log_gbar), b.sf(ts), rtol=1e-14)
             np.testing.assert_allclose(np.exp(log_d), 1.0 - (1.0 - alpha) * b.sf(ts), rtol=1e-14)

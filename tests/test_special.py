@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from bgmo.special import (
     digamma,
     log_beta,
     reg_inc_beta,
+    reg_inc_beta_mirrored,
 )
 
 
@@ -96,6 +98,35 @@ class TestRegIncBeta:
             reg_inc_beta(np.array([0.2, 1.5]), 1, 1)
         with pytest.raises(ValueError):
             reg_inc_beta(np.array([0.2, 0.5]), np.array([1.0, 0.0]), 1)
+
+
+class TestRegIncBetaMirrored:
+    def test_direct_where_the_argument_is_at_most_half(self):
+        x = np.linspace(0.0, 0.5, 11)
+        with np.errstate(divide="ignore"):
+            got = reg_inc_beta_mirrored(x, np.log(x), 1.0 - x, np.log1p(-x), 2.5, 0.7)
+        np.testing.assert_array_equal(got, reg_inc_beta(x, 2.5, 0.7))
+
+    @pytest.mark.parametrize("y, m, n", [(1e-30, 2.0, 0.01), (0.1, 50.0, 0.5)])
+    def test_complement_above_half(self, y, m, n):
+        # x = 1 - 1e-30 rounds to 1, which the direct call reads; at (50, 0.5)
+        # 1 - I_y(n, m) would cancel, so the complement is taken by betaincc
+        x = 1.0 - y
+        with mpmath.workdps(50):
+            want = float(1 - mpmath.betainc(n, m, 0, y, regularized=True))
+        got = reg_inc_beta_mirrored(x, math.log1p(-y), y, math.log(y), m, n)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_leading_term_below_the_smallest_normal_double(self):
+        # I_x(0.01, 2) at x = e^-1000, which underflows to 0
+        got = reg_inc_beta_mirrored(0.0, -1000.0, 1.0, 0.0, 0.01, 2.0)
+        assert got == pytest.approx(math.exp(-10.0 - math.log(0.01) - log_beta(0.01, 2.0)), rel=1e-14)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            reg_inc_beta_mirrored(1.5, 0.0, -0.5, 0.0, 2.0, 3.0)
+        with pytest.raises(ValueError):
+            reg_inc_beta_mirrored(0.3, 0.0, 0.7, 0.0, 0.0, 3.0)
 
 
 class TestBetaQuantile:
