@@ -506,8 +506,11 @@ class ExponentiatedPareto(Baseline):
         return self.theta_p
 
     def _log_base(self, t):
-        # log[1 - (theta_p/t)^k]
-        return np.log1p(-((self.theta_p / t) ** self.k))
+        # log[1 - (theta_p/t)^k] = log(1 - e^-a), a = k log(t/theta_p), by the
+        # log1mexp switch (Maechler 2012): exact at the location, where
+        # (theta_p/t)^k rounds to 1, and in the upper tail
+        a = self.k * np.log1p((t - self.theta_p) / self.theta_p)
+        return np.where(a <= math.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
 
     def _log_pdf(self, t):
         out = (

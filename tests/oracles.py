@@ -10,8 +10,9 @@ the matching parameters against them.  Names follow the sub-families:
 - ``beta_g``: the classical beta-generated family (alpha = theta = 1).
 
 ``inverse_transform_sample`` is the quantile route to random draws, against
-which the family's gamma-ratio sampler is compared, and ``cdf_sf_mp`` the
-family's cdf and sf at 50 digits.
+which the family's gamma-ratio sampler is compared, ``cdf_sf_mp`` the
+family's cdf and sf at 50 digits, and ``tanhsinh_support_quad`` the support
+integral of ``series._support_quad`` by scipy's tanh-sinh solver.
 """
 
 from __future__ import annotations
@@ -115,3 +116,27 @@ def cdf_sf_mp(m, n, theta, alpha, log_gbar):
             return float(cdf), float(1 - cdf)
         sf = mpmath.betainc(n, m, 0, w, regularized=True)
         return float(1 - sf), float(sf)
+
+
+def tanhsinh_support_quad(fn, baseline, *args):
+    """Integral of fn(t, *args) over the support, one per element of the broadcast args.
+
+    The substitution of ``series._support_quad`` (t = Q_G(w) and t = isf(w),
+    w in (0, 1/2], non-finite fn/g counted as 0) integrated by scipy's
+    vectorised tanh-sinh solver, which evaluates the baseline once per element
+    and node and stops at a 1e-14 relative error estimate.
+    """
+    from scipy.integrate import tanhsinh
+
+    def ratio(t, *args):
+        w = fn(t, *args) / baseline.pdf(t)
+        return np.where(np.isfinite(w), w, 0.0)
+
+    def integrand(w, *args):
+        return ratio(baseline.quantile(w), *args) + ratio(baseline.isf(w), *args)
+
+    with np.errstate(all="ignore"):
+        res = tanhsinh(integrand, 0.0, 0.5, args=args, atol=1e-300, rtol=1e-14)
+    if np.any(res.status != 0):
+        raise ArithmeticError(f"tanh-sinh status {res.status}")
+    return res.integral

@@ -19,7 +19,7 @@ from bgmo.baselines import (
 )
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.series import asymptote
-from test_gmo import ALL_BASELINES
+from test_gmo import ALL_BASELINES, BASELINE_IDS
 
 # (m, n, theta, alpha), each log-uniform on [1e-2, 1e2]
 SHAPE_BOX = st.tuples(*[st.floats(-2.0, 2.0).map(lambda e: 10.0**e)] * 4)
@@ -296,7 +296,7 @@ class TestSampling:
             dist(1, 1, 1, 1).sample(0, seed=1)
 
     @pytest.mark.parametrize("shapes", SAMPLER_SHAPES)
-    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda b: b.tag)
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=BASELINE_IDS)
     def test_ks_against_cdf(self, shapes, baseline):
         d = dist(*shapes, baseline)
         assert stats.kstest(d.sample(20000, seed=21), d.cdf).pvalue >= KS_LEVEL
@@ -308,8 +308,11 @@ class TestSampling:
         inverted = oracles.inverse_transform_sample(d, 20000, seed=32)
         assert stats.ks_2samp(drawn, inverted).pvalue >= KS_LEVEL
 
+    # these two leave out the heavy exponentiated Pareto (the last baseline):
+    # at small n or theta it has mass beyond the largest double, so some of
+    # its draws are rightly inf
     @pytest.mark.parametrize("shapes", [(1e-3, 1e-3, 1.0, 1.0), (1e4, 1e-2, 1.0, 1.0)])
-    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda b: b.tag)
+    @pytest.mark.parametrize("baseline", ALL_BASELINES[:-1], ids=BASELINE_IDS[:-1])
     def test_extreme_shapes_stay_on_the_support(self, shapes, baseline):
         # at m = n = 1e-3 about half of the plain Gamma(1e-3) variates are 0
         d = dist(*shapes, baseline)
@@ -317,7 +320,7 @@ class TestSampling:
         assert np.all(np.isfinite(draws))
         assert np.all(draws >= d.support_low)
 
-    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda b: b.tag)
+    @pytest.mark.parametrize("baseline", ALL_BASELINES[:-1], ids=BASELINE_IDS[:-1])
     @given(
         shapes=SHAPE_BOX,
         seed=st.integers(0, 2**32 - 1),
@@ -344,7 +347,7 @@ class TestEvaluationOverTheBox:
         [10.0 ** -np.arange(12.0, 0.0, -2.0), [0.5], 1.0 - 10.0 ** -np.arange(2.0, 13.0, 2.0)]
     )
 
-    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=lambda b: b.tag)
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=BASELINE_IDS)
     @given(shapes=SHAPE_BOX, level=st.floats(1e-12, 1.0 - 1e-12))
     def test_properties(self, baseline, shapes, level):
         d = dist(*shapes, baseline)

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta as scipy_beta
+from test_gmo import ALL_BASELINES, BASELINE_IDS
 
 from bgmo.baselines import Exponential, Frechet, Lomax, Weibull
 from bgmo.family import BgmoDistribution, BgmoParams
@@ -279,6 +282,59 @@ class TestSupportQuad:
         # f ~ t^(-1/2) at 0 for m = 1/2, so f^2 is not integrable there
         with pytest.raises(DivergenceError, match="status"):
             renyi_entropy(dist(0.5, 2.5, 0.5, 2.5), 2.0, method="direct")
+
+    def test_divergence_names_level_estimate_and_zeroed_values(self):
+        message = r"after level 8\): relative error estimate .*, 0 non-finite"
+        with pytest.raises(DivergenceError, match=message):
+            renyi_entropy(dist(0.5, 2.5, 0.5, 2.5), 2.0, method="direct")
+
+    @pytest.mark.parametrize(
+        "baseline", [EXP, Weibull(1.0, 2.0), Lomax(2.0, 1.0), Frechet(2.0, 1.0)], ids=lambda b: b.tag
+    )
+    def test_matches_scipy_tanhsinh_on_the_c05_grid(self, baseline):
+        for shapes in itertools.product((0.5, 1.0, 2.5), repeat=4):
+            d = dist(*shapes, baseline)
+            want = oracles.tanhsinh_support_quad(d.pdf, baseline)
+            assert _support_quad(d.pdf, baseline) == pytest.approx(want, rel=1e-12), shapes
+
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=BASELINE_IDS)
+    def test_matches_scipy_tanhsinh_with_array_arguments(self, baseline):
+        # E[F^q] = 1/(q + 1): array args share the nodes, one integral each;
+        # n < 1 makes the integrand singular at the upper end
+        d = dist(2.0, 0.7, 1.5, 0.5, baseline)
+        q = np.array([0.0, 0.5, 2.0])
+
+        def fn(t, q):
+            return d.pdf(t) * d.cdf(t) ** q
+
+        got = _support_quad(fn, baseline, q)
+        np.testing.assert_allclose(got, oracles.tanhsinh_support_quad(fn, baseline, q), rtol=1e-12)
+        np.testing.assert_allclose(got, 1.0 / (q + 1.0), rtol=1e-12)
+
+    def test_endpoint_singularities(self):
+        # int t^(-1/2) e^(-t) dt = sqrt(pi): v^(-1/2) at the lower end
+        got = _support_quad(lambda t: t**-0.5 * np.exp(-t), EXP)
+        assert got == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+        # Lomax(3, 1) moment of order 2.8 < 3: v^(-0.93) at the upper end
+        want = math.gamma(3.8) * math.gamma(0.2) / math.gamma(3.0)
+        assert moment_direct(dist(1, 1, 1, 1, Lomax(3.0, 1.0)), 2.8) == pytest.approx(want, rel=1e-13)
+
+    def test_series_shares_nodes_across_terms(self, monkeypatch):
+        # the 60 terms of the series read the baseline once per node, not once per term
+        d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
+        points = []
+        log_sf = Weibull._log_sf
+
+        def counted(self, t):
+            points.append(np.size(t))
+            return log_sf(self, t)
+
+        monkeypatch.setattr(Weibull, "_log_sf", counted)
+        moment_direct(d, 2)
+        scalar = sum(points)
+        points.clear()
+        moment_series(d, 2)
+        assert sum(points) <= 2 * scalar
 
 
 class TestPwm:
