@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exprel
 
 from .special import _TINY
 
@@ -40,6 +41,15 @@ def _maybe_scalar(out, scalar_in: bool):
     return float(out) if scalar_in else out
 
 
+def _from_hazard(h, pairs):
+    """``log_partials`` from (d log g, d log H) per parameter, for log sf = -H.
+
+    d log sf = -H d log H and d log G = d log H * H/expm1(H), also where H underflows.
+    """
+    neg_h, cdf_factor = -h, 1.0 / exprel(h)
+    return [(dlogg, neg_h * dlogh, dlogh * cdf_factor) for dlogg, dlogh in pairs]
+
+
 def _require_positive(**params):
     for name, value in params.items():
         if not value > 0:
@@ -55,7 +65,10 @@ class Baseline:
     - ``_log_cdf(t, log_sf)``, given the log sf, and ``_cdf`` where
       ``-expm1(log_sf)`` loses precision, or ``_log_cum_hazard`` where the
       cumulative hazard underflows near 0;
-    - ``log_partials`` where the analytic score is coded.
+    - ``log_partials(t)``: for the fitter's analytic score, the triples
+      (d log g, d log sf, d log G) per parameter in ``param_names`` order,
+      d log G precise where G underflows; families with a cumulative hazard
+      H = -log sf build them from d log H (``_from_hazard``).
 
     This class handles support masking and scalar passthrough.  ``log_parts``
     (or ``log_tails`` where the density is not needed) is the one pass the
@@ -122,10 +135,7 @@ class Baseline:
 
     def isf(self, q):
         """Inverse survival: the t with sf(t) = q."""
-        scalar = np.isscalar(q)
-        q = np.asarray(q, dtype=float)
-        out = self._isf(q)
-        return _maybe_scalar(out, scalar)
+        return _maybe_scalar(self._isf(np.asarray(q, dtype=float)), np.isscalar(q))
 
     def _on_support(self, fn, t, outside):
         """fn on the support (points nudged up to its floor), ``outside`` below it."""
@@ -198,8 +208,7 @@ class Exponential(Baseline):
         return -np.log(q) / self.lam
 
     def log_partials(self, t):
-        """(d log g, d log sf) per parameter, in ``param_names`` order, for the analytic score."""
-        return ((1.0 / self.lam - t, -t),)
+        return _from_hazard(self.lam * t, ((1.0 / self.lam - t, 1.0 / self.lam),))
 
 
 @dataclass(frozen=True, repr=False)
@@ -235,10 +244,9 @@ class Weibull(Baseline):
         return (-np.log(q) / self.lam) ** (1.0 / self.beta)
 
     def log_partials(self, t):
-        tb = t**self.beta
-        lt = np.log(t)
-        lam_tb_lt = self.lam * tb * lt
-        return (1.0 / self.lam - tb, -tb), (1.0 / self.beta + lt - lam_tb_lt, -lam_tb_lt)
+        tb, lt = t**self.beta, np.log(t)
+        d_beta = (1.0 / self.beta + lt - self.lam * tb * lt, lt)
+        return _from_hazard(self.lam * tb, ((1.0 / self.lam - tb, 1.0 / self.lam), d_beta))
 
 
 @dataclass(frozen=True, repr=False)
@@ -268,6 +276,13 @@ class Lomax(Baseline):
 
     def _isf(self, q):
         return self.delta * np.expm1(-np.log(q) / self.beta)
+
+    def log_partials(self, t):
+        log1p_r = np.log1p(t / self.delta)
+        r_delta = t / (self.delta * (self.delta + t))  # -d log1p(t/delta)/d delta
+        d_beta = (1.0 / self.beta - log1p_r, 1.0 / self.beta)
+        d_delta = ((self.beta + 1.0) * r_delta - 1.0 / self.delta, -r_delta / log1p_r)
+        return _from_hazard(self.beta * log1p_r, (d_beta, d_delta))
 
 
 @dataclass(frozen=True, repr=False)
@@ -310,6 +325,17 @@ class Frechet(Baseline):
     def _isf(self, q):
         return self.delta * (-np.log1p(-q)) ** (-1.0 / self.lam)
 
+    def log_partials(self, t):
+        # z = (delta/t)^lam, log G = -z and d log sf/d log z = z/expm1(z) = 1/exprel(z)
+        log_ratio = math.log(self.delta) - np.log(t)
+        z = np.exp(self.lam * log_ratio)
+        rate = self.lam / self.delta
+        tail = 1.0 / exprel(z)
+        return (
+            (1.0 / self.lam + log_ratio * (1.0 - z), log_ratio * tail, -z * log_ratio),
+            (rate * (1.0 - z), rate * tail, -z * rate),
+        )
+
 
 @dataclass(frozen=True, repr=False)
 class Gompertz(Baseline):
@@ -337,6 +363,14 @@ class Gompertz(Baseline):
 
     def _isf(self, q):
         return np.log1p(-(self.lam / self.beta) * np.log(q)) / self.lam
+
+    def log_partials(self, t):
+        lam_t = self.lam * t
+        e = np.expm1(lam_t)
+        h = self.beta / self.lam * e
+        log_h_lam = (lam_t * (e + 1.0) - e) / (self.lam * e)  # d log H/d lam
+        d_beta = (1.0 / self.beta - e / self.lam, 1.0 / self.beta)
+        return _from_hazard(h, (d_beta, (t - h * log_h_lam, log_h_lam)))
 
 
 @dataclass(frozen=True)
@@ -437,6 +471,10 @@ class ExtendedWeibull(Baseline):
     def _isf(self, q):
         return self.z.inverse(-np.log(q) / self.delta)
 
+    def log_partials(self, t):
+        z = self.z.value(t)
+        return _from_hazard(self.delta * z, ((1.0 / self.delta - z, 1.0 / self.delta),))
+
 
 @dataclass(frozen=True, repr=False)
 class ModifiedWeibull(Baseline):
@@ -485,6 +523,17 @@ class ModifiedWeibull(Baseline):
             hi = np.where(below, hi, mid)
         out = 0.5 * (lo + hi)
         return out.reshape(np.shape(u)) if np.shape(u) else out[0]
+
+    def log_partials(self, t):
+        log_t = np.log(t)
+        u = t ** (self.gamma - 1.0)
+        rate = self.sigma + self.beta * self.gamma * u  # the hazard
+        t_h = 1.0 / (self.sigma + self.beta * u)  # t/H
+        bu_log_t = self.beta * u * log_t
+        d_gamma = ((self.beta * u + self.gamma * bu_log_t) / rate - t * bu_log_t, bu_log_t * t_h)
+        d_beta = (self.gamma * u / rate - t * u, u * t_h)
+        hazard = self.sigma * t + self.beta * u * t
+        return _from_hazard(hazard, ((1.0 / rate - t, t_h), d_beta, d_gamma))
 
 
 @dataclass(frozen=True, repr=False)
@@ -548,6 +597,22 @@ class ExponentiatedPareto(Baseline):
         base = -np.expm1(np.log1p(-q) / self.gamma)
         return self.theta_p * base ** (-1.0 / self.k)
 
+    def log_partials(self, t):
+        # w = e^-a = (theta_p/t)^k, log G = gamma log(1 - w): d log G is q = 1/expm1(a) times
+        # -gamma k/theta_p or gamma a/k, d log sf = -(G/sf) d log G with G/sf * q in log space
+        a = self.k * np.log1p((t - self.theta_p) / self.theta_p)
+        q = 1.0 / np.expm1(a)
+        log_b = self._log_base(t)
+        rate, tilt = self.k / self.theta_p, (self.gamma - 1.0) / self.gamma
+        d_theta_p, d_k = -self.gamma * rate, self.gamma * a / self.k
+        log_odds = self.gamma * log_b - self._log_sf(t)  # log(G/sf)
+        odds_q = np.exp(log_odds - a - log_b)
+        return (
+            (rate + tilt * d_theta_p * q, -d_theta_p * odds_q, d_theta_p * q),
+            ((1.0 - a) / self.k + tilt * d_k * q, -d_k * odds_q, d_k * q),
+            (1.0 / self.gamma + log_b, -log_b * np.exp(log_odds), log_b),
+        )
+
 
 BASELINE_FAMILIES = {
     cls.tag: cls
@@ -580,9 +645,7 @@ def make_baseline(tag: str, **params) -> Baseline:
         known = ", ".join(sorted(BASELINE_FAMILIES))
         raise ValueError(f"unknown baseline family {tag!r} (known: {known})")
     cls = BASELINE_FAMILIES[tag]
-    kwargs = {}
-    for name, value in params.items():
-        kwargs[PARAM_ALIASES.get(name, name)] = value
+    kwargs = {PARAM_ALIASES.get(name, name): value for name, value in params.items()}
     if cls is ExtendedWeibull:
         kind = kwargs.pop("z", "linear")
         if isinstance(kind, ZFunction):
@@ -590,11 +653,7 @@ def make_baseline(tag: str, **params) -> Baseline:
         else:
             if kind not in _Z_KINDS:
                 raise ValueError(f"unknown Z-function kind {kind!r} (known: {_Z_KINDS})")
-            zargs = {}
-            if "k" in kwargs:
-                zargs["k"] = float(kwargs.pop("k"))
-            if "beta" in kwargs:
-                zargs["beta"] = float(kwargs.pop("beta"))
+            zargs = {name: float(kwargs.pop(name)) for name in ("k", "beta") if name in kwargs}
             z = ZFunction(kind, **zargs)
         return ExtendedWeibull(delta=float(kwargs.pop("delta")), z=z, **kwargs)
     try:

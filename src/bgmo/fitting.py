@@ -7,17 +7,17 @@ of extreme parameter combinations, so an unbounded search never terminates at
 a statistically meaningful point.  The box makes the maximization well posed.
 
 Each restart is one L-BFGS-B run (Byrd, Lu, Nocedal & Zhu 1995) driven by the
-analytic score, or by scipy's differences of the likelihood for a baseline
-without coded partials.  The template is bound once per fit: ``ModelTemplate``
-resolves its names, free slots and baseline class at construction, and each
-evaluation binds its parameter vector by position.  A Weibull baseline with
-both parameters free is searched in its scale sigma = lam**(-1/beta) instead
-of its rate: lam and beta are nearly collinear along the likelihood's ridge,
-sigma and beta are not.  An estimate counts as pinned against the box when,
-at the optimum, a search coordinate sits on a bound and the projected
-gradient points out of the box (the KKT conditions of the bounded problem);
-such fits are reported with ``converged = False`` and the coordinate named in
-``at_boundary``.
+analytic score, which every baseline's ``log_partials`` feeds; the observed
+information is central differences of the same score.  The template is bound
+once per fit: ``ModelTemplate`` resolves its names, free slots and baseline
+class at construction, and each evaluation binds its vector by position.  A
+Weibull baseline with both parameters free is searched in its scale
+sigma = lam**(-1/beta) instead of its rate: lam and beta are nearly collinear
+along the likelihood's ridge, sigma and beta are not.  An estimate counts as
+pinned against the box when, at the optimum, a search coordinate sits on a
+bound and the projected gradient points out of the box (the KKT conditions of
+the bounded problem); such fits are reported with ``converged = False`` and
+the coordinate named in ``at_boundary``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma, ndtri
@@ -226,13 +227,11 @@ class FitResult:
     trace: tuple[Restart, ...] = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        ci = None
-        if self.conf_intervals is not None:
-            ci = {k: [v[0], v[1]] for k, v in self.conf_intervals.items()}
+        ci = self.conf_intervals
         return {
             "estimates": self.estimates,
             "se": self.std_errors,
-            "ci": ci,
+            "ci": None if ci is None else {k: [v[0], v[1]] for k, v in ci.items()},
             "logLik": self.log_likelihood,
             "aic": self.aic,
             "bic": self.bic,
@@ -252,8 +251,6 @@ class FitResult:
             if isinstance(node, (float, np.floating)):
                 x = float(node)
                 return x if math.isfinite(x) else None
-            if isinstance(node, (int, np.integer, bool)):
-                return node
             return node
 
         return json.dumps(walk(self.to_dict()), indent=indent, sort_keys=True)
@@ -310,8 +307,18 @@ def _log_lik_and_score(template: ModelTemplate, values, data):
             + theta * np.exp(-log_d) * (m_odds + n - 1.0)
         )
         terms = [log_z, log_s, log_s * (n + m_odds), gbar_d, w_alpha]
-        for dlogg, dlogsf in b.log_partials(t):
+        partials = b.log_partials(np.maximum(t, b._eval_floor()))  # floored as the density is
+        for dlogg, dlogsf, _ in partials:
             terms += [dlogg, dlogsf * per_log_sf]
+        if log_z.min() < -690.0:
+            # where 1 - s^theta < 1e-300, m_odds overflows while d(log sf_G) =
+            # -(G/sf_G) d(log G) underflows; to double precision log s * m_odds
+            # is (m-1)/theta there, and each baseline parameter's d(log sf_G)
+            # term (at 6 + 2i, after its d log g) is (m-1) d(log G)
+            deep = log_z < -690.0
+            terms[2][deep] = n * log_s[deep] + (m - 1.0) / theta
+            for i, (_, _, dlogcdf) in enumerate(partials):
+                terms[6 + 2 * i][deep] = (m - 1.0) * dlogcdf[deep]
         # one reduction over all per-observation terms: the same pairwise sums as one by one
         sum_log_z, sum_log_s, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = np.array(
             terms
@@ -328,88 +335,37 @@ def _log_lik_and_score(template: ModelTemplate, values, data):
     return total, full.take(template._free_slots)
 
 
-def _has_partials(template: ModelTemplate) -> bool:
-    """Whether the baseline codes the partials that the analytic score needs."""
-    b_cls = BASELINE_FAMILIES[template.baseline]
-    return hasattr(b_cls, "log_partials")
-
-
-def score(template: ModelTemplate, params, data, mode: str = "analytic") -> np.ndarray:
+def score(template: ModelTemplate, params, data) -> np.ndarray:
     """Gradient of the log-likelihood in the template's free parameters.
 
-    ``analytic`` uses closed-form partials (requires a baseline with coded
-    derivatives; falls back to finite differences with a warning otherwise);
-    where the likelihood is zero it returns an all-NaN vector, without a
-    warning.  ``finite_difference`` uses 5-point central differencing.
+    Closed-form: the baseline's ``log_partials`` chained through the tilt and
+    the beta layer.  Where the likelihood is zero it is an all-NaN vector.
     """
-    if mode == "analytic":
-        if _has_partials(template):
-            return _log_lik_and_score(template, params, data)[1]
-        warnings.warn(
-            f"no analytic partials for baseline {template.baseline!r}; "
-            "falling back to finite differences",
-            stacklevel=2,
-        )
-        mode = "finite_difference"
-    if mode != "finite_difference":
-        raise ValueError(f"unknown score mode {mode!r}")
-    if isinstance(params, dict):
-        values = dict(template.fixed, **params)
-        x = np.array([values[name] for name in template.free_names])
-    else:
-        x = np.asarray(params, dtype=float)
-
-    def ll(vec):
-        return log_likelihood(template, vec, data)
-
-    out = np.empty(len(x))
-    for i in range(len(x)):
-        h = 1e-3 * max(abs(x[i]), 1e-3)
-        e = np.zeros_like(x)
-        e[i] = 1.0
-        out[i] = (
-            -ll(x + 2 * h * e) + 8 * ll(x + h * e) - 8 * ll(x - h * e) + ll(x - 2 * h * e)
-        ) / (12 * h)
-    return out
+    return _log_lik_and_score(template, params, data)[1]
 
 
 # --- observed information and intervals ---------------------------------------
 
 
 def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarray:
-    """Negative Hessian of the log-likelihood by central differences."""
+    """Negative Hessian of the log-likelihood: central differences of ``score``, symmetrized.
+
+    The steps are 1e-4 of each value (relative, so a tiny rate keeps its
+    precision).  A non-finite entry raises ``ArithmeticError``.
+    """
     if isinstance(params_hat, dict):
         x = np.array([dict(template.fixed, **params_hat)[n] for n in template.free_names])
     else:
         x = np.asarray(params_hat, dtype=float)
-    names = template.free_names
-    k = len(x)
-    h = 1e-4 * np.abs(x)  # relative: an absolute floor would swamp a small rate
-
-    def ll(vec):
-        return log_likelihood(template, vec, data)
-
-    base = ll(x)
-    H = np.empty((k, k))
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        H[i, i] = (ll(x + ei) - 2.0 * base + ll(x - ei)) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                ll(x + ei + ej) - ll(x + ei - ej) - ll(x - ei + ej) + ll(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    if not np.all(np.isfinite(H)):
-        bad = [
-            (names[i], names[j])
-            for i in range(k)
-            for j in range(k)
-            if not np.isfinite(H[i, j])
-        ]
-        raise ArithmeticError(f"non-finite observed information for parameter pairs {bad}")
+    H = np.array([
+        (score(template, x + e, data) - score(template, x - e, data)) / (2.0 * e[i])
+        for i, e in enumerate(np.diag(1e-4 * np.abs(x)))
+    ])
     info = -0.5 * (H + H.T)
+    if not np.all(np.isfinite(info)):
+        names = template.free_names
+        bad = [(names[i], names[j]) for i, j in zip(*np.nonzero(~np.isfinite(info))) if i <= j]
+        raise ArithmeticError(f"non-finite observed information for parameter pairs {bad}")
     return info
 
 
@@ -421,18 +377,13 @@ def wald_interval(estimate: float, std_error: float, gamma: float = 0.05):
     return estimate - z * std_error, estimate + z * std_error
 
 
-class InfoCriteria(tuple):
+class InfoCriteria(NamedTuple):
     """(aic, bic, caic, hqic) with named access."""
 
-    __slots__ = ()
-
-    def __new__(cls, aic, bic, caic, hqic):
-        return super().__new__(cls, (aic, bic, caic, hqic))
-
-    aic = property(lambda self: self[0])
-    bic = property(lambda self: self[1])
-    caic = property(lambda self: self[2])
-    hqic = property(lambda self: self[3])
+    aic: float
+    bic: float
+    caic: float
+    hqic: float
 
 
 def info_criteria(log_l: float, k: int, n: int) -> InfoCriteria:
@@ -502,12 +453,6 @@ def _to_params(x, scale: tuple[int, int] | None):
     return params, jac
 
 
-def _neg_log_lik(x, template: ModelTemplate, data, scale) -> float:
-    """Negative log-likelihood at search point x; inf where the likelihood is zero."""
-    value = log_likelihood(template, _to_params(x, scale)[0], data)
-    return -value if math.isfinite(value) else math.inf
-
-
 def _objective(x, template: ModelTemplate, data, scale):
     """Negative log-likelihood at search point x and its gradient in x.
 
@@ -536,9 +481,8 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     Runs one L-BFGS-B descent from each of ``config.starts`` scrambled-Sobol
     points in the log-space box of the search coordinates (see ``FitConfig``
     for the coordinates, their ``start_box`` keys and default boxes), on the
-    negative log-likelihood and its gradient: the analytic score times
-    d(params)/d(coordinates), or scipy's 3-point differences in the box for
-    a baseline without coded partials.  It keeps the best final value (ties
+    negative log-likelihood and its gradient, the analytic score times
+    d(params)/d(coordinates).  It keeps the best final value (ties
     within ``f_tol`` broken toward the lexicographically smaller coordinate
     vector).
     A coordinate that ends on a bound with the projected gradient pointing
@@ -588,14 +532,10 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     trace = []
     bounds = list(zip(lo, hi))
     options = dict(maxiter=config.max_iter, ftol=config.f_tol)
-    # without coded partials, scipy differences the objective itself: its
-    # stencil stays in the box, where score's fixed finite-difference stencil
-    # can leave the support (the exponentiated-Pareto location near min(data))
-    fun, jac = (_objective, True) if _has_partials(template) else (_neg_log_lik, "3-point")
     for x0 in starts:
         t0 = time.perf_counter()
         run = minimize(
-            fun, x0, args=(template, data, scale), jac=jac,
+            _objective, x0, args=(template, data, scale), jac=True,
             method="L-BFGS-B", bounds=bounds, options=options,
         )
         trace.append(Restart(
@@ -628,10 +568,8 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     estimates = {n: float(v) for n, v in zip(free, estimates_vec)}
     log_l = -float(best.fun)
 
-    info_pd = False
-    cov = None
+    info_pd, cov, ci = False, None, None
     se = {n: math.nan for n in free}
-    ci = None
     try:
         info = observed_information(template, estimates_vec, data)
         np.linalg.cholesky(info)
@@ -643,7 +581,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
             ci = {
                 n: wald_interval(estimates[n], se[n], config.level) for n in free
             }
-    except (np.linalg.LinAlgError, ArithmeticError):
+    except (np.linalg.LinAlgError, ArithmeticError, ValueError):
         pass
 
     crit = info_criteria(log_l, k, int(data.size))

@@ -11,8 +11,10 @@ the matching parameters against them.  Names follow the sub-families:
 
 ``inverse_transform_sample`` is the quantile route to random draws, against
 which the family's gamma-ratio sampler is compared, ``cdf_sf_mp`` the
-family's cdf and sf at 50 digits, and ``tanhsinh_support_quad`` the support
-integral of ``series._support_quad`` by scipy's tanh-sinh solver.
+family's cdf and sf at 50 digits, ``tanhsinh_support_quad`` the support
+integral of ``series._support_quad`` by scipy's tanh-sinh solver, and
+``finite_difference_score`` the fitter's score by differences of its
+log-likelihood.
 """
 
 from __future__ import annotations
@@ -140,3 +142,32 @@ def tanhsinh_support_quad(fn, baseline, *args):
     if np.any(res.status != 0):
         raise ArithmeticError(f"tanh-sinh status {res.status}")
     return res.integral
+
+
+def finite_difference_score(template, params, data, error=False):
+    """Gradient of ``bgmo.fitting.log_likelihood`` by 5-point central differences.
+
+    The step in each free parameter is 1e-3 of its value (at least 1e-6), so
+    the stencil spans +-0.2% of it; an entry is non-finite where the stencil
+    leaves the support.  With ``error``, also a bound on each entry's error:
+    twice its gap to the 3-point difference of the inner points (truncation)
+    plus 1e3 eps |log L| / h (rounding).
+    """
+    from bgmo.fitting import log_likelihood
+
+    if isinstance(params, dict):
+        values = dict(template.fixed, **params)
+        x = np.array([values[name] for name in template.free_names], dtype=float)
+    else:
+        x = np.asarray(params, dtype=float)
+    out, err = np.empty(len(x)), np.empty(len(x))
+    for i in range(len(x)):
+        h = 1e-3 * max(abs(x[i]), 1e-3)
+        e = np.zeros(len(x))
+        e[i] = h
+        ll = [log_likelihood(template, x + j * e, data) for j in (2, 1, -1, -2)]
+        up2, up, down, down2 = ll
+        out[i] = (-up2 + 8.0 * up - 8.0 * down + down2) / (12.0 * h)
+        rounding = 1e3 * np.finfo(float).eps * np.max(np.abs(ll)) / h
+        err[i] = 2.0 * abs(out[i] - (up - down) / (2.0 * h)) + rounding
+    return (out, err) if error else out

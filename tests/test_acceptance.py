@@ -208,8 +208,8 @@ class TestScoreCorrectness:
                 values["lam"] = float(rng.uniform(0.4, 2.0))
                 if baseline == "weibull":
                     values["beta"] = float(rng.uniform(0.6, 2.5))
-                sa = score(tpl, values, data, "analytic")
-                sf = score(tpl, values, data, "finite_difference")
+                sa = score(tpl, values, data)
+                sf = oracles.finite_difference_score(tpl, values, data)
                 worst = max(worst, float(np.max(np.abs(sa - sf) / np.maximum(np.abs(sf), 1e-6))))
         ok = worst <= 1e-5
         report(9, ok, f"max relative gradient gap over 40 interior points = {worst:.3g}")

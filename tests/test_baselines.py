@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bgmo.baselines import (
+    BASELINE_FAMILIES,
     Exponential,
     ExponentiatedPareto,
     ExtendedWeibull,
@@ -89,19 +90,46 @@ class TestCommonContracts:
             assert f"{name}={shown}" in text
 
 
-@pytest.mark.parametrize("b", [Exponential(1.3), Weibull(0.8, 2.2)], ids=lambda b: b.tag)
+# every family once, the extended Weibull once per Z kind
+PARTIALS_CASES = [b for b in ALL_FAMILIES if not isinstance(b, ExtendedWeibull)] + [
+    ExtendedWeibull(1.2, ZFunction(kind, k=0.5, beta=0.7))
+    for kind in ("linear", "square", "log_ratio", "gompertz_link")
+]
+
+
+def test_every_family_codes_its_partials():
+    assert {type(b) for b in PARTIALS_CASES} == set(BASELINE_FAMILIES.values())
+    for cls in BASELINE_FAMILIES.values():
+        assert "log_partials" in vars(cls), cls.__name__
+
+
+@pytest.mark.parametrize(
+    "b", PARTIALS_CASES,
+    ids=lambda b: f"{b.tag}-{b.z.kind}" if isinstance(b, ExtendedWeibull) else b.tag,
+)
 def test_log_partials_match_central_differences(b):
     ts = b.quantile(np.linspace(0.02, 0.98, 13))
     partials = b.log_partials(ts)
     assert len(partials) == len(b.param_names)
-    for name, (d_log_pdf, d_log_sf) in zip(b.param_names, partials):
+    for name, triple in zip(b.param_names, partials):
         value = getattr(b, name)
         h = 1e-6 * value
         up = dataclasses.replace(b, **{name: value + h})
         down = dataclasses.replace(b, **{name: value - h})
-        for got, fn in ((d_log_pdf, "_log_pdf"), (d_log_sf, "_log_sf")):
+        for got, fn in zip(triple, ("log_pdf", "log_sf", "log_cdf")):
             diff = (getattr(up, fn)(ts) - getattr(down, fn)(ts)) / (2.0 * h)
             np.testing.assert_allclose(got, diff, rtol=1e-6)
+    # finite deep in both tails, next to the exponentiated-Pareto location too
+    with np.errstate(all="ignore"):
+        tails = b.log_partials(b.quantile(np.array([1e-10, 1.0 - 1e-10])))
+    assert np.all(np.isfinite(tails))
+
+
+def test_frechet_partials_where_z_underflows():
+    # z = (delta/t)^lam is 0 at t = 1e200, and z/expm1(z) takes its limit 1
+    (_, sf_lam, _), (_, sf_delta, _) = Frechet(2.0, 1.5).log_partials(np.array([1e200]))
+    np.testing.assert_allclose(sf_lam, math.log(1.5 / 1e200), rtol=1e-15)
+    np.testing.assert_allclose(sf_delta, 2.0 / 1.5, rtol=1e-15)
 
 
 class TestWeibullLogCdf:

@@ -4,10 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from bgmo.baselines import Weibull
 from bgmo.datasets import BUILTIN_NAMES, builtin_dataset
+from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.fitting import (
+    FAMILY_PARAM_NAMES,
     FitConfig,
     _default_box,
     _objective,
@@ -22,9 +27,24 @@ from bgmo.fitting import (
     score,
     wald_interval,
 )
+from test_family import SHAPE_BOX
+from test_gmo import ALL_BASELINES, BASELINE_IDS
 
 
 NESTED = {"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0}
+# per baseline, the ranges its parameters are drawn from; TestScore's data are
+# at least 0.05, above every exponentiated-Pareto location drawn here and the
+# oracle's stencil around it
+BASELINE_RANGES = {
+    "exponential": {"lam": (0.4, 2.0)},
+    "weibull": {"lam": (0.4, 2.0), "beta": (0.6, 2.5)},
+    "lomax": {"beta": (0.4, 3.0), "delta": (0.4, 3.0)},
+    "frechet": {"lam": (0.6, 2.5), "delta": (0.4, 2.0)},
+    "gompertz": {"beta": (0.4, 2.0), "lam": (0.2, 1.5)},
+    "extended_weibull": {"delta": (0.4, 2.0)},
+    "modified_weibull": {"sigma": (0.2, 1.5), "beta": (0.2, 1.5), "gamma": (0.6, 2.5)},
+    "exponentiated_pareto": {"theta_p": (0.01, 0.045), "k": (0.4, 3.0), "gamma": (0.4, 3.0)},
+}
 
 
 def exp_reduction_template():
@@ -106,23 +126,17 @@ class TestLogLikelihood:
 
 
 class TestScore:
-    @pytest.mark.parametrize("baseline", ["exponential", "weibull"])
+    @pytest.mark.parametrize("baseline", list(BASELINE_RANGES))
     def test_analytic_matches_finite_difference(self, baseline):
         rng = np.random.default_rng(31)
         data = rng.exponential(1.0, 80) + 0.05
         tpl = ModelTemplate(baseline)
         for _ in range(20):
-            values = {
-                "m": float(rng.uniform(0.4, 3)),
-                "n": float(rng.uniform(0.4, 3)),
-                "theta": float(rng.uniform(0.4, 3)),
-                "alpha": float(rng.uniform(0.4, 3)),
-                "lam": float(rng.uniform(0.4, 2)),
-            }
-            if baseline == "weibull":
-                values["beta"] = float(rng.uniform(0.6, 2.5))
-            sa = score(tpl, values, data, "analytic")
-            sf = score(tpl, values, data, "finite_difference")
+            values = {name: float(rng.uniform(0.4, 3)) for name in FAMILY_PARAM_NAMES}
+            for name, (lo, hi) in BASELINE_RANGES[baseline].items():
+                values[name] = float(rng.uniform(lo, hi))
+            sa = score(tpl, values, data)
+            sf = oracles.finite_difference_score(tpl, values, data)
             rel = np.max(np.abs(sa - sf) / np.maximum(np.abs(sf), 1e-6))
             assert rel <= 1e-5
 
@@ -134,10 +148,21 @@ class TestScore:
         values = {"m": 0.3107, "n": 0.2833, "theta": 0.5414, "alpha": 0.3384,
                   "lam": 3.6325, "beta": 2.9785}
         assert math.isfinite(log_likelihood(tpl, values, data))
-        sa = score(tpl, values, data, "analytic")
-        sf = score(tpl, values, data, "finite_difference")
+        sa = score(tpl, values, data)
+        sf = oracles.finite_difference_score(tpl, values, data)
         assert np.all(np.isfinite(sa))
         np.testing.assert_allclose(sa, sf, rtol=1e-6)
+
+    def test_analytic_is_finite_where_baseline_cdf_underflows(self):
+        # G(1e-130) = 1e-325 is below the smallest double, so 1 - s^theta is
+        # too, and (1-m) s^theta/(1 - s^theta) overflows; the score takes
+        # d(log sf_G) there from d(log G)
+        data = np.array([1e-130, 0.5, 1.0, 1.5])
+        tpl = ModelTemplate("weibull")
+        values = {"m": 0.5, "n": 1.3, "theta": 1.2, "alpha": 0.8, "lam": 1.0, "beta": 2.5}
+        sa = score(tpl, values, data)
+        assert np.all(np.isfinite(sa))
+        np.testing.assert_allclose(sa, oracles.finite_difference_score(tpl, values, data), rtol=1e-6)
 
     def test_digamma_terms_in_shape_gradient(self):
         # the m-component separates into digamma terms plus a data sum;
@@ -147,23 +172,20 @@ class TestScore:
         tpl = ModelTemplate("exponential")
         values = {"m": 1.4, "n": 1.4, "theta": 1.0, "alpha": 1.0, "lam": 1.0}
         data = np.array([0.3, 0.9, 2.1])
-        sa = score(tpl, values, data, "analytic")
+        sa = score(tpl, values, data)
         h = 1e-6
         dlogB = (log_beta(1.4 + h, 1.4) - log_beta(1.4 - h, 1.4)) / (2 * h)
         tilted_sf = np.exp(-data)  # alpha = theta = 1: s = baseline sf
         data_part = np.sum(np.log1p(-tilted_sf))
         assert sa[0] == pytest.approx(-len(data) * dlogB + data_part, rel=1e-6)
 
-    def test_fallback_warns_without_partials(self):
-        tpl = ModelTemplate("lomax")
-        values = {"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0, "beta": 2.0, "delta": 1.0}
-        with pytest.warns(UserWarning):
-            g = score(tpl, values, [0.5, 1.5], "analytic")
-        assert np.all(np.isfinite(g))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            score(ModelTemplate("exponential"), {}, [1.0], "symbolic")
+    def test_finite_at_the_support_edge(self):
+        # an observation at 0 has a finite log density for beta < 1, taken at
+        # the support's floor; the partials must be taken there too
+        tpl = ModelTemplate("weibull", fixed=NESTED)
+        values = {"lam": 0.8, "beta": 0.6}
+        assert math.isfinite(log_likelihood(tpl, values, [0.0, 0.5, 1.2]))
+        assert np.all(np.isfinite(score(tpl, values, [0.0, 0.5, 1.2])))
 
     def test_nan_where_likelihood_is_zero(self):
         tpl = ModelTemplate("weibull")
@@ -173,6 +195,30 @@ class TestScore:
             assert log_likelihood(tpl, values, [-1.0, 1.0]) == -math.inf
             g = score(tpl, values, [-1.0, 1.0])
         assert g.shape == (6,) and np.all(np.isnan(g))
+
+
+class TestScoreOverTheBox:
+    """Properties over (m, n, theta, alpha) in [1e-2, 1e2]^4, on 40 draws of the distribution.
+
+    - The score is finite wherever the log-likelihood is.
+    - Where the oracle's +-0.2% stencil stays on the support, the score
+      matches it within 1e-6 relative plus the oracle's own error bound.
+    """
+
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=BASELINE_IDS)
+    @given(shapes=SHAPE_BOX, seed=st.integers(0, 2**32 - 1))
+    def test_properties(self, baseline, shapes, seed):
+        data = BgmoDistribution(BgmoParams(*shapes), baseline).sample(40, seed)
+        tpl = ModelTemplate(baseline.tag)
+        values = dict(zip(FAMILY_PARAM_NAMES, shapes))
+        values.update((name, getattr(baseline, name)) for name in baseline.param_names)
+        if not math.isfinite(log_likelihood(tpl, values, data)):
+            return
+        g = score(tpl, values, data)
+        assert np.all(np.isfinite(g))
+        fd, err = oracles.finite_difference_score(tpl, values, data, error=True)
+        if np.all(np.isfinite(fd)):
+            assert np.all(np.abs(g - fd) <= 1e-6 * np.maximum(np.abs(fd), 1.0) + err)
 
 
 class TestSearchGradient:
@@ -288,7 +334,7 @@ class TestObservedInformation:
     def test_relative_steps_follow_the_data_scale(self):
         # in units 100 times smaller the nested Weibull rate is about 1e-11,
         # far below an absolute step of 1e-6; SE(beta) does not depend on
-        # the units, up to the stencil's truncation error (1.1e-3 measured)
+        # the units, up to the differences' truncation error (7.1e-4 measured)
         data = builtin_dataset("turbocharger").values
         tpl = ModelTemplate("weibull", fixed=NESTED)
         se = []
@@ -317,7 +363,7 @@ class TestFitMle:
         data = rng.exponential(1 / 1.7, 500)
         tpl = exp_reduction_template()
         result = fit_mle(tpl, data, FitConfig(starts=6, seed=1))
-        g = score(tpl, [result.estimates["lam"]], data, "analytic")
+        g = score(tpl, [result.estimates["lam"]], data)
         assert abs(g[0]) <= 1e-3 * abs(result.log_likelihood)
 
     def test_deterministic_given_seed(self):
@@ -361,11 +407,11 @@ class TestFitMle:
         assert result.estimates["lam"] == pytest.approx(scale ** -shape, rel=1e-2)
         assert result.converged and result.at_boundary == ()
 
-    def test_fit_without_coded_partials(self):
-        # exponentiated Pareto has no coded partials; its likelihood rises
-        # toward theta_p = min(data), where a fixed finite-difference stencil
-        # leaves the support.  A Nelder-Mead search of the same box reaches
-        # -300.5447 with gamma on its upper bound.
+    def test_exponentiated_pareto_fit_at_the_support_edge(self):
+        # the likelihood rises toward theta_p = min(data), the edge of the
+        # support, where a fixed finite-difference stencil would leave it.
+        # A Nelder-Mead search of the same box reaches -300.5447 with gamma
+        # on its upper bound.
         data = builtin_dataset("nicotine").values
         tpl = ModelTemplate(
             "exponentiated_pareto", fixed={"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0}
