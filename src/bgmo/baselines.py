@@ -1,9 +1,10 @@
 """Baseline lifetime distributions feeding the tilt and beta layers.
 
-Each family exposes the density, distribution/survival functions (plus their
-logarithms, which the upper layers need for deep-tail work), the quantile, and
-the lower end of its support.  Families are immutable after construction and
-all methods accept scalars or numpy arrays.
+Each family codes one cumulative hazard h in closed form, with its inverse,
+and the density; ``Baseline`` derives from them the distribution and survival
+functions (plus their logarithms, which the upper layers need for deep-tail
+work), the quantile and the inverse survival function.  Families are
+immutable after construction and all methods accept scalars or numpy arrays.
 
 CLI-facing names use the conventional greek spellings (``lambda``, ``beta``,
 ...); see ``make_baseline``.
@@ -36,18 +37,8 @@ __all__ = [
 ]
 
 
-
 def _maybe_scalar(out, scalar_in: bool):
     return float(out) if scalar_in else out
-
-
-def _from_hazard(h, pairs):
-    """``log_partials`` from (d log g, d log H) per parameter, for log sf = -H.
-
-    d log sf = -H d log H and d log G = d log H * H/expm1(H), also where H underflows.
-    """
-    neg_h, cdf_factor = -h, 1.0 / exprel(h)
-    return [(dlogg, neg_h * dlogh, dlogh * cdf_factor) for dlogg, dlogh in pairs]
 
 
 def _require_positive(**params):
@@ -59,21 +50,26 @@ def _require_positive(**params):
 class Baseline:
     """Common behaviour for the concrete families below.
 
-    Subclasses implement, on arrays already floored to the support:
+    Each family has one cumulative hazard h: h = -log sf, or h = -log G where
+    ``_lower_tail`` is set.  Subclasses implement, on arrays already floored
+    to the support:
 
-    - ``_log_pdf``, ``_log_sf`` and ``_quantile``;
-    - ``_log_cdf(t, log_sf)``, given the log sf, and ``_cdf`` where
-      ``-expm1(log_sf)`` loses precision, or ``_log_cum_hazard`` where the
-      cumulative hazard underflows near 0;
+    - ``_hazard(t)``, ``_inv_hazard(y)`` (the t with h(t) = y) and ``_log_pdf``;
+    - ``_log_hazard(t)``, log h in closed form where h underflows; it is read
+      only where h is not a normal double;
     - ``log_partials(t)``: for the fitter's analytic score, the triples
       (d log g, d log sf, d log G) per parameter in ``param_names`` order,
-      d log G precise where G underflows; families with a cumulative hazard
-      H = -log sf build them from d log H (``_from_hazard``).
+      d log G precise where G underflows; ``_from_hazard`` builds them from
+      d log h.
 
-    This class handles support masking and scalar passthrough.  ``log_parts``
-    (or ``log_tails`` where the density is not needed) is the one pass the
-    family layer makes: log g, log sf and log G from one floor, one
-    ``_log_sf`` and one support mask (none where every point is on the
+    From h this class derives both tails: e^-h is the tail h belongs to and
+    -expm1(-h) the other, whose log is log h where h is tiny, so both keep
+    their relative precision.  The quantile and the inverse survival function
+    are h⁻¹ at -log p for a level p of h's own tail and at -log1p(-p) for the
+    other.  It also handles support masking and scalar passthrough.
+    ``log_parts`` (or ``log_tails`` where the density is not needed) is the
+    one pass the family layer makes: log g, log sf and log G from one floor,
+    one ``_hazard`` and one support mask (none where every point is on the
     support).
     """
 
@@ -82,6 +78,7 @@ class Baseline:
     option_names: tuple[str, ...] = ()  # structural settings, never fitted
     hazard_rate: str | None = None  # the r of log sf = -r*Z(t), if any
     support_low = 0.0
+    _lower_tail = False  # h is -log G rather than -log sf
 
     def params(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self.param_names}
@@ -102,16 +99,16 @@ class Baseline:
         return self._on_support(self._log_pdf, t, -np.inf)
 
     def cdf(self, t):
-        return self._on_support(lambda x: np.clip(self._cdf(x), 0.0, 1.0), t, 0.0)
+        return self._on_support(lambda x: self._tails(x)[1], t, 0.0)
 
     def sf(self, t):
-        return self._on_support(lambda x: np.clip(np.exp(self._log_sf(x)), 0.0, 1.0), t, 1.0)
+        return self._on_support(lambda x: self._tails(x)[0], t, 1.0)
 
     def log_sf(self, t):
-        return self._on_support(self._log_sf, t, 0.0)
+        return self._on_support(lambda x: self._log_tails(x)[0], t, 0.0)
 
     def log_cdf(self, t):
-        return self._on_support(lambda x: self._log_cdf(x, self._log_sf(x)), t, -np.inf)
+        return self._on_support(lambda x: self._log_tails(x)[1], t, -np.inf)
 
     def log_parts(self, t):
         """(log g, log sf, log G) at t, as arrays equal to ``log_pdf``, ``log_sf`` and ``log_cdf``."""
@@ -124,18 +121,14 @@ class Baseline:
         return self._masked(self._log_tails, t, (0.0, -np.inf))
 
     def hrf(self, t):
-        return self._on_support(lambda x: np.exp(self._log_pdf(x) - self._log_sf(x)), t, 0.0)
+        return self._on_support(lambda x: np.exp(self._log_pdf(x) - self._log_tails(x)[0]), t, 0.0)
 
     def quantile(self, u):
-        scalar = np.isscalar(u)
-        u = np.asarray(u, dtype=float)
-        if np.any((u <= 0.0) | (u >= 1.0)):
-            raise ValueError("quantile requires u in (0, 1)")
-        return _maybe_scalar(self._quantile(u), scalar)
+        return self._invert(u, lower=True)
 
     def isf(self, q):
-        """Inverse survival: the t with sf(t) = q."""
-        return _maybe_scalar(self._isf(np.asarray(q, dtype=float)), np.isscalar(q))
+        """Inverse survival: the t with sf(t) = q; q = 1 gives the support edge."""
+        return self._invert(q, lower=False)
 
     def _on_support(self, fn, t, outside):
         """fn on the support (points nudged up to its floor), ``outside`` below it."""
@@ -154,28 +147,49 @@ class Baseline:
             return parts
         return tuple(np.where(on, part, value) for part, value in zip(parts, outside))
 
+    def _by_tail(self, own, other):
+        """(sf part, G part) from the parts of h's own tail and of the other tail."""
+        return (other, own) if self._lower_tail else (own, other)
+
+    def _tails(self, t):
+        h = self._hazard(t)
+        return self._by_tail(np.exp(-h), -np.expm1(-h))
+
     def _log_tails(self, t):
-        # one _log_sf, from which the log cdf follows
-        log_sf = self._log_sf(t)
-        return log_sf, self._log_cdf(t, log_sf)
-
-    def _cdf(self, t):
-        return -np.expm1(self._log_sf(t))
-
-    def _log_cdf(self, t, log_sf):
-        # log(1 - e^-H), H = -log sf; where H is not a normal double, log H,
-        # finite where H itself underflows
-        out = np.log(-np.expm1(log_sf))
-        tiny = log_sf > -_TINY
+        # -h and log(1 - e^-h); where h is not a normal double, log h, finite
+        # where h itself underflows
+        h = self._hazard(t)
+        other = np.log(-np.expm1(-h))
+        tiny = h < _TINY
         if np.any(tiny):
-            out = np.where(tiny, self._log_cum_hazard(t, log_sf), out)
-        return out
+            other = np.where(tiny, self._log_hazard(t), other)
+        return self._by_tail(-h, other)
 
-    def _log_cum_hazard(self, t, log_sf):
-        return np.log(-log_sf)
+    def _log_hazard(self, t):
+        return np.log(self._hazard(t))
 
-    def _isf(self, q):
-        return self._quantile(1.0 - q)
+    def _invert(self, p, lower):
+        """h⁻¹ at the level p of G (``lower``) or of sf, after checking its domain.
+
+        quantile levels lie in (0, 1) and isf levels in (0, 1]; h⁻¹(inf) at
+        a level 1 of the other tail is the support edge, so no warning is raised.
+        """
+        scalar = np.isscalar(p)
+        p = np.asarray(p, dtype=float)
+        if ((p <= 0.0) | (p >= 1.0 if lower else p > 1.0)).any():
+            raise ValueError("quantile requires u in (0, 1)" if lower else "isf requires q in (0, 1]")
+        with np.errstate(all="ignore"):
+            y = -np.log(p) if lower == self._lower_tail else -np.log1p(-p)
+            return _maybe_scalar(self._inv_hazard(y), scalar)
+
+    def _from_hazard(self, h, pairs):
+        """``log_partials`` from (d log g, d log h) per parameter.
+
+        d log of h's own tail is -h d log h, and of the other tail
+        d log h * h/expm1(h), also where h underflows.
+        """
+        neg_h, other = -h, 1.0 / exprel(h)
+        return [(dlogg, *self._by_tail(neg_h * dlogh, dlogh * other)) for dlogg, dlogh in pairs]
 
     def _eval_floor(self):
         # evaluation points are nudged just above the support edge, to the next
@@ -195,20 +209,17 @@ class Exponential(Baseline):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
+    def _hazard(self, t):
+        return self.lam * t
+
+    def _inv_hazard(self, y):
+        return y / self.lam
+
     def _log_pdf(self, t):
         return math.log(self.lam) - self.lam * t
 
-    def _log_sf(self, t):
-        return -self.lam * t
-
-    def _quantile(self, u):
-        return -np.log1p(-u) / self.lam
-
-    def _isf(self, q):
-        return -np.log(q) / self.lam
-
     def log_partials(self, t):
-        return _from_hazard(self.lam * t, ((1.0 / self.lam - t, 1.0 / self.lam),))
+        return self._from_hazard(self.lam * t, ((1.0 / self.lam - t, 1.0 / self.lam),))
 
 
 @dataclass(frozen=True, repr=False)
@@ -223,6 +234,15 @@ class Weibull(Baseline):
     def __post_init__(self):
         _require_positive(lam=self.lam, beta=self.beta)
 
+    def _hazard(self, t):
+        return self.lam * t**self.beta
+
+    def _log_hazard(self, t):
+        return math.log(self.lam) + self.beta * np.log(t)
+
+    def _inv_hazard(self, y):
+        return (y / self.lam) ** (1.0 / self.beta)
+
     def _log_pdf(self, t):
         return (
             math.log(self.lam)
@@ -231,22 +251,10 @@ class Weibull(Baseline):
             - self.lam * t**self.beta
         )
 
-    def _log_sf(self, t):
-        return -self.lam * t**self.beta
-
-    def _log_cum_hazard(self, t, log_sf):
-        return math.log(self.lam) + self.beta * np.log(t)
-
-    def _quantile(self, u):
-        return (-np.log1p(-u) / self.lam) ** (1.0 / self.beta)
-
-    def _isf(self, q):
-        return (-np.log(q) / self.lam) ** (1.0 / self.beta)
-
     def log_partials(self, t):
         tb, lt = t**self.beta, np.log(t)
         d_beta = (1.0 / self.beta + lt - self.lam * tb * lt, lt)
-        return _from_hazard(self.lam * tb, ((1.0 / self.lam - tb, 1.0 / self.lam), d_beta))
+        return self._from_hazard(self.lam * tb, ((1.0 / self.lam - tb, 1.0 / self.lam), d_beta))
 
 
 @dataclass(frozen=True, repr=False)
@@ -261,6 +269,12 @@ class Lomax(Baseline):
     def __post_init__(self):
         _require_positive(beta=self.beta, delta=self.delta)
 
+    def _hazard(self, t):
+        return self.beta * np.log1p(t / self.delta)
+
+    def _inv_hazard(self, y):
+        return self.delta * np.expm1(y / self.beta)
+
     def _log_pdf(self, t):
         return (
             math.log(self.beta)
@@ -268,73 +282,51 @@ class Lomax(Baseline):
             - (self.beta + 1.0) * np.log1p(t / self.delta)
         )
 
-    def _log_sf(self, t):
-        return -self.beta * np.log1p(t / self.delta)
-
-    def _quantile(self, u):
-        return self.delta * np.expm1(-np.log1p(-u) / self.beta)
-
-    def _isf(self, q):
-        return self.delta * np.expm1(-np.log(q) / self.beta)
-
     def log_partials(self, t):
         log1p_r = np.log1p(t / self.delta)
         r_delta = t / (self.delta * (self.delta + t))  # -d log1p(t/delta)/d delta
         d_beta = (1.0 / self.beta - log1p_r, 1.0 / self.beta)
         d_delta = ((self.beta + 1.0) * r_delta - 1.0 / self.delta, -r_delta / log1p_r)
-        return _from_hazard(self.beta * log1p_r, (d_beta, d_delta))
+        return self._from_hazard(self.beta * log1p_r, (d_beta, d_delta))
 
 
 @dataclass(frozen=True, repr=False)
 class Frechet(Baseline):
+    """cdf exp(-(delta/t)^lam): the cumulative hazard is that of the lower tail."""
+
     lam: float
     delta: float
 
     tag = "frechet"
     param_names = ("lam", "delta")
+    _lower_tail = True
 
     def __post_init__(self):
         _require_positive(lam=self.lam, delta=self.delta)
 
+    def _hazard(self, t):
+        return (self.delta / t) ** self.lam
+
+    def _log_hazard(self, t):
+        return self.lam * (math.log(self.delta) - np.log(t))
+
+    def _inv_hazard(self, y):
+        return self.delta * y ** (-1.0 / self.lam)
+
     def _log_pdf(self, t):
-        z = (self.delta / t) ** self.lam
         return (
             math.log(self.lam)
             + self.lam * math.log(self.delta)
             - (self.lam + 1.0) * np.log(t)
-            - z
+            - self._hazard(t)
         )
-
-    def _cdf(self, t):
-        return np.exp(-((self.delta / t) ** self.lam))
-
-    def _log_cdf(self, t, log_sf):
-        return -((self.delta / t) ** self.lam)
-
-    def _log_sf(self, t):
-        # for tiny z, log(1 - e^-z) ~ log z; the log form survives the
-        # underflow of z itself at huge t
-        log_z = self.lam * (math.log(self.delta) - np.log(t))
-        z = np.exp(log_z)
-        with np.errstate(all="ignore"):
-            return np.where(z < 1e-12, log_z, np.log(-np.expm1(-np.maximum(z, 1e-300))))
-
-    def _quantile(self, u):
-        return self.delta * (-np.log(u)) ** (-1.0 / self.lam)
-
-    def _isf(self, q):
-        return self.delta * (-np.log1p(-q)) ** (-1.0 / self.lam)
 
     def log_partials(self, t):
-        # z = (delta/t)^lam, log G = -z and d log sf/d log z = z/expm1(z) = 1/exprel(z)
-        log_ratio = math.log(self.delta) - np.log(t)
+        log_ratio = math.log(self.delta) - np.log(t)  # d log h/d lam
         z = np.exp(self.lam * log_ratio)
-        rate = self.lam / self.delta
-        tail = 1.0 / exprel(z)
-        return (
-            (1.0 / self.lam + log_ratio * (1.0 - z), log_ratio * tail, -z * log_ratio),
-            (rate * (1.0 - z), rate * tail, -z * rate),
-        )
+        rate = self.lam / self.delta  # d log h/d delta
+        d_lam = (1.0 / self.lam + log_ratio * (1.0 - z), log_ratio)
+        return self._from_hazard(z, (d_lam, (rate * (1.0 - z), rate)))
 
 
 @dataclass(frozen=True, repr=False)
@@ -349,20 +341,14 @@ class Gompertz(Baseline):
     def __post_init__(self):
         _require_positive(beta=self.beta, lam=self.lam)
 
-    def _cum_hazard(self, t):
+    def _hazard(self, t):
         return (self.beta / self.lam) * np.expm1(self.lam * t)
 
+    def _inv_hazard(self, y):
+        return np.log1p((self.lam / self.beta) * y) / self.lam
+
     def _log_pdf(self, t):
-        return math.log(self.beta) + self.lam * t - self._cum_hazard(t)
-
-    def _log_sf(self, t):
-        return -self._cum_hazard(t)
-
-    def _quantile(self, u):
-        return np.log1p(-(self.lam / self.beta) * np.log1p(-u)) / self.lam
-
-    def _isf(self, q):
-        return np.log1p(-(self.lam / self.beta) * np.log(q)) / self.lam
+        return math.log(self.beta) + self.lam * t - self._hazard(t)
 
     def log_partials(self, t):
         lam_t = self.lam * t
@@ -370,7 +356,7 @@ class Gompertz(Baseline):
         h = self.beta / self.lam * e
         log_h_lam = (lam_t * (e + 1.0) - e) / (self.lam * e)  # d log H/d lam
         d_beta = (1.0 / self.beta - e / self.lam, 1.0 / self.beta)
-        return _from_hazard(h, (d_beta, (t - h * log_h_lam, log_h_lam)))
+        return self._from_hazard(h, (d_beta, (t - h * log_h_lam, log_h_lam)))
 
 
 @dataclass(frozen=True)
@@ -456,24 +442,21 @@ class ExtendedWeibull(Baseline):
             out["beta"] = self.z.beta
         return out
 
+    def _hazard(self, t):
+        return self.delta * self.z.value(t)
+
+    def _log_hazard(self, t):
+        return math.log(self.delta) + self.z.log_value(t)
+
+    def _inv_hazard(self, y):
+        return self.z.inverse(y / self.delta)
+
     def _log_pdf(self, t):
         return math.log(self.delta) - self.delta * self.z.value(t) + np.log(self.z.deriv(t))
 
-    def _log_sf(self, t):
-        return -self.delta * self.z.value(t)
-
-    def _log_cum_hazard(self, t, log_sf):
-        return math.log(self.delta) + self.z.log_value(t)
-
-    def _quantile(self, u):
-        return self.z.inverse(-np.log1p(-u) / self.delta)
-
-    def _isf(self, q):
-        return self.z.inverse(-np.log(q) / self.delta)
-
     def log_partials(self, t):
         z = self.z.value(t)
-        return _from_hazard(self.delta * z, ((1.0 / self.delta - z, 1.0 / self.delta),))
+        return self._from_hazard(self.delta * z, ((1.0 / self.delta - z, 1.0 / self.delta),))
 
 
 @dataclass(frozen=True, repr=False)
@@ -492,53 +475,54 @@ class ModifiedWeibull(Baseline):
             raise ValueError("need sigma, beta >= 0 with sigma + beta > 0")
         _require_positive(gamma=self.gamma)
 
-    def _cum_hazard(self, t):
-        return self.sigma * t + self.beta * t**self.gamma
+    def _hazard(self, t):
+        # a zero coefficient's term is left out: 0 * inf is NaN at t = inf
+        power = self.beta * t**self.gamma if self.beta else 0.0
+        return self.sigma * t + power if self.sigma else power
 
-    def _log_pdf(self, t):
-        rate = self.sigma + self.beta * self.gamma * t ** (self.gamma - 1.0)
-        return np.log(rate) - self._cum_hazard(t)
-
-    def _log_sf(self, t):
-        return -self._cum_hazard(t)
-
-    def _log_cum_hazard(self, t, log_sf):
+    def _log_hazard(self, t):
         log_t = np.log(t)
         return np.logaddexp(np.log(self.sigma) + log_t, np.log(self.beta) + self.gamma * log_t)
 
-    def _quantile(self, u):
+    def _inv_hazard(self, y):
         # no closed form: bisect the increasing cumulative hazard
-        target = np.atleast_1d(-np.log1p(-u))
+        target = np.atleast_1d(y)
         hi = np.ones_like(target)
         for _ in range(200):
-            need = self._cum_hazard(hi) < target
+            need = self._hazard(hi) < target
             if not need.any():
                 break
             hi = np.where(need, hi * 2.0, hi)
         lo = np.zeros_like(target)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            below = self._cum_hazard(mid) < target
+            below = self._hazard(mid) < target
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         out = 0.5 * (lo + hi)
-        return out.reshape(np.shape(u)) if np.shape(u) else out[0]
+        return out.reshape(np.shape(y)) if np.shape(y) else out[0]
+
+    def _log_pdf(self, t):
+        rate = self.sigma
+        if self.beta:
+            rate = rate + self.beta * self.gamma * t ** (self.gamma - 1.0)
+        return np.log(rate) - self._hazard(t)
 
     def log_partials(self, t):
         log_t = np.log(t)
         u = t ** (self.gamma - 1.0)
-        rate = self.sigma + self.beta * self.gamma * u  # the hazard
-        t_h = 1.0 / (self.sigma + self.beta * u)  # t/H
+        rate = self.sigma + self.beta * self.gamma * u  # the hazard rate
+        t_h = 1.0 / (self.sigma + self.beta * u)  # t/h
         bu_log_t = self.beta * u * log_t
         d_gamma = ((self.beta * u + self.gamma * bu_log_t) / rate - t * bu_log_t, bu_log_t * t_h)
         d_beta = (self.gamma * u / rate - t * u, u * t_h)
         hazard = self.sigma * t + self.beta * u * t
-        return _from_hazard(hazard, ((1.0 / rate - t, t_h), d_beta, d_gamma))
+        return self._from_hazard(hazard, ((1.0 / rate - t, t_h), d_beta, d_gamma))
 
 
 @dataclass(frozen=True, repr=False)
 class ExponentiatedPareto(Baseline):
-    """cdf [1 - (theta_p/t)^k]^gamma on t > theta_p."""
+    """cdf [1 - (theta_p/t)^k]^gamma on t > theta_p: the cumulative hazard is that of the lower tail."""
 
     theta_p: float
     k: float
@@ -546,6 +530,7 @@ class ExponentiatedPareto(Baseline):
 
     tag = "exponentiated_pareto"
     param_names = ("theta_p", "k", "gamma")
+    _lower_tail = True
 
     def __post_init__(self):
         _require_positive(theta_p=self.theta_p, k=self.k, gamma=self.gamma)
@@ -561,6 +546,17 @@ class ExponentiatedPareto(Baseline):
         a = self.k * np.log1p((t - self.theta_p) / self.theta_p)
         return np.where(a <= math.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
 
+    def _hazard(self, t):
+        return -self.gamma * self._log_base(t)
+
+    def _log_hazard(self, t):
+        # h ~ gamma (theta_p/t)^k far out
+        return math.log(self.gamma) + self.k * (math.log(self.theta_p) - np.log(t))
+
+    def _inv_hazard(self, y):
+        base = -np.expm1(-y / self.gamma)  # 1 - G^(1/gamma)
+        return self.theta_p * base ** (-1.0 / self.k)
+
     def _log_pdf(self, t):
         out = (
             math.log(self.gamma)
@@ -572,31 +568,6 @@ class ExponentiatedPareto(Baseline):
             out = out + (self.gamma - 1.0) * self._log_base(t)
         return out
 
-    def _cdf(self, t):
-        return np.exp(self.gamma * self._log_base(t))
-
-    def _log_cdf(self, t, log_sf):
-        return self.gamma * self._log_base(t)
-
-    def _log_sf(self, t):
-        # sf ~ gamma * (theta_p/t)^k far out; the log form survives underflow
-        log_w = self.k * (math.log(self.theta_p) - np.log(t))
-        inner = self.gamma * np.log1p(-np.exp(log_w))
-        with np.errstate(all="ignore"):
-            return np.where(
-                np.exp(log_w) < 1e-12,
-                math.log(self.gamma) + log_w,
-                np.log(-np.expm1(np.minimum(inner, -1e-300))),
-            )
-
-    def _quantile(self, u):
-        base = -np.expm1(np.log(u) / self.gamma)  # 1 - u^(1/gamma)
-        return self.theta_p * base ** (-1.0 / self.k)
-
-    def _isf(self, q):
-        base = -np.expm1(np.log1p(-q) / self.gamma)
-        return self.theta_p * base ** (-1.0 / self.k)
-
     def log_partials(self, t):
         # w = e^-a = (theta_p/t)^k, log G = gamma log(1 - w): d log G is q = 1/expm1(a) times
         # -gamma k/theta_p or gamma a/k, d log sf = -(G/sf) d log G with G/sf * q in log space
@@ -605,7 +576,7 @@ class ExponentiatedPareto(Baseline):
         log_b = self._log_base(t)
         rate, tilt = self.k / self.theta_p, (self.gamma - 1.0) / self.gamma
         d_theta_p, d_k = -self.gamma * rate, self.gamma * a / self.k
-        log_odds = self.gamma * log_b - self._log_sf(t)  # log(G/sf)
+        log_odds = self.gamma * log_b - self._log_tails(t)[0]  # log(G/sf)
         odds_q = np.exp(log_odds - a - log_b)
         return (
             (rate + tilt * d_theta_p * q, -d_theta_p * odds_q, d_theta_p * q),

@@ -17,6 +17,7 @@ from bgmo.baselines import (
     ZFunction,
     make_baseline,
 )
+from bgmo.family import BgmoDistribution, BgmoParams
 
 ALL_FAMILIES = [
     Exponential(1.3),
@@ -49,6 +50,9 @@ class TestCommonContracts:
     def test_isf_right_inverse(self, b):
         qs = np.array([1e-3, 1e-2, 0.1, 0.5, 0.9])
         np.testing.assert_allclose(b.sf(b.isf(qs)), qs, rtol=1e-9)
+        # levels where 1 - q rounds to 1, checked in log space
+        tiny = np.array([1e-20, 1e-100, 1e-300])
+        np.testing.assert_allclose(b.log_sf(b.isf(tiny)), np.log(tiny), rtol=1e-9)
 
     def test_cdf_monotone(self, b):
         ts = np.linspace(b.support_low, float(b.quantile(0.999)), 200)
@@ -95,6 +99,14 @@ PARTIALS_CASES = [b for b in ALL_FAMILIES if not isinstance(b, ExtendedWeibull)]
     ExtendedWeibull(1.2, ZFunction(kind, k=0.5, beta=0.7))
     for kind in ("linear", "square", "log_ratio", "gompertz_link")
 ]
+
+
+def test_every_family_codes_one_cumulative_hazard():
+    # the tails, quantile and isf all derive from h and its inverse in Baseline
+    derived = {"_log_sf", "_quantile", "_isf", "_cdf", "_log_cdf", "_log_cum_hazard"}
+    for cls in BASELINE_FAMILIES.values():
+        assert {"_hazard", "_inv_hazard"} <= set(vars(cls)), cls.__name__
+        assert not derived & set(vars(cls)), cls.__name__
 
 
 def test_every_family_codes_its_partials():
@@ -146,6 +158,19 @@ class TestWeibullLogCdf:
             [10.0 ** -np.arange(1, 140, 7.5), b.quantile(np.linspace(0.01, 0.99, 50))]
         )
         np.testing.assert_array_equal(b.log_cdf(ts), np.log(-np.expm1(b.log_sf(ts))))
+
+
+@pytest.mark.parametrize(
+    "b", [ModifiedWeibull(0.0, 0.8, 0.5), ModifiedWeibull(0.5, 0.0, 2.0)], ids=["sigma0", "beta0"]
+)
+def test_modified_weibull_with_a_zero_coefficient_at_infinity(b):
+    # the zero coefficient's term is left out, not taken as 0 * inf
+    assert (b.sf(math.inf), b.cdf(math.inf), b.pdf(math.inf)) == (0.0, 1.0, 0.0)
+    assert (b.log_sf(math.inf), b.log_cdf(math.inf), b.log_pdf(math.inf)) == (-math.inf, 0.0, -math.inf)
+    ts = np.array([0.3, 1.0, 4.0])
+    np.testing.assert_allclose(b.log_sf(ts), -(b.sigma * ts + b.beta * ts**b.gamma), rtol=1e-15)
+    d = BgmoDistribution(BgmoParams(1, 1, 1, 1), b)
+    np.testing.assert_allclose(d.cdf(np.array([1.0, math.inf])), [b.cdf(1.0), 1.0], rtol=1e-14)
 
 
 class TestSpotValues:
@@ -220,6 +245,17 @@ class TestParameterValidation:
             Exponential(1.0).quantile(0.0)
         with pytest.raises(ValueError):
             Weibull(1.0, 1.0).quantile(1.0)
+
+    @pytest.mark.parametrize(
+        "b", ALL_FAMILIES + [ExtendedWeibull(1.2, ZFunction("log_ratio", k=2.0))],
+        ids=lambda b: b.tag if not isinstance(b, ExtendedWeibull) else f"{b.tag}-{b.z.kind}",
+    )
+    def test_isf_domain(self, b):
+        for q in (0.0, -0.5, 2.0, np.array([0.5, 1.5])):
+            with pytest.raises(ValueError):
+                b.isf(q)
+        # q = 1 is the support edge, without a warning
+        assert b.isf(1.0) == pytest.approx(b.support_low, abs=1e-12)
 
 
 class TestExtendedWeibullReductions:

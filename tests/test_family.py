@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -99,6 +100,20 @@ class TestCdf:
         assert d.chrf(t) == pytest.approx(-math.log(sf), rel=1e-14)
         assert d.hrf(t) == pytest.approx(d.pdf(t) / sf, rel=1e-14)
         assert cdf == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("shapes", [(12, 0.7, 0.05, 0.03), (2, 3, 2, 2)])
+    def test_near_the_exponentiated_pareto_location(self, shapes):
+        # heavy k = 0.3, gamma = 0.5: the baseline sf must come from the same
+        # log(1 - (theta_p/t)^k) as its cdf, exact where (theta_p/t)^k rounds to 1
+        b = ExponentiatedPareto(0.8, 0.3, 0.5)
+        d = dist(*shapes, b)
+        ts = 0.8 * (1.0 + 10.0 ** -np.arange(1.0, 16.0))
+        want = []
+        for t in ts:
+            with mpmath.workdps(50):
+                log_g = b.gamma * mpmath.log1p(-((b.theta_p / mpmath.mpf(t)) ** b.k))
+                want.append(oracles.cdf_sf_mp(*shapes, float(mpmath.log(-mpmath.expm1(log_g)))))
+        np.testing.assert_allclose(np.stack([d.cdf(ts), d.sf(ts)], axis=1), want, rtol=1e-12)
 
     def test_limits(self):
         d = dist(2, 3, 0.5, 2.0)
@@ -370,15 +385,15 @@ class TestEvaluationOverTheBox:
 class TestOneBaselinePass:
     @pytest.mark.parametrize("name", ["log_pdf", "pdf", "cdf", "sf", "log_sf", "hrf", "rhrf"])
     def test_one_log_sf_per_call(self, monkeypatch, name):
-        # the baseline log cdf comes from the same log sf, not from a second one
+        # the baseline log sf and log cdf come from one cumulative hazard, not from two
         calls = []
-        log_sf = Weibull._log_sf
+        hazard = Weibull._hazard
 
         def counted(self, t):
             calls.append(t)
-            return log_sf(self, t)
+            return hazard(self, t)
 
-        monkeypatch.setattr(Weibull, "_log_sf", counted)
+        monkeypatch.setattr(Weibull, "_hazard", counted)
         getattr(dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0)), name)(np.linspace(0.1, 3.0, 20))
         assert len(calls) == 1
 

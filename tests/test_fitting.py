@@ -297,10 +297,10 @@ class TestObjectiveKernel:
         assert math.isfinite(_objective(x, tpl, data, scale)[0])
 
     def test_one_baseline_pass_per_evaluation(self, monkeypatch):
-        # one log_parts pass, whose one _log_sf also feeds the baseline log cdf;
+        # one log_parts pass, whose one _hazard feeds both baseline log tails;
         # no public baseline evaluation besides it
         calls = []
-        for name in ("log_parts", "_log_sf", "log_pdf", "log_sf", "log_cdf"):
+        for name in ("log_parts", "_hazard", "log_pdf", "log_sf", "log_cdf"):
             method = getattr(Weibull, name)
 
             def counted(self, t, name=name, method=method):
@@ -311,7 +311,7 @@ class TestObjectiveKernel:
         data = builtin_dataset("turbocharger").values
         tpl, _, scale = self.search_setup("weibull", {})
         _objective(np.log([1.3, 0.9, 1.1, 2.0, 6.0, 2.5]), tpl, data, scale)
-        assert sorted(calls) == ["_log_sf", "log_parts"]
+        assert sorted(calls) == ["_hazard", "log_parts"]
 
 
 class TestObservedInformation:

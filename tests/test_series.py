@@ -323,13 +323,13 @@ class TestSupportQuad:
         # the 60 terms of the series read the baseline once per node, not once per term
         d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
         points = []
-        log_sf = Weibull._log_sf
+        hazard = Weibull._hazard
 
         def counted(self, t):
             points.append(np.size(t))
-            return log_sf(self, t)
+            return hazard(self, t)
 
-        monkeypatch.setattr(Weibull, "_log_sf", counted)
+        monkeypatch.setattr(Weibull, "_hazard", counted)
         moment_direct(d, 2)
         scalar = sum(points)
         points.clear()
