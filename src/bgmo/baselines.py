@@ -64,9 +64,11 @@ class Baseline:
 
     From h this class derives both tails: e^-h is the tail h belongs to and
     -expm1(-h) the other, whose log is log h where h is tiny, so both keep
-    their relative precision.  The quantile and the inverse survival function
-    are h⁻¹ at -log p for a level p of h's own tail and at -log1p(-p) for the
-    other.  It also handles support masking and scalar passthrough.
+    their relative precision.  The density is 0 wherever h is +inf, also
+    where the family's log h' - h reads inf - inf.  The quantile and the
+    inverse survival function are h⁻¹ at -log p for a level p of h's own tail
+    and at -log1p(-p) for the other.  It also handles support masking and
+    scalar passthrough.
     ``log_parts`` (or ``log_tails`` where the density is not needed) is the
     one pass the family layer makes: log g, log sf and log G from one floor,
     one ``_hazard`` and one support mask (none where every point is on the
@@ -93,10 +95,10 @@ class Baseline:
     # --- public API -----------------------------------------------------
 
     def pdf(self, t):
-        return self._on_support(lambda x: np.exp(self._log_pdf(x)), t, 0.0)
+        return self._on_support(lambda x: np.exp(self._log_density(x)), t, 0.0)
 
     def log_pdf(self, t):
-        return self._on_support(self._log_pdf, t, -np.inf)
+        return self._on_support(self._log_density, t, -np.inf)
 
     def cdf(self, t):
         return self._on_support(lambda x: self._tails(x)[1], t, 0.0)
@@ -113,7 +115,7 @@ class Baseline:
     def log_parts(self, t):
         """(log g, log sf, log G) at t, as arrays equal to ``log_pdf``, ``log_sf`` and ``log_cdf``."""
         return self._masked(
-            lambda x: (self._log_pdf(x), *self._log_tails(x)), t, (-np.inf, 0.0, -np.inf)
+            lambda x: (self._log_density(x), *self._log_tails(x)), t, (-np.inf, 0.0, -np.inf)
         )
 
     def log_tails(self, t):
@@ -121,7 +123,9 @@ class Baseline:
         return self._masked(self._log_tails, t, (0.0, -np.inf))
 
     def hrf(self, t):
-        return self._on_support(lambda x: np.exp(self._log_pdf(x) - self._log_tails(x)[0]), t, 0.0)
+        return self._on_support(
+            lambda x: np.exp(self._log_density(x) - self._log_tails(x)[0]), t, 0.0
+        )
 
     def quantile(self, u):
         return self._invert(u, lower=True)
@@ -154,6 +158,15 @@ class Baseline:
     def _tails(self, t):
         h = self._hazard(t)
         return self._by_tail(np.exp(-h), -np.expm1(-h))
+
+    def _log_density(self, t):
+        # a family's log g holds -h, so where h overflows it is -inf or, where
+        # log h' overflows too, inf - inf; g is 0 wherever h is +inf
+        log_g = self._log_pdf(t)
+        nan = np.isnan(log_g)
+        if np.any(nan):
+            log_g = np.where(nan & (self._hazard(t) == np.inf), -np.inf, log_g)
+        return log_g
 
     def _log_tails(self, t):
         # -h and log(1 - e^-h); where h is not a normal double, log h, finite

@@ -440,14 +440,18 @@ def _to_params(x, scale: tuple[int, int] | None):
 
     Every coordinate is a log parameter, except that with ``scale = (i, j)``
     coordinate i is log sigma and parameter i is lam = sigma**(-beta), beta
-    being parameter j.
+    being parameter j.  A lam past the largest double is inf, a point of zero
+    likelihood.
     """
     params = np.exp(x)
     jac = np.diag(params)
     if scale is not None:
         i, j = scale
         beta = params[j]
-        params[i] = math.exp(-beta * x[i])
+        try:
+            params[i] = math.exp(-beta * x[i])
+        except OverflowError:
+            params[i] = math.inf
         jac[i, i] = -beta * params[i]
         jac[i, j] = -x[i] * beta * params[i]
     return params, jac

@@ -8,9 +8,11 @@ for real m they are generalized-binomial series truncated by a
 evaluations in ``family``.  The integral functionals (PWMs, moments, mgf,
 entropy) integrate over v = G(t), split at v = 1/2, with a tanh-sinh rule
 whose node ladder is computed once at import (levels 0 to 8, stopped by
-Bailey's error estimate at 1e-14 relative); each series is one batched
-integral, one per term, which shares the baseline's values at each node, and
-one dot product with its weight table.
+Bailey's error estimate at 1e-14 relative).  Levels 0 to 3 and the points of
+the upper-tail decay check share one call of the integrand; each later level
+is one call.  Each series is one batched integral, one per term, which shares
+the baseline's values at each node, and one dot product with its weight
+table.
 """
 
 from __future__ import annotations
@@ -385,10 +387,15 @@ def order_stat_pdf(
 # The tanh-sinh rule of ``_support_quad``: level 0 holds the nodes u = 0, +-1,
 # ... and level k the odd multiples of 2^-k, all within _U_MAX (past |u| = 6.17
 # every node or its weight underflows).  The first levels can misjudge their
-# error a hundredfold; the 1e-14 relative tolerance forces one more level.
+# error a hundredfold; the 1e-14 relative tolerance forces one more level, so
+# no integral stops before level 2 and few before level 3.  Levels 0 to
+# _FIRST_LEVELS - 1 (99 nodes) therefore share the first integrand call: up to
+# a few hundred nodes, a call's cost is mostly fixed dispatch.
 _U_MAX = 6.5
 _MAX_LEVEL = 8
+_FIRST_LEVELS = 4
 _RTOL = 1e-14
+_TAIL_PROBE = np.array([1e-8, 1e-11])  # sf levels of the tail-decay check
 
 
 def _tanh_sinh_level(k: int):
@@ -410,6 +417,24 @@ def _tanh_sinh_level(k: int):
 _LADDER = [_tanh_sinh_level(k) for k in range(_MAX_LEVEL + 1)]
 
 
+def _batch(levels, probe=()):
+    """One integrand call over ``levels`` of the ladder.
+
+    Returns the nodes w of the levels in order, the isf levels (w, then the
+    ``probe`` levels) and, per level, (k, its slice of w, its weights).
+    """
+    sizes = [_LADDER[k][0].size for k in levels]
+    ends = np.cumsum(sizes)
+    parts = [(k, slice(e - n, e), _LADDER[k][1]) for k, n, e in zip(levels, sizes, ends)]
+    w = np.concatenate([_LADDER[k][0] for k in levels])
+    return w, np.concatenate((w, probe)), parts
+
+
+_BATCHES = [_batch(range(_FIRST_LEVELS), _TAIL_PROBE)] + [
+    _batch([k]) for k in range(_FIRST_LEVELS, _MAX_LEVEL + 1)
+]
+
+
 def _bailey_error(older, old, new):
     """Relative error of ``new`` from the sums of the last three levels (Bailey's d1^2/d2).
 
@@ -422,7 +447,22 @@ def _bailey_error(older, old, new):
     return np.where(new == old, 0.0, np.where(np.isnan(est), np.inf, est))
 
 
-def _support_quad(fn: Callable, baseline: Baseline, *args):
+def _check_tail_decay(check: str, t, values):
+    """Raise unless t*|fn(t)| shrinks from sf = 1e-8 to sf = 1e-11 (the points t)."""
+    w1 = np.ravel(np.abs(values[..., 0]) * t[0])
+    w2 = np.ravel(np.abs(values[..., 1]) * t[1])
+    if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
+        raise DivergenceError(f"{check}: integrand not finite in the upper tail")
+    growing = np.flatnonzero((w2 > 0.9 * w1) & (w2 > 1e-280))
+    if growing.size:
+        k = growing[0]
+        raise DivergenceError(
+            f"{check}: upper-tail contribution is not decaying "
+            f"({w1[k]:.3g} at sf=1e-8 vs {w2[k]:.3g} at sf=1e-11)"
+        )
+
+
+def _support_quad(fn: Callable, baseline: Baseline, *args, check: str | None = None):
     """Integral of fn(t, *args) over the support, one per element of the broadcast args.
 
     Substituting t = Q_G(v) turns both tails into power-type endpoint
@@ -433,31 +473,44 @@ def _support_quad(fn: Callable, baseline: Baseline, *args):
     count as 0.
 
     The rule walks the node ladder ``_LADDER``: the sum at level k is half
-    that of level k - 1 plus 2^-k times the sum over its new nodes.  The args
-    get a new last axis, so the baseline (and whatever in fn depends on t
-    alone) is evaluated once per node, and only the final combination once
-    per element and node; a level's arrays are the element count times its
-    new nodes (1,578 at level 8).  It stops once Bailey's error estimate is
-    at most 1e-14 relative for every element; ``DivergenceError``, naming the
-    estimate and the count of zeroed values, is raised after level 8.
+    that of level k - 1 plus 2^-k times the sum over its new nodes.  Levels 0
+    to 3 share one call of the baseline and of fn, and each later level takes
+    one call.  The args get a new last axis, so the baseline (and whatever in
+    fn depends on t alone) is evaluated once per node, and only the final
+    combination once per element and node; a call's arrays are the element
+    count times its nodes (198 in the first call, 1,578 at level 8).  It
+    stops once Bailey's error estimate is at most 1e-14 relative for every
+    element; ``DivergenceError``, naming the estimate and the count of zeroed
+    values, is raised after level 8.
+
+    When ``check`` is given, it names the integral in a tail-decay check
+    that rejects integrands whose far-tail contribution is not shrinking.
+    Its two points, isf(1e-8) and isf(1e-11), ride along in the first call,
+    and the check raises before any sum is formed.
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     args = tuple(np.asarray(a)[..., None] for a in args)
     zeroed = np.zeros(shape, dtype=int)
     sums = []
     with np.errstate(all="ignore"):
-        for k, (w, weight) in enumerate(_LADDER):
-            t = np.concatenate((baseline.quantile(w), baseline.isf(w)))
-            ratio = np.broadcast_to(fn(t, *args) / baseline.pdf(t), shape + t.shape)
+        for w, q, parts in _BATCHES:
+            t = np.concatenate((baseline.quantile(w), baseline.isf(q)))
+            values = fn(t, *args)
+            nodes = 2 * w.size
+            if check and t.size > nodes:  # the first call, with the tail probe
+                _check_tail_decay(check, t[nodes:], values[..., nodes:])
+            ratio = np.broadcast_to(values[..., :nodes] / baseline.pdf(t[:nodes]), shape + (nodes,))
             finite = np.isfinite(ratio)
             zeroed = zeroed + np.count_nonzero(~finite, axis=-1)
             ratio = np.where(finite, ratio, 0.0)
-            level = 2.0**-k * ((ratio[..., : w.size] + ratio[..., w.size :]) @ weight)
-            sums.append(level if k == 0 else 0.5 * sums[-1] + level)
-            if k >= 2:
-                err = _bailey_error(*sums[-3:])
-                if np.all(err <= _RTOL):
-                    return float(sums[-1]) if sums[-1].ndim == 0 else sums[-1]
+            lower, upper = ratio[..., : w.size], ratio[..., w.size :]
+            for k, part, weight in parts:
+                level = 2.0**-k * ((lower[..., part] + upper[..., part]) @ weight)
+                sums.append(level if k == 0 else 0.5 * sums[-1] + level)
+                if k >= 2:
+                    err = _bailey_error(*sums[-3:])
+                    if np.all(err <= _RTOL):
+                        return float(sums[-1]) if sums[-1].ndim == 0 else sums[-1]
     i = np.unravel_index(np.argmax(err > _RTOL), shape)
     raise DivergenceError(
         f"tanh-sinh quadrature did not converge (status: {np.count_nonzero(err > _RTOL)} of "
@@ -480,24 +533,11 @@ def _exp_of(log_fn: Callable) -> Callable:
 def _log_integral(log_fn: Callable, baseline: Baseline, check: str | None, *args):
     """Integral of exp(log_fn(t, *args)) over the support, one per element of args.
 
-    When ``check`` is given, it names the integral in a check that rejects
-    integrands whose far-tail contribution is not shrinking.
+    When ``check`` is given, it names the integral in ``_support_quad``'s
+    tail-decay check, whose two points share the first integrand call with
+    ladder levels 0 to 3.
     """
-    fn = _exp_of(log_fn)
-    if check:
-        t1, t2 = (float(baseline.isf(q)) for q in (1e-8, 1e-11))
-        w1 = np.ravel(np.abs(fn(t1, *args)) * t1)
-        w2 = np.ravel(np.abs(fn(t2, *args)) * t2)
-        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
-            raise DivergenceError(f"{check}: integrand not finite in the upper tail")
-        growing = np.flatnonzero((w2 > 0.9 * w1) & (w2 > 1e-280))
-        if growing.size:
-            k = growing[0]
-            raise DivergenceError(
-                f"{check}: upper-tail contribution is not decaying "
-                f"({w1[k]:.3g} at sf=1e-8 vs {w2[k]:.3g} at sf=1e-11)"
-            )
-    return _support_quad(fn, baseline, *args)
+    return _support_quad(_exp_of(log_fn), baseline, *args, check=check)
 
 
 def _tilt_integral(

@@ -79,6 +79,14 @@ class TestCommonContracts:
             np.testing.assert_array_equal(got[inside], [fn(t) for t in ts[inside]])
             assert np.all(np.isfinite(got[inside]))
 
+    def test_density_vanishes_at_infinity(self, b):
+        # log g = log h' - h is inf - inf where h and h' both overflow
+        assert b.pdf(math.inf) == 0.0
+        assert b.log_pdf(math.inf) == -math.inf
+        assert math.isfinite(b.pdf(1e308))
+        log_g, _, _ = b.log_parts(np.array([1e308, math.inf]))
+        assert log_g[1] == -math.inf and not np.isnan(log_g[0])
+
     def test_log_forms_consistent(self, b):
         ts = b.quantile(np.linspace(0.1, 0.9, 9))
         np.testing.assert_allclose(np.exp(b.log_pdf(ts)), b.pdf(ts), rtol=1e-12)
@@ -171,6 +179,20 @@ def test_modified_weibull_with_a_zero_coefficient_at_infinity(b):
     np.testing.assert_allclose(b.log_sf(ts), -(b.sigma * ts + b.beta * ts**b.gamma), rtol=1e-15)
     d = BgmoDistribution(BgmoParams(1, 1, 1, 1), b)
     np.testing.assert_allclose(d.cdf(np.array([1.0, math.inf])), [b.cdf(1.0), 1.0], rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "b",
+    [Weibull(1.0, 2.0), Gompertz(0.5, 1.2), ModifiedWeibull(0.5, 0.8, 2.0),
+     ExtendedWeibull(1.0, ZFunction("square"))],
+    ids=lambda b: b.tag,
+)
+def test_density_where_the_hazard_overflows(b):
+    # each was NaN at t = inf, the extended Weibull already at 1e308
+    ts = np.array([1e308, math.inf])
+    np.testing.assert_array_equal(b.pdf(ts), [0.0, 0.0])
+    np.testing.assert_array_equal(b.log_pdf(ts), [-math.inf, -math.inf])
+    np.testing.assert_array_equal(b.log_parts(ts)[0], [-math.inf, -math.inf])
 
 
 class TestSpotValues:

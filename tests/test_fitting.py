@@ -252,6 +252,15 @@ class TestSearchGradient:
         value, grad = _objective(np.log([2.0, 1.0, 1.0]), tpl, np.array([3.0, 1.0]), None)
         assert value == math.inf and np.all(grad == 0)
 
+    def test_lam_past_the_largest_double_is_zero_likelihood(self):
+        # sigma = 0.0625 and beta = 500: lam = sigma**(-beta) = e^1386 overflows
+        x = np.log([1.0, 1.0, 1.0, 1.0, 0.0625, 500.0])
+        params, _ = _to_params(x, (4, 5))
+        assert params[4] == math.inf
+        data = builtin_dataset("turbocharger").values
+        value, grad = _objective(x, ModelTemplate("weibull"), data, (4, 5))
+        assert value == math.inf and np.all(grad == 0)
+
 
 class TestObjectiveKernel:
     """``_objective`` takes its value and gradient from one pass over the data."""
@@ -381,6 +390,16 @@ class TestFitMle:
         # the fit must land on the search box and say so
         assert result.at_boundary
         assert not result.converged
+
+    @pytest.mark.parametrize("upper", [500.0, 1000.0])
+    def test_wide_beta_box_overflows_no_start(self, upper):
+        # with beta up to 500 or 1000, some start points have lam = sigma**(-beta)
+        # past the largest double; they count as zero likelihood, and the fit
+        # reaches the degenerate Weibull at beta ~ 47
+        data = builtin_dataset("turbocharger").values
+        result = fit_mle(ModelTemplate("weibull"), data, FitConfig(start_box={"beta": (0.05, upper)}))
+        assert result.log_likelihood == pytest.approx(-77.494, abs=1e-3)
+        assert any(math.isinf(r.start["lam"]) for r in result.trace)
 
     def test_multistart_stability_across_seeds(self):
         # this likelihood has no interior optimum (see test_boundary_fits),

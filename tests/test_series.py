@@ -8,10 +8,14 @@ from scipy.integrate import quad
 from scipy.special import beta as scipy_beta
 from test_gmo import ALL_BASELINES, BASELINE_IDS
 
+from bgmo import series
 from bgmo.baselines import Exponential, Frechet, Lomax, Weibull
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.series import (
+    _LADDER,
+    _RTOL,
     DivergenceError,
+    _bailey_error,
     _support_quad,
     TruncationPolicy,
     _binom_row,
@@ -34,6 +38,23 @@ EXP = Exponential(1.0)
 
 def dist(m, n, theta, alpha, baseline=EXP):
     return BgmoDistribution(BgmoParams(m, n, theta, alpha), baseline)
+
+
+def ladder_walk(fn, baseline, *args):
+    """The tanh-sinh ladder one level per integrand call: (integral, level it stopped at)."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    args = tuple(np.asarray(a)[..., None] for a in args)
+    sums = []
+    with np.errstate(all="ignore"):
+        for k, (w, weight) in enumerate(_LADDER):
+            t = np.concatenate((baseline.quantile(w), baseline.isf(w)))
+            ratio = np.broadcast_to(fn(t, *args) / baseline.pdf(t), shape + t.shape)
+            ratio = np.where(np.isfinite(ratio), ratio, 0.0)
+            level = 2.0**-k * ((ratio[..., : w.size] + ratio[..., w.size :]) @ weight)
+            sums.append(level if k == 0 else 0.5 * sums[-1] + level)
+            if k >= 2 and np.all(_bailey_error(*sums[-3:]) <= _RTOL):
+                return sums[-1], k
+    raise AssertionError("the ladder walk did not converge")
 
 
 class TestDeltaCoeffs:
@@ -318,6 +339,72 @@ class TestSupportQuad:
         # Lomax(3, 1) moment of order 2.8 < 3: v^(-0.93) at the upper end
         want = math.gamma(3.8) * math.gamma(0.2) / math.gamma(3.0)
         assert moment_direct(dist(1, 1, 1, 1, Lomax(3.0, 1.0)), 2.8) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "fn,baseline,args",
+        [
+            (EXP.pdf, EXP, ()),
+            (lambda t, k: t**k * EXP.pdf(t), EXP, (np.arange(4.0),)),
+            (lambda t: t**-0.5 * np.exp(-t), EXP, ()),
+            # the Lomax(3, 1) moment of order 2.8, as moment_direct integrates it
+            (
+                lambda t: np.exp(
+                    np.where(t > 0, dist(1, 1, 1, 1, Lomax(3.0, 1.0)).log_pdf(t) + 2.8 * np.log(t), -np.inf)
+                ),
+                Lomax(3.0, 1.0),
+                (),
+            ),
+        ],
+        ids=["scalar", "array_argument", "endpoint_singularity", "lomax_moment_2.8"],
+    )
+    def test_batched_levels_equal_the_ladder_walk(self, monkeypatch, fn, baseline, args):
+        # levels 0-3 in one call give the level sums of one call per level,
+        # bit for bit, and stop at the same level
+        want, stop = ladder_walk(fn, baseline, *args)
+        estimates = []
+
+        def counted(*sums):
+            estimates.append(None)
+            return _bailey_error(*sums)
+
+        monkeypatch.setattr(series, "_bailey_error", counted)
+        got = _support_quad(fn, baseline, *args)
+        np.testing.assert_array_equal(got, want)
+        assert len(estimates) + 1 == stop  # one estimate per level from level 2 on
+
+    def test_one_integrand_call_up_to_level_3(self, monkeypatch):
+        sizes = []
+
+        def fn(t):
+            sizes.append(t.size)
+            return EXP.pdf(t)
+
+        assert _support_quad(fn, EXP) == pytest.approx(1.0, rel=1e-12)
+        assert len(sizes) == 1
+        # moment_direct's tail-decay probe rides along: 2 * 99 nodes and 2 probe points
+        sizes.clear()
+        log_pdf = BgmoDistribution.log_pdf
+
+        def counted(self, t):
+            sizes.append(np.size(t))
+            return log_pdf(self, t)
+
+        monkeypatch.setattr(BgmoDistribution, "log_pdf", counted)
+        moment_direct(dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0)), 2.5)
+        assert sizes == [2 * 99 + 2]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: pwm_mo(1.0, Frechet(1.0, 1.0), 1, 0, 0),
+            lambda: mgf(dist(1, 1, 1, 1), 1.5),
+            lambda: moment_direct(dist(1, 1, 1, 1, Lomax(1.5, 1.0)), 2),
+        ],
+        ids=["pwm_frechet", "mgf_past_abscissa", "lomax_second_moment"],
+    )
+    def test_tail_probe_rejects_growing_contributions(self, call):
+        with pytest.raises(DivergenceError, match="upper-tail contribution is not decaying"):
+            call()
 
     def test_series_shares_nodes_across_terms(self, monkeypatch):
         # the 60 terms of the series read the baseline once per node, not once per term
