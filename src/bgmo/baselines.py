@@ -498,15 +498,15 @@ class ModifiedWeibull(Baseline):
         return np.logaddexp(np.log(self.sigma) + log_t, np.log(self.beta) + self.gamma * log_t)
 
     def _inv_hazard(self, y):
-        # no closed form: bisect the increasing cumulative hazard
+        # no closed form: bisect the increasing cumulative hazard inside a
+        # bracket that is relative to the root.  Where h(t) = y, the larger
+        # term is at least y/2 and each is at most y (a zero coefficient's
+        # bound is inf), so lo <= t <= hi <= max(2, 2^(1/gamma)) * lo.
         target = np.atleast_1d(y)
-        hi = np.ones_like(target)
-        for _ in range(200):
-            need = self._hazard(hi) < target
-            if not need.any():
-                break
-            hi = np.where(need, hi * 2.0, hi)
-        lo = np.zeros_like(target)
+        by_sigma = target / self.sigma if self.sigma else np.inf
+        by_beta = (target / self.beta) ** (1.0 / self.gamma) if self.beta else np.inf
+        hi = np.minimum(by_sigma, by_beta)
+        lo = np.minimum(0.5 * by_sigma, 0.5 ** (1.0 / self.gamma) * by_beta)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             below = self._hazard(mid) < target

@@ -17,6 +17,7 @@ are held fixed and everything else is estimated.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -182,14 +183,18 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _fit(template: ModelTemplate, data, args):
+    """``fit_mle`` with the command's config; a fit that cannot run is a ``CliError``."""
+    try:
+        return fit_mle(template, data.values, _fit_config(args))
+    except (FitError, ValueError) as exc:
+        raise CliError(str(exc)) from None
+
+
 def _cmd_fit(args) -> int:
     data = _load_data(args.data)
     spec = args.dist or args.baseline or "weibull"
-    template = _fit_template(spec)
-    try:
-        result = fit_mle(template, data.values, _fit_config(args))
-    except (FitError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    result = _fit(_fit_template(spec), data, args)
     _emit(args.out, result.to_json() + "\n")
     return 0 if result.converged else 2
 
@@ -201,24 +206,16 @@ def _cmd_compare(args) -> int:
     rows = []
     any_bad = False
     for spec in args.candidates:
-        label = spec
+        template = _fit_template(spec)
         try:
-            result = fit_mle(_fit_template(spec), data.values, _fit_config(args))
-            rows.append(
-                (
-                    result.aic,
-                    result.bic,
-                    label,
-                    result.caic,
-                    result.hqic,
-                    result.log_likelihood,
-                    "yes" if result.converged else "no",
-                )
-            )
-            any_bad = any_bad or not result.converged
-        except (FitError, ValueError) as exc:
-            rows.append((float("inf"), float("inf"), label, float("nan"), float("nan"), float("nan"), f"failed: {exc}"))
+            r = _fit(template, data, args)
+        except CliError as exc:
+            rows.append((math.inf, math.inf, spec, math.nan, math.nan, math.nan, f"failed: {exc}"))
             any_bad = True
+            continue
+        conv = "yes" if r.converged else "no"
+        rows.append((r.aic, r.bic, spec, r.caic, r.hqic, r.log_likelihood, conv))
+        any_bad = any_bad or not r.converged
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = ["# model\taic\tbic\tcaic\thqic\tlogLik\tconverged"]
     for aic, bic, label, caic, hqic, ll, conv in rows:
@@ -239,8 +236,7 @@ def _cmd_curves(args) -> int:
     data = _load_data(args.data)
     if args.fit:
         template = _fit_template(args.dist)
-        result = fit_mle(template, data.values, _fit_config(args))
-        dist = template.build(result.estimates)
+        dist = template.build(_fit(template, data, args).estimates)
     else:
         dist = build_distribution(args.dist)
     grid = _grid(data.values, args.grid_points, args.pad)

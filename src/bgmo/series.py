@@ -53,24 +53,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Term cap and relative tail tolerance for the infinite expansions."""
+    """Term cap of the infinite expansions (real m or n): every table has ``max_terms`` entries.
+
+    No stopping rule is guessed: a pointwise expansion sums its whole table
+    and measures its error against the exact value (see ``SeriesEval``).
+    """
 
     max_terms: int = 60
-    tail_tol: float = 1e-10
 
     def __post_init__(self):
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
 
 
 DEFAULT_POLICY = TruncationPolicy()
+# a pointwise expansion has converged when it is within this of the exact value, relative
+_CONVERGED_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """A truncated-series value with a convergence flag and tail estimate."""
+    """A pointwise expansion's value with its measured error.
+
+    ``tail`` is |value - exact|, the gap to the exact ``pdf``/``cdf`` that
+    ``family`` computes at the same point, and ``converged`` is
+    tail <= 1e-10 * |exact| (``_CONVERGED_RTOL``).  All three are plain
+    Python ``float``/``bool``.
+    """
 
     value: float
     converged: bool
@@ -181,31 +190,6 @@ def _order_stat_weights(r: int, sample_n: int) -> np.ndarray:
     return _order_stat_const(r, sample_n) * _alt_binom_table(sample_n - r, sample_n - r + 1)
 
 
-def _sum_with_policy(terms, policy: TruncationPolicy) -> SeriesEval:
-    """Sum a term sequence, stopping after two consecutive negligible terms.
-
-    Leading zero terms (power series often start with vanishing coefficients)
-    do not count toward the stopping rule.
-    """
-    total = 0.0
-    small_run = 0
-    last = 0.0
-    seen_nonzero = False
-    for term in terms:
-        total += term
-        last = abs(term)
-        if not seen_nonzero:
-            seen_nonzero = term != 0.0
-            continue
-        if last <= policy.tail_tol * max(abs(total), 1e-300):
-            small_run += 1
-            if small_run >= 2:
-                return SeriesEval(total, True, last)
-        else:
-            small_run = 0
-    return SeriesEval(total, small_run > 0, last)
-
-
 # --- coefficient tables ----------------------------------------------------
 
 
@@ -281,9 +265,19 @@ def _mo_log_parts(alpha: float, baseline: Baseline, t):
         return math.log(alpha) + log_g - 2.0 * log_d, log_s, log_c
 
 
-def _mo_parts(dist: BgmoDistribution, t):
-    """(f_MO, S_MO, C_MO) of the plain tilt at the points t, in linear scale."""
-    return tuple(np.exp(part) for part in _mo_log_parts(dist.params.alpha, dist.baseline, t))
+def _power_sum(log_front, coeffs, log_base, powers) -> float:
+    """sum_k coeffs_k exp(log_front + powers_k log_base), with 0 * log 0 = 0.
+
+    In logs, so f_MO S^(negative power) stays finite where S underflows.
+    """
+    with np.errstate(all="ignore"):
+        return float(coeffs @ np.exp(log_front + _zmul(powers, log_base)))
+
+
+def _measured(value: float, exact: float) -> SeriesEval:
+    """``value`` with its gap to ``exact`` as the tail."""
+    tail = abs(value - exact)
+    return SeriesEval(value, bool(tail <= _CONVERGED_RTOL * abs(exact)), float(tail))
 
 
 def pdf_via_expansion(
@@ -292,31 +286,22 @@ def pdf_via_expansion(
     form: str = "survival_powers",
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SeriesEval:
-    """Density via its mixture expansion at a single point.
+    """Density via its mixture expansion at a single point, measured against ``dist.pdf``.
 
     ``survival_powers``: f_MO * sum_j delta_j S^(theta(j+n)-1)
     ``cdf_powers``:      f_MO * sum_l phi_l C^l
     """
     p = dist.params
-    f_mo, s_mo, c_mo = _mo_parts(dist, t)
+    log_f, log_s, log_c = _mo_log_parts(p.alpha, dist.baseline, t)
     if form == "survival_powers":
-        delta, _ = delta_coeffs(p.m, p.n, p.theta, policy)
-        exact = _is_int(p.m)
-        log_s = math.log(s_mo) if s_mo > 0 else -math.inf
-
-        def terms():
-            for j, dj in enumerate(delta):
-                expo = p.theta * (j + p.n) - 1.0
-                yield dj * math.exp(expo * log_s) if log_s > -math.inf or expo == 0 else 0.0
-
-        ev = _sum_with_policy(terms(), policy)
-        return SeriesEval(f_mo * ev.value, exact or ev.converged, f_mo * ev.tail)
-    if form == "cdf_powers":
-        phi = _phi_coeffs(p.m, p.n, p.theta, policy)
-        ev = _sum_with_policy((phi[l] * c_mo**l for l in range(len(phi))), policy)
-        exact_outer = _is_int(p.m) and _is_int(p.theta * (p.m - 1 + p.n))
-        return SeriesEval(f_mo * ev.value, exact_outer or ev.converged, f_mo * ev.tail)
-    raise ValueError(f"unknown pdf expansion form {form!r}")
+        coeffs, _ = delta_coeffs(p.m, p.n, p.theta, policy)
+        log_base, powers = log_s, p.theta * (np.arange(len(coeffs)) + p.n) - 1.0
+    elif form == "cdf_powers":
+        coeffs = _phi_coeffs(p.m, p.n, p.theta, policy)
+        log_base, powers = log_c, np.arange(len(coeffs))
+    else:
+        raise ValueError(f"unknown pdf expansion form {form!r}")
+    return _measured(_power_sum(log_f, coeffs, log_base, powers), dist.pdf(t))
 
 
 def cdf_via_expansion(
@@ -325,21 +310,21 @@ def cdf_via_expansion(
     form: str = "cdf_powers",
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SeriesEval:
-    """Distribution function via a power series in C = 1 - S.
+    """Distribution function via a power series in C = 1 - S, measured against ``dist.cdf``.
 
     ``cdf_powers``: the incomplete-beta series re-expanded in C (real shapes
     allowed, truncated); ``order_stat_identity``: the finite binomial-sum form,
     valid only for integer m and n.
     """
     p = dist.params
-    _, _, c_mo = _mo_parts(dist, t)
     if form == "cdf_powers":
-        chi = _chi_coeffs(p.m, p.n, p.theta, policy)
+        coeffs = _chi_coeffs(p.m, p.n, p.theta, policy)
     elif form == "order_stat_identity":
-        chi = _psi_cdf_coeffs(p.m, p.n, p.theta, policy)
+        coeffs = _psi_cdf_coeffs(p.m, p.n, p.theta, policy)
     else:
         raise ValueError(f"unknown cdf expansion form {form!r}")
-    return _sum_with_policy((chi[k] * c_mo**k for k in range(len(chi))), policy)
+    log_c = _mo_log_parts(p.alpha, dist.baseline, t)[2]
+    return _measured(_power_sum(0.0, coeffs, log_c, np.arange(len(coeffs))), dist.cdf(t))
 
 
 # --- order statistics --------------------------------------------------------
@@ -375,10 +360,9 @@ def order_stat_pdf(
         F = dist.cdf(t)
         return float(const * f * F ** (r - 1) * (1.0 - F) ** (sample_n - r))
     if method == "series":
-        f_mo, _, c_mo = _mo_parts(dist, t)
+        log_f, _, log_c = _mo_log_parts(dist.params.alpha, dist.baseline, t)
         w = _order_stat_poly(dist, r, sample_n, policy)
-        powers = c_mo ** np.arange(len(w))
-        return float(f_mo * np.dot(w, powers))
+        return _power_sum(log_f, w, log_c, np.arange(len(w)))
     raise ValueError(f"unknown order statistic method {method!r}")
 
 
@@ -530,16 +514,6 @@ def _exp_of(log_fn: Callable) -> Callable:
     return fn
 
 
-def _log_integral(log_fn: Callable, baseline: Baseline, check: str | None, *args):
-    """Integral of exp(log_fn(t, *args)) over the support, one per element of args.
-
-    When ``check`` is given, it names the integral in ``_support_quad``'s
-    tail-decay check, whose two points share the first integrand call with
-    ladder levels 0 to 3.
-    """
-    return _support_quad(_exp_of(log_fn), baseline, *args, check=check)
-
-
 def _tilt_integral(
     alpha, baseline, what, t_power=0.0, c_power=0.0, s_power=0.0, f_power=1.0, rate=0.0
 ):
@@ -562,15 +536,26 @@ def _tilt_integral(
         )
 
     check = what if np.any(np.asarray(t_power) > 0) or np.any(np.asarray(rate) > 0) else None
-    return _log_integral(log_fn, baseline, check, t_power, c_power, s_power, f_power, rate)
+    args = (t_power, c_power, s_power, f_power, rate)
+    return _support_quad(_exp_of(log_fn), baseline, *args, check=check)
 
 
-def _delta_mixture(dist: BgmoDistribution, policy, what: str, **powers) -> float:
-    """sum_j delta_j * integral of S^(theta(j+n)-1) f of the plain tilt, times ``powers``."""
+def _delta_mixture(dist: BgmoDistribution, policy, what: str, power=1.0, **powers) -> float:
+    """Integral of f^a (a = ``power``) times ``powers``, as a series of plain-tilt integrals.
+
+    f^a = (theta/B(m, n))^a f_MO^a S^(a(theta n - 1)) (1 - S^theta)^(a(m-1)),
+    and the last factor expands as sum_j (-1)^j C(a(m-1), j) S^(theta j).  At
+    a = 1 the weights are the ``delta_coeffs`` table, and the terms the
+    delta-weighted survival powers of the density expansion.
+    """
     p = dist.params
-    delta, _ = delta_coeffs(p.m, p.n, p.theta, policy)
-    s_power = p.theta * (np.arange(len(delta)) + p.n) - 1.0
-    return float(delta @ _tilt_integral(p.alpha, dist.baseline, what, s_power=s_power, **powers))
+    row = _binom_row(power * (p.m - 1.0), policy.max_terms)
+    j = np.arange(len(row))
+    front = math.exp(power * (math.log(p.theta) - special.log_beta(p.m, p.n)))
+    weights = front * (-1.0) ** j * row
+    s_power = p.theta * j + power * (p.theta * p.n - 1.0)
+    tilt = _tilt_integral(p.alpha, dist.baseline, what, s_power=s_power, f_power=power, **powers)
+    return float(weights @ tilt)
 
 
 def pwm_mo(alpha: float, baseline: Baseline, p: int, q: float, r: float) -> float:
@@ -597,10 +582,10 @@ def moment_series(
 
 def moment_direct(dist: BgmoDistribution, s: float) -> float:
     """E[T^s] by direct quadrature of t^s against the density."""
-    return _log_integral(
-        lambda t: np.where(t > 0, dist.log_pdf(t) + s * np.log(t), -np.inf),
+    return _support_quad(
+        _exp_of(lambda t: np.where(t > 0, dist.log_pdf(t) + s * np.log(t), -np.inf)),
         dist.baseline,
-        f"moment({s})",
+        check=f"moment({s})",
     )
 
 
@@ -624,8 +609,10 @@ def mgf(dist: BgmoDistribution, s: float) -> float:
     Raises ``DivergenceError`` when s sits at or beyond the abscissa of
     convergence of the baseline tail.
     """
-    return _log_integral(
-        lambda t: dist.log_pdf(t) + s * t, dist.baseline, f"mgf({s})" if s > 0 else None
+    return _support_quad(
+        _exp_of(lambda t: dist.log_pdf(t) + s * t),
+        dist.baseline,
+        check=f"mgf({s})" if s > 0 else None,
     )
 
 
@@ -654,23 +641,14 @@ def renyi_entropy(
     """
     if delta <= 0 or delta == 1.0:
         raise ValueError("entropy order must be positive and different from 1")
-    p = dist.params
     if method == "direct":
-        total = _log_integral(lambda t: delta * dist.log_pdf(t), dist.baseline, None)
-        return math.log(total) / (1.0 - delta)
-    if method != "series":
+        total = _support_quad(_exp_of(lambda t: delta * dist.log_pdf(t)), dist.baseline)
+    elif method == "series":
+        total = _delta_mixture(dist, policy, f"renyi_entropy({delta})", power=delta)
+        if total <= 0:
+            raise DivergenceError("entropy series produced a non-positive integral sum")
+    else:
         raise ValueError(f"unknown entropy method {method!r}")
-
-    row = _binom_row(delta * (p.m - 1.0), policy.max_terms)
-    j = np.arange(len(row))
-    z_front = delta * (math.log(p.theta) - special.log_beta(p.m, p.n))
-    weights = math.exp(z_front) * (-1.0) ** j * row
-    s_power = p.theta * j + delta * (p.theta * p.n - 1.0)
-    total = weights @ _tilt_integral(
-        p.alpha, dist.baseline, f"renyi_entropy({delta})", f_power=delta, s_power=s_power
-    )
-    if total <= 0:
-        raise DivergenceError("entropy series produced a non-positive integral sum")
     return math.log(total) / (1.0 - delta)
 
 

@@ -183,6 +183,18 @@ def test_modified_weibull_with_a_zero_coefficient_at_infinity(b):
 
 @pytest.mark.parametrize(
     "b",
+    [ModifiedWeibull(0.5, 0.8, 2.0), ModifiedWeibull(0.0, 0.8, 0.5), ModifiedWeibull(0.5, 0.0, 2.0)],
+    ids=["both", "sigma0", "beta0"],
+)
+def test_modified_weibull_quantile_keeps_relative_precision(b):
+    # the bisection was absolute (2^-100), so every level below ~4e-31 gave 3.94e-31
+    for u in (1e-50, 1e-100):
+        assert b.cdf(b.quantile(u)) == pytest.approx(u, rel=1e-12)
+    assert b.isf(1.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "b",
     [Weibull(1.0, 2.0), Gompertz(0.5, 1.2), ModifiedWeibull(0.5, 0.8, 2.0),
      ExtendedWeibull(1.0, ZFunction("square"))],
     ids=lambda b: b.tag,

@@ -228,6 +228,14 @@ class TestCurves:
         cdf = np.array([float(r[2]) for r in rows])
         assert np.all(np.diff(cdf) >= -1e-12)
 
+    @pytest.mark.parametrize("command", [("fit",), ("curves", "--fit")])
+    def test_data_outside_the_support_is_a_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "data.txt"
+        path.write_text("0.5\n-1.0\n2.0\n")
+        rc, out, err = run(capsys, *command, "--data", str(path), "--dist", "weibull")
+        assert rc == 1 and out == ""
+        assert err == "error: observations at indices [1] are outside the support\n"
+
 
 class TestShapes:
     def test_reduction_column_strictly_decreasing(self, capsys):

@@ -102,7 +102,7 @@ class TestDeltaCoeffs:
 
 class TestExpansionCoeffs:
     def test_bundle_tables(self):
-        from bgmo.series import expansion_coefficients, _mo_parts
+        from bgmo.series import expansion_coefficients, _mo_log_parts
 
         co = expansion_coefficients(2, 2, 1.0, TruncationPolicy(), r=2, sample_n=3)
         # delta has exactly m entries for integer m and obeys the sign relation
@@ -113,7 +113,7 @@ class TestExpansionCoeffs:
         # the xi table reproduces the order-statistic series pointwise
         d = dist(2, 2, 1, 1)
         t = 0.9
-        f_mo, _, c_mo = _mo_parts(d, t)
+        f_mo, _, c_mo = np.exp(_mo_log_parts(d.params.alpha, d.baseline, t))
         powers = c_mo ** np.arange(co.xi.shape[1])
         val = f_mo * sum(co.xi[l] @ (powers * c_mo**l) for l in range(co.xi.shape[0]))
         assert val == pytest.approx(order_stat_pdf(d, 2, 3, t, "series"), rel=1e-12)
@@ -188,6 +188,9 @@ class TestPdfExpansion:
         ev = pdf_via_expansion(d, 1.0, "survival_powers")
         assert ev.converged
         assert ev.value == pytest.approx(d.pdf(1.0), abs=1e-12)
+        # the tail is the measured gap to the exact pdf, in plain Python types
+        assert ev.tail < 1e-15 and ev.tail == abs(ev.value - d.pdf(1.0))
+        assert type(ev.value) is float and type(ev.tail) is float and type(ev.converged) is bool
 
     def test_noninteger_near_direct(self):
         d = dist(2.5, 1.3, 0.7, 1.5, Weibull(1.0, 2.0))
@@ -250,6 +253,34 @@ class TestCdfExpansion:
             pdf = pdf_via_expansion(d, t, "cdf_powers").value
             assert cdf == pytest.approx(d.cdf(t), rel=1e-12, abs=0)
             assert pdf == pytest.approx(d.pdf(t), rel=1e-12, abs=0)
+
+
+class TestMeasuredError:
+    """``tail`` is the gap to the exact pdf/cdf, and ``converged`` its 1e-10 relative test."""
+
+    def test_chi_residue_is_not_converged(self):
+        # chi of (3, 2, 1) carries -4.4e-16 of rounding where F ~ 4 C^3 is 5e-25
+        d = dist(3, 2, 1, 2)
+        t = float(d.baseline.quantile(1e-8))
+        ev = cdf_via_expansion(d, t)
+        assert d.cdf(t) == pytest.approx(5e-25, rel=0.01, abs=0)
+        assert ev.tail == abs(ev.value - d.cdf(t)) > 1e-10 * d.cdf(t)
+        assert not ev.converged
+
+    def test_truncated_real_shape_is_not_converged_in_the_lower_tail(self):
+        # integer powers of C cannot follow F ~ C^2.5 once the series is cut at 60 terms
+        d = dist(2.5, 1.3, 0.7, 1.5, Weibull(1.0, 2.0))
+        t = float(d.baseline.quantile(1e-4))
+        assert not cdf_via_expansion(d, t).converged
+        for form in ("survival_powers", "cdf_powers"):
+            ev = pdf_via_expansion(d, t, form)
+            assert not ev.converged and ev.tail == abs(ev.value - d.pdf(t))
+
+    def test_upper_tail_where_the_survival_underflows(self):
+        # S^(theta n - 1) with a negative power times f_MO is formed in logs
+        d = dist(2, 1, 0.3, 1)
+        ev = pdf_via_expansion(d, 800.0)
+        assert ev.converged and ev.value == pytest.approx(d.pdf(800.0), rel=1e-12, abs=0)
 
 
 class TestOrderStatPdf:
