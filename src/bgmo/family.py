@@ -65,6 +65,17 @@ def _log_one_minus_power(theta: float, log_s, log_1ms):
     )
 
 
+def _log_reg_inc_beta(x, y, a: float, b: float):
+    """log I_x(a, b) from the pairs x = (x, log x) and y = (1 - x, its log).
+
+    Where I_x(a, b) is at most 1e-300, its leading term x^a/(a B(a, b)),
+    which stays finite where I_x underflows.
+    """
+    out = special.reg_inc_beta_mirrored(*x, *y, a, b)
+    lead = a * x[1] - math.log(a) - special.log_beta(a, b)
+    return np.where(out > 1e-300, np.log(out), lead)
+
+
 @dataclass(frozen=True)
 class BgmoParams:
     """Beta shapes (m, n) and tilt parameters (theta, alpha), all positive.
@@ -149,11 +160,8 @@ class BgmoDistribution:
 
     def _log_sf_from(self, log_s, log_1ms):
         """log sf; where the sf underflows, the leading term w^n/(n B(m, n))."""
-        p = self.params
         z, w = self._beta_args(log_s, log_1ms)
-        sf = special.reg_inc_beta_mirrored(*w, *z, p.n, p.m)
-        lead = p.n * w[1] - math.log(p.n) - special.log_beta(p.m, p.n)
-        return np.where(sf > 1e-300, np.log(sf), lead)
+        return _log_reg_inc_beta(w, z, self.params.n, self.params.m)
 
     def cdf(self, t):
         """I_z(m, n) at z = 1 - s^theta where z <= 1/2, else 1 - I_w(n, m) at w = s^theta.
@@ -195,12 +203,15 @@ class BgmoDistribution:
         return float(out) if np.isscalar(t) else out
 
     def rhrf(self, t):
-        """Reversed hazard pdf/cdf, from one baseline pass."""
+        """Reversed hazard pdf/cdf, taken as exp(log pdf - log cdf) from one baseline pass.
+
+        Where the cdf underflows, log cdf is its leading term z^m/(m B(m, n)).
+        """
         p = self.params
         with np.errstate(all="ignore"):
             log_f, log_s, log_1ms = self._log_pdf_parts(t)[:3]
             z, w = self._beta_args(log_s, log_1ms)
-            out = np.exp(log_f) / special.reg_inc_beta_mirrored(*z, *w, p.m, p.n)
+            out = np.exp(log_f - _log_reg_inc_beta(z, w, p.m, p.n))
         return float(out) if np.isscalar(t) else out
 
     def chrf(self, t):

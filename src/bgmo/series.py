@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import binom
 
 from . import special
 from .baselines import Baseline
@@ -148,26 +147,27 @@ def _is_int(x: float) -> bool:
 def _binom_row(r: float, cap: int) -> np.ndarray:
     """Generalized binomial coefficients C(r, j), j = 0, 1, ...
 
-    A nonnegative integer r gives the r + 1 terms of the finite expansion
-    (all later ones vanish); any other r gives ``cap`` terms.
+    The row of ``_alt_binom_table`` with its signs (-1)^j undone.  A
+    nonnegative integer r gives the r + 1 terms of the finite expansion (all
+    later ones vanish); any other r gives ``cap`` terms.
     """
     length = int(round(r)) + 1 if _is_int(r) and round(r) >= 0 else cap
-    out = np.empty(length)
-    out[0] = 1.0
-    for j in range(1, length):
-        out[j] = out[j - 1] * (r - (j - 1)) / j
-    return out
+    return (-1.0) ** np.arange(length) * _alt_binom_table(r, length)
 
 
 def _alt_binom_table(x, length: int) -> np.ndarray:
     """Rows (-1)^k C(x_i, k), k < length, one per element of x.
 
-    scipy's ``binom`` is exact zero past a nonnegative integer x, so finite
-    expansions end by themselves; it is NaN at negative integers, which the
-    tables below never reach (every x is above -1).
+    Each row is the recurrence (-1)^k C(x, k) = prod_{i=1..k} (i - 1 - x)/i,
+    one cumulative product along the last axis after a column of ones.  Past
+    a nonnegative integer x the factor i = x + 1 is exactly 0, so the row is
+    exact zeros there and finite expansions end by themselves; at x = -1
+    every factor is 1.
     """
-    k = np.arange(length)
-    return (-1.0) ** k * binom(np.asarray(x, dtype=float)[..., None], k)
+    x = np.asarray(x, dtype=float)[..., None]
+    i = np.arange(1.0, length)
+    factors = np.concatenate((np.ones_like(x), (i - 1.0 - x) / i), axis=-1)
+    return np.cumprod(factors, axis=-1)
 
 
 def _chi_powers(chi: np.ndarray, r: int, sample_n: int) -> np.ndarray:
@@ -244,10 +244,11 @@ def _psi_cdf_coeffs(m, n, theta, policy):
         raise ValueError("this cdf expansion requires integer m and n")
     mi, ni = int(round(m)), int(round(n))
     top = mi + ni - 1
-    p = np.arange(mi, top + 1)[:, None]
-    q = np.arange(top + 1)[None, :]
-    w = binom(top, p) * (-1.0) ** q * binom(p, q)
-    return w.ravel() @ _alt_binom_table(theta * (top - p + q).ravel(), policy.max_terms)
+    p = np.arange(mi, top + 1)
+    # w[p, q] = C(top, p) (-1)^q C(p, q), q <= top (zero past p)
+    w = _binom_row(top, top + 1)[mi:, None] * _alt_binom_table(p, top + 1)
+    x = theta * (top - p[:, None] + np.arange(top + 1))
+    return w.ravel() @ _alt_binom_table(x.ravel(), policy.max_terms)
 
 
 # --- building blocks at a point ---------------------------------------------
@@ -268,10 +269,13 @@ def _mo_log_parts(alpha: float, baseline: Baseline, t):
 def _power_sum(log_front, coeffs, log_base, powers) -> float:
     """sum_k coeffs_k exp(log_front + powers_k log_base), with 0 * log 0 = 0.
 
-    In logs, so f_MO S^(negative power) stays finite where S underflows.
+    In logs, so f_MO S^(negative power) stays finite where S underflows.  A
+    term is 0 wherever log_front is -inf, also where a negative power of a
+    vanishing base makes the exponent -inf + inf.
     """
     with np.errstate(all="ignore"):
-        return float(coeffs @ np.exp(log_front + _zmul(powers, log_base)))
+        log_terms = np.where(log_front == -np.inf, -np.inf, log_front + _zmul(powers, log_base))
+        return float(coeffs @ np.exp(log_terms))
 
 
 def _measured(value: float, exact: float) -> SeriesEval:
@@ -349,16 +353,14 @@ def order_stat_pdf(
 ) -> float:
     """Density of the r-th smallest of ``sample_n`` iid draws at a point.
 
-    ``direct`` combines the family pdf/cdf through the classical order
-    statistic formula; ``series`` evaluates the power-series form, with the
-    needed powers of the cdf series built by repeated truncated Cauchy
-    products.
+    ``direct`` combines the family pdf, cdf and sf through the classical
+    order statistic formula, so both tails keep their relative precision;
+    ``series`` evaluates the power-series form, with the needed powers of the
+    cdf series built by repeated truncated Cauchy products.
     """
     const = _order_stat_const(r, sample_n)
     if method == "direct":
-        f = dist.pdf(t)
-        F = dist.cdf(t)
-        return float(const * f * F ** (r - 1) * (1.0 - F) ** (sample_n - r))
+        return float(const * dist.pdf(t) * dist.cdf(t) ** (r - 1) * dist.sf(t) ** (sample_n - r))
     if method == "series":
         log_f, _, log_c = _mo_log_parts(dist.params.alpha, dist.baseline, t)
         w = _order_stat_poly(dist, r, sample_n, policy)

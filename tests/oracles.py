@@ -11,8 +11,11 @@ the matching parameters against them.  Names follow the sub-families:
 
 ``inverse_transform_sample`` is the quantile route to random draws, against
 which the family's gamma-ratio sampler is compared, ``cdf_sf_mp`` the
-family's cdf and sf at 50 digits, ``tanhsinh_support_quad`` the support
-integral of ``series._support_quad`` by scipy's tanh-sinh solver, and
+family's cdf and sf at 50 digits, ``pdf_cdf_mp`` its pdf and cdf at 50
+digits from a baseline cdf below the double range, ``binom_row`` a scalar
+binomial row for the loop forms of the series tables,
+``tanhsinh_support_quad`` the support integral of ``series._support_quad``
+by scipy's tanh-sinh solver, and
 ``finite_difference_score`` the fitter's score by differences of its
 log-likelihood.
 """
@@ -118,6 +121,33 @@ def cdf_sf_mp(m, n, theta, alpha, log_gbar):
             return float(cdf), float(1 - cdf)
         sf = mpmath.betainc(n, m, 0, w, regularized=True)
         return float(1 - sf), float(sf)
+
+
+def pdf_cdf_mp(m, n, theta, alpha, g, gcdf):
+    """The family's pdf and cdf at 50 digits, from a baseline density g and cdf G taken as exact.
+
+    g and G are mpmath numbers, so they may lie below the smallest double;
+    1 - s is formed as G/D, never as a difference.
+    """
+    with mpmath.workdps(50):
+        m, n, theta, alpha = (mpmath.mpf(v) for v in (m, n, theta, alpha))
+        gbar = 1 - gcdf
+        d = 1 - (1 - alpha) * gbar
+        log_s = mpmath.log1p(-gcdf / d)
+        w, z = mpmath.exp(theta * log_s), -mpmath.expm1(theta * log_s)
+        pdf = (
+            theta * alpha**theta * g * gbar ** (theta - 1) / d ** (theta + 1)
+            * z ** (m - 1) * w ** (n - 1) / mpmath.beta(m, n)
+        )
+        return pdf, mpmath.betainc(m, n, 0, z, regularized=True)
+
+
+def binom_row(x: float, length: int) -> np.ndarray:
+    """C(x, k), k < length, one scalar product at a time: C(x, k) = C(x, k - 1) (x - k + 1)/k."""
+    row = [1.0]
+    for k in range(1, length):
+        row.append(row[-1] * (x - k + 1) / k)
+    return np.array(row)
 
 
 def tanhsinh_support_quad(fn, baseline, *args):

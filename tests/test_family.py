@@ -249,6 +249,19 @@ class TestTails:
                                    asymptote(d, "lower").tail_prob(np.array([1e-160, 1e-100])),
                                    rtol=1e-12)
 
+    def test_rhrf_where_the_cdf_underflows(self):
+        # the cdf is 6.5e-281 at t = 1e-200 and 0.0 from t = 1e-300 on; log cdf
+        # keeps its leading term there, so pdf/cdf ~ 1.4/t stays finite
+        d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
+        for t in (1e-50, 1e-100, 1e-200, 1e-250, 1e-300):
+            with mpmath.workdps(50):
+                tm = mpmath.mpf(t)
+                g = 2 * tm * mpmath.exp(-(tm**2))
+                pdf, cdf = oracles.pdf_cdf_mp(0.7, 2.5, 0.5, 2.5, g, -mpmath.expm1(-(tm**2)))
+                want = float(pdf / cdf)
+            assert d.rhrf(t) == pytest.approx(want, rel=1e-12)
+        assert d.cdf(1e-300) == 0.0
+
     def test_quantile_round_trip_is_relative_at_tiny_levels(self):
         d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
         us = 10.0 ** -np.arange(4, 16, 2)

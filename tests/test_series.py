@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
@@ -18,6 +19,7 @@ from bgmo.series import (
     _bailey_error,
     _support_quad,
     TruncationPolicy,
+    _alt_binom_table,
     _binom_row,
     asymptote,
     cdf_via_expansion,
@@ -129,19 +131,19 @@ def _loop_phi(m, n, theta, L):
     delta, _ = delta_coeffs(m, n, theta, TruncationPolicy(max_terms=L))
     phi = np.zeros(L)
     for j, dj in enumerate(delta):
-        row = _binom_row(theta * (j + n) - 1.0, L)[:L]
-        phi[: len(row)] += dj * (-1.0) ** np.arange(len(row)) * row
+        row = oracles.binom_row(theta * (j + n) - 1.0, L)
+        phi += dj * (-1.0) ** np.arange(L) * row
     return phi
 
 
 def _loop_chi(m, n, theta, K):
     inv_beta = 1.0 / scipy_beta(m, n)
     chi = np.zeros(K)
-    for i, binom_n_i in enumerate(_binom_row(n - 1.0, K)):
+    for i, binom_n_i in enumerate(oracles.binom_row(n - 1.0, K)):
         w_i = binom_n_i * inv_beta / (m + i) * (-1.0) ** i
-        for j, binom_mi_j in enumerate(_binom_row(m + i, 2 * K)):
-            row = _binom_row(theta * j, K)[:K]
-            chi[: len(row)] += w_i * (-1.0) ** (j + np.arange(len(row))) * binom_mi_j * row
+        for j, binom_mi_j in enumerate(oracles.binom_row(m + i, 2 * K)):
+            row = oracles.binom_row(theta * j, K)
+            chi += w_i * (-1.0) ** (j + np.arange(K)) * binom_mi_j * row
     return chi
 
 
@@ -150,14 +152,14 @@ def _loop_psi(m, n, theta, R):
     psi = np.zeros(R)
     for p in range(m, top + 1):
         for q in range(p + 1):
-            row = _binom_row(theta * (top - p + q), R)[:R]
+            row = oracles.binom_row(theta * (top - p + q), R)
             w = (-1.0) ** q * math.comb(p, q) * math.comb(top, p)
-            psi[: len(row)] += w * (-1.0) ** np.arange(len(row)) * row
+            psi += w * (-1.0) ** np.arange(R) * row
     return psi
 
 
 class TestTablesAgainstLoops:
-    """The broadcast scipy tables against term-by-term recurrence loops."""
+    """The broadcast tables against term-by-term loops over scalar binomial rows."""
 
     POLICY = TruncationPolicy()
 
@@ -180,6 +182,45 @@ class TestTablesAgainstLoops:
         from bgmo.series import _psi_cdf_coeffs
 
         self.close(_psi_cdf_coeffs(m, n, theta, self.POLICY), _loop_psi(m, n, theta, 60))
+
+
+class TestBinomialRecurrence:
+    """``_alt_binom_table``, the one recurrence behind every table, against mpmath."""
+
+    @staticmethod
+    def tables(m, n, theta, K=60):
+        """(x, length) of the tables of phi, of chi (two) and, for integer shapes, of psi."""
+        j = np.arange(len(_binom_row(m - 1.0, K)))
+        i = np.arange(len(_binom_row(n - 1.0, K)))
+        out = [(theta * (j + n) - 1.0, K), (m + i, 2 * K), (theta * np.arange(2 * K), K)]
+        if isinstance(m, int) and isinstance(n, int):
+            top = m + n - 1
+            p = np.arange(m, top + 1)
+            out += [(p, top + 1), ((theta * (top - p[:, None] + np.arange(top + 1))).ravel(), K)]
+        return out
+
+    @pytest.mark.parametrize("m,n,theta", [(0.7, 2.5, 0.5), (2, 3, 2)])
+    def test_tables_against_mpmath(self, m, n, theta):
+        # scipy's binom tables were off by up to 3.7e-14 here
+        for x, length in self.tables(m, n, theta):
+            got = _alt_binom_table(x, length)
+            with mpmath.workdps(30):
+                want = np.array(
+                    [[float((-1) ** k * mpmath.binomial(xi, k)) for k in range(length)] for xi in x]
+                )
+            np.testing.assert_array_equal(got[want == 0.0], 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_rows_end_at_a_nonnegative_integer(self):
+        x = np.array([0.0, 1.0, 3.0, 7.0, 20.0])
+        table = _alt_binom_table(x, 30)
+        for row, xi in zip(table, x.astype(int)):
+            assert np.all(row[: xi + 1] != 0.0)
+            np.testing.assert_array_equal(row[xi + 1 :], 0.0)
+
+    def test_minus_one_is_all_ones(self):
+        # (-1)^k C(-1, k) = 1; scipy's binom is NaN at negative integers
+        np.testing.assert_array_equal(_alt_binom_table(-1.0, 5), np.ones(5))
 
 
 class TestPdfExpansion:
@@ -282,6 +323,13 @@ class TestMeasuredError:
         ev = pdf_via_expansion(d, 800.0)
         assert ev.converged and ev.value == pytest.approx(d.pdf(800.0), rel=1e-12, abs=0)
 
+    def test_survival_powers_at_infinity(self):
+        # log f_MO = -inf meets (theta n - 1) log S = +inf when theta n < 1
+        d = dist(2, 1, 0.3, 1)
+        for form in ("survival_powers", "cdf_powers"):
+            ev = pdf_via_expansion(d, math.inf, form)
+            assert ev.value == 0.0 and ev.converged and ev.tail == 0.0
+
 
 class TestOrderStatPdf:
     def test_single_observation(self):
@@ -302,6 +350,22 @@ class TestOrderStatPdf:
             a = order_stat_pdf(d, 2, 3, t, "series")
             b = order_stat_pdf(d, 2, 3, t, "direct")
             assert a == pytest.approx(b, abs=1e-6)
+
+    def test_direct_keeps_the_upper_tail(self):
+        # 1 - cdf is 0 where the sf is below 1e-16; the sf keeps its digits
+        shapes = (2, 3, 2, 2)
+        d = dist(*shapes)
+        for t in (20.0, 30.0, 40.0):
+            with mpmath.workdps(50):
+                tm = mpmath.mpf(t)
+                pdf, _ = oracles.pdf_cdf_mp(*shapes, mpmath.exp(-tm), -mpmath.expm1(-tm))
+                cdf, sf = oracles.cdf_sf_mp(*shapes, -t)
+                assert sf <= 1e-16
+                for r in (1, 2, 3):
+                    want = math.comb(3, r) * r * pdf * cdf ** (r - 1) * mpmath.mpf(sf) ** (3 - r)
+                    got = order_stat_pdf(d, r, 3, t, "direct")
+                    assert got == pytest.approx(float(want), rel=1e-12, abs=0)
+        assert order_stat_pdf(d, 1, 3, 40.0, "direct") == pytest.approx(6.137e-305, rel=1e-3, abs=0)
 
     def test_mixture_identity(self):
         # averaging the order statistics recovers the parent density
