@@ -65,10 +65,10 @@ class Baseline:
     From h this class derives both tails: e^-h is the tail h belongs to and
     -expm1(-h) the other, whose log is log h where h is tiny, so both keep
     their relative precision.  The density is 0 wherever h is +inf, also
-    where the family's log h' - h reads inf - inf.  The quantile and the
-    inverse survival function are h⁻¹ at -log p for a level p of h's own tail
-    and at -log1p(-p) for the other.  It also handles support masking and
-    scalar passthrough.
+    where the family's log h' - h reads inf - inf.  Every inversion (quantile,
+    isf, the tilt inverse) is one ``_invert`` call: h⁻¹ at -log p for a level
+    p of h's own tail and at -log1p(-p) for the other, the tail set per point.
+    It also handles support masking and scalar passthrough.
     ``log_parts`` (or ``log_tails`` where the density is not needed) is the
     one pass the family layer makes: log g, log sf and log G from one floor,
     one ``_hazard`` and one support mask (none where every point is on the
@@ -182,17 +182,20 @@ class Baseline:
         return np.log(self._hazard(t))
 
     def _invert(self, p, lower):
-        """h⁻¹ at the level p of G (``lower``) or of sf, after checking its domain.
+        """h⁻¹ at the level p of G where ``lower`` (a flag, or one per point) holds, else of sf.
 
-        quantile levels lie in (0, 1) and isf levels in (0, 1]; h⁻¹(inf) at
-        a level 1 of the other tail is the support edge, so no warning is raised.
+        Levels of G lie in (0, 1) and of sf in (0, 1]; h⁻¹(inf) at a level 1
+        of the other tail is the support edge, so no warning is raised.
         """
         scalar = np.isscalar(p)
         p = np.asarray(p, dtype=float)
-        if ((p <= 0.0) | (p >= 1.0 if lower else p > 1.0)).any():
-            raise ValueError("quantile requires u in (0, 1)" if lower else "isf requires q in (0, 1]")
+        bad = (p <= 0.0) | (p > 1.0) | ((p == 1.0) & lower)
+        if np.any(bad & lower):
+            raise ValueError("quantile requires u in (0, 1)")
+        if bad.any():
+            raise ValueError("isf requires q in (0, 1]")
         with np.errstate(all="ignore"):
-            y = -np.log(p) if lower == self._lower_tail else -np.log1p(-p)
+            y = np.where(lower == self._lower_tail, -np.log(p), -np.log1p(-p))
             return _maybe_scalar(self._inv_hazard(y), scalar)
 
     def _from_hazard(self, h, pairs):

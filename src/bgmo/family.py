@@ -51,29 +51,14 @@ def _log_gamma_variates(rng: np.random.Generator, shape: float, count: int) -> n
     return np.log(rng.standard_gamma(shape + 1.0, count)) + np.log1p(-rng.random(count)) / shape
 
 
-def _log_one_minus_power(theta: float, log_s, log_1ms):
-    """log(1 - s^theta) from log s and log(1 - s).
+def _log_one_minus_power(theta: float, z, log_1ms):
+    """log z of z = 1 - s^theta, from z and log(1 - s).
 
     Where 1 - s is below exp(-700) its leading term theta*(1 - s) is used,
     whose log stays finite even where 1 - s underflows to 0.  Call it under
     ``np.errstate(all="ignore")``.
     """
-    return np.where(
-        log_1ms > -700.0,
-        np.log(-np.expm1(theta * log_s)),
-        math.log(theta) + log_1ms,
-    )
-
-
-def _log_reg_inc_beta(x, y, a: float, b: float):
-    """log I_x(a, b) from the pairs x = (x, log x) and y = (1 - x, its log).
-
-    Where I_x(a, b) is at most 1e-300, its leading term x^a/(a B(a, b)),
-    which stays finite where I_x underflows.
-    """
-    out = special.reg_inc_beta_mirrored(*x, *y, a, b)
-    lead = a * x[1] - math.log(a) - special.log_beta(a, b)
-    return np.where(out > 1e-300, np.log(out), lead)
+    return np.where(log_1ms > -700.0, np.log(z), math.log(theta) + log_1ms)
 
 
 @dataclass(frozen=True)
@@ -118,7 +103,7 @@ class BgmoDistribution:
         p = self.params
         log_g, log_gbar, log_gcdf = self.baseline.log_parts(t)
         log_s, log_1ms, log_d = log_tilt(p.alpha, log_gbar, log_gcdf)
-        log_z = _log_one_minus_power(p.theta, log_s, log_1ms)
+        log_z = _log_one_minus_power(p.theta, -np.expm1(p.theta * log_s), log_1ms)
         out = (
             math.log(p.theta)
             + p.theta * math.log(p.alpha)
@@ -150,26 +135,18 @@ class BgmoDistribution:
         return log_tilt(self.params.alpha, *self.baseline.log_tails(t))[:2]
 
     def _beta_args(self, log_s, log_1ms):
-        """(z, log z) and (w, log w) of the beta layer's arguments z = 1 - s^theta and w = s^theta.
-
-        log z is its leading term log(theta*(1 - s)), exact where z is not a
-        normal double, the one place ``special.reg_inc_beta_mirrored`` reads it.
-        """
+        """(z, log z) and (w, log w) of the beta layer's arguments z = 1 - s^theta and w = s^theta."""
         log_w = self.params.theta * log_s
-        return (-np.expm1(log_w), math.log(self.params.theta) + log_1ms), (np.exp(log_w), log_w)
-
-    def _log_sf_from(self, log_s, log_1ms):
-        """log sf; where the sf underflows, the leading term w^n/(n B(m, n))."""
-        z, w = self._beta_args(log_s, log_1ms)
-        return _log_reg_inc_beta(w, z, self.params.n, self.params.m)
+        z = -np.expm1(log_w)
+        return (z, _log_one_minus_power(self.params.theta, z, log_1ms)), (np.exp(log_w), log_w)
 
     def cdf(self, t):
         """I_z(m, n) at z = 1 - s^theta where z <= 1/2, else 1 - I_w(n, m) at w = s^theta.
 
         No incomplete beta reads an argument rounded to 1 (see
         ``special.reg_inc_beta_mirrored``), so at small shapes too the cdf
-        keeps its digits near 1 and sums with the sf to 1.  Where z is not a
-        normal double, the leading term z^m/(m B(m, n)) replaces I_z.
+        keeps its digits near 1 and sums with the sf to 1, also where z is
+        not a normal double.
         """
         p = self.params
         with np.errstate(all="ignore"):
@@ -190,28 +167,29 @@ class BgmoDistribution:
         return float(out) if np.isscalar(t) else out
 
     def log_sf(self, t):
-        """log sf; where the sf underflows, the leading term w^n/(n B(m, n))."""
+        """log sf, finite where the sf underflows (``special.log_reg_inc_beta_mirrored``)."""
+        p = self.params
         with np.errstate(all="ignore"):
-            out = self._log_sf_from(*self._tilt_tails(t))
+            z, w = self._beta_args(*self._tilt_tails(t))
+            out = special.log_reg_inc_beta_mirrored(*w, *z, p.n, p.m)
         return float(out) if np.isscalar(t) else out
 
     def hrf(self, t):
         """Hazard pdf/sf, taken as exp(log pdf - log sf) from one baseline pass."""
-        with np.errstate(all="ignore"):
-            log_f, log_s, log_1ms = self._log_pdf_parts(t)[:3]
-            out = np.exp(log_f - self._log_sf_from(log_s, log_1ms))
-        return float(out) if np.isscalar(t) else out
-
-    def rhrf(self, t):
-        """Reversed hazard pdf/cdf, taken as exp(log pdf - log cdf) from one baseline pass.
-
-        Where the cdf underflows, log cdf is its leading term z^m/(m B(m, n)).
-        """
         p = self.params
         with np.errstate(all="ignore"):
             log_f, log_s, log_1ms = self._log_pdf_parts(t)[:3]
             z, w = self._beta_args(log_s, log_1ms)
-            out = np.exp(log_f - _log_reg_inc_beta(z, w, p.m, p.n))
+            out = np.exp(log_f - special.log_reg_inc_beta_mirrored(*w, *z, p.n, p.m))
+        return float(out) if np.isscalar(t) else out
+
+    def rhrf(self, t):
+        """Reversed hazard pdf/cdf, taken as exp(log pdf - log cdf) from one baseline pass."""
+        p = self.params
+        with np.errstate(all="ignore"):
+            log_f, log_s, log_1ms = self._log_pdf_parts(t)[:3]
+            z, w = self._beta_args(log_s, log_1ms)
+            out = np.exp(log_f - special.log_reg_inc_beta_mirrored(*z, *w, p.m, p.n))
         return float(out) if np.isscalar(t) else out
 
     def chrf(self, t):

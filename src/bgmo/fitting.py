@@ -16,8 +16,9 @@ sigma = lam**(-1/beta) instead of its rate: lam and beta are nearly collinear
 along the likelihood's ridge, sigma and beta are not.  An estimate counts as
 pinned against the box when, at the optimum, a search coordinate sits on a
 bound and the projected gradient points out of the box (the KKT conditions of
-the bounded problem); such fits are reported with ``converged = False`` and
-the coordinate named in ``at_boundary``.
+the bounded problem); such fits are reported with ``converged = False``, the
+coordinate named in ``at_boundary`` and no Wald standard error or interval for
+its parameter.
 """
 
 from __future__ import annotations
@@ -205,8 +206,11 @@ class Restart:
 class FitResult:
     """Estimates plus the usual large-sample summaries.
 
-    ``trace`` holds one ``Restart`` per start, in start order; it is not
-    part of ``to_dict``/``to_json``.
+    ``trace`` holds one ``Restart`` per start, in start order, and
+    ``restarts_at_best`` counts the restarts whose final value is within
+    ``f_tol`` of the best; neither is part of ``to_dict``/``to_json``.  A
+    parameter whose search coordinate is in ``at_boundary`` has a NaN standard
+    error and interval (null in JSON): Wald numbers are not valid on the box.
     """
 
     estimates: dict[str, float]
@@ -225,6 +229,7 @@ class FitResult:
     k_params: int
     level: float
     trace: tuple[Restart, ...] = field(default=(), repr=False, compare=False)
+    restarts_at_best: int = field(default=0, compare=False)
 
     def to_dict(self) -> dict:
         ci = self.conf_intervals
@@ -491,10 +496,10 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     vector).
     A coordinate that ends on a bound with the projected gradient pointing
     out of the box is pinned by the box: ``at_boundary`` names it and
-    ``converged`` is False.  ``converged`` is also False when the best run
-    stopped at its iteration or evaluation limit, or never left its start.
-    ``trace`` records every run.  Estimates are reported under the
-    template's parameter names.
+    ``converged`` is False, and its standard error and interval are NaN.
+    ``converged`` is also False when the best run stopped at its iteration or
+    evaluation limit, or never left its start.  ``trace`` records every run.
+    Estimates are reported under the template's parameter names.
     """
     # imported here so that ``import bgmo`` does not load scipy.optimize and scipy.stats
     from scipy.optimize import minimize
@@ -581,10 +586,12 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         diag = np.diag(cov)
         if np.all(diag >= 0):
             info_pd = True
-            se = {n: float(math.sqrt(d)) for n, d in zip(free, diag)}
-            ci = {
-                n: wald_interval(estimates[n], se[n], config.level) for n in free
+            # a NaN SE gives the interval (NaN, NaN)
+            se = {
+                n: math.nan if name in at_boundary else float(math.sqrt(d))
+                for n, name, d in zip(free, names, diag)
             }
+            ci = {n: wald_interval(estimates[n], se[n], config.level) for n in free}
     except (np.linalg.LinAlgError, ArithmeticError, ValueError):
         pass
 
@@ -606,4 +613,5 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         k_params=k,
         level=config.level,
         trace=tuple(trace),
+        restarts_at_best=sum(abs(r.neg_log_lik - best.fun) <= config.f_tol for r in trace),
     )

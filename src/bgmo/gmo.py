@@ -3,9 +3,10 @@
 The tilt maps a baseline survival function sf_G into
 ``s = alpha*sf_G/D`` with ``D = 1 - (1-alpha)*sf_G``, so ``1 - s = G/D``;
 alpha = 1 recovers the baseline.  ``log_tilt`` is the one place the tilt is
-computed and ``tilt_inverse`` its closed-form inverse.  The sub-families the
-paper names (the plain and exponentiated tilts, Beta-G) are cross-checked
-against independently coded closed forms in the test suite.
+computed and ``tilt_inverse`` its closed-form inverse, one baseline inversion
+per point.  The sub-families the paper names (the plain and exponentiated
+tilts, Beta-G) are cross-checked against independently coded closed forms in
+the test suite.
 """
 
 from __future__ import annotations
@@ -45,16 +46,12 @@ def tilt_inverse(alpha: float, baseline: Baseline, log_s):
     """The t whose tilted survival alpha*sf_G/(1 - (1-alpha)*sf_G) is exp(log_s).
 
     Inverting the tilt gives G = alpha*(1 - s)/D and sf_G = s/D with
-    D = alpha + (1-alpha)*s; the baseline is inverted through whichever of
-    the two is at most 1/2, so both tails keep their relative precision.
+    D = alpha + (1-alpha)*s.  Each point is inverted through whichever of
+    the two is at most 1/2, in one ``Baseline._invert`` call, so both tails
+    keep their relative precision.  Levels below 1e-300 are taken as 1e-300.
     """
     s = np.exp(log_s)
     den = alpha + (1.0 - alpha) * s
     g = alpha * -np.expm1(log_s) / den
-    gbar = s / den
-    with np.errstate(all="ignore"):
-        return np.where(
-            g <= 0.5,
-            baseline.quantile(np.clip(g, 1e-300, 0.75)),
-            baseline.isf(np.clip(gbar, 1e-300, 1.0)),
-        )
+    lower = g <= 0.5
+    return baseline._invert(np.maximum(np.where(lower, g, s / den), 1e-300), lower)

@@ -406,14 +406,14 @@ _LADDER = [_tanh_sinh_level(k) for k in range(_MAX_LEVEL + 1)]
 def _batch(levels, probe=()):
     """One integrand call over ``levels`` of the ladder.
 
-    Returns the nodes w of the levels in order, the isf levels (w, then the
-    ``probe`` levels) and, per level, (k, its slice of w, its weights).
+    Returns the nodes w, the baseline levels (w of G, then w and ``probe`` of
+    sf) with their tail mask, and per level (k, its slice of w, its weights).
     """
     sizes = [_LADDER[k][0].size for k in levels]
     ends = np.cumsum(sizes)
     parts = [(k, slice(e - n, e), _LADDER[k][1]) for k, n, e in zip(levels, sizes, ends)]
     w = np.concatenate([_LADDER[k][0] for k in levels])
-    return w, np.concatenate((w, probe)), parts
+    return w, np.concatenate((w, w, probe)), np.arange(2 * w.size + len(probe)) < w.size, parts
 
 
 _BATCHES = [_batch(range(_FIRST_LEVELS), _TAIL_PROBE)] + [
@@ -479,8 +479,8 @@ def _support_quad(fn: Callable, baseline: Baseline, *args, check: str | None = N
     zeroed = np.zeros(shape, dtype=int)
     sums = []
     with np.errstate(all="ignore"):
-        for w, q, parts in _BATCHES:
-            t = np.concatenate((baseline.quantile(w), baseline.isf(q)))
+        for w, levels, lower, parts in _BATCHES:
+            t = baseline._invert(levels, lower)
             values = fn(t, *args)
             nodes = 2 * w.size
             if check and t.size > nodes:  # the first call, with the tail probe

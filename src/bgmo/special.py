@@ -5,7 +5,8 @@ wrappers over ``scipy.special`` (Boost-backed; DiDonato & Morris 1992,
 ACM TOMS 708): they add the package's domain checks and exact endpoints and
 take scalars or arrays, returning a float for scalar input.
 ``reg_inc_beta_mirrored`` takes the argument and its complement apart, so
-that neither is read rounded to 1.  ``log_beta`` is
+that neither is read rounded to 1, and ``log_reg_inc_beta_mirrored`` is its
+log, finite where it underflows.  ``log_beta`` is
 a scalar ``math.lgamma`` sum, cheapest where it runs once per likelihood
 evaluation, and ``beta_quantile_series`` is the small-u power series of the
 beta quantile.
@@ -24,6 +25,7 @@ __all__ = [
     "log_beta",
     "reg_inc_beta",
     "reg_inc_beta_mirrored",
+    "log_reg_inc_beta_mirrored",
     "beta_quantile",
     "beta_quantile_series",
     "digamma",
@@ -70,24 +72,52 @@ def reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
     else 1 - I_y(n, m), or scipy's ``betaincc`` (several times the cost) on
     the few points where that difference is below 1/10 and would lose a
     digit to cancellation.  Where the argument u taken is not a normal
-    double, its leading term u^a/(a B(m, n)), from log u, replaces it (a is
-    m for u = x, n for u = y); the logs are read only there.  Elementwise
-    over arrays of one shape, for x, y in [0, 1] and m, n > 0.
+    double, the hypergeometric form of ``_log_inc_beta_hyp``, from log u and
+    log(1 - u), replaces it; the logs are read only there.  Elementwise over
+    arrays of one shape, for x, y in [0, 1] and m, n > 0.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     low = x <= 0.5
     u = _checked("reg_inc_beta_mirrored", "x and y", np.where(low, x, y), m, n)
-    first = np.where(low, m, n)
-    c = sc.betainc(first, np.where(low, n, m), u)
+    first, second = np.where(low, m, n), np.where(low, n, m)
+    c = np.asarray(sc.betainc(first, second, u))
     tiny = u < _TINY
     if np.any(tiny):
-        lead = first * np.where(low, log_x, log_y) - np.where(low, math.log(m), math.log(n))
-        c = np.where(tiny, np.exp(lead - log_beta(m, n)), c)
+        logs = np.where(low, log_x, log_y), np.where(low, log_y, log_x)
+        at = (np.broadcast_to(v, c.shape)[tiny] for v in (u, *logs, first, second))
+        c[tiny] = np.exp(_log_inc_beta_hyp(*at, log_beta(m, n)))
     out = np.where(low, c, 1.0 - c)
     hard = ~low & (c > 0.9)
     if np.any(hard):
         out[hard] = sc.betaincc(n, m, y[hard])
     return _scalar_or_array(out, x, y)
+
+
+def log_reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
+    """log I_x(m, n) from x and y = 1 - x given apart, as ``reg_inc_beta_mirrored`` takes them.
+
+    Where I_x(m, n) is at most 1e-300, the hypergeometric form of
+    ``_log_inc_beta_hyp`` replaces the log of the rounded value, so the
+    result stays finite and keeps its digits where I_x underflows.
+    """
+    c = np.asarray(reg_inc_beta_mirrored(x, log_x, y, log_y, m, n))
+    with np.errstate(divide="ignore"):
+        out = np.asarray(np.log(c))
+    small = c <= 1e-300
+    if np.any(small):
+        at = (np.broadcast_to(v, c.shape)[small] for v in (x, log_x, log_y))
+        out[small] = _log_inc_beta_hyp(*at, m, n, log_beta(m, n))
+    return _scalar_or_array(out, x, y)
+
+
+def _log_inc_beta_hyp(x, log_x, log_y, m, n, log_b):
+    """log I_x(m, n) = m log x + n log y - log m - log B + log 2F1(m + n, 1; m + 1; x).
+
+    DLMF 8.17.8, with y = 1 - x and log_b = log B(m, n); it stays finite where
+    I_x underflows.  m and n may be arrays, one shape pair per point.
+    """
+    log_f = np.log(sc.hyp2f1(m + n, 1.0, m + 1.0, x))
+    return m * log_x + n * log_y - np.log(m) - log_b + log_f
 
 
 def beta_quantile(u, m, n):

@@ -9,11 +9,12 @@ the matching parameters against them.  Names follow the sub-families:
 - ``bmo``: the beta layer over the plain tilt (theta = 1);
 - ``beta_g``: the classical beta-generated family (alpha = theta = 1).
 
-``inverse_transform_sample`` is the quantile route to random draws, against
-which the family's gamma-ratio sampler is compared, ``cdf_sf_mp`` the
-family's cdf and sf at 50 digits, ``pdf_cdf_mp`` its pdf and cdf at 50
-digits from a baseline cdf below the double range, ``binom_row`` a scalar
-binomial row for the loop forms of the series tables,
+``tilt_inverse_two_calls`` is the tilt inverse by a quantile and an isf call
+over every point, ``inverse_transform_sample`` the quantile route to random
+draws, against which the family's gamma-ratio sampler is compared,
+``cdf_sf_mp`` the family's cdf and sf at 50 digits, ``pdf_cdf_mp`` its pdf,
+cdf and sf at 50 digits from a baseline cdf or sf below the double range,
+``binom_row`` a scalar binomial row for the loop forms of the series tables,
 ``tanhsinh_support_quad`` the support integral of ``series._support_quad``
 by scipy's tanh-sinh solver, and
 ``finite_difference_score`` the fitter's score by differences of its
@@ -77,6 +78,25 @@ def beta_g_pdf(m, n, b, t):
     return b.pdf(t) * b.cdf(t) ** (m - 1.0) * b.sf(t) ** (n - 1.0) / beta_fn(m, n)
 
 
+def tilt_inverse_two_calls(alpha, b, log_s):
+    """The tilt inverse with both baseline inversions over every point.
+
+    ``b.quantile`` at G = alpha*(1 - s)/D and ``b.isf`` at sf_G = s/D, each
+    level clipped into its inverse's domain, and per point the one whose
+    level is at most 1/2 (G where G <= 1/2).
+    """
+    s = np.exp(log_s)
+    den = alpha + (1.0 - alpha) * s
+    g = alpha * -np.expm1(log_s) / den
+    gbar = s / den
+    with np.errstate(all="ignore"):
+        return np.where(
+            g <= 0.5,
+            b.quantile(np.clip(g, 1e-300, 0.75)),
+            b.isf(np.clip(gbar, 1e-300, 1.0)),
+        )
+
+
 def reduction_gap(dist, target: str, grid_size: int = 200) -> float:
     """Max pointwise pdf gap between ``dist`` and the closed form of ``target``.
 
@@ -123,23 +143,25 @@ def cdf_sf_mp(m, n, theta, alpha, log_gbar):
         return float(1 - sf), float(sf)
 
 
-def pdf_cdf_mp(m, n, theta, alpha, g, gcdf):
-    """The family's pdf and cdf at 50 digits, from a baseline density g and cdf G taken as exact.
+def pdf_cdf_mp(m, n, theta, alpha, g, gcdf, gbar=None):
+    """The family's pdf, cdf and sf at 50 digits, from a baseline g, G and sf_G taken as exact.
 
-    g and G are mpmath numbers, so they may lie below the smallest double;
-    1 - s is formed as G/D, never as a difference.
+    g, G and sf_G (1 - G unless given) are mpmath numbers, so they may lie
+    below the smallest double; 1 - s is formed as G/D where G/D < 1/2 and s
+    as alpha*sf_G/D elsewhere, never as a difference.
     """
     with mpmath.workdps(50):
         m, n, theta, alpha = (mpmath.mpf(v) for v in (m, n, theta, alpha))
-        gbar = 1 - gcdf
+        gbar = 1 - gcdf if gbar is None else gbar
         d = 1 - (1 - alpha) * gbar
-        log_s = mpmath.log1p(-gcdf / d)
+        log_s = mpmath.log1p(-gcdf / d) if gcdf / d < 0.5 else mpmath.log(alpha * gbar / d)
         w, z = mpmath.exp(theta * log_s), -mpmath.expm1(theta * log_s)
         pdf = (
             theta * alpha**theta * g * gbar ** (theta - 1) / d ** (theta + 1)
             * z ** (m - 1) * w ** (n - 1) / mpmath.beta(m, n)
         )
-        return pdf, mpmath.betainc(m, n, 0, z, regularized=True)
+        cdf = mpmath.betainc(m, n, 0, z, regularized=True)
+        return pdf, cdf, mpmath.betainc(n, m, 0, w, regularized=True)
 
 
 def binom_row(x: float, length: int) -> np.ndarray:

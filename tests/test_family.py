@@ -3,11 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
+from bgmo import special
 from bgmo.baselines import (
     Exponential,
     ExponentiatedPareto,
@@ -19,7 +20,8 @@ from bgmo.baselines import (
     ZFunction,
 )
 from bgmo.family import BgmoDistribution, BgmoParams
-from bgmo.series import asymptote
+from bgmo.gmo import tilt_inverse
+from bgmo.series import DivergenceError, _support_quad, asymptote
 from test_gmo import ALL_BASELINES, BASELINE_IDS
 
 # (m, n, theta, alpha), each log-uniform on [1e-2, 1e2]
@@ -257,10 +259,42 @@ class TestTails:
             with mpmath.workdps(50):
                 tm = mpmath.mpf(t)
                 g = 2 * tm * mpmath.exp(-(tm**2))
-                pdf, cdf = oracles.pdf_cdf_mp(0.7, 2.5, 0.5, 2.5, g, -mpmath.expm1(-(tm**2)))
+                pdf, cdf, _ = oracles.pdf_cdf_mp(0.7, 2.5, 0.5, 2.5, g, -mpmath.expm1(-(tm**2)))
                 want = float(pdf / cdf)
             assert d.rhrf(t) == pytest.approx(want, rel=1e-12)
         assert d.cdf(1e-300) == 0.0
+
+    @pytest.mark.parametrize("shapes, ts", [
+        ((50, 3, 1, 1), (8.27e-7, 5e-7, 2e-7)),
+        ((50, 3, 0.5, 2), (2e-6, 1e-6)),
+    ])
+    def test_rhrf_where_the_cdf_is_below_1e_300(self, shapes, ts):
+        # the cdf is a normal double at the first points (9.9e-302 at 8.27e-7),
+        # where the leading term z^m/(m B(m, n)) misses log cdf by a term in
+        # log(1 - z); the hypergeometric form (DLMF 8.17.8) keeps every digit
+        d = dist(*shapes)
+        for t in ts:
+            with mpmath.workdps(50):
+                tm = mpmath.mpf(t)
+                pdf, cdf, _ = oracles.pdf_cdf_mp(*shapes, mpmath.exp(-tm), -mpmath.expm1(-tm))
+            assert cdf <= 1e-300
+            assert d.rhrf(t) == pytest.approx(float(pdf / cdf), rel=1e-12)
+
+    @pytest.mark.parametrize("shapes, ts", [
+        ((3, 50, 1, 1), (16.0, 20.0, 40.0)),
+        ((3, 50, 0.5, 2), (30.0, 40.0)),
+    ])
+    def test_hrf_where_the_sf_is_below_1e_300(self, shapes, ts):
+        # the mirror of the rhrf case: log sf takes the hypergeometric form,
+        # whose log(1 - w) term the leading term w^n/(n B(m, n)) drops
+        d = dist(*shapes)
+        for t in ts:
+            with mpmath.workdps(50):
+                gbar = mpmath.exp(-mpmath.mpf(t))
+                pdf, _, sf = oracles.pdf_cdf_mp(*shapes, gbar, 1 - gbar, gbar)
+            assert sf <= 1e-300
+            assert d.hrf(t) == pytest.approx(float(pdf / sf), rel=1e-12)
+            assert d.chrf(t) == pytest.approx(float(-mpmath.log(sf)), rel=1e-12)
 
     def test_quantile_round_trip_is_relative_at_tiny_levels(self):
         d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
@@ -359,6 +393,58 @@ class TestSampling:
         assert np.all(np.isfinite(draws))
         assert np.all(draws >= d.support_low)
         np.testing.assert_array_equal(draws, d.sample(64, seed))
+
+
+class TestOneInversionPerPoint:
+    """Each inversion through the tilt makes one ``_inv_hazard`` call per point."""
+
+    LEVELS = np.concatenate([10.0 ** -np.arange(300.0, 0.0, -20.0), [0.3, 0.5]])
+
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=BASELINE_IDS)
+    def test_one_inv_hazard_call(self, baseline, monkeypatch):
+        sizes = []
+        inv = type(baseline)._inv_hazard
+
+        def counted(self, y):
+            sizes.append(np.size(y))
+            return inv(self, y)
+
+        monkeypatch.setattr(type(baseline), "_inv_hazard", counted)
+        d = dist(0.7, 2.5, 0.5, 2.5, baseline)
+        d.sample(1000, 7)
+        d.quantile(self.LEVELS)
+        tilt_inverse(2.0, baseline, np.log(self.LEVELS))
+        assert sizes == [1000, self.LEVELS.size, self.LEVELS.size]
+
+        # one call per integrand batch, over its nodes and the tail probe
+        sizes.clear()
+        batches = []
+
+        def pdf(t):
+            batches.append(t.size)
+            return d.pdf(t)
+
+        try:
+            _support_quad(pdf, baseline, check="pdf")
+        except DivergenceError:  # the heavy exponentiated Pareto's pdf integral
+            pass
+        assert sizes == batches and len(batches) >= 1
+
+    @pytest.mark.parametrize("baseline", ALL_BASELINES, ids=BASELINE_IDS)
+    @given(shapes=SHAPE_BOX)
+    @example(shapes=(1e-3, 1e-3, 1.0, 1.0))
+    @example(shapes=(1e4, 1e-2, 1.0, 1.0))
+    def test_equals_two_inversions_bit_for_bit(self, baseline, shapes):
+        # the log s a quantile feeds the tilt inverse, in both tails of the
+        # beta layer: log(1 - z) below the median of z, log w above it
+        m, n, theta, alpha = shapes
+        z = special.beta_quantile(self.LEVELS, m, n)
+        w = special.beta_quantile(self.LEVELS, n, m)
+        with np.errstate(divide="ignore"):
+            log_s = np.concatenate((np.log1p(-z), np.log(w), [-np.inf, 0.0])) / theta
+        got = tilt_inverse(alpha, baseline, log_s)
+        want = oracles.tilt_inverse_two_calls(alpha, baseline, log_s)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestEvaluationOverTheBox:

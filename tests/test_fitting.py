@@ -401,6 +401,29 @@ class TestFitMle:
         assert result.log_likelihood == pytest.approx(-77.494, abs=1e-3)
         assert any(math.isinf(r.start["lam"]) for r in result.trace)
 
+    def test_pinned_coordinates_report_no_wald_numbers(self):
+        # the six-parameter turbocharger fit ends on the box in alpha and beta:
+        # their SEs and intervals are NaN (null in JSON), the other four finite
+        data = builtin_dataset("turbocharger").values
+        result = fit_mle(ModelTemplate("weibull"), data, FitConfig(seed=0))
+        assert result.at_boundary == ("alpha", "beta") and result.information_pd
+        doc = json.loads(result.to_json())
+        for name in ("alpha", "beta"):
+            assert math.isnan(result.std_errors[name])
+            assert doc["se"][name] is None and doc["ci"][name] == [None, None]
+        for name in ("m", "n", "theta", "lam"):
+            assert math.isfinite(result.std_errors[name]) and result.std_errors[name] > 0
+            assert all(math.isfinite(v) for v in result.conf_intervals[name])
+        assert np.all(np.isfinite(result.covariance))
+        # in 1 of 24 restarts only: this likelihood has no interior optimum
+        assert result.restarts_at_best == 1
+
+    def test_restarts_at_best_of_an_interior_fit(self):
+        data = builtin_dataset("turbocharger").values
+        result = fit_mle(ModelTemplate("weibull", fixed=NESTED), data, FitConfig(seed=0))
+        assert result.converged and result.restarts_at_best == 24
+        assert "restarts_at_best" not in result.to_dict()
+
     def test_multistart_stability_across_seeds(self):
         # this likelihood has no interior optimum (see test_boundary_fits),
         # so refits agree only to the box-constrained search resolution,

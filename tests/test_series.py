@@ -358,7 +358,7 @@ class TestOrderStatPdf:
         for t in (20.0, 30.0, 40.0):
             with mpmath.workdps(50):
                 tm = mpmath.mpf(t)
-                pdf, _ = oracles.pdf_cdf_mp(*shapes, mpmath.exp(-tm), -mpmath.expm1(-tm))
+                pdf, _, _ = oracles.pdf_cdf_mp(*shapes, mpmath.exp(-tm), -mpmath.expm1(-tm))
                 cdf, sf = oracles.cdf_sf_mp(*shapes, -t)
                 assert sf <= 1e-16
                 for r in (1, 2, 3):

@@ -9,6 +9,7 @@ from bgmo.special import (
     beta_quantile_series,
     digamma,
     log_beta,
+    log_reg_inc_beta_mirrored,
     reg_inc_beta,
     reg_inc_beta_mirrored,
 )
@@ -127,6 +128,31 @@ class TestRegIncBetaMirrored:
             reg_inc_beta_mirrored(1.5, 0.0, -0.5, 0.0, 2.0, 3.0)
         with pytest.raises(ValueError):
             reg_inc_beta_mirrored(0.3, 0.0, 0.7, 0.0, 0.0, 3.0)
+
+
+class TestLogRegIncBetaMirrored:
+    @pytest.mark.parametrize("x, m, n", [
+        (1e-7, 50.0, 3.0),  # I_x = 1.5e-347, x a normal double
+        (0.3, 800.0, 2.0),
+        (0.9, 1e4, 0.01),  # I_x below 1e-300 with x above 1/2
+        (1e-320, 0.5, 2.0),  # x subnormal
+        (0.2, 2.5, 0.7),  # I_x a normal double: the log of the mirrored value
+    ])
+    def test_against_mpmath(self, x, m, n):
+        with mpmath.workdps(50):
+            want = float(mpmath.log(mpmath.betainc(m, n, 0, mpmath.mpf(x), regularized=True)))
+        got = log_reg_inc_beta_mirrored(x, math.log(x), 1.0 - x, math.log1p(-x), m, n)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_arrays_and_the_subnormal_branch_agree(self):
+        # where x is subnormal, I_x itself is the exponential of the same form
+        x = np.array([1e-320, 1e-310, 0.2])
+        log_x, y, log_y = np.log(x), 1.0 - x, np.log1p(-x)
+        got = log_reg_inc_beta_mirrored(x, log_x, y, log_y, 0.5, 2.0)
+        np.testing.assert_allclose(np.exp(got), reg_inc_beta_mirrored(x, log_x, y, log_y, 0.5, 2.0),
+                                   rtol=1e-14)
+        assert log_reg_inc_beta_mirrored(0.0, -np.inf, 1.0, 0.0, 2.0, 3.0) == -math.inf
 
 
 class TestBetaQuantile:
