@@ -33,7 +33,6 @@ from .fitting import (
 )
 from .series import (
     ExpansionCoeffs,
-    TruncationPolicy,
     expansion_coefficients,
     asymptote,
     cdf_via_expansion,
@@ -66,7 +65,6 @@ __all__ = [
     "Lomax",
     "ModelTemplate",
     "ModifiedWeibull",
-    "TruncationPolicy",
     "Weibull",
     "ZFunction",
     "asymptote",

@@ -3,7 +3,8 @@
 Bundled fixtures: ``turbocharger`` (40 failure times, thousands of hours),
 ``nicotine`` (346 cigarette nicotine measurements) and ``carbon_fibres``
 (100 breaking stresses).  Files are plain text, whitespace or comma
-separated, with ``#`` comment lines.
+separated (comma when any non-comment line holds one), with ``#`` comment
+lines.
 """
 
 from __future__ import annotations
@@ -40,21 +41,17 @@ class DatasetParseError(ValueError):
     """A token failed to parse; the message carries line:column."""
 
 
-def _parse_text(text: str, name: str, fmt: str) -> Dataset:
-    if fmt == "auto":
-        body = "\n".join(
-            line for line in text.splitlines() if not line.lstrip().startswith("#")
-        )
-        fmt = "csv" if "," in body else "whitespace"
+def _parse_text(text: str, name: str) -> Dataset:
+    body = "\n".join(
+        line for line in text.splitlines() if not line.lstrip().startswith("#")
+    )
+    sep = "," if "," in body else None  # None: any run of whitespace
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if fmt == "csv":
-            tokens = [tok.strip() for tok in line.split(",")]
-        else:
-            tokens = line.split()
+        tokens = [tok.strip() for tok in line.split(sep)]
         pos = 0
         for tok in tokens:
             col = line.find(tok, pos) + 1
@@ -72,16 +69,14 @@ def _parse_text(text: str, name: str, fmt: str) -> Dataset:
     return Dataset(name=name, values=np.array(values))
 
 
-def load_dataset(path, fmt: str = "auto") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a numeric dataset from a text file.
 
-    ``fmt`` is ``auto`` (sniff comma vs whitespace), ``whitespace`` or
-    ``csv``.  Lines starting with ``#`` are ignored.
+    Values are comma separated if any non-comment line holds a comma, and
+    whitespace separated otherwise.  Lines starting with ``#`` are ignored.
     """
-    if fmt not in ("auto", "whitespace", "csv"):
-        raise ValueError(f"unknown format {fmt!r}")
     path = Path(path)
-    return _parse_text(path.read_text(), name=path.stem, fmt=fmt)
+    return _parse_text(path.read_text(), name=path.stem)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -97,4 +92,4 @@ def builtin_dataset(name: str) -> Dataset:
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin dataset {name!r} (known: {BUILTIN_NAMES})")
     text = resources.files("bgmo").joinpath(f"_data/{name}.txt").read_text()
-    return _parse_text(text, name=name, fmt="whitespace")
+    return _parse_text(text, name=name)

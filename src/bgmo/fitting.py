@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 FAMILY_PARAM_NAMES = ("m", "n", "theta", "alpha")
+# L-BFGS-B's relative reduction tolerance, and the gap within which two restarts tie
+_F_TOL = 1e-9
 
 
 class FitError(RuntimeError):
@@ -143,7 +145,7 @@ class ModelTemplate:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Search controls: restart count, iteration budget, tolerance, box.
+    """Search controls: restart count, iteration budget, seed, level, box.
 
     ``start_box`` maps search-coordinate names to (low, high) ranges, sampled
     log-uniformly; it is also the hard search region.  The coordinates are
@@ -158,14 +160,10 @@ class FitConfig:
       closed-form MLE n / sum Z(t), times or divided by 100;
     - the exponentiated-Pareto location ``theta_p``: below the smallest
       observation.
-
-    ``f_tol`` is L-BFGS-B's relative reduction tolerance and the gap within
-    which two restarts tie.
     """
 
     starts: int = 24
     max_iter: int = 2000
-    f_tol: float = 1e-9
     seed: int = 0
     level: float = 0.05
     start_box: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -173,8 +171,6 @@ class FitConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if self.f_tol <= 0:
-            raise ValueError("f_tol must be positive")
         if not 0 < self.level < 1:
             raise ValueError("level must be in (0, 1)")
 
@@ -208,7 +204,7 @@ class FitResult:
 
     ``trace`` holds one ``Restart`` per start, in start order, and
     ``restarts_at_best`` counts the restarts whose final value is within
-    ``f_tol`` of the best; neither is part of ``to_dict``/``to_json``.  A
+    1e-9 of the best; neither is part of ``to_dict``/``to_json``.  A
     parameter whose search coordinate is in ``at_boundary`` has a NaN standard
     error and interval (null in JSON): Wald numbers are not valid on the box.
     """
@@ -247,7 +243,7 @@ class FitResult:
             "k": self.k_params,
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         def walk(node):
             if isinstance(node, dict):
                 return {k: walk(v) for k, v in node.items()}
@@ -258,7 +254,7 @@ class FitResult:
                 return x if math.isfinite(x) else None
             return node
 
-        return json.dumps(walk(self.to_dict()), indent=indent, sort_keys=True)
+        return json.dumps(walk(self.to_dict()), indent=2, sort_keys=True)
 
 
 # --- likelihood and score ----------------------------------------------------
@@ -492,7 +488,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     for the coordinates, their ``start_box`` keys and default boxes), on the
     negative log-likelihood and its gradient, the analytic score times
     d(params)/d(coordinates).  It keeps the best final value (ties
-    within ``f_tol`` broken toward the lexicographically smaller coordinate
+    within 1e-9 broken toward the lexicographically smaller coordinate
     vector).
     A coordinate that ends on a bound with the projected gradient pointing
     out of the box is pinned by the box: ``at_boundary`` names it and
@@ -540,7 +536,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     best = None
     trace = []
     bounds = list(zip(lo, hi))
-    options = dict(maxiter=config.max_iter, ftol=config.f_tol)
+    options = dict(maxiter=config.max_iter, ftol=_F_TOL)
     for x0 in starts:
         t0 = time.perf_counter()
         run = minimize(
@@ -562,8 +558,8 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
             continue
         if (
             best is None
-            or run.fun < best.fun - config.f_tol
-            or (abs(run.fun - best.fun) <= config.f_tol and tuple(run.x) < tuple(best.x))
+            or run.fun < best.fun - _F_TOL
+            or (abs(run.fun - best.fun) <= _F_TOL and tuple(run.x) < tuple(best.x))
         ):
             best, best_moved = run, trace[-1].moved
     if best is None:
@@ -613,5 +609,5 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         k_params=k,
         level=config.level,
         trace=tuple(trace),
-        restarts_at_best=sum(abs(r.neg_log_lik - best.fun) <= config.f_tol for r in trace),
+        restarts_at_best=sum(abs(r.neg_log_lik - best.fun) <= _F_TOL for r in trace),
     )

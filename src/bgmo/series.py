@@ -3,8 +3,8 @@
 The density and distribution function admit mixture expansions in powers of
 the tilted survival S(t) = alpha*sf_G/(1-(1-alpha)*sf_G) or of its complement
 C(t) = 1 - S(t).  For integer shape m the expansions are finite and exact;
-for real m they are generalized-binomial series truncated by a
-``TruncationPolicy``.  Everything here is cross-checkable against the direct
+for real m they are generalized-binomial series truncated at ``max_terms``
+terms (60 by default).  Everything here is cross-checkable against the direct
 evaluations in ``family``.  The integral functionals (PWMs, moments, mgf,
 entropy) integrate over v = G(t), split at v = 1/2, with a tanh-sinh rule
 whose node ladder is computed once at import (levels 0 to 8, stopped by
@@ -29,7 +29,6 @@ from .family import BgmoDistribution, _zmul
 from .gmo import log_tilt
 
 __all__ = [
-    "TruncationPolicy",
     "SeriesEval",
     "DivergenceError",
     "ExpansionCoeffs",
@@ -50,22 +49,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Term cap of the infinite expansions (real m or n): every table has ``max_terms`` entries.
-
-    No stopping rule is guessed: a pointwise expansion sums its whole table
-    and measures its error against the exact value (see ``SeriesEval``).
-    """
-
-    max_terms: int = 60
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_POLICY = TruncationPolicy()
 # a pointwise expansion has converged when it is within this of the exact value, relative
 _CONVERGED_RTOL = 1e-10
 
@@ -82,7 +65,7 @@ class SeriesEval:
 
     value: float
     converged: bool
-    tail: float = 0.0
+    tail: float
 
     def __float__(self):
         return self.value
@@ -115,7 +98,7 @@ def expansion_coefficients(
     m: float,
     n: float,
     theta: float,
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    max_terms: int = 60,
     r: int | None = None,
     sample_n: int | None = None,
 ) -> ExpansionCoeffs:
@@ -126,10 +109,10 @@ def expansion_coefficients(
     tables ``d_table`` (powers of the chi series, one row per power) require
     both ``r`` and ``sample_n``.
     """
-    delta, delta_prime = delta_coeffs(m, n, theta, policy)
-    phi = _phi_coeffs(m, n, theta, policy)
-    chi = _chi_coeffs(m, n, theta, policy)
-    psi = _psi_cdf_coeffs(m, n, theta, policy) if _is_int(m) and _is_int(n) else None
+    delta, delta_prime = delta_coeffs(m, n, theta, max_terms)
+    phi = _phi_coeffs(m, n, theta, max_terms)
+    chi = _chi_coeffs(m, n, theta, max_terms)
+    psi = _psi_cdf_coeffs(m, n, theta, max_terms) if _is_int(m) and _is_int(n) else None
     xi = d_table = None
     if r is not None and sample_n is not None:
         d_table = _chi_powers(chi, r, sample_n)
@@ -144,15 +127,15 @@ def _is_int(x: float) -> bool:
     return abs(x - round(x)) < 1e-9
 
 
-def _binom_row(r: float, cap: int) -> np.ndarray:
-    """Generalized binomial coefficients C(r, j), j = 0, 1, ...
+def _alt_binom_row(x: float, cap: int) -> np.ndarray:
+    """Signed generalized binomial coefficients (-1)^j C(x, j), j = 0, 1, ...
 
-    The row of ``_alt_binom_table`` with its signs (-1)^j undone.  A
-    nonnegative integer r gives the r + 1 terms of the finite expansion (all
-    later ones vanish); any other r gives ``cap`` terms.
+    The row of ``_alt_binom_table``.  A nonnegative integer x gives the
+    x + 1 terms of the finite expansion (all later ones vanish); any other x
+    gives ``cap`` terms.
     """
-    length = int(round(r)) + 1 if _is_int(r) and round(r) >= 0 else cap
-    return (-1.0) ** np.arange(length) * _alt_binom_table(r, length)
+    length = int(round(x)) + 1 if _is_int(x) and round(x) >= 0 else cap
+    return _alt_binom_table(x, length)
 
 
 def _alt_binom_table(x, length: int) -> np.ndarray:
@@ -162,8 +145,11 @@ def _alt_binom_table(x, length: int) -> np.ndarray:
     one cumulative product along the last axis after a column of ones.  Past
     a nonnegative integer x the factor i = x + 1 is exactly 0, so the row is
     exact zeros there and finite expansions end by themselves; at x = -1
-    every factor is 1.
+    every factor is 1.  A row of fewer than one term is an error: every
+    truncated table is built here, with ``max_terms`` as its length.
     """
+    if length < 1:
+        raise ValueError("max_terms must be at least 1")
     x = np.asarray(x, dtype=float)[..., None]
     i = np.arange(1.0, length)
     factors = np.concatenate((np.ones_like(x), (i - 1.0 - x) / i), axis=-1)
@@ -193,47 +179,45 @@ def _order_stat_weights(r: int, sample_n: int) -> np.ndarray:
 # --- coefficient tables ----------------------------------------------------
 
 
-def delta_coeffs(m: float, n: float, theta: float, policy: TruncationPolicy = DEFAULT_POLICY):
+def delta_coeffs(m: float, n: float, theta: float, max_terms: int = 60):
     """Mixture weights of the survival-power expansion of the density.
 
     delta[j]  = (-1)^j * theta * C(m-1, j) / B(m, n)
     delta'[j] = (-1)^(j+1) * C(m-1, j) / (B(m, n) * (j + n))
 
     so that delta[j] = -delta'[j] * theta * (j + n).  For integer m there are
-    exactly m nonzero terms; otherwise the table is truncated by ``policy``.
+    exactly m nonzero terms; otherwise the table has ``max_terms`` terms.
     """
     if m <= 0 or n <= 0 or theta <= 0:
         raise ValueError("shape parameters must be positive")
-    binom = _binom_row(m - 1.0, policy.max_terms)
+    row = _alt_binom_row(m - 1.0, max_terms)
     inv_beta = math.exp(-special.log_beta(m, n))
-    j = np.arange(len(binom))
-    signs = np.where(j % 2 == 0, 1.0, -1.0)
-    delta = signs * theta * binom * inv_beta
-    delta_prime = -signs * binom * inv_beta / (j + n)
+    delta = theta * row * inv_beta
+    delta_prime = -row * inv_beta / (np.arange(len(row)) + n)
     return delta, delta_prime
 
 
-def _phi_coeffs(m, n, theta, policy):
+def _phi_coeffs(m, n, theta, max_terms):
     """Weights of the cdf-power expansion: phi[l] = sum_j delta_j (-1)^l C(theta(j+n)-1, l)."""
-    delta, _ = delta_coeffs(m, n, theta, policy)
-    return delta @ _alt_binom_table(theta * (np.arange(len(delta)) + n) - 1.0, policy.max_terms)
+    delta, _ = delta_coeffs(m, n, theta, max_terms)
+    return delta @ _alt_binom_table(theta * (np.arange(len(delta)) + n) - 1.0, max_terms)
 
 
-def _chi_coeffs(m, n, theta, policy):
+def _chi_coeffs(m, n, theta, max_terms):
     """Coefficients of F = sum_k chi_k C^k from the incomplete-beta series.
 
     chi[k] = sum_i w_i sum_j (-1)^(j+k) C(m+i, j) C(theta j, k) with
     w_i = (-1)^i C(n-1, i) / ((m+i) B(m, n)), j < 2K and k < K.
     """
-    K = policy.max_terms
-    binom_n = _binom_row(n - 1.0, K)
-    i = np.arange(len(binom_n))
-    w = (-1.0) ** i * binom_n * math.exp(-special.log_beta(m, n)) / (m + i)
+    K = max_terms
+    row = _alt_binom_row(n - 1.0, K)
+    i = np.arange(len(row))
+    w = row * math.exp(-special.log_beta(m, n)) / (m + i)
     outer = w @ _alt_binom_table(m + i, 2 * K)
     return outer @ _alt_binom_table(theta * np.arange(2 * K), K)
 
 
-def _psi_cdf_coeffs(m, n, theta, policy):
+def _psi_cdf_coeffs(m, n, theta, max_terms):
     """Coefficients of C^r in the order-statistic-identity cdf expansion.
 
     Derivation relies on integer beta shapes; the identity expands
@@ -246,9 +230,9 @@ def _psi_cdf_coeffs(m, n, theta, policy):
     top = mi + ni - 1
     p = np.arange(mi, top + 1)
     # w[p, q] = C(top, p) (-1)^q C(p, q), q <= top (zero past p)
-    w = _binom_row(top, top + 1)[mi:, None] * _alt_binom_table(p, top + 1)
+    w = np.abs(_alt_binom_row(top, top + 1))[mi:, None] * _alt_binom_table(p, top + 1)
     x = theta * (top - p[:, None] + np.arange(top + 1))
-    return w.ravel() @ _alt_binom_table(x.ravel(), policy.max_terms)
+    return w.ravel() @ _alt_binom_table(x.ravel(), max_terms)
 
 
 # --- building blocks at a point ---------------------------------------------
@@ -288,7 +272,7 @@ def pdf_via_expansion(
     dist: BgmoDistribution,
     t: float,
     form: str = "survival_powers",
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    max_terms: int = 60,
 ) -> SeriesEval:
     """Density via its mixture expansion at a single point, measured against ``dist.pdf``.
 
@@ -298,10 +282,10 @@ def pdf_via_expansion(
     p = dist.params
     log_f, log_s, log_c = _mo_log_parts(p.alpha, dist.baseline, t)
     if form == "survival_powers":
-        coeffs, _ = delta_coeffs(p.m, p.n, p.theta, policy)
+        coeffs, _ = delta_coeffs(p.m, p.n, p.theta, max_terms)
         log_base, powers = log_s, p.theta * (np.arange(len(coeffs)) + p.n) - 1.0
     elif form == "cdf_powers":
-        coeffs = _phi_coeffs(p.m, p.n, p.theta, policy)
+        coeffs = _phi_coeffs(p.m, p.n, p.theta, max_terms)
         log_base, powers = log_c, np.arange(len(coeffs))
     else:
         raise ValueError(f"unknown pdf expansion form {form!r}")
@@ -312,7 +296,7 @@ def cdf_via_expansion(
     dist: BgmoDistribution,
     t: float,
     form: str = "cdf_powers",
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    max_terms: int = 60,
 ) -> SeriesEval:
     """Distribution function via a power series in C = 1 - S, measured against ``dist.cdf``.
 
@@ -322,9 +306,9 @@ def cdf_via_expansion(
     """
     p = dist.params
     if form == "cdf_powers":
-        coeffs = _chi_coeffs(p.m, p.n, p.theta, policy)
+        coeffs = _chi_coeffs(p.m, p.n, p.theta, max_terms)
     elif form == "order_stat_identity":
-        coeffs = _psi_cdf_coeffs(p.m, p.n, p.theta, policy)
+        coeffs = _psi_cdf_coeffs(p.m, p.n, p.theta, max_terms)
     else:
         raise ValueError(f"unknown cdf expansion form {form!r}")
     log_c = _mo_log_parts(p.alpha, dist.baseline, t)[2]
@@ -334,11 +318,11 @@ def cdf_via_expansion(
 # --- order statistics --------------------------------------------------------
 
 
-def _order_stat_poly(dist: BgmoDistribution, r: int, sample_n: int, policy):
+def _order_stat_poly(dist: BgmoDistribution, r: int, sample_n: int, max_terms):
     """Coefficients W_w of f_{r:n} = f_MO * sum_w W_w C^w (constants folded in)."""
     p = dist.params
-    phi = _phi_coeffs(p.m, p.n, p.theta, policy)
-    chi = _chi_coeffs(p.m, p.n, p.theta, policy)
+    phi = _phi_coeffs(p.m, p.n, p.theta, max_terms)
+    chi = _chi_coeffs(p.m, p.n, p.theta, max_terms)
     cdf_part = _order_stat_weights(r, sample_n) @ _chi_powers(chi, r, sample_n)
     return np.convolve(phi, cdf_part)[: len(phi)]
 
@@ -349,7 +333,7 @@ def order_stat_pdf(
     sample_n: int,
     t: float,
     method: str = "direct",
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    max_terms: int = 60,
 ) -> float:
     """Density of the r-th smallest of ``sample_n`` iid draws at a point.
 
@@ -363,7 +347,7 @@ def order_stat_pdf(
         return float(const * dist.pdf(t) * dist.cdf(t) ** (r - 1) * dist.sf(t) ** (sample_n - r))
     if method == "series":
         log_f, _, log_c = _mo_log_parts(dist.params.alpha, dist.baseline, t)
-        w = _order_stat_poly(dist, r, sample_n, policy)
+        w = _order_stat_poly(dist, r, sample_n, max_terms)
         return _power_sum(log_f, w, log_c, np.arange(len(w)))
     raise ValueError(f"unknown order statistic method {method!r}")
 
@@ -542,7 +526,7 @@ def _tilt_integral(
     return _support_quad(_exp_of(log_fn), baseline, *args, check=check)
 
 
-def _delta_mixture(dist: BgmoDistribution, policy, what: str, power=1.0, **powers) -> float:
+def _delta_mixture(dist: BgmoDistribution, max_terms, what: str, power=1.0, **powers) -> float:
     """Integral of f^a (a = ``power``) times ``powers``, as a series of plain-tilt integrals.
 
     f^a = (theta/B(m, n))^a f_MO^a S^(a(theta n - 1)) (1 - S^theta)^(a(m-1)),
@@ -551,10 +535,10 @@ def _delta_mixture(dist: BgmoDistribution, policy, what: str, power=1.0, **power
     delta-weighted survival powers of the density expansion.
     """
     p = dist.params
-    row = _binom_row(power * (p.m - 1.0), policy.max_terms)
+    row = _alt_binom_row(power * (p.m - 1.0), max_terms)
     j = np.arange(len(row))
     front = math.exp(power * (math.log(p.theta) - special.log_beta(p.m, p.n)))
-    weights = front * (-1.0) ** j * row
+    weights = front * row
     s_power = p.theta * j + power * (p.theta * p.n - 1.0)
     tilt = _tilt_integral(p.alpha, dist.baseline, what, s_power=s_power, f_power=power, **powers)
     return float(weights @ tilt)
@@ -573,13 +557,11 @@ def pwm_mo(alpha: float, baseline: Baseline, p: int, q: float, r: float) -> floa
     return _tilt_integral(alpha, baseline, f"pwm({p},{q},{r})", t_power=p, c_power=q, s_power=r)
 
 
-def moment_series(
-    dist: BgmoDistribution, s: int, policy: TruncationPolicy = DEFAULT_POLICY
-) -> float:
+def moment_series(dist: BgmoDistribution, s: int, max_terms: int = 60) -> float:
     """E[T^s] as the delta-weighted sum of tilted-survival PWMs."""
     if s < 1:
         raise ValueError("moment order must be a positive integer")
-    return _delta_mixture(dist, policy, f"moment_series({s})", t_power=s)
+    return _delta_mixture(dist, max_terms, f"moment_series({s})", t_power=s)
 
 
 def moment_direct(dist: BgmoDistribution, s: float) -> float:
@@ -596,10 +578,10 @@ def order_stat_moment(
     r: int,
     sample_n: int,
     s: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    max_terms: int = 60,
 ) -> float:
     """E[T_{r:n}^s] through the order-statistic series and tilted PWMs."""
-    w = _order_stat_poly(dist, r, sample_n, policy)
+    w = _order_stat_poly(dist, r, sample_n, max_terms)
     k = np.flatnonzero(w)
     what = f"order_stat_moment({r},{sample_n},{s})"
     return float(w[k] @ _tilt_integral(dist.params.alpha, dist.baseline, what, s, c_power=k))
@@ -618,21 +600,19 @@ def mgf(dist: BgmoDistribution, s: float) -> float:
     )
 
 
-def mgf_series(
-    dist: BgmoDistribution, s: float, policy: TruncationPolicy = DEFAULT_POLICY
-) -> float:
+def mgf_series(dist: BgmoDistribution, s: float, max_terms: int = 60) -> float:
     """E[e^(sT)] decomposed over exponentiated-tilt components.
 
     Each term is the mgf of a variable with survival S^(theta(j+n)), weighted
     by delta_j/(theta(j+n)); the weights sum to one for integer m.
     """
-    return _delta_mixture(dist, policy, f"mgf_series({s})", rate=s)
+    return _delta_mixture(dist, max_terms, f"mgf_series({s})", rate=s)
 
 
 def renyi_entropy(
     dist: BgmoDistribution,
     delta: float,
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    max_terms: int = 60,
     method: str = "series",
 ) -> float:
     """Order-delta Renyi entropy (1-delta)^(-1) * log integral f^delta.
@@ -646,7 +626,7 @@ def renyi_entropy(
     if method == "direct":
         total = _support_quad(_exp_of(lambda t: delta * dist.log_pdf(t)), dist.baseline)
     elif method == "series":
-        total = _delta_mixture(dist, policy, f"renyi_entropy({delta})", power=delta)
+        total = _delta_mixture(dist, max_terms, f"renyi_entropy({delta})", power=delta)
         if total <= 0:
             raise DivergenceError("entropy series produced a non-positive integral sum")
     else:

@@ -6,7 +6,9 @@ ACM TOMS 708): they add the package's domain checks and exact endpoints and
 take scalars or arrays, returning a float for scalar input.
 ``reg_inc_beta_mirrored`` takes the argument and its complement apart, so
 that neither is read rounded to 1, and ``log_reg_inc_beta_mirrored`` is its
-log, finite where it underflows.  ``log_beta`` is
+log, finite where it underflows.  Both take the hypergeometric form
+wherever the value is below 1e-290, where scipy's ``betainc`` loses digits
+as it nears the underflow range.  ``log_beta`` is
 a scalar ``math.lgamma`` sum, cheapest where it runs once per likelihood
 evaluation, and ``beta_quantile_series`` is the small-u power series of the
 beta quantile.
@@ -20,6 +22,8 @@ import numpy as np
 import scipy.special as sc
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
+# below this, I_x(m, n) is taken from its hypergeometric form, not from betainc
+_HYP_BELOW = 1e-290
 
 __all__ = [
     "log_beta",
@@ -72,7 +76,8 @@ def reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
     else 1 - I_y(n, m), or scipy's ``betaincc`` (several times the cost) on
     the few points where that difference is below 1/10 and would lose a
     digit to cancellation.  Where the argument u taken is not a normal
-    double, the hypergeometric form of ``_log_inc_beta_hyp``, from log u and
+    double, or the incomplete beta taken is below 1e-290 (``_HYP_BELOW``),
+    the hypergeometric form of ``_log_inc_beta_hyp``, from log u and
     log(1 - u), replaces it; the logs are read only there.  Elementwise over
     arrays of one shape, for x, y in [0, 1] and m, n > 0.
     """
@@ -81,11 +86,11 @@ def reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
     u = _checked("reg_inc_beta_mirrored", "x and y", np.where(low, x, y), m, n)
     first, second = np.where(low, m, n), np.where(low, n, m)
     c = np.asarray(sc.betainc(first, second, u))
-    tiny = u < _TINY
-    if np.any(tiny):
+    hyp = (u < _TINY) | (c < _HYP_BELOW)
+    if np.any(hyp):
         logs = np.where(low, log_x, log_y), np.where(low, log_y, log_x)
-        at = (np.broadcast_to(v, c.shape)[tiny] for v in (u, *logs, first, second))
-        c[tiny] = np.exp(_log_inc_beta_hyp(*at, log_beta(m, n)))
+        at = (np.broadcast_to(v, c.shape)[hyp] for v in (u, *logs, first, second))
+        c[hyp] = np.exp(_log_inc_beta_hyp(*at, log_beta(m, n)))
     out = np.where(low, c, 1.0 - c)
     hard = ~low & (c > 0.9)
     if np.any(hard):
@@ -96,14 +101,14 @@ def reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
 def log_reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
     """log I_x(m, n) from x and y = 1 - x given apart, as ``reg_inc_beta_mirrored`` takes them.
 
-    Where I_x(m, n) is at most 1e-300, the hypergeometric form of
+    Where I_x(m, n) is below 1e-290 (``_HYP_BELOW``), the hypergeometric form of
     ``_log_inc_beta_hyp`` replaces the log of the rounded value, so the
     result stays finite and keeps its digits where I_x underflows.
     """
     c = np.asarray(reg_inc_beta_mirrored(x, log_x, y, log_y, m, n))
     with np.errstate(divide="ignore"):
         out = np.asarray(np.log(c))
-    small = c <= 1e-300
+    small = c < _HYP_BELOW
     if np.any(small):
         at = (np.broadcast_to(v, c.shape)[small] for v in (x, log_x, log_y))
         out[small] = _log_inc_beta_hyp(*at, m, n, log_beta(m, n))

@@ -64,11 +64,10 @@ class TestLoadDataset:
         with pytest.raises(ValueError):
             load_dataset(p)
 
-    def test_unknown_format(self, tmp_path):
+    def test_comma_in_a_comment_keeps_whitespace(self, tmp_path):
         p = tmp_path / "d.txt"
-        p.write_text("1 2\n")
-        with pytest.raises(ValueError):
-            load_dataset(p, fmt="binary")
+        p.write_text("# times, in hours\n1.5 2.5\n3.5\n")
+        np.testing.assert_array_equal(load_dataset(p).values, [1.5, 2.5, 3.5])
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

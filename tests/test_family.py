@@ -296,6 +296,32 @@ class TestTails:
             assert d.hrf(t) == pytest.approx(float(pdf / sf), rel=1e-12)
             assert d.chrf(t) == pytest.approx(float(-mpmath.log(sf)), rel=1e-12)
 
+    def test_cdf_and_rhrf_just_above_underflow(self):
+        # the cdf is 7.7e-304 to 8.1e-298 here, a normal double, where scipy's
+        # betainc was 2e-5 to 3.5e-11 off; below 1e-290 the hypergeometric form
+        # replaces it
+        shapes = (20, 2, 3, 0.5)
+        d = dist(*shapes)
+        for t in (1e-16, 1.2e-16, 1.5e-16, 2e-16):
+            with mpmath.workdps(50):
+                tm = mpmath.mpf(t)
+                pdf, cdf, _ = oracles.pdf_cdf_mp(*shapes, mpmath.exp(-tm), -mpmath.expm1(-tm))
+            assert 1e-304 <= cdf <= 1e-296
+            assert d.cdf(t) == pytest.approx(float(cdf), rel=1e-12)
+            assert d.rhrf(t) == pytest.approx(float(pdf / cdf), rel=1e-12)
+
+    def test_sf_and_hrf_just_above_underflow(self):
+        # the mirror: the sf was up to 5.9e-6 off at these points
+        shapes = (2, 20, 3, 0.5)
+        d = dist(*shapes)
+        for t in (10.75, 10.85, 10.95, 11.0):
+            with mpmath.workdps(50):
+                gbar = mpmath.exp(-mpmath.mpf(t))
+                pdf, _, sf = oracles.pdf_cdf_mp(*shapes, gbar, 1 - gbar, gbar)
+            assert 1e-304 <= sf <= 1e-296
+            assert d.sf(t) == pytest.approx(float(sf), rel=1e-12)
+            assert d.hrf(t) == pytest.approx(float(pdf / sf), rel=1e-12)
+
     def test_quantile_round_trip_is_relative_at_tiny_levels(self):
         d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
         us = 10.0 ** -np.arange(4, 16, 2)

@@ -427,7 +427,7 @@ class TestFitMle:
     def test_multistart_stability_across_seeds(self):
         # this likelihood has no interior optimum (see test_boundary_fits),
         # so refits agree only to the box-constrained search resolution,
-        # not to f_tol; 0.05 in log-likelihood is the observed spread
+        # not to the 1e-9 tie tolerance; 0.05 in log-likelihood is the observed spread
         data = builtin_dataset("turbocharger").values
         tpl = ModelTemplate("weibull")
         a = fit_mle(tpl, data, FitConfig(seed=0))

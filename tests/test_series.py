@@ -18,9 +18,8 @@ from bgmo.series import (
     DivergenceError,
     _bailey_error,
     _support_quad,
-    TruncationPolicy,
+    _alt_binom_row,
     _alt_binom_table,
-    _binom_row,
     asymptote,
     cdf_via_expansion,
     delta_coeffs,
@@ -63,9 +62,36 @@ class TestDeltaCoeffs:
     def test_binom_row_term_count(self):
         # a nonnegative integer exponent gives the finite expansion, any other
         # the capped series, negative integers included
-        np.testing.assert_array_equal(_binom_row(2.0, 10), [1.0, 2.0, 1.0])
-        np.testing.assert_array_equal(_binom_row(-1.0, 5), [1.0, -1.0, 1.0, -1.0, 1.0])
-        np.testing.assert_allclose(_binom_row(0.5, 4), [1.0, 0.5, -0.125, 0.0625], rtol=1e-15)
+        np.testing.assert_array_equal(_alt_binom_row(2.0, 10), [1.0, -2.0, 1.0])
+        np.testing.assert_array_equal(_alt_binom_row(-1.0, 5), [1.0, 1.0, 1.0, 1.0, 1.0])
+        np.testing.assert_allclose(
+            _alt_binom_row(0.5, 4), [1.0, -0.5, -0.125, -0.0625], rtol=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: series.expansion_coefficients(2.5, 1.3, 0.7, 0),
+            lambda d: delta_coeffs(2.5, 1.3, 0.7, 0),
+            lambda d: pdf_via_expansion(d, 1.0, "survival_powers", 0),
+            lambda d: pdf_via_expansion(d, 1.0, "cdf_powers", 0),
+            lambda d: cdf_via_expansion(d, 1.0, "cdf_powers", 0),
+            lambda d: cdf_via_expansion(dist(2, 2, 0.7, 1.5), 1.0, "order_stat_identity", 0),
+            lambda d: order_stat_pdf(d, 2, 3, 1.0, "series", 0),
+            lambda d: moment_series(d, 1, 0),
+            lambda d: order_stat_moment(d, 2, 3, 1, 0),
+            lambda d: mgf_series(d, 0.5, 0),
+            lambda d: renyi_entropy(d, 1.5, 0),
+        ],
+        ids=[
+            "expansion_coefficients", "delta_coeffs", "pdf_survival_powers", "pdf_cdf_powers",
+            "cdf_cdf_powers", "cdf_order_stat_identity", "order_stat_pdf", "moment_series",
+            "order_stat_moment", "mgf_series", "renyi_entropy",
+        ],
+    )
+    def test_max_terms_below_one_is_rejected(self, call):
+        with pytest.raises(ValueError, match="max_terms must be at least 1"):
+            call(dist(2.5, 1.3, 0.7, 1.5))
 
     def test_single_term_for_m_one(self):
         delta, _ = delta_coeffs(1.0, 3.0, 2.0)
@@ -85,7 +111,7 @@ class TestDeltaCoeffs:
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_sign_relation(self):
-        delta, delta_prime = delta_coeffs(3.5, 1.2, 0.8, TruncationPolicy(max_terms=20))
+        delta, delta_prime = delta_coeffs(3.5, 1.2, 0.8, 20)
         j = np.arange(len(delta))
         np.testing.assert_allclose(delta, -delta_prime * 0.8 * (j + 1.2), rtol=1e-13)
 
@@ -106,7 +132,7 @@ class TestExpansionCoeffs:
     def test_bundle_tables(self):
         from bgmo.series import expansion_coefficients, _mo_log_parts
 
-        co = expansion_coefficients(2, 2, 1.0, TruncationPolicy(), r=2, sample_n=3)
+        co = expansion_coefficients(2, 2, 1.0, 60, r=2, sample_n=3)
         # delta has exactly m entries for integer m and obeys the sign relation
         assert len(co.delta) == 2
         j = np.arange(2)
@@ -128,7 +154,7 @@ class TestExpansionCoeffs:
 
 
 def _loop_phi(m, n, theta, L):
-    delta, _ = delta_coeffs(m, n, theta, TruncationPolicy(max_terms=L))
+    delta, _ = delta_coeffs(m, n, theta, L)
     phi = np.zeros(L)
     for j, dj in enumerate(delta):
         row = oracles.binom_row(theta * (j + n) - 1.0, L)
@@ -161,8 +187,6 @@ def _loop_psi(m, n, theta, R):
 class TestTablesAgainstLoops:
     """The broadcast tables against term-by-term loops over scalar binomial rows."""
 
-    POLICY = TruncationPolicy()
-
     @staticmethod
     def close(got, want):
         # the sums run over up to 60 x 120 terms of either sign
@@ -174,14 +198,14 @@ class TestTablesAgainstLoops:
     def test_phi_and_chi(self, m, n, theta):
         from bgmo.series import _chi_coeffs, _phi_coeffs
 
-        self.close(_phi_coeffs(m, n, theta, self.POLICY), _loop_phi(m, n, theta, 60))
-        self.close(_chi_coeffs(m, n, theta, self.POLICY), _loop_chi(m, n, theta, 60))
+        self.close(_phi_coeffs(m, n, theta, 60), _loop_phi(m, n, theta, 60))
+        self.close(_chi_coeffs(m, n, theta, 60), _loop_chi(m, n, theta, 60))
 
     @pytest.mark.parametrize("m,n,theta", [(2, 3, 2), (3, 2, 1), (2, 2, 0.7), (1, 4, 1.5)])
     def test_psi(self, m, n, theta):
         from bgmo.series import _psi_cdf_coeffs
 
-        self.close(_psi_cdf_coeffs(m, n, theta, self.POLICY), _loop_psi(m, n, theta, 60))
+        self.close(_psi_cdf_coeffs(m, n, theta, 60), _loop_psi(m, n, theta, 60))
 
 
 class TestBinomialRecurrence:
@@ -190,8 +214,8 @@ class TestBinomialRecurrence:
     @staticmethod
     def tables(m, n, theta, K=60):
         """(x, length) of the tables of phi, of chi (two) and, for integer shapes, of psi."""
-        j = np.arange(len(_binom_row(m - 1.0, K)))
-        i = np.arange(len(_binom_row(n - 1.0, K)))
+        j = np.arange(len(_alt_binom_row(m - 1.0, K)))
+        i = np.arange(len(_alt_binom_row(n - 1.0, K)))
         out = [(theta * (j + n) - 1.0, K), (m + i, 2 * K), (theta * np.arange(2 * K), K)]
         if isinstance(m, int) and isinstance(n, int):
             top = m + n - 1
@@ -252,7 +276,7 @@ class TestPdfExpansion:
         t = float(d.quantile(0.6))
         exact = d.pdf(t)
         errs = [
-            abs(pdf_via_expansion(d, t, "survival_powers", TruncationPolicy(max_terms=k)).value - exact)
+            abs(pdf_via_expansion(d, t, "survival_powers", k).value - exact)
             for k in (5, 15, 60)
         ]
         assert errs[2] <= errs[1] <= errs[0]
