@@ -46,7 +46,7 @@ from .series import (
     pwm_mo,
     renyi_entropy,
 )
-from .special import beta_quantile, digamma, log_beta, reg_inc_beta
+from .special import beta_quantile, log_beta, reg_inc_beta
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "builtin_dataset",
     "cdf_via_expansion",
     "delta_coeffs",
-    "digamma",
     "expansion_coefficients",
     "ExpansionCoeffs",
     "fit_mle",

@@ -1,9 +1,10 @@
 """Baseline lifetime distributions feeding the tilt and beta layers.
 
-Each family codes one cumulative hazard h in closed form, with its inverse,
-and the density; ``Baseline`` derives from them the distribution and survival
-functions (plus their logarithms, which the upper layers need for deep-tail
-work), the quantile and the inverse survival function.  Families are
+Each family codes one cumulative hazard h in closed form, with its log, its
+inverse and the log of its rate |h'|; ``Baseline`` derives from them the
+density, the hazard rate, the distribution and survival functions (plus
+their logarithms, which the upper layers need for deep-tail work), the
+quantile and the inverse survival function.  Families are
 immutable after construction and all methods accept scalars or numpy arrays.
 
 CLI-facing names use the conventional greek spellings (``lambda``, ``beta``,
@@ -54,9 +55,11 @@ class Baseline:
     ``_lower_tail`` is set.  Subclasses implement, on arrays already floored
     to the support:
 
-    - ``_hazard(t)``, ``_inv_hazard(y)`` (the t with h(t) = y) and ``_log_pdf``;
-    - ``_log_hazard(t)``, log h in closed form where h underflows; it is read
-      only where h is not a normal double;
+    - ``_hazard(t)`` and ``_inv_hazard(y)`` (the t with h(t) = y);
+    - ``_log_rate(t)``, log|h'(t)|, which may be a scalar where it is constant;
+    - optionally ``_log_hazard(t)``, log h in closed form where h underflows;
+      it is read only where h is not a normal double, and without it log h
+      is the log of h itself;
     - ``log_partials(t)``: for the fitter's analytic score, the triples
       (d log g, d log sf, d log G) per parameter in ``param_names`` order,
       d log G precise where G underflows; ``_from_hazard`` builds them from
@@ -64,15 +67,17 @@ class Baseline:
 
     From h this class derives both tails: e^-h is the tail h belongs to and
     -expm1(-h) the other, whose log is log h where h is tiny, so both keep
-    their relative precision.  The density is 0 wherever h is +inf, also
-    where the family's log h' - h reads inf - inf.  Every inversion (quantile,
+    their relative precision.  The density is g = |h'| e^-h, formed as
+    log|h'| - h from the same h, and 0 wherever h is +inf, also where that
+    reads inf - inf.  Where h is -log sf, h' is the hazard rate itself; where
+    it is -log G, the hazard rate is g/sf.  Every inversion (quantile,
     isf, the tilt inverse) is one ``_invert`` call: h⁻¹ at -log p for a level
     p of h's own tail and at -log1p(-p) for the other, the tail set per point.
     It also handles support masking and scalar passthrough.
     ``log_parts`` (or ``log_tails`` where the density is not needed) is the
     one pass the family layer makes: log g, log sf and log G from one floor,
     one ``_hazard`` and one support mask (none where every point is on the
-    support).
+    support).  Each evaluating method calls ``_hazard`` at most once.
     """
 
     tag = ""
@@ -81,6 +86,7 @@ class Baseline:
     hazard_rate: str | None = None  # the r of log sf = -r*Z(t), if any
     support_low = 0.0
     _lower_tail = False  # h is -log G rather than -log sf
+    _log_hazard = None
 
     def params(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self.param_names}
@@ -95,10 +101,10 @@ class Baseline:
     # --- public API -----------------------------------------------------
 
     def pdf(self, t):
-        return self._on_support(lambda x: np.exp(self._log_density(x)), t, 0.0)
+        return self._on_support(lambda x: np.exp(self._log_density(x, self._hazard(x))), t, 0.0)
 
     def log_pdf(self, t):
-        return self._on_support(self._log_density, t, -np.inf)
+        return self._on_support(lambda x: self._log_density(x, self._hazard(x)), t, -np.inf)
 
     def cdf(self, t):
         return self._on_support(lambda x: self._tails(x)[1], t, 0.0)
@@ -107,25 +113,29 @@ class Baseline:
         return self._on_support(lambda x: self._tails(x)[0], t, 1.0)
 
     def log_sf(self, t):
-        return self._on_support(lambda x: self._log_tails(x)[0], t, 0.0)
+        return self._on_support(lambda x: self._log_tails(x, self._hazard(x))[0], t, 0.0)
 
     def log_cdf(self, t):
-        return self._on_support(lambda x: self._log_tails(x)[1], t, -np.inf)
+        return self._on_support(lambda x: self._log_tails(x, self._hazard(x))[1], t, -np.inf)
 
     def log_parts(self, t):
         """(log g, log sf, log G) at t, as arrays equal to ``log_pdf``, ``log_sf`` and ``log_cdf``."""
-        return self._masked(
-            lambda x: (self._log_density(x), *self._log_tails(x)), t, (-np.inf, 0.0, -np.inf)
-        )
+        return self._masked(self._log_parts, t, (-np.inf, 0.0, -np.inf))
 
     def log_tails(self, t):
         """(log sf, log G) at t: the pass of ``log_parts`` without the density."""
-        return self._masked(self._log_tails, t, (0.0, -np.inf))
+        return self._masked(lambda x: self._log_tails(x, self._hazard(x)), t, (0.0, -np.inf))
 
     def hrf(self, t):
-        return self._on_support(
-            lambda x: np.exp(self._log_density(x) - self._log_tails(x)[0]), t, 0.0
-        )
+        """g/sf: h' itself where h is -log sf, else exp(log g - log sf) from one pass."""
+
+        def rate(x):
+            if not self._lower_tail:  # a constant log|h'| is a scalar, taken to t's shape
+                return np.exp(np.broadcast_to(self._log_rate(x), x.shape))
+            log_g, log_sf, _ = self._log_parts(x)
+            return np.exp(log_g - log_sf)
+
+        return self._on_support(rate, t, 0.0)
 
     def quantile(self, u):
         return self._invert(u, lower=True)
@@ -159,27 +169,28 @@ class Baseline:
         h = self._hazard(t)
         return self._by_tail(np.exp(-h), -np.expm1(-h))
 
-    def _log_density(self, t):
-        # a family's log g holds -h, so where h overflows it is -inf or, where
-        # log h' overflows too, inf - inf; g is 0 wherever h is +inf
-        log_g = self._log_pdf(t)
+    def _log_parts(self, t):
+        h = self._hazard(t)
+        return (self._log_density(t, h), *self._log_tails(t, h))
+
+    def _log_density(self, t, h):
+        # log g = log|h'| - h: where h overflows it is -inf or, where log|h'|
+        # overflows too, inf - inf; g is 0 wherever h is +inf
+        log_g = self._log_rate(t) - h
         nan = np.isnan(log_g)
         if np.any(nan):
-            log_g = np.where(nan & (self._hazard(t) == np.inf), -np.inf, log_g)
+            log_g = np.where(nan & (h == np.inf), -np.inf, log_g)
         return log_g
 
-    def _log_tails(self, t):
+    def _log_tails(self, t, h):
         # -h and log(1 - e^-h); where h is not a normal double, log h, finite
         # where h itself underflows
-        h = self._hazard(t)
         other = np.log(-np.expm1(-h))
         tiny = h < _TINY
         if np.any(tiny):
-            other = np.where(tiny, self._log_hazard(t), other)
+            log_h = np.log(h) if self._log_hazard is None else self._log_hazard(t)
+            other = np.where(tiny, log_h, other)
         return self._by_tail(-h, other)
-
-    def _log_hazard(self, t):
-        return np.log(self._hazard(t))
 
     def _invert(self, p, lower):
         """h⁻¹ at the level p of G where ``lower`` (a flag, or one per point) holds, else of sf.
@@ -231,8 +242,8 @@ class Exponential(Baseline):
     def _inv_hazard(self, y):
         return y / self.lam
 
-    def _log_pdf(self, t):
-        return math.log(self.lam) - self.lam * t
+    def _log_rate(self, t):
+        return math.log(self.lam)
 
     def log_partials(self, t):
         return self._from_hazard(self.lam * t, ((1.0 / self.lam - t, 1.0 / self.lam),))
@@ -259,13 +270,8 @@ class Weibull(Baseline):
     def _inv_hazard(self, y):
         return (y / self.lam) ** (1.0 / self.beta)
 
-    def _log_pdf(self, t):
-        return (
-            math.log(self.lam)
-            + math.log(self.beta)
-            + (self.beta - 1.0) * np.log(t)
-            - self.lam * t**self.beta
-        )
+    def _log_rate(self, t):
+        return math.log(self.lam) + math.log(self.beta) + (self.beta - 1.0) * np.log(t)
 
     def log_partials(self, t):
         tb, lt = t**self.beta, np.log(t)
@@ -291,12 +297,8 @@ class Lomax(Baseline):
     def _inv_hazard(self, y):
         return self.delta * np.expm1(y / self.beta)
 
-    def _log_pdf(self, t):
-        return (
-            math.log(self.beta)
-            - math.log(self.delta)
-            - (self.beta + 1.0) * np.log1p(t / self.delta)
-        )
+    def _log_rate(self, t):
+        return math.log(self.beta) - math.log(self.delta) - np.log1p(t / self.delta)
 
     def log_partials(self, t):
         log1p_r = np.log1p(t / self.delta)
@@ -329,13 +331,8 @@ class Frechet(Baseline):
     def _inv_hazard(self, y):
         return self.delta * y ** (-1.0 / self.lam)
 
-    def _log_pdf(self, t):
-        return (
-            math.log(self.lam)
-            + self.lam * math.log(self.delta)
-            - (self.lam + 1.0) * np.log(t)
-            - self._hazard(t)
-        )
+    def _log_rate(self, t):
+        return math.log(self.lam) + self.lam * math.log(self.delta) - (self.lam + 1.0) * np.log(t)
 
     def log_partials(self, t):
         log_ratio = math.log(self.delta) - np.log(t)  # d log h/d lam
@@ -363,8 +360,8 @@ class Gompertz(Baseline):
     def _inv_hazard(self, y):
         return np.log1p((self.lam / self.beta) * y) / self.lam
 
-    def _log_pdf(self, t):
-        return math.log(self.beta) + self.lam * t - self._hazard(t)
+    def _log_rate(self, t):
+        return math.log(self.beta) + self.lam * t
 
     def log_partials(self, t):
         lam_t = self.lam * t
@@ -389,8 +386,9 @@ class ZFunction:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "square", "log_ratio", "gompertz_link"):
-            raise ValueError(f"unknown Z-function kind {self.kind!r}")
+        kinds = ("linear", "square", "log_ratio", "gompertz_link")
+        if self.kind not in kinds:
+            raise ValueError(f"unknown Z-function kind {self.kind!r} (known: {', '.join(kinds)})")
         _require_positive(k=self.k, beta=self.beta)
 
     @property
@@ -467,8 +465,8 @@ class ExtendedWeibull(Baseline):
     def _inv_hazard(self, y):
         return self.z.inverse(y / self.delta)
 
-    def _log_pdf(self, t):
-        return math.log(self.delta) - self.delta * self.z.value(t) + np.log(self.z.deriv(t))
+    def _log_rate(self, t):
+        return math.log(self.delta) + np.log(self.z.deriv(t))
 
     def log_partials(self, t):
         z = self.z.value(t)
@@ -518,11 +516,11 @@ class ModifiedWeibull(Baseline):
         out = 0.5 * (lo + hi)
         return out.reshape(np.shape(y)) if np.shape(y) else out[0]
 
-    def _log_pdf(self, t):
+    def _log_rate(self, t):
         rate = self.sigma
         if self.beta:
             rate = rate + self.beta * self.gamma * t ** (self.gamma - 1.0)
-        return np.log(rate) - self._hazard(t)
+        return np.log(rate)
 
     def log_partials(self, t):
         log_t = np.log(t)
@@ -573,16 +571,15 @@ class ExponentiatedPareto(Baseline):
         base = -np.expm1(-y / self.gamma)  # 1 - G^(1/gamma)
         return self.theta_p * base ** (-1.0 / self.k)
 
-    def _log_pdf(self, t):
-        out = (
+    def _log_rate(self, t):
+        # |h'| = gamma k theta_p^k t^-(k+1) / [1 - (theta_p/t)^k]
+        return (
             math.log(self.gamma)
             + math.log(self.k)
             + self.k * math.log(self.theta_p)
             - (self.k + 1.0) * np.log(t)
+            - self._log_base(t)
         )
-        if self.gamma != 1.0:
-            out = out + (self.gamma - 1.0) * self._log_base(t)
-        return out
 
     def log_partials(self, t):
         # w = e^-a = (theta_p/t)^k, log G = gamma log(1 - w): d log G is q = 1/expm1(a) times
@@ -592,7 +589,7 @@ class ExponentiatedPareto(Baseline):
         log_b = self._log_base(t)
         rate, tilt = self.k / self.theta_p, (self.gamma - 1.0) / self.gamma
         d_theta_p, d_k = -self.gamma * rate, self.gamma * a / self.k
-        log_odds = self.gamma * log_b - self._log_tails(t)[0]  # log(G/sf)
+        log_odds = self.gamma * log_b - self._log_tails(t, -self.gamma * log_b)[0]  # log(G/sf)
         odds_q = np.exp(log_odds - a - log_b)
         return (
             (rate + tilt * d_theta_p * q, -d_theta_p * odds_q, d_theta_p * q),
@@ -617,7 +614,6 @@ BASELINE_FAMILIES = {
 
 # CLI spelling -> constructor keyword, per family
 PARAM_ALIASES = {"lambda": "lam"}
-_Z_KINDS = ("linear", "square", "log_ratio", "gompertz_link")
 
 
 def make_baseline(tag: str, **params) -> Baseline:
@@ -638,8 +634,6 @@ def make_baseline(tag: str, **params) -> Baseline:
         if isinstance(kind, ZFunction):
             z = kind
         else:
-            if kind not in _Z_KINDS:
-                raise ValueError(f"unknown Z-function kind {kind!r} (known: {_Z_KINDS})")
             zargs = {name: float(kwargs.pop(name)) for name in ("k", "beta") if name in kwargs}
             z = ZFunction(kind, **zargs)
         return ExtendedWeibull(delta=float(kwargs.pop("delta")), z=z, **kwargs)

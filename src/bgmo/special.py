@@ -1,14 +1,15 @@
 """Special functions used throughout the package.
 
-The incomplete beta function, its inverse and the digamma function are thin
-wrappers over ``scipy.special`` (Boost-backed; DiDonato & Morris 1992,
+The incomplete beta function and its inverse are thin wrappers over
+``scipy.special`` (Boost-backed; DiDonato & Morris 1992,
 ACM TOMS 708): they add the package's domain checks and exact endpoints and
 take scalars or arrays, returning a float for scalar input.
 ``reg_inc_beta_mirrored`` takes the argument and its complement apart, so
 that neither is read rounded to 1, and ``log_reg_inc_beta_mirrored`` is its
 log, finite where it underflows.  Both take the hypergeometric form
 wherever the value is below 1e-290, where scipy's ``betainc`` loses digits
-as it nears the underflow range.  ``log_beta`` is
+as it nears the underflow range, and the log reuses the form's log of each
+point the value took from it.  ``log_beta`` is
 a scalar ``math.lgamma`` sum, cheapest where it runs once per likelihood
 evaluation, and ``beta_quantile_series`` is the small-u power series of the
 beta quantile.
@@ -32,7 +33,6 @@ __all__ = [
     "log_reg_inc_beta_mirrored",
     "beta_quantile",
     "beta_quantile_series",
-    "digamma",
 ]
 
 
@@ -81,21 +81,29 @@ def reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
     log(1 - u), replaces it; the logs are read only there.  Elementwise over
     arrays of one shape, for x, y in [0, 1] and m, n > 0.
     """
+    return _scalar_or_array(_reg_inc_beta_mirrored(x, log_x, y, log_y, m, n)[0], x, y)
+
+
+def _reg_inc_beta_mirrored(x, log_x, y, log_y, m, n):
+    """The I_x(m, n) array, the mask where x <= 1/2 took it from the hypergeometric form, its logs there."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     low = x <= 0.5
     u = _checked("reg_inc_beta_mirrored", "x and y", np.where(low, x, y), m, n)
     first, second = np.where(low, m, n), np.where(low, n, m)
     c = np.asarray(sc.betainc(first, second, u))
     hyp = (u < _TINY) | (c < _HYP_BELOW)
+    log_hyp = np.empty(0)
     if np.any(hyp):
         logs = np.where(low, log_x, log_y), np.where(low, log_y, log_x)
         at = (np.broadcast_to(v, c.shape)[hyp] for v in (u, *logs, first, second))
-        c[hyp] = np.exp(_log_inc_beta_hyp(*at, log_beta(m, n)))
+        log_hyp = _log_inc_beta_hyp(*at, log_beta(m, n))
+        c[hyp] = np.exp(log_hyp)
+        log_hyp, hyp = log_hyp[low[hyp]], hyp & low
     out = np.where(low, c, 1.0 - c)
     hard = ~low & (c > 0.9)
     if np.any(hard):
         out[hard] = sc.betaincc(n, m, y[hard])
-    return _scalar_or_array(out, x, y)
+    return out, hyp, log_hyp
 
 
 def log_reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
@@ -103,12 +111,14 @@ def log_reg_inc_beta_mirrored(x, log_x, y, log_y, m: float, n: float):
 
     Where I_x(m, n) is below 1e-290 (``_HYP_BELOW``), the hypergeometric form of
     ``_log_inc_beta_hyp`` replaces the log of the rounded value, so the
-    result stays finite and keeps its digits where I_x underflows.
+    result stays finite and keeps its digits where I_x underflows; a value
+    the form gave keeps the log of that one evaluation.
     """
-    c = np.asarray(reg_inc_beta_mirrored(x, log_x, y, log_y, m, n))
+    c, hyp, log_hyp = _reg_inc_beta_mirrored(x, log_x, y, log_y, m, n)
     with np.errstate(divide="ignore"):
         out = np.asarray(np.log(c))
-    small = c < _HYP_BELOW
+    out[hyp] = log_hyp
+    small = (c < _HYP_BELOW) & ~hyp  # x above 1/2
     if np.any(small):
         at = (np.broadcast_to(v, c.shape)[small] for v in (x, log_x, log_y))
         out[small] = _log_inc_beta_hyp(*at, m, n, log_beta(m, n))
@@ -178,9 +188,3 @@ def beta_quantile_series(u: float, m: float, n: float, order: int = 4) -> float:
     w = (m * math.exp(log_beta(m, n)) * u) ** (1.0 / m)
     return sum(d[i] * w ** (i + 1) for i in range(order))
 
-
-def digamma(x):
-    """Digamma psi(x) for x > 0, elementwise over arrays."""
-    if np.any(~(np.asarray(x) > 0)):
-        raise ValueError(f"digamma requires a positive argument, got {x}")
-    return _scalar_or_array(sc.digamma(x), x)

@@ -110,11 +110,58 @@ PARTIALS_CASES = [b for b in ALL_FAMILIES if not isinstance(b, ExtendedWeibull)]
 
 
 def test_every_family_codes_one_cumulative_hazard():
-    # the tails, quantile and isf all derive from h and its inverse in Baseline
-    derived = {"_log_sf", "_quantile", "_isf", "_cdf", "_log_cdf", "_log_cum_hazard"}
+    # the density, tails, quantile and isf all derive in Baseline from h, its
+    # inverse and the rate log|h'|
+    derived = {"_log_pdf", "_log_sf", "_quantile", "_isf", "_cdf", "_log_cdf", "_log_cum_hazard"}
     for cls in BASELINE_FAMILIES.values():
-        assert {"_hazard", "_inv_hazard"} <= set(vars(cls)), cls.__name__
+        assert {"_hazard", "_inv_hazard", "_log_rate"} <= set(vars(cls)), cls.__name__
         assert not derived & set(vars(cls)), cls.__name__
+
+
+@pytest.mark.parametrize("b", ALL_FAMILIES + [Gompertz(1e-10, 1.0)], ids=lambda b: repr(b))
+def test_each_call_evaluates_the_hazard_once(b, monkeypatch):
+    # where h is -log sf the hazard rate is h' itself, so hrf needs no h at all;
+    # at the support floor h underflows for most families (Gompertz(1e-10, 1)
+    # has no closed-form log h), and log h is read there
+    calls = []
+    hazard = type(b)._hazard
+    monkeypatch.setattr(type(b), "_hazard", lambda self, t: calls.append(1) or hazard(self, t))
+    on = np.append(b.support_low, b.quantile(np.array([0.1, 0.5, 0.9])))
+    for ts in (on, np.append(on, b.support_low - 1.0), float(on[1])):
+        for name in ("log_parts", "log_tails", "log_pdf", "pdf", "hrf"):
+            calls.clear()
+            getattr(b, name)(ts)
+            assert len(calls) == (0 if name == "hrf" and not b._lower_tail else 1), name
+
+
+# the hazard rate h' in closed form, for every family whose h is -log sf
+HAZARD_RATES = [
+    (Exponential(1.3), lambda t: np.full_like(t, 1.3)),
+    (Weibull(0.8, 2.2), lambda t: 0.8 * 2.2 * t**1.2),
+    (Weibull(1.0, 0.5), lambda t: 0.5 * t**-0.5),
+    (Lomax(2.5, 1.4), lambda t: 2.5 / (1.4 + t)),
+    (Gompertz(0.7, 0.9), lambda t: 0.7 * np.exp(0.9 * t)),
+    (ExtendedWeibull(1.2, ZFunction("linear")), lambda t: np.full_like(t, 1.2)),
+    (ExtendedWeibull(1.2, ZFunction("square")), lambda t: 2.4 * t),
+    (ExtendedWeibull(1.2, ZFunction("log_ratio", k=0.5)), lambda t: 1.2 / t),
+    (ExtendedWeibull(1.2, ZFunction("gompertz_link", beta=0.7)), lambda t: 1.2 * np.exp(0.7 * t)),
+    (ModifiedWeibull(0.5, 0.8, 2.3), lambda t: 0.5 + 0.8 * 2.3 * t**1.3),
+    (ModifiedWeibull(0.0, 0.8, 0.5), lambda t: 0.4 * t**-0.5),
+    (ModifiedWeibull(0.5, 0.0, 2.0), lambda t: np.full_like(t, 0.5)),
+]
+
+
+@pytest.mark.parametrize("b, rate", HAZARD_RATES, ids=[repr(b) for b, _ in HAZARD_RATES])
+def test_hazard_rate_is_exact_where_h_is_huge_or_tiny(b, rate):
+    # exp(log g - log sf) would lose about h*eps to the cancellation of h
+    with np.errstate(all="ignore"):
+        ts = b._inv_hazard(np.logspace(-300, 300, 31))
+        # points below 1e-300 are evaluated at 1e-300, the support floor
+        ts = np.append(ts[ts >= max(b.support_low, 1e-300)], math.inf)
+        want = rate(ts)
+    assert np.isfinite(want[:-1]).sum() >= 10
+    np.testing.assert_allclose(b.hrf(ts), want, rtol=1e-12)
+    assert b.hrf(math.inf) == want[-1]
 
 
 def test_every_family_codes_its_partials():
@@ -330,6 +377,11 @@ class TestFactory:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             make_baseline("cauchy", gamma=1.0)
+
+    def test_unknown_z_kind(self):
+        known = r"\(known: linear, square, log_ratio, gompertz_link\)"
+        with pytest.raises(ValueError, match=r"unknown Z-function kind 'cubic' " + known):
+            make_baseline("extended_weibull", delta=1.0, z="cubic")
 
     def test_bad_parameter_name(self):
         with pytest.raises(ValueError):

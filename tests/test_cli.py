@@ -174,6 +174,21 @@ class TestCompare:
         assert aics == sorted(aics)
         assert len(rows) == 3
 
+    def test_a_candidate_that_cannot_be_fitted(self, capsys):
+        # Z = ln(t/50) puts every turbocharger observation below the support
+        bad = "extended_weibull m=1 n=1 theta=1 alpha=1 z=log_ratio k=50"
+        rc, out, _ = run(
+            capsys, "compare", "--data", "builtin:turbocharger",
+            "--candidate", bad, "--candidate", "exponential m=1 n=1 theta=1 alpha=1",
+            "--starts", "2",
+        )
+        assert rc == 2
+        _, rows = parse_table(out)
+        assert [r[0] for r in rows] == ["exponential m=1 n=1 theta=1 alpha=1", bad]
+        assert rows[0][-1] == "yes" and math.isfinite(float(rows[0][1]))
+        assert rows[1][1:6] == ["inf", "inf", "nan", "nan", "nan"]
+        assert rows[1][-1].startswith("failed: all 2 restarts produced non-finite likelihood")
+
     def test_identical_candidates_identical_rows(self, capsys):
         rc, out, _ = run(
             capsys, "compare", "--data", "builtin:turbocharger",

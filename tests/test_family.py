@@ -310,6 +310,16 @@ class TestTails:
             assert d.cdf(t) == pytest.approx(float(cdf), rel=1e-12)
             assert d.rhrf(t) == pytest.approx(float(pdf / cdf), rel=1e-12)
 
+    def test_one_hypergeometric_evaluation_per_point(self, monkeypatch):
+        # rhrf reads log cdf from the evaluation that gave the cdf, not from a second one
+        sizes, form = [], special._log_inc_beta_hyp
+        monkeypatch.setattr(
+            special, "_log_inc_beta_hyp", lambda x, *a: sizes.append(x.size) or form(x, *a)
+        )
+        got = dist(20, 2, 3, 0.5).rhrf(np.array([1e-16, 1.2e-16, 1.5e-16, 2e-16, 1.0]))
+        assert sizes == [4]
+        assert np.all(np.isfinite(got))
+
     def test_sf_and_hrf_just_above_underflow(self):
         # the mirror: the sf was up to 5.9e-6 off at these points
         shapes = (2, 20, 3, 0.5)

@@ -7,7 +7,6 @@ import pytest
 from bgmo.special import (
     beta_quantile,
     beta_quantile_series,
-    digamma,
     log_beta,
     log_reg_inc_beta_mirrored,
     reg_inc_beta,
@@ -154,7 +153,6 @@ class TestLogRegIncBetaMirrored:
                                    rtol=1e-14)
         assert log_reg_inc_beta_mirrored(0.0, -np.inf, 1.0, 0.0, 2.0, 3.0) == -math.inf
 
-
 class TestBetaQuantile:
     def test_uniform_identity(self):
         assert beta_quantile(0.42, 1, 1) == pytest.approx(0.42, abs=1e-12)
@@ -238,41 +236,3 @@ class TestBetaQuantileSeries:
     def test_order_domain(self):
         with pytest.raises(ValueError):
             beta_quantile_series(0.1, 2, 3, 5)
-
-
-class TestDigamma:
-    def test_euler_mascheroni(self):
-        # psi(1) = -gamma; oracle: harmonic sum with asymptotic correction
-        n = 200
-        harmonic = sum(1.0 / k for k in range(1, n + 1))
-        gamma_oracle = (
-            harmonic - math.log(n) - 1.0 / (2 * n) + 1.0 / (12 * n**2) - 1.0 / (120 * n**4)
-        )
-        assert digamma(1.0) == pytest.approx(-gamma_oracle, abs=1e-12)
-
-    def test_recurrence_spot(self):
-        assert digamma(2.0) == pytest.approx(digamma(1.0) + 1.0, abs=1e-13)
-
-    def test_half_argument_duplication(self):
-        # duplication formula at x = 1/2 gives psi(1/2) = psi(1) - 2 ln 2
-        assert digamma(0.5) == pytest.approx(digamma(1.0) - 2 * math.log(2), abs=1e-12)
-
-    def test_recurrence_grid(self):
-        for x in np.linspace(0.1, 50, 120):
-            x = float(x)
-            assert digamma(x + 1.0) - digamma(x) - 1.0 / x == pytest.approx(0.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-3.0)
-        with pytest.raises(ValueError):
-            digamma(np.array([1.0, 0.0]))
-
-    def test_array_input(self):
-        xs = np.linspace(0.1, 50, 120)
-        out = digamma(xs)
-        assert isinstance(out, np.ndarray)
-        np.testing.assert_array_equal(out, [digamma(float(x)) for x in xs])
-        assert isinstance(digamma(2.0), float)
