@@ -48,22 +48,51 @@ def _require_positive(**params):
             raise ValueError(f"parameter {name} must be positive, got {value}")
 
 
+def _zero_where_h_is_inf(log_g, h):
+    """log g with g = 0 wherever h is +inf, also where log|h'| - h reads inf - inf."""
+    nan = np.isnan(log_g)
+    if nan.any():
+        log_g = np.where(nan & (h == np.inf), -np.inf, log_g)
+    return log_g
+
+
+class Points:
+    """Evaluation points t on the support, with log t taken on first use and kept.
+
+    The fitter binds its observations in one ``Points`` for the whole fit, so
+    the families that read log t take it once per fit, not once per call.
+    """
+
+    __slots__ = ("t", "_log_t")
+
+    def __init__(self, t):
+        self.t = t
+        self._log_t = None
+
+    @property
+    def log_t(self):
+        if self._log_t is None:
+            self._log_t = np.log(self.t)
+        return self._log_t
+
+
 class Baseline:
     """Common behaviour for the concrete families below.
 
     Each family has one cumulative hazard h: h = -log sf, or h = -log G where
-    ``_lower_tail`` is set.  Subclasses implement, on arrays already floored
-    to the support:
+    ``_lower_tail`` is set.  Subclasses implement, at points already floored
+    to the support (an array t, or ``Points`` x carrying t and log t):
 
     - ``_hazard(t)`` and ``_inv_hazard(y)`` (the t with h(t) = y);
-    - ``_log_rate(t)``, log|h'(t)|, which may be a scalar where it is constant;
-    - optionally ``_log_hazard(t)``, log h in closed form where h underflows;
+    - ``_log_rate(x, h)``, log|h'|, which may be a scalar where it is
+      constant; h is the cumulative hazard at the same points;
+    - optionally ``_log_hazard(x)``, log h in closed form where h underflows;
       it is read only where h is not a normal double, and without it log h
       is the log of h itself;
-    - ``log_partials(t)``: for the fitter's analytic score, the triples
+    - ``_partials(x, h)``: for the fitter's analytic score, the triples
       (d log g, d log sf, d log G) per parameter in ``param_names`` order,
       d log G precise where G underflows; ``_from_hazard`` builds them from
-      d log h.
+      d log h.  ``log_partials(t)`` returns them at t.
 
     From h this class derives both tails: e^-h is the tail h belongs to and
     -expm1(-h) the other, whose log is log h where h is tiny, so both keep
@@ -77,7 +106,9 @@ class Baseline:
     ``log_parts`` (or ``log_tails`` where the density is not needed) is the
     one pass the family layer makes: log g, log sf and log G from one floor,
     one ``_hazard`` and one support mask (none where every point is on the
-    support).  Each evaluating method calls ``_hazard`` at most once.
+    support).  Each evaluating method calls ``_hazard`` at most once.  The
+    fitter runs the same pass, ``_pass``, unmasked over observations it has
+    floored and support-checked once per fit.
     """
 
     tag = ""
@@ -85,6 +116,7 @@ class Baseline:
     option_names: tuple[str, ...] = ()  # structural settings, never fitted
     hazard_rate: str | None = None  # the r of log sf = -r*Z(t), if any
     support_low = 0.0
+    edge_param: str | None = None  # the parameter support_low equals, if any
     _lower_tail = False  # h is -log G rather than -log sf
     _log_hazard = None
 
@@ -101,22 +133,22 @@ class Baseline:
     # --- public API -----------------------------------------------------
 
     def pdf(self, t):
-        return self._on_support(lambda x: np.exp(self._log_density(x, self._hazard(x))), t, 0.0)
+        return self._on_support(lambda x: np.exp(self._log_density(x, self._hazard(x.t))), t, 0.0)
 
     def log_pdf(self, t):
-        return self._on_support(lambda x: self._log_density(x, self._hazard(x)), t, -np.inf)
+        return self._on_support(lambda x: self._log_density(x, self._hazard(x.t)), t, -np.inf)
 
     def cdf(self, t):
-        return self._on_support(lambda x: self._tails(x)[1], t, 0.0)
+        return self._on_support(lambda x: self._tails(x.t)[1], t, 0.0)
 
     def sf(self, t):
-        return self._on_support(lambda x: self._tails(x)[0], t, 1.0)
+        return self._on_support(lambda x: self._tails(x.t)[0], t, 1.0)
 
     def log_sf(self, t):
-        return self._on_support(lambda x: self._log_tails(x, self._hazard(x))[0], t, 0.0)
+        return self._on_support(lambda x: self._log_tails(x, self._hazard(x.t))[0], t, 0.0)
 
     def log_cdf(self, t):
-        return self._on_support(lambda x: self._log_tails(x, self._hazard(x))[1], t, -np.inf)
+        return self._on_support(lambda x: self._log_tails(x, self._hazard(x.t))[1], t, -np.inf)
 
     def log_parts(self, t):
         """(log g, log sf, log G) at t, as arrays equal to ``log_pdf``, ``log_sf`` and ``log_cdf``."""
@@ -124,14 +156,14 @@ class Baseline:
 
     def log_tails(self, t):
         """(log sf, log G) at t: the pass of ``log_parts`` without the density."""
-        return self._masked(lambda x: self._log_tails(x, self._hazard(x)), t, (0.0, -np.inf))
+        return self._masked(lambda x: self._log_tails(x, self._hazard(x.t)), t, (0.0, -np.inf))
 
     def hrf(self, t):
         """g/sf: h' itself where h is -log sf, else exp(log g - log sf) from one pass."""
 
         def rate(x):
-            if not self._lower_tail:  # a constant log|h'| is a scalar, taken to t's shape
-                return np.exp(np.broadcast_to(self._log_rate(x), x.shape))
+            if not self._lower_tail:  # no such rate reads h; a constant one is a scalar
+                return np.exp(np.broadcast_to(self._log_rate(x, None), x.t.shape))
             log_g, log_sf, _ = self._log_parts(x)
             return np.exp(log_g - log_sf)
 
@@ -144,6 +176,11 @@ class Baseline:
         """Inverse survival: the t with sf(t) = q; q = 1 gives the support edge."""
         return self._invert(q, lower=False)
 
+    def log_partials(self, t):
+        """(d log g, d log sf, d log G) per parameter at points t on the support."""
+        x = Points(np.asarray(t, dtype=float))
+        return self._partials(x, self._hazard(x.t))
+
     def _on_support(self, fn, t, outside):
         """fn on the support (points nudged up to its floor), ``outside`` below it."""
         return _maybe_scalar(self._masked(lambda x: (fn(x),), t, (outside,))[0], np.isscalar(t))
@@ -155,7 +192,7 @@ class Baseline:
         """
         t = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
-            parts = fn(np.maximum(t, self._eval_floor()))
+            parts = fn(Points(np.maximum(t, self._eval_floor(self.support_low))))
         on = t >= self.support_low
         if on.all():
             return parts
@@ -169,26 +206,29 @@ class Baseline:
         h = self._hazard(t)
         return self._by_tail(np.exp(-h), -np.expm1(-h))
 
-    def _log_parts(self, t):
-        h = self._hazard(t)
-        return (self._log_density(t, h), *self._log_tails(t, h))
+    def _pass(self, x):
+        """h, log|h'| - h, log sf and log G at x, from one ``_hazard``.
 
-    def _log_density(self, t, h):
-        # log g = log|h'| - h: where h overflows it is -inf or, where log|h'|
-        # overflows too, inf - inf; g is 0 wherever h is +inf
-        log_g = self._log_rate(t) - h
-        nan = np.isnan(log_g)
-        if np.any(nan):
-            log_g = np.where(nan & (h == np.inf), -np.inf, log_g)
-        return log_g
+        The density is left as log|h'| - h, NaN where both are inf: a caller
+        that sums it sees a zero likelihood either way.
+        """
+        h = self._hazard(x.t)
+        return (h, self._log_rate(x, h) - h, *self._log_tails(x, h))
 
-    def _log_tails(self, t, h):
+    def _log_parts(self, x):
+        h, log_g, log_sf, log_cdf = self._pass(x)
+        return _zero_where_h_is_inf(log_g, h), log_sf, log_cdf
+
+    def _log_density(self, x, h):
+        return _zero_where_h_is_inf(self._log_rate(x, h) - h, h)
+
+    def _log_tails(self, x, h):
         # -h and log(1 - e^-h); where h is not a normal double, log h, finite
         # where h itself underflows
         other = np.log(-np.expm1(-h))
         tiny = h < _TINY
-        if np.any(tiny):
-            log_h = np.log(h) if self._log_hazard is None else self._log_hazard(t)
+        if tiny.any():
+            log_h = np.log(h) if self._log_hazard is None else self._log_hazard(x)
             other = np.where(tiny, log_h, other)
         return self._by_tail(-h, other)
 
@@ -201,7 +241,7 @@ class Baseline:
         scalar = np.isscalar(p)
         p = np.asarray(p, dtype=float)
         bad = (p <= 0.0) | (p > 1.0) | ((p == 1.0) & lower)
-        if np.any(bad & lower):
+        if (bad & lower).any():
             raise ValueError("quantile requires u in (0, 1)")
         if bad.any():
             raise ValueError("isf requires q in (0, 1]")
@@ -210,7 +250,7 @@ class Baseline:
             return _maybe_scalar(self._inv_hazard(y), scalar)
 
     def _from_hazard(self, h, pairs):
-        """``log_partials`` from (d log g, d log h) per parameter.
+        """``_partials`` from (d log g, d log h) per parameter.
 
         d log of h's own tail is -h d log h, and of the other tail
         d log h * h/expm1(h), also where h underflows.
@@ -218,11 +258,20 @@ class Baseline:
         neg_h, other = -h, 1.0 / exprel(h)
         return [(dlogg, *self._by_tail(neg_h * dlogh, dlogh * other)) for dlogg, dlogh in pairs]
 
-    def _eval_floor(self):
+    def _score_partials(self, x, h):
+        """(d log g, d log sf) per parameter: ``_partials`` without d log G.
+
+        The fitter reads d log G only where 1 - s^theta underflows, and takes
+        it there from ``log_partials``.
+        """
+        return [(dlogg, dlogsf) for dlogg, dlogsf, _ in self._partials(x, h)]
+
+    @staticmethod
+    def _eval_floor(edge):
         # evaluation points are nudged just above the support edge, to the next
         # double, so that formulas with t**negative or log(1 - edge/t) stay
         # finite; masks zero them out anyway
-        return math.nextafter(self.support_low, math.inf) if self.support_low > 0 else 1e-300
+        return math.nextafter(edge, math.inf) if edge > 0 else 1e-300
 
 
 @dataclass(frozen=True, repr=False)
@@ -242,11 +291,11 @@ class Exponential(Baseline):
     def _inv_hazard(self, y):
         return y / self.lam
 
-    def _log_rate(self, t):
+    def _log_rate(self, x, h):
         return math.log(self.lam)
 
-    def log_partials(self, t):
-        return self._from_hazard(self.lam * t, ((1.0 / self.lam - t, 1.0 / self.lam),))
+    def _partials(self, x, h):
+        return self._from_hazard(h, ((1.0 / self.lam - x.t, 1.0 / self.lam),))
 
 
 @dataclass(frozen=True, repr=False)
@@ -264,19 +313,19 @@ class Weibull(Baseline):
     def _hazard(self, t):
         return self.lam * t**self.beta
 
-    def _log_hazard(self, t):
-        return math.log(self.lam) + self.beta * np.log(t)
+    def _log_hazard(self, x):
+        return math.log(self.lam) + self.beta * x.log_t
 
     def _inv_hazard(self, y):
         return (y / self.lam) ** (1.0 / self.beta)
 
-    def _log_rate(self, t):
-        return math.log(self.lam) + math.log(self.beta) + (self.beta - 1.0) * np.log(t)
+    def _log_rate(self, x, h):
+        return math.log(self.lam) + math.log(self.beta) + (self.beta - 1.0) * x.log_t
 
-    def log_partials(self, t):
-        tb, lt = t**self.beta, np.log(t)
-        d_beta = (1.0 / self.beta + lt - self.lam * tb * lt, lt)
-        return self._from_hazard(self.lam * tb, ((1.0 / self.lam - tb, 1.0 / self.lam), d_beta))
+    def _partials(self, x, h):
+        tb, lt = x.t**self.beta, x.log_t
+        d_beta = (1.0 / self.beta + lt - h * lt, lt)
+        return self._from_hazard(h, ((1.0 / self.lam - tb, 1.0 / self.lam), d_beta))
 
 
 @dataclass(frozen=True, repr=False)
@@ -297,15 +346,16 @@ class Lomax(Baseline):
     def _inv_hazard(self, y):
         return self.delta * np.expm1(y / self.beta)
 
-    def _log_rate(self, t):
-        return math.log(self.beta) - math.log(self.delta) - np.log1p(t / self.delta)
+    def _log_rate(self, x, h):
+        return math.log(self.beta) - math.log(self.delta) - np.log1p(x.t / self.delta)
 
-    def log_partials(self, t):
+    def _partials(self, x, h):
+        t = x.t
         log1p_r = np.log1p(t / self.delta)
         r_delta = t / (self.delta * (self.delta + t))  # -d log1p(t/delta)/d delta
         d_beta = (1.0 / self.beta - log1p_r, 1.0 / self.beta)
         d_delta = ((self.beta + 1.0) * r_delta - 1.0 / self.delta, -r_delta / log1p_r)
-        return self._from_hazard(self.beta * log1p_r, (d_beta, d_delta))
+        return self._from_hazard(h, (d_beta, d_delta))
 
 
 @dataclass(frozen=True, repr=False)
@@ -325,17 +375,17 @@ class Frechet(Baseline):
     def _hazard(self, t):
         return (self.delta / t) ** self.lam
 
-    def _log_hazard(self, t):
-        return self.lam * (math.log(self.delta) - np.log(t))
+    def _log_hazard(self, x):
+        return self.lam * (math.log(self.delta) - x.log_t)
 
     def _inv_hazard(self, y):
         return self.delta * y ** (-1.0 / self.lam)
 
-    def _log_rate(self, t):
-        return math.log(self.lam) + self.lam * math.log(self.delta) - (self.lam + 1.0) * np.log(t)
+    def _log_rate(self, x, h):
+        return math.log(self.lam) + self.lam * math.log(self.delta) - (self.lam + 1.0) * x.log_t
 
-    def log_partials(self, t):
-        log_ratio = math.log(self.delta) - np.log(t)  # d log h/d lam
+    def _partials(self, x, h):
+        log_ratio = math.log(self.delta) - x.log_t  # d log h/d lam
         z = np.exp(self.lam * log_ratio)
         rate = self.lam / self.delta  # d log h/d delta
         d_lam = (1.0 / self.lam + log_ratio * (1.0 - z), log_ratio)
@@ -360,13 +410,13 @@ class Gompertz(Baseline):
     def _inv_hazard(self, y):
         return np.log1p((self.lam / self.beta) * y) / self.lam
 
-    def _log_rate(self, t):
-        return math.log(self.beta) + self.lam * t
+    def _log_rate(self, x, h):
+        return math.log(self.beta) + self.lam * x.t
 
-    def log_partials(self, t):
+    def _partials(self, x, h):
+        t = x.t
         lam_t = self.lam * t
         e = np.expm1(lam_t)
-        h = self.beta / self.lam * e
         log_h_lam = (lam_t * (e + 1.0) - e) / (self.lam * e)  # d log H/d lam
         d_beta = (1.0 / self.beta - e / self.lam, 1.0 / self.beta)
         return self._from_hazard(h, (d_beta, (t - h * log_h_lam, log_h_lam)))
@@ -404,11 +454,11 @@ class ZFunction:
             return np.log(t / self.k)
         return np.expm1(self.beta * t) / self.beta
 
-    def log_value(self, t):
-        """log Z(t), finite where t^2 underflows."""
+    def log_value(self, x):
+        """log Z at ``Points`` x, finite where t^2 underflows."""
         if self.kind == "square":
-            return 2.0 * np.log(t)
-        return np.log(self.value(t))
+            return 2.0 * x.log_t
+        return np.log(self.value(x.t))
 
     def deriv(self, t):
         if self.kind == "linear":
@@ -459,18 +509,18 @@ class ExtendedWeibull(Baseline):
     def _hazard(self, t):
         return self.delta * self.z.value(t)
 
-    def _log_hazard(self, t):
-        return math.log(self.delta) + self.z.log_value(t)
+    def _log_hazard(self, x):
+        return math.log(self.delta) + self.z.log_value(x)
 
     def _inv_hazard(self, y):
         return self.z.inverse(y / self.delta)
 
-    def _log_rate(self, t):
-        return math.log(self.delta) + np.log(self.z.deriv(t))
+    def _log_rate(self, x, h):
+        return math.log(self.delta) + np.log(self.z.deriv(x.t))
 
-    def log_partials(self, t):
-        z = self.z.value(t)
-        return self._from_hazard(self.delta * z, ((1.0 / self.delta - z, 1.0 / self.delta),))
+    def _partials(self, x, h):
+        z = self.z.value(x.t)
+        return self._from_hazard(h, ((1.0 / self.delta - z, 1.0 / self.delta),))
 
 
 @dataclass(frozen=True, repr=False)
@@ -494,8 +544,8 @@ class ModifiedWeibull(Baseline):
         power = self.beta * t**self.gamma if self.beta else 0.0
         return self.sigma * t + power if self.sigma else power
 
-    def _log_hazard(self, t):
-        log_t = np.log(t)
+    def _log_hazard(self, x):
+        log_t = x.log_t
         return np.logaddexp(np.log(self.sigma) + log_t, np.log(self.beta) + self.gamma * log_t)
 
     def _inv_hazard(self, y):
@@ -516,14 +566,14 @@ class ModifiedWeibull(Baseline):
         out = 0.5 * (lo + hi)
         return out.reshape(np.shape(y)) if np.shape(y) else out[0]
 
-    def _log_rate(self, t):
+    def _log_rate(self, x, h):
         rate = self.sigma
         if self.beta:
-            rate = rate + self.beta * self.gamma * t ** (self.gamma - 1.0)
+            rate = rate + self.beta * self.gamma * x.t ** (self.gamma - 1.0)
         return np.log(rate)
 
-    def log_partials(self, t):
-        log_t = np.log(t)
+    def _partials(self, x, h):
+        t, log_t = x.t, x.log_t
         u = t ** (self.gamma - 1.0)
         rate = self.sigma + self.beta * self.gamma * u  # the hazard rate
         t_h = 1.0 / (self.sigma + self.beta * u)  # t/h
@@ -544,6 +594,7 @@ class ExponentiatedPareto(Baseline):
 
     tag = "exponentiated_pareto"
     param_names = ("theta_p", "k", "gamma")
+    edge_param = "theta_p"
     _lower_tail = True
 
     def __post_init__(self):
@@ -563,33 +614,34 @@ class ExponentiatedPareto(Baseline):
     def _hazard(self, t):
         return -self.gamma * self._log_base(t)
 
-    def _log_hazard(self, t):
+    def _log_hazard(self, x):
         # h ~ gamma (theta_p/t)^k far out
-        return math.log(self.gamma) + self.k * (math.log(self.theta_p) - np.log(t))
+        return math.log(self.gamma) + self.k * (math.log(self.theta_p) - x.log_t)
 
     def _inv_hazard(self, y):
         base = -np.expm1(-y / self.gamma)  # 1 - G^(1/gamma)
         return self.theta_p * base ** (-1.0 / self.k)
 
-    def _log_rate(self, t):
+    def _log_rate(self, x, h):
         # |h'| = gamma k theta_p^k t^-(k+1) / [1 - (theta_p/t)^k]
         return (
             math.log(self.gamma)
             + math.log(self.k)
             + self.k * math.log(self.theta_p)
-            - (self.k + 1.0) * np.log(t)
-            - self._log_base(t)
+            - (self.k + 1.0) * x.log_t
+            - self._log_base(x.t)
         )
 
-    def log_partials(self, t):
+    def _partials(self, x, h):
         # w = e^-a = (theta_p/t)^k, log G = gamma log(1 - w): d log G is q = 1/expm1(a) times
         # -gamma k/theta_p or gamma a/k, d log sf = -(G/sf) d log G with G/sf * q in log space
+        t = x.t
         a = self.k * np.log1p((t - self.theta_p) / self.theta_p)
         q = 1.0 / np.expm1(a)
         log_b = self._log_base(t)
         rate, tilt = self.k / self.theta_p, (self.gamma - 1.0) / self.gamma
         d_theta_p, d_k = -self.gamma * rate, self.gamma * a / self.k
-        log_odds = self.gamma * log_b - self._log_tails(t, -self.gamma * log_b)[0]  # log(G/sf)
+        log_odds = self.gamma * log_b - self._log_tails(x, -self.gamma * log_b)[0]  # log(G/sf)
         odds_q = np.exp(log_odds - a - log_b)
         return (
             (rate + tilt * d_theta_p * q, -d_theta_p * odds_q, d_theta_p * q),

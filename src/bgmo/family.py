@@ -58,7 +58,41 @@ def _log_one_minus_power(theta: float, z, log_1ms):
     whose log stays finite even where 1 - s underflows to 0.  Call it under
     ``np.errstate(all="ignore")``.
     """
-    return np.where(log_1ms > -700.0, np.log(z), math.log(theta) + log_1ms)
+    above = log_1ms > -700.0
+    if above.all():
+        return np.log(z)
+    return np.where(above, np.log(z), math.log(theta) + log_1ms)
+
+
+def _require_shapes(m, n, theta, alpha):
+    """Raise ``ValueError`` unless every shape is positive and finite."""
+    if not (0.0 < m < math.inf and 0.0 < n < math.inf and 0.0 < theta < math.inf
+            and 0.0 < alpha < math.inf):
+        for name, value in zip(("m", "n", "theta", "alpha"), (m, n, theta, alpha)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"parameter {name} must be positive and finite, got {value}")
+
+
+def _log_density(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
+    """log f, log s, log(1 - s), log D and log z, z = 1 - s^theta, from one baseline pass.
+
+    The one form of the density, for ``BgmoDistribution`` and the fitter
+    alike; it applies no support mask.  Call it under
+    ``np.errstate(all="ignore")``.
+    """
+    log_s, log_1ms, log_d = log_tilt(alpha, log_gbar, log_gcdf)
+    log_z = _log_one_minus_power(theta, -np.expm1(theta * log_s), log_1ms)
+    log_f = (
+        math.log(theta)
+        + theta * math.log(alpha)
+        - special.log_beta(m, n)
+        + log_g
+        + (theta - 1.0) * log_gbar
+        - (theta + 1.0) * log_d
+        + _zmul(m - 1.0, log_z)
+        + _zmul(n - 1.0, theta * log_s)
+    )
+    return log_f, log_s, log_1ms, log_d, log_z
 
 
 @dataclass(frozen=True)
@@ -76,10 +110,7 @@ class BgmoParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "n", "theta", "alpha"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"parameter {name} must be positive and finite, got {value}")
+        _require_shapes(self.m, self.n, self.theta, self.alpha)
 
     def as_dict(self) -> dict[str, float]:
         return {"m": self.m, "n": self.n, "theta": self.theta, "alpha": self.alpha}
@@ -102,17 +133,8 @@ class BgmoDistribution:
         """Arrays log f, log s, log(1 - s), log sf_G, log D and log z, z = 1 - s^theta."""
         p = self.params
         log_g, log_gbar, log_gcdf = self.baseline.log_parts(t)
-        log_s, log_1ms, log_d = log_tilt(p.alpha, log_gbar, log_gcdf)
-        log_z = _log_one_minus_power(p.theta, -np.expm1(p.theta * log_s), log_1ms)
-        out = (
-            math.log(p.theta)
-            + p.theta * math.log(p.alpha)
-            - special.log_beta(p.m, p.n)
-            + log_g
-            + (p.theta - 1.0) * log_gbar
-            - (p.theta + 1.0) * log_d
-            + _zmul(p.m - 1.0, log_z)
-            + _zmul(p.n - 1.0, p.theta * log_s)
+        out, log_s, log_1ms, log_d, log_z = _log_density(
+            p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf
         )
         # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G
         # alone would be +inf for theta < 1
@@ -206,7 +228,7 @@ class BgmoDistribution:
         """
         scalar = np.isscalar(u)
         u = np.asarray(u, dtype=float)
-        if np.any((u <= 0.0) | (u >= 1.0)):
+        if ((u <= 0.0) | (u >= 1.0)).any():
             raise ValueError("quantile requires u in (0, 1)")
         p = self.params
         low = u <= special.reg_inc_beta(0.5, p.m, p.n)

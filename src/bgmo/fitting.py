@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import digamma, ndtri
 
-from .baselines import BASELINE_FAMILIES, Baseline, make_baseline
-from .family import BgmoDistribution, BgmoParams
+from .baselines import BASELINE_FAMILIES, Baseline, Points, make_baseline
+from .family import BgmoDistribution, BgmoParams, _log_density, _require_shapes
 
 __all__ = [
     "FitConfig",
@@ -86,6 +86,8 @@ class ModelTemplate:
     # every parameter's value in param_names order, NaN in the free slots
     _values: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _free_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the support's lower edge, or None where a free parameter moves it
+    _support_edge: float | None = field(init=False, repr=False, compare=False)
     # the baseline class, with its built options (e.g. the extended Weibull's Z) bound
     _new_baseline: Callable[..., Baseline] = field(init=False, repr=False, compare=False)
 
@@ -106,12 +108,20 @@ class ModelTemplate:
         # building the baseline once checks the option values
         probe = make_baseline(self.baseline, **dict.fromkeys(base_names, 1.0), **self.options)
         built_options = {f.name: getattr(probe, f.name) for f in fields(probe)}
+        edge = b_cls.edge_param
+        if edge is None:
+            edge = probe.support_low
+        elif edge in self.fixed:
+            edge = float(self.fixed[edge])
+        else:
+            edge = None
         resolved = dict(
             baseline_param_names=base_names,
             param_names=names,
             free_names=tuple(name for name in names if name not in self.fixed),
             _values=tuple(float(self.fixed.get(name, math.nan)) for name in names),
             _free_slots=tuple(i for i, name in enumerate(names) if name not in self.fixed),
+            _support_edge=edge,
             _new_baseline=partial(
                 b_cls, **{k: v for k, v in built_options.items() if k not in base_names}
             ),
@@ -129,18 +139,18 @@ class ModelTemplate:
         ``BgmoParams`` and the baseline reject values outside their domain
         with ``ValueError``, fixed values included.
         """
+        m, n, theta, alpha, *base = self._full(free_values)
+        return BgmoDistribution(BgmoParams(m, n, theta, alpha), self._new_baseline(*base))
+
+    def _full(self, free_values) -> list[float]:
+        """Every parameter's value in ``param_names`` order, from the free values."""
         if isinstance(free_values, dict):
             values = dict(self.fixed, **free_values)
-            full = [float(values[name]) for name in self.param_names]
-        else:
-            full = list(self._values)
-            for slot, value in zip(self._free_slots, np.asarray(free_values, dtype=float).tolist()):
-                full[slot] = value
-        m, n, theta, alpha, *base = full
-        return BgmoDistribution(
-            BgmoParams(m, n, theta, alpha),
-            self._new_baseline(**dict(zip(self.baseline_param_names, base))),
-        )
+            return [float(values[name]) for name in self.param_names]
+        full = list(self._values)
+        for slot, value in zip(self._free_slots, np.asarray(free_values, dtype=float).tolist()):
+            full[slot] = value
+        return full
 
 
 @dataclass(frozen=True)
@@ -273,76 +283,126 @@ def log_likelihood(template: ModelTemplate, params, data) -> float:
     return total if math.isfinite(total) else -math.inf
 
 
-def _log_lik_and_score(template: ModelTemplate, values, data):
-    """Log-likelihood and analytic score in the free parameters from one ``_log_pdf_parts``.
+class _Likelihood:
+    """A template and its observations, bound once per fit.
 
-    With D = 1 - (1-alpha)*sf_G the tilted survival s = alpha*sf_G/D has
-    d(log s)/d(alpha) = (1 - s)/alpha and d(log s)/d(phi) = d(log sf_G)/d(phi)/D
-    for a baseline parameter phi.  Every term is then a bounded factor times a
-    quantity taken in log space, so the score stays finite wherever the
-    log-likelihood is, including where sf_G or 1 - s underflows.  Where the
-    likelihood is zero the result is -inf and an all-NaN score.
+    Calling it gives the log-likelihood and the analytic score at a vector
+    of free values; ``objective`` gives the negative of both at a search
+    point.  The observations are floored to the support and checked against
+    its edge once, and one ``Points`` over them keeps log t for the whole
+    fit, so each evaluation runs one unmasked baseline pass.  Only an edge
+    that a free parameter moves (the exponentiated-Pareto location) is
+    checked per evaluation: an observation below it has zero likelihood, and
+    one on it is evaluated at the edge's floor.
     """
-    dist = template.build(values)
-    p = dist.params
-    m, n, theta, alpha = p.m, p.n, p.theta, p.alpha
-    b = dist.baseline
-    t = np.asarray(data, dtype=float)
-    r = len(t)
 
-    with np.errstate(all="ignore"):
-        log_f, log_s, log_1ms, log_gbar, log_d, log_z = dist._log_pdf_parts(t)
-        total = float(log_f.sum())
-        if not math.isfinite(total):
+    def __init__(self, template: ModelTemplate, data):
+        t = np.asarray(data, dtype=float)
+        self.template = template
+        self.low = float(t.min()) if t.size else math.inf
+        edge = template._support_edge
+        self.t = np.maximum(t, Baseline._eval_floor(edge or 0.0))
+        self.outside = edge is not None and self.low < edge
+        self.points = Points(self.t)
+        names = _search_names(template)
+        self.scale = (names.index("sigma"), names.index("beta")) if _weibull_scale(template) else None
+
+    def __call__(self, values):
+        """Log-likelihood and score in the free parameters from one baseline pass.
+
+        With D = 1 - (1-alpha)*sf_G the tilted survival s = alpha*sf_G/D has
+        d(log s)/d(alpha) = (1 - s)/alpha and d(log s)/d(phi) = d(log sf_G)/d(phi)/D
+        for a baseline parameter phi.  Every term is then a bounded factor
+        times a quantity taken in log space, so the score stays finite
+        wherever the log-likelihood is, including where sf_G or 1 - s
+        underflows.  Where the likelihood is zero the result is -inf and an
+        all-NaN score.  Values outside the parameters' domain raise
+        ``ValueError``.
+        """
+        template = self.template
+        m, n, theta, alpha, *base = template._full(values)
+        _require_shapes(m, n, theta, alpha)
+        b = template._new_baseline(*base)
+        x, outside = self.points, self.outside
+        if template._support_edge is None:  # the edge moves with a free parameter
+            edge = b.support_low
+            outside = self.low < edge
+            if self.low == edge:
+                x = Points(np.maximum(self.t, b._eval_floor(edge)))
+        if outside:
             return -math.inf, np.full(template.k_params, math.nan)
-        theta_log_s = theta * log_s
-        m_odds = (1.0 - m) * np.exp(theta_log_s - log_z)  # (1-m) * s^theta/(1 - s^theta)
-        # d(log f)/d(alpha) = theta/alpha - (theta+1)*sf_G/D + theta/alpha * w_alpha
-        w_alpha = (1.0 - m) * np.exp(theta_log_s + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
-        gbar_d = np.exp(log_gbar - log_d)  # sf_G/D
-        # d(log f)/d(log sf_G): the tilt's own terms plus d(log s)/d(log sf_G) = 1/D
-        # times the beta layer's d(log f)/d(log s)
-        per_log_sf = (
-            theta - 1.0
-            + (theta + 1.0) * (1.0 - alpha) * gbar_d
-            + theta * np.exp(-log_d) * (m_odds + n - 1.0)
-        )
-        terms = [log_z, log_s, log_s * (n + m_odds), gbar_d, w_alpha]
-        partials = b.log_partials(np.maximum(t, b._eval_floor()))  # floored as the density is
-        for dlogg, dlogsf, _ in partials:
-            terms += [dlogg, dlogsf * per_log_sf]
-        if log_z.min() < -690.0:
-            # where 1 - s^theta < 1e-300, m_odds overflows while d(log sf_G) =
-            # -(G/sf_G) d(log G) underflows; to double precision log s * m_odds
-            # is (m-1)/theta there, and each baseline parameter's d(log sf_G)
-            # term (at 6 + 2i, after its d log g) is (m-1) d(log G)
-            deep = log_z < -690.0
-            terms[2][deep] = n * log_s[deep] + (m - 1.0) / theta
-            for i, (_, _, dlogcdf) in enumerate(partials):
-                terms[6 + 2 * i][deep] = (m - 1.0) * dlogcdf[deep]
-        # one reduction over all per-observation terms: the same pairwise sums as one by one
-        sum_log_z, sum_log_s, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = np.array(
-            terms
-        ).sum(axis=1)
-    # BgmoParams has checked m, n > 0: scipy's ufunc on the scalars needs no domain check
-    psi_mn = digamma(m + n)
-    full = np.array([
-        r * (psi_mn - digamma(m)) + sum_log_z,
-        r * (psi_mn - digamma(n)) + theta * sum_log_s,
-        r / theta + sum_theta,
-        r * theta / alpha - (theta + 1.0) * sum_gbar_d + theta / alpha * sum_w_alpha,
-        *(g + sf for g, sf in zip(sum_base[::2], sum_base[1::2])),
-    ])
-    return total, full.take(template._free_slots)
+        r = len(self.t)
+
+        with np.errstate(all="ignore"):
+            h, log_g, log_gbar, log_gcdf = b._pass(x)
+            log_f, log_s, log_1ms, log_d, log_z = _log_density(
+                m, n, theta, alpha, log_g, log_gbar, log_gcdf
+            )
+            total = float(log_f.sum())
+            if not math.isfinite(total):
+                return -math.inf, np.full(template.k_params, math.nan)
+            theta_log_s = theta * log_s
+            m_odds = (1.0 - m) * np.exp(theta_log_s - log_z)  # (1-m) * s^theta/(1 - s^theta)
+            # d(log f)/d(alpha) = theta/alpha - (theta+1)*sf_G/D + theta/alpha * w_alpha
+            w_alpha = (1.0 - m) * np.exp(theta_log_s + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
+            gbar_d = np.exp(log_gbar - log_d)  # sf_G/D
+            # d(log f)/d(log sf_G): the tilt's own terms plus d(log s)/d(log sf_G) = 1/D
+            # times the beta layer's d(log f)/d(log s)
+            per_log_sf = (
+                theta - 1.0
+                + (theta + 1.0) * (1.0 - alpha) * gbar_d
+                + theta * np.exp(-log_d) * (m_odds + n - 1.0)
+            )
+            terms = [log_z, log_s, log_s * (n + m_odds), gbar_d, w_alpha]
+            for dlogg, dlogsf in b._score_partials(x, h):
+                terms += [dlogg, dlogsf * per_log_sf]
+            if log_z.min() < -690.0:
+                # where 1 - s^theta < 1e-300, m_odds overflows while d(log sf_G) =
+                # -(G/sf_G) d(log G) underflows; to double precision log s * m_odds
+                # is (m-1)/theta there, and each baseline parameter's d(log sf_G)
+                # term (at 6 + 2i, after its d log g) is (m-1) d(log G)
+                deep = log_z < -690.0
+                terms[2][deep] = n * log_s[deep] + (m - 1.0) / theta
+                for i, (_, _, dlogcdf) in enumerate(b.log_partials(x.t[deep])):
+                    terms[6 + 2 * i][deep] = (m - 1.0) * dlogcdf
+            # one reduction over all per-observation terms: the same pairwise sums as one by one
+            sum_log_z, sum_log_s, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = np.array(
+                terms
+            ).sum(axis=1)
+        # m, n > 0 are checked: scipy's ufunc on the scalars needs no domain check
+        psi_mn = digamma(m + n)
+        full = np.array([
+            r * (psi_mn - digamma(m)) + sum_log_z,
+            r * (psi_mn - digamma(n)) + theta * sum_log_s,
+            r / theta + sum_theta,
+            r * theta / alpha - (theta + 1.0) * sum_gbar_d + theta / alpha * sum_w_alpha,
+            *(g + sf for g, sf in zip(sum_base[::2], sum_base[1::2])),
+        ])
+        return total, full.take(template._free_slots)
+
+    def objective(self, x):
+        """Negative log-likelihood at search point x and its gradient in x.
+
+        The gradient is the analytic score chained through d(params)/dx.
+        Where the likelihood is zero the value is inf and the gradient zero.
+        """
+        params, jac = _to_params(x, self.scale)
+        try:
+            value, grad = self(params)
+        except ValueError:
+            value = -math.inf
+        if not math.isfinite(value):
+            return math.inf, np.zeros(len(x))
+        return -value, -(jac.T @ grad)
 
 
 def score(template: ModelTemplate, params, data) -> np.ndarray:
     """Gradient of the log-likelihood in the template's free parameters.
 
-    Closed-form: the baseline's ``log_partials`` chained through the tilt and
-    the beta layer.  Where the likelihood is zero it is an all-NaN vector.
+    Closed-form: the baseline's partials chained through the tilt and the
+    beta layer.  Where the likelihood is zero it is an all-NaN vector.
     """
-    return _log_lik_and_score(template, params, data)[1]
+    return _Likelihood(template, data)(params)[1]
 
 
 # --- observed information and intervals ---------------------------------------
@@ -358,8 +418,9 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
         x = np.array([dict(template.fixed, **params_hat)[n] for n in template.free_names])
     else:
         x = np.asarray(params_hat, dtype=float)
+    lik = _Likelihood(template, data)
     H = np.array([
-        (score(template, x + e, data) - score(template, x - e, data)) / (2.0 * e[i])
+        (lik(x + e)[1] - lik(x - e)[1]) / (2.0 * e[i])
         for i, e in enumerate(np.diag(1e-4 * np.abs(x)))
     ])
     info = -0.5 * (H + H.T)
@@ -458,22 +519,6 @@ def _to_params(x, scale: tuple[int, int] | None):
     return params, jac
 
 
-def _objective(x, template: ModelTemplate, data, scale):
-    """Negative log-likelihood at search point x and its gradient in x.
-
-    The gradient is the analytic score chained through d(params)/dx.  Where
-    the likelihood is zero the value is inf and the gradient zero.
-    """
-    params, jac = _to_params(x, scale)
-    try:
-        value, grad = _log_lik_and_score(template, params, data)
-    except ValueError:
-        value = -math.inf
-    if not math.isfinite(value):
-        return math.inf, np.zeros(len(x))
-    return -value, -(jac.T @ grad)
-
-
 def _pinned(names, x, grad, lo, hi) -> tuple[str, ...]:
     """Coordinates on a bound with the objective's gradient pointing out of the box (KKT)."""
     hit = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
@@ -510,6 +555,13 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     bad = np.nonzero(data <= 0)[0]
     if bad.size:
         raise ValueError(f"observations at indices {bad.tolist()} are outside the support")
+    edge = template._support_edge
+    bad = np.nonzero(data < edge)[0] if edge is not None else []
+    if len(bad):
+        raise ValueError(
+            f"observations at indices {bad.tolist()} are below the support edge "
+            f"{edge:g} of {template.baseline}"
+        )
 
     free = template.free_names
     k = len(free)
@@ -523,7 +575,8 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     box.update(config.start_box)
     lo = np.log([box[n][0] for n in names])
     hi = np.log([box[n][1] for n in names])
-    scale = (names.index("sigma"), names.index("beta")) if _weibull_scale(template) else None
+    lik = _Likelihood(template, data)
+    scale = lik.scale
 
     def param_dict(x):
         return {n: float(v) for n, v in zip(free, _to_params(x, scale)[0])}
@@ -540,8 +593,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     for x0 in starts:
         t0 = time.perf_counter()
         run = minimize(
-            _objective, x0, args=(template, data, scale), jac=True,
-            method="L-BFGS-B", bounds=bounds, options=options,
+            lik.objective, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options
         )
         trace.append(Restart(
             start=param_dict(x0),

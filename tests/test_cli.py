@@ -187,7 +187,9 @@ class TestCompare:
         assert [r[0] for r in rows] == ["exponential m=1 n=1 theta=1 alpha=1", bad]
         assert rows[0][-1] == "yes" and math.isfinite(float(rows[0][1]))
         assert rows[1][1:6] == ["inf", "inf", "nan", "nan", "nan"]
-        assert rows[1][-1].startswith("failed: all 2 restarts produced non-finite likelihood")
+        # rejected before any restart runs
+        assert rows[1][-1].startswith("failed: observations at indices [0, 1, 2,")
+        assert rows[1][-1].endswith("are below the support edge 50 of extended_weibull")
 
     def test_identical_candidates_identical_rows(self, capsys):
         rc, out, _ = run(

@@ -8,14 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from bgmo.baselines import Weibull
+from bgmo.baselines import Baseline, Weibull
 from bgmo.datasets import BUILTIN_NAMES, builtin_dataset
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.fitting import (
     FAMILY_PARAM_NAMES,
     FitConfig,
     _default_box,
-    _objective,
+    _Likelihood,
     _pinned,
     _search_names,
     _to_params,
@@ -45,6 +45,11 @@ BASELINE_RANGES = {
     "modified_weibull": {"sigma": (0.2, 1.5), "beta": (0.2, 1.5), "gamma": (0.6, 2.5)},
     "exponentiated_pareto": {"theta_p": (0.01, 0.045), "k": (0.4, 3.0), "gamma": (0.4, 3.0)},
 }
+
+
+def objective(x, tpl, data):
+    """``fit_mle``'s objective at search point x, with the data bound as a fit binds them."""
+    return _Likelihood(tpl, data).objective(x)
 
 
 def exp_reduction_template():
@@ -238,18 +243,18 @@ class TestSearchGradient:
         scale = (len(x) - 2, len(x) - 1)
         sigma, beta = np.exp(x[-2:])
         params = np.append(np.exp(x[:-2]), [sigma**-beta, beta])  # lam = sigma**(-beta)
-        value, grad = _objective(x, tpl, data, scale)
+        value, grad = objective(x, tpl, data)
         assert value == pytest.approx(-log_likelihood(tpl, params, data), rel=1e-13)
         h = 1e-6
         for i in range(len(x)):
             e = np.zeros(len(x))
             e[i] = h
-            fd = (_objective(x + e, tpl, data, scale)[0] - _objective(x - e, tpl, data, scale)[0]) / (2 * h)
+            fd = (objective(x + e, tpl, data)[0] - objective(x - e, tpl, data)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_zero_likelihood_is_infinite(self):
         tpl = ModelTemplate("exponentiated_pareto", fixed={"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0})
-        value, grad = _objective(np.log([2.0, 1.0, 1.0]), tpl, np.array([3.0, 1.0]), None)
+        value, grad = objective(np.log([2.0, 1.0, 1.0]), tpl, np.array([3.0, 1.0]))
         assert value == math.inf and np.all(grad == 0)
 
     def test_lam_past_the_largest_double_is_zero_likelihood(self):
@@ -258,12 +263,12 @@ class TestSearchGradient:
         params, _ = _to_params(x, (4, 5))
         assert params[4] == math.inf
         data = builtin_dataset("turbocharger").values
-        value, grad = _objective(x, ModelTemplate("weibull"), data, (4, 5))
+        value, grad = objective(x, ModelTemplate("weibull"), data)
         assert value == math.inf and np.all(grad == 0)
 
 
 class TestObjectiveKernel:
-    """``_objective`` takes its value and gradient from one pass over the data."""
+    """``_Likelihood.objective`` takes its value and gradient from one pass over the data."""
 
     @staticmethod
     def search_setup(baseline, fixed):
@@ -275,7 +280,7 @@ class TestObjectiveKernel:
     @staticmethod
     def assert_matches_public(tpl, x, data, scale):
         params, jac = _to_params(x, scale)
-        value, grad = _objective(x, tpl, data, scale)
+        value, grad = objective(x, tpl, data)
         assert value == -log_likelihood(tpl, params, data)
         np.testing.assert_array_equal(grad, -(jac.T @ score(tpl, params, data)))
 
@@ -303,24 +308,31 @@ class TestObjectiveKernel:
         lam, beta = 3.6325, 2.9785
         x = np.log([0.3107, 0.2833, 0.5414, 0.3384, lam ** (-1.0 / beta), beta])
         self.assert_matches_public(tpl, x, data, scale)
-        assert math.isfinite(_objective(x, tpl, data, scale)[0])
+        assert math.isfinite(objective(x, tpl, data)[0])
 
     def test_one_baseline_pass_per_evaluation(self, monkeypatch):
-        # one log_parts pass, whose one _hazard feeds both baseline log tails;
-        # no public baseline evaluation besides it
+        # one _hazard feeds the density, both baseline log tails and the
+        # partials; the data were floored and support-checked when bound, so
+        # no evaluation masks, floors or calls a public baseline method
         calls = []
-        for name in ("log_parts", "_hazard", "log_pdf", "log_sf", "log_cdf"):
+        for name in ("_hazard", "_masked", "log_parts", "log_pdf", "log_sf", "log_cdf", "log_partials"):
             method = getattr(Weibull, name)
 
-            def counted(self, t, name=name, method=method):
+            def counted(self, *args, name=name, method=method):
                 calls.append(name)
-                return method(self, t)
+                return method(self, *args)
 
             monkeypatch.setattr(Weibull, name, counted)
+        floor = Baseline._eval_floor
+        monkeypatch.setattr(
+            Baseline, "_eval_floor", staticmethod(lambda edge: calls.append("_eval_floor") or floor(edge))
+        )
         data = builtin_dataset("turbocharger").values
-        tpl, _, scale = self.search_setup("weibull", {})
-        _objective(np.log([1.3, 0.9, 1.1, 2.0, 6.0, 2.5]), tpl, data, scale)
-        assert sorted(calls) == ["_hazard", "log_parts"]
+        lik = _Likelihood(ModelTemplate("weibull"), data)
+        calls.clear()
+        for x in (np.log([1.3, 0.9, 1.1, 2.0, 6.0, 2.5]), np.log([0.5, 2.0, 0.8, 0.3, 4.0, 1.5])):
+            lik.objective(x)
+        assert calls == ["_hazard", "_hazard"]
 
 
 class TestObservedInformation:
