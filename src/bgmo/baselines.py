@@ -226,8 +226,8 @@ class Baseline:
         # -h and log(1 - e^-h); where h is not a normal double, log h, finite
         # where h itself underflows
         other = np.log(-np.expm1(-h))
-        tiny = h < _TINY
-        if tiny.any():
+        if not h.min() >= _TINY:  # some h is tiny, or NaN
+            tiny = h < _TINY
             log_h = np.log(h) if self._log_hazard is None else self._log_hazard(x)
             other = np.where(tiny, log_h, other)
         return self._by_tail(-h, other)

@@ -74,14 +74,15 @@ def _require_shapes(m, n, theta, alpha):
 
 
 def _log_density(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
-    """log f, log s, log(1 - s), log D and log z, z = 1 - s^theta, from one baseline pass.
+    """log f, log s, log(1 - s), log D, log z and log w, z = 1 - s^theta = 1 - w, from one baseline pass.
 
     The one form of the density, for ``BgmoDistribution`` and the fitter
     alike; it applies no support mask.  Call it under
     ``np.errstate(all="ignore")``.
     """
     log_s, log_1ms, log_d = log_tilt(alpha, log_gbar, log_gcdf)
-    log_z = _log_one_minus_power(theta, -np.expm1(theta * log_s), log_1ms)
+    log_w = theta * log_s
+    log_z = _log_one_minus_power(theta, -np.expm1(log_w), log_1ms)
     log_f = (
         math.log(theta)
         + theta * math.log(alpha)
@@ -90,9 +91,9 @@ def _log_density(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
         + (theta - 1.0) * log_gbar
         - (theta + 1.0) * log_d
         + _zmul(m - 1.0, log_z)
-        + _zmul(n - 1.0, theta * log_s)
+        + _zmul(n - 1.0, log_w)
     )
-    return log_f, log_s, log_1ms, log_d, log_z
+    return log_f, log_s, log_1ms, log_d, log_z, log_w
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class BgmoDistribution:
         """Arrays log f, log s, log(1 - s), log sf_G, log D and log z, z = 1 - s^theta."""
         p = self.params
         log_g, log_gbar, log_gcdf = self.baseline.log_parts(t)
-        out, log_s, log_1ms, log_d, log_z = _log_density(
+        out, log_s, log_1ms, log_d, log_z, _ = _log_density(
             p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf
         )
         # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G

@@ -335,13 +335,12 @@ class _Likelihood:
 
         with np.errstate(all="ignore"):
             h, log_g, log_gbar, log_gcdf = b._pass(x)
-            log_f, log_s, log_1ms, log_d, log_z = _log_density(
+            log_f, log_s, log_1ms, log_d, log_z, theta_log_s = _log_density(
                 m, n, theta, alpha, log_g, log_gbar, log_gcdf
             )
             total = float(log_f.sum())
             if not math.isfinite(total):
                 return -math.inf, np.full(template.k_params, math.nan)
-            theta_log_s = theta * log_s
             m_odds = (1.0 - m) * np.exp(theta_log_s - log_z)  # (1-m) * s^theta/(1 - s^theta)
             # d(log f)/d(alpha) = theta/alpha - (theta+1)*sf_G/D + theta/alpha * w_alpha
             w_alpha = (1.0 - m) * np.exp(theta_log_s + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
