@@ -89,10 +89,10 @@ class Baseline:
     - optionally ``_log_hazard(x)``, log h in closed form where h underflows;
       it is read only where h is not a normal double, and without it log h
       is the log of h itself;
-    - ``_partials(x, h)``: for the fitter's analytic score, the triples
-      (d log g, d log sf, d log G) per parameter in ``param_names`` order,
-      d log G precise where G underflows; ``_from_hazard`` builds them from
-      d log h.  ``log_partials(t)`` returns them at t.
+    - ``_hazard_partials(x, h)``: for the fitter's analytic score, the pairs
+      (d log g, d log h) per parameter in ``param_names`` order, each taken
+      with respect to the parameter's log (a d log h may be a scalar); or
+      ``_partials(x, h)`` where the family forms the triples itself.
 
     From h this class derives both tails: e^-h is the tail h belongs to and
     -expm1(-h) the other, whose log is log h where h is tiny, so both keep
@@ -177,7 +177,12 @@ class Baseline:
         return self._invert(q, lower=False)
 
     def log_partials(self, t):
-        """(d log g, d log sf, d log G) per parameter at points t on the support."""
+        """(d log g, d log sf, d log G) per parameter at points t on the support.
+
+        Each is taken with respect to the parameter's log, phi d/d(phi): finite
+        also where phi is subnormal, where d/d(phi) of log g is about 1/phi.
+        d log G keeps its relative precision where G underflows.
+        """
         x = Points(np.asarray(t, dtype=float))
         return self._partials(x, self._hazard(x.t))
 
@@ -249,22 +254,28 @@ class Baseline:
             y = np.where(lower == self._lower_tail, -np.log(p), -np.log1p(-p))
             return _maybe_scalar(self._inv_hazard(y), scalar)
 
-    def _from_hazard(self, h, pairs):
-        """``_partials`` from (d log g, d log h) per parameter.
+    def _partials(self, x, h):
+        """The triples (d log g, d log sf, d log G) from ``_hazard_partials``.
 
         d log of h's own tail is -h d log h, and of the other tail
         d log h * h/expm1(h), also where h underflows.
         """
         neg_h, other = -h, 1.0 / exprel(h)
-        return [(dlogg, *self._by_tail(neg_h * dlogh, dlogh * other)) for dlogg, dlogh in pairs]
+        return [
+            (dlogg, *self._by_tail(neg_h * dlogh, dlogh * other))
+            for dlogg, dlogh in self._hazard_partials(x, h)
+        ]
 
     def _score_partials(self, x, h):
-        """(d log g, d log sf) per parameter: ``_partials`` without d log G.
+        """(d log g, d log sf) per parameter: the triples without d log G.
 
         The fitter reads d log G only where 1 - s^theta underflows, and takes
-        it there from ``log_partials``.
+        it there from ``_partials``; where h is -log sf no h/expm1(h) is formed.
         """
-        return [(dlogg, dlogsf) for dlogg, dlogsf, _ in self._partials(x, h)]
+        if self._lower_tail:
+            return [(dlogg, dlogsf) for dlogg, dlogsf, _ in self._partials(x, h)]
+        neg_h = -h
+        return [(dlogg, neg_h * dlogh) for dlogg, dlogh in self._hazard_partials(x, h)]
 
     @staticmethod
     def _eval_floor(edge):
@@ -294,8 +305,8 @@ class Exponential(Baseline):
     def _log_rate(self, x, h):
         return math.log(self.lam)
 
-    def _partials(self, x, h):
-        return self._from_hazard(h, ((1.0 / self.lam - x.t, 1.0 / self.lam),))
+    def _hazard_partials(self, x, h):
+        return ((1.0 - h, 1.0),)
 
 
 @dataclass(frozen=True, repr=False)
@@ -322,10 +333,9 @@ class Weibull(Baseline):
     def _log_rate(self, x, h):
         return math.log(self.lam) + math.log(self.beta) + (self.beta - 1.0) * x.log_t
 
-    def _partials(self, x, h):
-        tb, lt = x.t**self.beta, x.log_t
-        d_beta = (1.0 / self.beta + lt - h * lt, lt)
-        return self._from_hazard(h, ((1.0 / self.lam - tb, 1.0 / self.lam), d_beta))
+    def _hazard_partials(self, x, h):
+        one_minus_h, beta_log_t = 1.0 - h, self.beta * x.log_t
+        return ((one_minus_h, 1.0), (1.0 + beta_log_t * one_minus_h, beta_log_t))
 
 
 @dataclass(frozen=True, repr=False)
@@ -349,13 +359,10 @@ class Lomax(Baseline):
     def _log_rate(self, x, h):
         return math.log(self.beta) - math.log(self.delta) - np.log1p(x.t / self.delta)
 
-    def _partials(self, x, h):
-        t = x.t
-        log1p_r = np.log1p(t / self.delta)
-        r_delta = t / (self.delta * (self.delta + t))  # -d log1p(t/delta)/d delta
-        d_beta = (1.0 / self.beta - log1p_r, 1.0 / self.beta)
-        d_delta = ((self.beta + 1.0) * r_delta - 1.0 / self.delta, -r_delta / log1p_r)
-        return self._from_hazard(h, (d_beta, d_delta))
+    def _hazard_partials(self, x, h):
+        r = x.t / (self.delta + x.t)  # -d log1p(t/delta)/d log delta
+        d_delta = ((self.beta + 1.0) * r - 1.0, -self.beta * r / h)  # h/beta = log1p(t/delta)
+        return ((1.0 - h, 1.0), d_delta)
 
 
 @dataclass(frozen=True, repr=False)
@@ -384,12 +391,10 @@ class Frechet(Baseline):
     def _log_rate(self, x, h):
         return math.log(self.lam) + self.lam * math.log(self.delta) - (self.lam + 1.0) * x.log_t
 
-    def _partials(self, x, h):
-        log_ratio = math.log(self.delta) - x.log_t  # d log h/d lam
-        z = np.exp(self.lam * log_ratio)
-        rate = self.lam / self.delta  # d log h/d delta
-        d_lam = (1.0 / self.lam + log_ratio * (1.0 - z), log_ratio)
-        return self._from_hazard(z, (d_lam, (rate * (1.0 - z), rate)))
+    def _hazard_partials(self, x, h):
+        # h = (delta/t)^lam: d log h is lam log(delta/t) and lam
+        lam_log_ratio, one_minus_h = self.lam * (math.log(self.delta) - x.log_t), 1.0 - h
+        return ((1.0 + lam_log_ratio * one_minus_h, lam_log_ratio), (self.lam * one_minus_h, self.lam))
 
 
 @dataclass(frozen=True, repr=False)
@@ -413,13 +418,11 @@ class Gompertz(Baseline):
     def _log_rate(self, x, h):
         return math.log(self.beta) + self.lam * x.t
 
-    def _partials(self, x, h):
-        t = x.t
-        lam_t = self.lam * t
+    def _hazard_partials(self, x, h):
+        lam_t = self.lam * x.t
         e = np.expm1(lam_t)
-        log_h_lam = (lam_t * (e + 1.0) - e) / (self.lam * e)  # d log H/d lam
-        d_beta = (1.0 / self.beta - e / self.lam, 1.0 / self.beta)
-        return self._from_hazard(h, (d_beta, (t - h * log_h_lam, log_h_lam)))
+        log_h_lam = (lam_t * (e + 1.0) - e) / e  # d log h/d log lam
+        return ((1.0 - h, 1.0), (lam_t - h * log_h_lam, log_h_lam))
 
 
 @dataclass(frozen=True)
@@ -518,9 +521,8 @@ class ExtendedWeibull(Baseline):
     def _log_rate(self, x, h):
         return math.log(self.delta) + np.log(self.z.deriv(x.t))
 
-    def _partials(self, x, h):
-        z = self.z.value(x.t)
-        return self._from_hazard(h, ((1.0 / self.delta - z, 1.0 / self.delta),))
+    def _hazard_partials(self, x, h):
+        return ((1.0 - h, 1.0),)
 
 
 @dataclass(frozen=True, repr=False)
@@ -572,16 +574,17 @@ class ModifiedWeibull(Baseline):
             rate = rate + self.beta * self.gamma * x.t ** (self.gamma - 1.0)
         return np.log(rate)
 
-    def _partials(self, x, h):
-        t, log_t = x.t, x.log_t
-        u = t ** (self.gamma - 1.0)
-        rate = self.sigma + self.beta * self.gamma * u  # the hazard rate
-        t_h = 1.0 / (self.sigma + self.beta * u)  # t/h
-        bu_log_t = self.beta * u * log_t
-        d_gamma = ((self.beta * u + self.gamma * bu_log_t) / rate - t * bu_log_t, bu_log_t * t_h)
-        d_beta = (self.gamma * u / rate - t * u, u * t_h)
-        hazard = self.sigma * t + self.beta * u * t
-        return self._from_hazard(hazard, ((1.0 / rate - t, t_h), d_beta, d_gamma))
+    def _hazard_partials(self, x, h):
+        t = x.t
+        bu = self.beta * t ** (self.gamma - 1.0)  # beta t^(gamma - 1)
+        rate = self.sigma + self.gamma * bu  # the hazard rate
+        t_h = 1.0 / (self.sigma + bu)  # t/h
+        bu_log_t = bu * x.log_t
+        gamma_bu_log_t = self.gamma * bu_log_t
+        d_sigma = (self.sigma / rate - self.sigma * t, self.sigma * t_h)
+        d_beta = (self.gamma * bu / rate - t * bu, bu * t_h)
+        d_gamma = (self.gamma * (bu + gamma_bu_log_t) / rate - t * gamma_bu_log_t, gamma_bu_log_t * t_h)
+        return (d_sigma, d_beta, d_gamma)
 
 
 @dataclass(frozen=True, repr=False)
@@ -623,30 +626,28 @@ class ExponentiatedPareto(Baseline):
         return self.theta_p * base ** (-1.0 / self.k)
 
     def _log_rate(self, x, h):
-        # |h'| = gamma k theta_p^k t^-(k+1) / [1 - (theta_p/t)^k]
+        # |h'| = gamma k theta_p^k t^-(k+1) / [1 - (theta_p/t)^k], the base's log being -h/gamma
         return (
             math.log(self.gamma)
             + math.log(self.k)
             + self.k * math.log(self.theta_p)
             - (self.k + 1.0) * x.log_t
-            - self._log_base(x.t)
+            + h / self.gamma
         )
 
     def _partials(self, x, h):
-        # w = e^-a = (theta_p/t)^k, log G = gamma log(1 - w): d log G is q = 1/expm1(a) times
-        # -gamma k/theta_p or gamma a/k, d log sf = -(G/sf) d log G with G/sf * q in log space
-        t = x.t
-        a = self.k * np.log1p((t - self.theta_p) / self.theta_p)
+        # w = e^-a = (theta_p/t)^k, log G = gamma log(1 - w) = -h: d log G is q = 1/expm1(a)
+        # times -gamma k or gamma a, d log sf = -(G/sf) d log G with G/sf * q in log space
+        a = self.k * np.log1p((x.t - self.theta_p) / self.theta_p)
         q = 1.0 / np.expm1(a)
-        log_b = self._log_base(t)
-        rate, tilt = self.k / self.theta_p, (self.gamma - 1.0) / self.gamma
-        d_theta_p, d_k = -self.gamma * rate, self.gamma * a / self.k
-        log_odds = self.gamma * log_b - self._log_tails(x, -self.gamma * log_b)[0]  # log(G/sf)
+        log_b = h / -self.gamma
+        log_odds = -h - self._log_tails(x, h)[0]  # log(G/sf)
         odds_q = np.exp(log_odds - a - log_b)
+        d_theta_p, d_k, tilt = -self.gamma * self.k, self.gamma * a, self.gamma - 1.0
         return (
-            (rate + tilt * d_theta_p * q, -d_theta_p * odds_q, d_theta_p * q),
-            ((1.0 - a) / self.k + tilt * d_k * q, -d_k * odds_q, d_k * q),
-            (1.0 / self.gamma + log_b, -log_b * np.exp(log_odds), log_b),
+            (self.k * (1.0 - tilt * q), -d_theta_p * odds_q, d_theta_p * q),
+            (1.0 - a + tilt * a * q, -d_k * odds_q, d_k * q),
+            (1.0 - h, h * np.exp(log_odds), -h),
         )
 
 

@@ -35,7 +35,7 @@ def _zmul(c, v):
 
     A scalar c of 0 gives 0.0, which adds to arrays as an array of zeros would.
     """
-    if np.ndim(c) == 0:
+    if isinstance(c, float) or np.ndim(c) == 0:
         return c * v if c != 0.0 else 0.0
     return np.where(c == 0.0, 0.0, c * v)
 

@@ -304,18 +304,22 @@ class _Likelihood:
         self.t = np.maximum(t, Baseline._eval_floor(edge or 0.0))
         self.outside = edge is not None and self.low < edge
         self.points = Points(self.t)
+        # per parameter in param_names order, whether its score is wanted
+        self.free = [slot in template._free_slots for slot in range(len(template.param_names))]
         names = _search_names(template)
         self.scale = (names.index("sigma"), names.index("beta")) if _weibull_scale(template) else None
 
     def __call__(self, values):
-        """Log-likelihood and score in the free parameters from one baseline pass.
+        """Log-likelihood and its score in the free parameters' logs, from one baseline pass.
 
-        With D = 1 - (1-alpha)*sf_G the tilted survival s = alpha*sf_G/D has
-        d(log s)/d(alpha) = (1 - s)/alpha and d(log s)/d(phi) = d(log sf_G)/d(phi)/D
-        for a baseline parameter phi.  Every term is then a bounded factor
-        times a quantity taken in log space, so the score stays finite
-        wherever the log-likelihood is, including where sf_G or 1 - s
-        underflows.  Where the likelihood is zero the result is -inf and an
+        The score is d/d(log phi) = phi d/d(phi) for each free phi, the
+        coordinates the search runs in.  With D = 1 - (1-alpha)*sf_G the tilted
+        survival s = alpha*sf_G/D has d(log s)/d(log alpha) = 1 - s and
+        d(log s)/d(log phi) = d(log sf_G)/d(log phi)/D for a baseline
+        parameter phi.  Every term is then a bounded factor times a quantity
+        taken in log space, so the score stays finite wherever the
+        log-likelihood is, including where sf_G or 1 - s underflows or phi is
+        subnormal.  Where the likelihood is zero the result is -inf and an
         all-NaN score.  Values outside the parameters' domain raise
         ``ValueError``.
         """
@@ -335,15 +339,13 @@ class _Likelihood:
 
         with np.errstate(all="ignore"):
             h, log_g, log_gbar, log_gcdf = b._pass(x)
-            log_f, log_s, log_1ms, log_d, log_z, theta_log_s = _log_density(
+            log_f, log_s, log_1ms, log_d, log_z, log_w = _log_density(
                 m, n, theta, alpha, log_g, log_gbar, log_gcdf
             )
             total = float(log_f.sum())
             if not math.isfinite(total):
                 return -math.inf, np.full(template.k_params, math.nan)
-            m_odds = (1.0 - m) * np.exp(theta_log_s - log_z)  # (1-m) * s^theta/(1 - s^theta)
-            # d(log f)/d(alpha) = theta/alpha - (theta+1)*sf_G/D + theta/alpha * w_alpha
-            w_alpha = (1.0 - m) * np.exp(theta_log_s + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
+            m_odds = (1.0 - m) * np.exp(log_w - log_z)  # (1-m) * w/z, w = s^theta = 1 - z
             gbar_d = np.exp(log_gbar - log_d)  # sf_G/D
             # d(log f)/d(log sf_G): the tilt's own terms plus d(log s)/d(log sf_G) = 1/D
             # times the beta layer's d(log f)/d(log s)
@@ -352,56 +354,88 @@ class _Likelihood:
                 + (theta + 1.0) * (1.0 - alpha) * gbar_d
                 + theta * np.exp(-log_d) * (m_odds + n - 1.0)
             )
-            terms = [log_z, log_s, log_s * (n + m_odds), gbar_d, w_alpha]
-            for dlogg, dlogsf in b._score_partials(x, h):
-                terms += [dlogg, dlogsf * per_log_sf]
+            # the per-observation terms of each free parameter's score, summed at once
+            free_m, free_n, free_theta, free_alpha, *free_base = self.free
+            rows = [log_z] if free_m else []
+            if free_n:
+                rows.append(log_w)
+            if free_theta:
+                theta_row = log_w * (n + m_odds)
+                rows.append(theta_row)
+            if free_alpha:
+                # d(log f)/d(log alpha) = theta - (theta+1)*alpha*sf_G/D + theta * w_alpha
+                w_alpha = (1.0 - m) * np.exp(log_w + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
+                rows += [gbar_d, w_alpha]
+            sf_rows = []
+            for free, (dlogg, dlogsf) in zip(free_base, b._score_partials(x, h)):
+                if free:
+                    sf_rows.append(dlogsf * per_log_sf)
+                    rows += [dlogg, sf_rows[-1]]
             if log_z.min() < -690.0:
-                # where 1 - s^theta < 1e-300, m_odds overflows while d(log sf_G) =
-                # -(G/sf_G) d(log G) underflows; to double precision log s * m_odds
-                # is (m-1)/theta there, and each baseline parameter's d(log sf_G)
-                # term (at 6 + 2i, after its d log g) is (m-1) d(log G)
+                # where z < 1e-300, m_odds overflows while d(log sf_G) =
+                # -(G/sf_G) d(log G) underflows; to double precision log w * m_odds
+                # is m - 1 there, and each baseline parameter's d(log sf_G) term
+                # is (m - 1) d(log G)
                 deep = log_z < -690.0
-                terms[2][deep] = n * log_s[deep] + (m - 1.0) / theta
-                for i, (_, _, dlogcdf) in enumerate(b.log_partials(x.t[deep])):
-                    terms[6 + 2 * i][deep] = (m - 1.0) * dlogcdf
-            # one reduction over all per-observation terms: the same pairwise sums as one by one
-            sum_log_z, sum_log_s, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = np.array(
-                terms
-            ).sum(axis=1)
-        # m, n > 0 are checked: scipy's ufunc on the scalars needs no domain check
-        psi_mn = digamma(m + n)
-        full = np.array([
-            r * (psi_mn - digamma(m)) + sum_log_z,
-            r * (psi_mn - digamma(n)) + theta * sum_log_s,
-            r / theta + sum_theta,
-            r * theta / alpha - (theta + 1.0) * sum_gbar_d + theta / alpha * sum_w_alpha,
-            *(g + sf for g, sf in zip(sum_base[::2], sum_base[1::2])),
-        ])
-        return total, full.take(template._free_slots)
+                if free_theta:
+                    theta_row[deep] = n * log_w[deep] + (m - 1.0)
+                at_deep = b._partials(Points(x.t[deep]), h[deep])
+                dlogcdf = [d for free, (_, _, d) in zip(free_base, at_deep) if free]
+                for row, d in zip(sf_rows, dlogcdf):
+                    row[deep] = (m - 1.0) * d
+            # one reduction over all rows: the same pairwise sums as one by one
+            sums = iter(np.array(rows).sum(axis=1).tolist())
+        score = []
+        if free_m or free_n:
+            psi_mn = float(digamma(m + n))
+        if free_m:
+            score.append(m * (r * (psi_mn - float(digamma(m))) + next(sums)))
+        if free_n:
+            score.append(n * (r * (psi_mn - float(digamma(n))) + next(sums)))
+        if free_theta:
+            score.append(r + next(sums))
+        if free_alpha:
+            sum_gbar_d, sum_w_alpha = next(sums), next(sums)
+            score.append(theta * (r + sum_w_alpha) - (theta + 1.0) * alpha * sum_gbar_d)
+        score += [dlogg + dlogsf for dlogg, dlogsf in zip(sums, sums)]
+        return total, np.array(score)
 
     def objective(self, x):
         """Negative log-likelihood at search point x and its gradient in x.
 
-        The gradient is the analytic score chained through d(params)/dx.
-        Where the likelihood is zero the value is inf and the gradient zero.
+        Every coordinate is a log parameter, so the gradient is the score in
+        log coordinates, except that the Weibull scale's coordinate log sigma
+        reaches log lam = -beta log sigma.  Where the likelihood is zero the
+        value is inf and the gradient zero.
         """
-        params, jac = _to_params(x, self.scale)
+        params = _to_params(x, self.scale)
         try:
             value, grad = self(params)
         except ValueError:
             value = -math.inf
         if not math.isfinite(value):
             return math.inf, np.zeros(len(x))
-        return -value, -(jac.T @ grad)
+        if self.scale is not None:
+            i, j = self.scale
+            grad[j] += x[i] * -params[j] * grad[i]  # d log lam/d log beta = -beta log sigma
+            grad[i] *= -params[j]  # d log lam/d log sigma = -beta
+        return -value, -grad
 
 
 def score(template: ModelTemplate, params, data) -> np.ndarray:
     """Gradient of the log-likelihood in the template's free parameters.
 
     Closed-form: the baseline's partials chained through the tilt and the
-    beta layer.  Where the likelihood is zero it is an all-NaN vector.
+    beta layer, in log coordinates and divided by the parameters.  Where the
+    likelihood is zero it is an all-NaN vector.
     """
-    return _Likelihood(template, data)(params)[1]
+    return _score(_Likelihood(template, data), params)
+
+
+def _score(lik: _Likelihood, params) -> np.ndarray:
+    free = np.take(lik.template._full(params), lik.template._free_slots)
+    with np.errstate(all="ignore"):  # d/d(phi) is about 1/phi where phi is subnormal
+        return lik(params)[1] / free
 
 
 # --- observed information and intervals ---------------------------------------
@@ -419,7 +453,7 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
         x = np.asarray(params_hat, dtype=float)
     lik = _Likelihood(template, data)
     H = np.array([
-        (lik(x + e)[1] - lik(x - e)[1]) / (2.0 * e[i])
+        (_score(lik, x + e) - _score(lik, x - e)) / (2.0 * e[i])
         for i, e in enumerate(np.diag(1e-4 * np.abs(x)))
     ])
     info = -0.5 * (H + H.T)
@@ -497,7 +531,7 @@ def _default_box(template: ModelTemplate, data) -> dict[str, tuple[float, float]
 
 
 def _to_params(x, scale: tuple[int, int] | None):
-    """Free parameters at search point x, and their Jacobian d(params)/dx.
+    """Free parameters at search point x.
 
     Every coordinate is a log parameter, except that with ``scale = (i, j)``
     coordinate i is log sigma and parameter i is lam = sigma**(-beta), beta
@@ -505,17 +539,13 @@ def _to_params(x, scale: tuple[int, int] | None):
     likelihood.
     """
     params = np.exp(x)
-    jac = np.diag(params)
     if scale is not None:
         i, j = scale
-        beta = params[j]
         try:
-            params[i] = math.exp(-beta * x[i])
+            params[i] = math.exp(-params[j] * x[i])
         except OverflowError:
             params[i] = math.inf
-        jac[i, i] = -beta * params[i]
-        jac[i, j] = -x[i] * beta * params[i]
-    return params, jac
+    return params
 
 
 def _pinned(names, x, grad, lo, hi) -> tuple[str, ...]:
@@ -578,7 +608,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     scale = lik.scale
 
     def param_dict(x):
-        return {n: float(v) for n, v in zip(free, _to_params(x, scale)[0])}
+        return {n: float(v) for n, v in zip(free, _to_params(x, scale))}
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -620,7 +650,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         )
 
     at_boundary = _pinned(names, best.x, best.jac, lo, hi)
-    estimates_vec = _to_params(best.x, scale)[0]
+    estimates_vec = _to_params(best.x, scale)
     estimates = {n: float(v) for n, v in zip(free, estimates_vec)}
     log_l = -float(best.fun)
 

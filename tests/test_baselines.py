@@ -134,6 +134,20 @@ def test_each_call_evaluates_the_hazard_once(b, monkeypatch):
             assert len(calls) == (0 if name == "hrf" and not b._lower_tail else 1), name
 
 
+def test_exponentiated_pareto_takes_the_log_of_its_base_once_per_call(monkeypatch):
+    # the cumulative hazard h = -gamma log(1 - (theta_p/t)^k) carries it to
+    # the density's rate and to the partials
+    calls = []
+    log_base = ExponentiatedPareto._log_base
+    monkeypatch.setattr(ExponentiatedPareto, "_log_base", lambda self, t: calls.append(1) or log_base(self, t))
+    b = ExponentiatedPareto(0.3, 1.5, 2.0)
+    ts = b.quantile(np.array([1e-10, 0.1, 0.5, 0.9]))
+    for name in ("log_parts", "log_tails", "log_pdf", "pdf", "hrf", "log_partials"):
+        calls.clear()
+        getattr(b, name)(ts)
+        assert len(calls) == 1, name
+
+
 # the hazard rate h' in closed form, for every family whose h is -log sf
 HAZARD_RATES = [
     (Exponential(1.3), lambda t: np.full_like(t, 1.3)),
@@ -167,7 +181,7 @@ def test_hazard_rate_is_exact_where_h_is_huge_or_tiny(b, rate):
 def test_every_family_codes_its_partials():
     assert {type(b) for b in PARTIALS_CASES} == set(BASELINE_FAMILIES.values())
     for cls in BASELINE_FAMILIES.values():
-        assert "_partials" in vars(cls), cls.__name__
+        assert {"_hazard_partials", "_partials"} & set(vars(cls)), cls.__name__
 
 
 @pytest.mark.parametrize(
@@ -175,6 +189,7 @@ def test_every_family_codes_its_partials():
     ids=lambda b: f"{b.tag}-{b.z.kind}" if isinstance(b, ExtendedWeibull) else b.tag,
 )
 def test_log_partials_match_central_differences(b):
+    # each partial is taken with respect to the parameter's log: value * d/d(value)
     ts = b.quantile(np.linspace(0.02, 0.98, 13))
     partials = b.log_partials(ts)
     assert len(partials) == len(b.param_names)
@@ -185,7 +200,7 @@ def test_log_partials_match_central_differences(b):
         down = dataclasses.replace(b, **{name: value - h})
         for got, fn in zip(triple, ("log_pdf", "log_sf", "log_cdf")):
             diff = (getattr(up, fn)(ts) - getattr(down, fn)(ts)) / (2.0 * h)
-            np.testing.assert_allclose(got, diff, rtol=1e-6)
+            np.testing.assert_allclose(got, value * diff, rtol=1e-6)
     # finite deep in both tails, next to the exponentiated-Pareto location too
     with np.errstate(all="ignore"):
         tails = b.log_partials(b.quantile(np.array([1e-10, 1.0 - 1e-10])))
@@ -193,10 +208,11 @@ def test_log_partials_match_central_differences(b):
 
 
 def test_frechet_partials_where_z_underflows():
-    # z = (delta/t)^lam is 0 at t = 1e200, and z/expm1(z) takes its limit 1
+    # z = (delta/t)^lam is 0 at t = 1e200, and z/expm1(z) takes its limit 1:
+    # d log sf is d log z, lam log(delta/t) and lam in log coordinates
     (_, sf_lam, _), (_, sf_delta, _) = Frechet(2.0, 1.5).log_partials(np.array([1e200]))
-    np.testing.assert_allclose(sf_lam, math.log(1.5 / 1e200), rtol=1e-15)
-    np.testing.assert_allclose(sf_delta, 2.0 / 1.5, rtol=1e-15)
+    np.testing.assert_allclose(sf_lam, 2.0 * math.log(1.5 / 1e200), rtol=1e-15)
+    np.testing.assert_allclose(sf_delta, 2.0, rtol=1e-15)
 
 
 class TestWeibullLogCdf:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from bgmo.baselines import Baseline, Weibull
+from bgmo.baselines import Baseline, ExponentiatedPareto, Weibull
 from bgmo.datasets import BUILTIN_NAMES, builtin_dataset
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.fitting import (
@@ -260,39 +260,68 @@ class TestSearchGradient:
     def test_lam_past_the_largest_double_is_zero_likelihood(self):
         # sigma = 0.0625 and beta = 500: lam = sigma**(-beta) = e^1386 overflows
         x = np.log([1.0, 1.0, 1.0, 1.0, 0.0625, 500.0])
-        params, _ = _to_params(x, (4, 5))
+        params = _to_params(x, (4, 5))
         assert params[4] == math.inf
         data = builtin_dataset("turbocharger").values
         value, grad = objective(x, ModelTemplate("weibull"), data)
         assert value == math.inf and np.all(grad == 0)
 
 
+# every baseline, the extended Weibull once per Z kind (k below every builtin observation)
+KERNEL_CASES = [(tag, {}) for tag in BASELINE_RANGES if tag != "extended_weibull"] + [
+    ("extended_weibull", {"z": kind, "k": 0.05, "beta": 0.7})
+    for kind in ("linear", "square", "log_ratio", "gompertz_link")
+]
+
+
 class TestObjectiveKernel:
-    """``_Likelihood.objective`` takes its value and gradient from one pass over the data."""
+    """``_Likelihood.objective`` takes its value and gradient from one pass over the data.
+
+    The value is the public ``log_likelihood`` exactly, and the gradient the
+    score in log coordinates, which the public ``score`` divides by the
+    parameters, chained through log lam = -beta log sigma where the Weibull is
+    searched in its scale.
+    """
 
     @staticmethod
-    def search_setup(baseline, fixed):
-        tpl = ModelTemplate(baseline, fixed=fixed)
+    def search_setup(baseline, fixed, options=None):
+        tpl = ModelTemplate(baseline, fixed=fixed, options=options or {})
         names = _search_names(tpl)
-        scale = (names.index("sigma"), names.index("beta")) if "sigma" in names else None
+        # the Weibull scale sigma (the modified Weibull's own sigma is a rate)
+        weibull_scale = baseline == "weibull" and "sigma" in names
+        scale = (names.index("sigma"), names.index("beta")) if weibull_scale else None
         return tpl, names, scale
 
     @staticmethod
     def assert_matches_public(tpl, x, data, scale):
-        params, jac = _to_params(x, scale)
+        params = _to_params(x, scale)
         value, grad = objective(x, tpl, data)
         assert value == -log_likelihood(tpl, params, data)
-        np.testing.assert_array_equal(grad, -(jac.T @ score(tpl, params, data)))
+        log_score = _Likelihood(tpl, data)(params)[1]
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(score(tpl, params, data), log_score / params)
+        if math.isinf(value):
+            assert np.all(grad == 0) and np.all(np.isnan(log_score))
+            return
+        want = log_score.copy()
+        if scale is not None:
+            i, j = scale
+            want[j] += x[i] * -params[j] * want[i]
+            want[i] *= -params[j]
+        np.testing.assert_array_equal(grad, -want)
 
-    @pytest.mark.parametrize("baseline", ["exponential", "weibull"])
+    @pytest.mark.parametrize(
+        "baseline, options", KERNEL_CASES,
+        ids=[f"{tag}-{opt['z']}" if opt else tag for tag, opt in KERNEL_CASES],
+    )
     @pytest.mark.parametrize(
         "fixed",
         # the partial fixes bind free values into scattered slots
         [{}, NESTED, {"m": 1.0, "n": 1.0}, {"theta": 1.0}, {"alpha": 2.0}],
         ids=["six", "nested", "m1n1", "theta1", "alpha2"],
     )
-    def test_equals_public_functions_in_the_box(self, baseline, fixed):
-        tpl, names, scale = self.search_setup(baseline, fixed)
+    def test_equals_public_functions_in_the_box(self, baseline, options, fixed):
+        tpl, names, scale = self.search_setup(baseline, fixed, options)
         rng = np.random.default_rng(8)
         for name in BUILTIN_NAMES:
             data = builtin_dataset(name).values
@@ -333,6 +362,19 @@ class TestObjectiveKernel:
         for x in (np.log([1.3, 0.9, 1.1, 2.0, 6.0, 2.5]), np.log([0.5, 2.0, 0.8, 0.3, 4.0, 1.5])):
             lik.objective(x)
         assert calls == ["_hazard", "_hazard"]
+
+
+    def test_exponentiated_pareto_base_once_per_evaluation(self, monkeypatch):
+        # h = -gamma log(1 - (theta_p/t)^k) is the one log of the base per evaluation
+        calls = []
+        log_base = ExponentiatedPareto._log_base
+        monkeypatch.setattr(
+            ExponentiatedPareto, "_log_base", lambda self, t: calls.append(1) or log_base(self, t)
+        )
+        data = builtin_dataset("turbocharger").values
+        lik = _Likelihood(ModelTemplate("exponentiated_pareto"), data)
+        lik.objective(np.log([1.3, 0.9, 1.1, 2.0, 1.0, 2.0, 1.5]))
+        assert len(calls) == 1
 
 
 class TestObservedInformation:
@@ -427,8 +469,8 @@ class TestFitMle:
             assert math.isfinite(result.std_errors[name]) and result.std_errors[name] > 0
             assert all(math.isfinite(v) for v in result.conf_intervals[name])
         assert np.all(np.isfinite(result.covariance))
-        # in 1 of 24 restarts only: this likelihood has no interior optimum
-        assert result.restarts_at_best == 1
+        # in 2 of 24 restarts only: this likelihood has no interior optimum
+        assert result.restarts_at_best == 2
 
     def test_restarts_at_best_of_an_interior_fit(self):
         data = builtin_dataset("turbocharger").values
@@ -566,6 +608,33 @@ class TestFitMle:
             fit_mle(tpl, [1.0, -2.0], FitConfig(starts=2))
         with pytest.raises(ValueError):
             fit_mle(tpl, [1.0, math.nan], FitConfig(starts=2))
+
+    def test_observations_below_a_fixed_support_edge_are_rejected(self):
+        # checked once, before any restart runs: Z = ln(t/k) needs t >= k
+        tpl = ModelTemplate("extended_weibull", fixed=NESTED, options={"z": "log_ratio", "k": 2.0})
+        with pytest.raises(ValueError, match=r"indices \[0\] are below the support edge 2 "):
+            fit_mle(tpl, [1.0, 3.0, 4.0, 5.0, 6.0], FitConfig(starts=2))
+        # a fixed exponentiated-Pareto location is a fixed edge too
+        tpl = ModelTemplate("exponentiated_pareto", fixed=dict(NESTED, theta_p=2.5))
+        with pytest.raises(ValueError, match=r"indices \[0, 1\] are below the support edge 2.5 "):
+            fit_mle(tpl, [1.0, 2.0, 3.0, 4.0], FitConfig(starts=2))
+
+    def test_a_free_location_above_an_observation_is_zero_likelihood(self):
+        # a free exponentiated-Pareto location moves the edge, so each
+        # evaluation checks it; on the smallest observation it is evaluated
+        # at the edge's floor, as the public log_likelihood does
+        data = np.array([1.0, 3.0, 4.0, 5.0, 6.0])
+        tpl = ModelTemplate("exponentiated_pareto", fixed=NESTED)
+        lik = _Likelihood(tpl, data)
+        value, grad = lik([2.0, 1.0, 1.0])
+        assert value == -math.inf and np.all(np.isnan(grad))
+        for theta_p in (0.5, 1.0):
+            assert lik([theta_p, 1.0, 1.0])[0] == log_likelihood(tpl, [theta_p, 1.0, 1.0], data)
+            assert math.isfinite(lik([theta_p, 1.0, 1.0])[0])
+        result = fit_mle(tpl, data, FitConfig(starts=4, start_box={"theta_p": (0.5, 3.0)}))
+        stuck = [r for r in result.trace if r.start["theta_p"] > 1.0]
+        assert stuck and all(r.neg_log_lik == math.inf and not r.moved for r in stuck)
+        assert math.isfinite(result.log_likelihood)
 
     def test_fully_fixed_template_rejected(self):
         tpl = ModelTemplate(
