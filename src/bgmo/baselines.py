@@ -230,12 +230,12 @@ class Baseline:
     def _log_tails(self, x, h):
         # -h and log(1 - e^-h); where h is not a normal double, log h, finite
         # where h itself underflows
-        other = np.log(-np.expm1(-h))
+        neg_h = -h
+        other = np.log(-np.expm1(neg_h))
         if not h.min() >= _TINY:  # some h is tiny, or NaN
-            tiny = h < _TINY
             log_h = np.log(h) if self._log_hazard is None else self._log_hazard(x)
-            other = np.where(tiny, log_h, other)
-        return self._by_tail(-h, other)
+            other = np.where(h < _TINY, log_h, other)
+        return self._by_tail(neg_h, other)
 
     def _invert(self, p, lower):
         """h⁻¹ at the level p of G where ``lower`` (a flag, or one per point) holds, else of sf.

@@ -35,7 +35,7 @@ def _zmul(c, v):
 
     A scalar c of 0 gives 0.0, which adds to arrays as an array of zeros would.
     """
-    if isinstance(c, float) or np.ndim(c) == 0:
+    if np.ndim(c) == 0:
         return c * v if c != 0.0 else 0.0
     return np.where(c == 0.0, 0.0, c * v)
 
@@ -58,10 +58,9 @@ def _log_one_minus_power(theta: float, z, log_1ms):
     whose log stays finite even where 1 - s underflows to 0.  Call it under
     ``np.errstate(all="ignore")``.
     """
-    above = log_1ms > -700.0
-    if above.all():
+    if log_1ms.min() > -700.0:  # False also where one is NaN
         return np.log(z)
-    return np.where(above, np.log(z), math.log(theta) + log_1ms)
+    return np.where(log_1ms > -700.0, np.log(z), math.log(theta) + log_1ms)
 
 
 def _require_shapes(m, n, theta, alpha):
@@ -90,9 +89,12 @@ def _log_density(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
         + log_g
         + (theta - 1.0) * log_gbar
         - (theta + 1.0) * log_d
-        + _zmul(m - 1.0, log_z)
-        + _zmul(n - 1.0, log_w)
     )
+    # a vanishing exponent's term is 0, also where its log is -inf
+    if m != 1.0:
+        log_f = log_f + (m - 1.0) * log_z
+    if n != 1.0:
+        log_f = log_f + (n - 1.0) * log_w
     return log_f, log_s, log_1ms, log_d, log_z, log_w
 
 

@@ -108,13 +108,11 @@ class ModelTemplate:
         # building the baseline once checks the option values
         probe = make_baseline(self.baseline, **dict.fromkeys(base_names, 1.0), **self.options)
         built_options = {f.name: getattr(probe, f.name) for f in fields(probe)}
-        edge = b_cls.edge_param
-        if edge is None:
+        edge_param = b_cls.edge_param
+        if edge_param is None:
             edge = probe.support_low
-        elif edge in self.fixed:
-            edge = float(self.fixed[edge])
-        else:
-            edge = None
+        else:  # None where the edge is a free parameter
+            edge = float(self.fixed[edge_param]) if edge_param in self.fixed else None
         resolved = dict(
             baseline_param_names=base_names,
             param_names=names,
@@ -346,13 +344,15 @@ class _Likelihood:
             if not math.isfinite(total):
                 return -math.inf, np.full(template.k_params, math.nan)
             m_odds = (1.0 - m) * np.exp(log_w - log_z)  # (1-m) * w/z, w = s^theta = 1 - z
+            # d(log f)/d(log s) over theta
+            beta_layer = m_odds + (n - 1.0)
             gbar_d = np.exp(log_gbar - log_d)  # sf_G/D
             # d(log f)/d(log sf_G): the tilt's own terms plus d(log s)/d(log sf_G) = 1/D
             # times the beta layer's d(log f)/d(log s)
             per_log_sf = (
-                theta - 1.0
+                (theta - 1.0)
                 + (theta + 1.0) * (1.0 - alpha) * gbar_d
-                + theta * np.exp(-log_d) * (m_odds + n - 1.0)
+                + np.exp(math.log(theta) - log_d) * beta_layer
             )
             # the per-observation terms of each free parameter's score, summed at once
             free_m, free_n, free_theta, free_alpha, *free_base = self.free
@@ -363,8 +363,9 @@ class _Likelihood:
                 theta_row = log_w * (n + m_odds)
                 rows.append(theta_row)
             if free_alpha:
-                # d(log f)/d(log alpha) = theta - (theta+1)*alpha*sf_G/D + theta * w_alpha
-                w_alpha = (1.0 - m) * np.exp(log_w + log_1ms - log_z) + (n - 1.0) * np.exp(log_1ms)
+                # d(log f)/d(log alpha) = theta - (theta+1)*alpha*sf_G/D + theta * w_alpha,
+                # with d(log s)/d(log alpha) = 1 - s
+                w_alpha = np.exp(log_1ms) * beta_layer
                 rows += [gbar_d, w_alpha]
             sf_rows = []
             for free, (dlogg, dlogsf) in zip(free_base, b._score_partials(x, h)):
@@ -372,13 +373,15 @@ class _Likelihood:
                     sf_rows.append(dlogsf * per_log_sf)
                     rows += [dlogg, sf_rows[-1]]
             if log_z.min() < -690.0:
-                # where z < 1e-300, m_odds overflows while d(log sf_G) =
-                # -(G/sf_G) d(log G) underflows; to double precision log w * m_odds
-                # is m - 1 there, and each baseline parameter's d(log sf_G) term
-                # is (m - 1) d(log G)
+                # where z < 1e-300, m_odds overflows while 1 - s and d(log sf_G) =
+                # -(G/sf_G) d(log G) underflow; to double precision z = theta (1 - s)
+                # there, so log w * m_odds is m - 1, (1 - s) m_odds is (1 - m)/theta,
+                # and each baseline parameter's d(log sf_G) term is (m - 1) d(log G)
                 deep = log_z < -690.0
                 if free_theta:
                     theta_row[deep] = n * log_w[deep] + (m - 1.0)
+                if free_alpha:
+                    w_alpha[deep] = (1.0 - m) / theta
                 at_deep = b._partials(Points(x.t[deep]), h[deep])
                 dlogcdf = [d for free, (_, _, d) in zip(free_base, at_deep) if free]
                 for row, d in zip(sf_rows, dlogcdf):
@@ -429,13 +432,9 @@ def score(template: ModelTemplate, params, data) -> np.ndarray:
     beta layer, in log coordinates and divided by the parameters.  Where the
     likelihood is zero it is an all-NaN vector.
     """
-    return _score(_Likelihood(template, data), params)
-
-
-def _score(lik: _Likelihood, params) -> np.ndarray:
-    free = np.take(lik.template._full(params), lik.template._free_slots)
+    free = np.take(template._full(params), template._free_slots)
     with np.errstate(all="ignore"):  # d/d(phi) is about 1/phi where phi is subnormal
-        return lik(params)[1] / free
+        return _Likelihood(template, data)(params)[1] / free
 
 
 # --- observed information and intervals ---------------------------------------
@@ -451,9 +450,8 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
         x = np.array([dict(template.fixed, **params_hat)[n] for n in template.free_names])
     else:
         x = np.asarray(params_hat, dtype=float)
-    lik = _Likelihood(template, data)
     H = np.array([
-        (_score(lik, x + e) - _score(lik, x - e)) / (2.0 * e[i])
+        (score(template, x + e, data) - score(template, x - e, data)) / (2.0 * e[i])
         for i, e in enumerate(np.diag(1e-4 * np.abs(x)))
     ])
     info = -0.5 * (H + H.T)
@@ -584,9 +582,9 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     bad = np.nonzero(data <= 0)[0]
     if bad.size:
         raise ValueError(f"observations at indices {bad.tolist()} are outside the support")
-    edge = template._support_edge
-    bad = np.nonzero(data < edge)[0] if edge is not None else []
-    if len(bad):
+    edge = template._support_edge or 0.0  # an edge a free parameter moves is checked per evaluation
+    bad = np.nonzero(data < edge)[0]
+    if bad.size:
         raise ValueError(
             f"observations at indices {bad.tolist()} are below the support edge "
             f"{edge:g} of {template.baseline}"
