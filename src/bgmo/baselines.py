@@ -457,11 +457,11 @@ class ZFunction:
             return np.log(t / self.k)
         return np.expm1(self.beta * t) / self.beta
 
-    def log_value(self, x):
-        """log Z at ``Points`` x, finite where t^2 underflows."""
+    def log_value(self, t):
+        """log Z(t), finite where t^2 underflows."""
         if self.kind == "square":
-            return 2.0 * x.log_t
-        return np.log(self.value(x.t))
+            return 2.0 * np.log(t)
+        return np.log(self.value(t))
 
     def deriv(self, t):
         if self.kind == "linear":
@@ -513,7 +513,7 @@ class ExtendedWeibull(Baseline):
         return self.delta * self.z.value(t)
 
     def _log_hazard(self, x):
-        return math.log(self.delta) + self.z.log_value(x)
+        return math.log(self.delta) + self.z.log_value(x.t)
 
     def _inv_hazard(self, y):
         return self.z.inverse(y / self.delta)

@@ -7,18 +7,23 @@ of extreme parameter combinations, so an unbounded search never terminates at
 a statistically meaningful point.  The box makes the maximization well posed.
 
 Each restart is one L-BFGS-B run (Byrd, Lu, Nocedal & Zhu 1995) driven by the
-analytic score, which every baseline's ``log_partials`` feeds; the observed
-information is central differences of the same score.  The template is bound
-once per fit: ``ModelTemplate`` resolves its names, free slots and baseline
-class at construction, and each evaluation binds its vector by position.  A
-Weibull baseline with both parameters free is searched in its scale
-sigma = lam**(-1/beta) instead of its rate: lam and beta are nearly collinear
-along the likelihood's ridge, sigma and beta are not.  An estimate counts as
-pinned against the box when, at the optimum, a search coordinate sits on a
-bound and the projected gradient points out of the box (the KKT conditions of
-the bounded problem); such fits are reported with ``converged = False``, the
-coordinate named in ``at_boundary`` and no Wald standard error or interval for
-its parameter.
+analytic score, which every baseline's partials feed; the observed information
+is central differences of the same score.  The score is taken in the log
+coordinates the search runs in, d/d(log phi), so it stays finite where a
+parameter is subnormal.  The template and the data are bound once per fit:
+``ModelTemplate`` resolves its names, free slots and baseline class at
+construction, and ``_Likelihood`` floors the observations to the support,
+checks them against a fixed support edge and keeps their log, so each
+evaluation binds its vector by position and runs one unmasked baseline pass.
+``fit_mle`` rejects observations below a fixed support edge with
+``ValueError`` before any restart.  A Weibull baseline with both parameters
+free is searched in its scale sigma = lam**(-1/beta) instead of its rate: lam
+and beta are nearly collinear along the likelihood's ridge, sigma and beta are
+not.  An estimate counts as pinned against the box when, at the optimum, a
+search coordinate sits on a bound and the projected gradient points out of the
+box (the KKT conditions of the bounded problem); such fits are reported with
+``converged = False``, the coordinate named in ``at_boundary`` and no Wald
+standard error or interval for its parameter.
 """
 
 from __future__ import annotations
