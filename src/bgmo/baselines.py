@@ -246,7 +246,7 @@ class Baseline:
         scalar = np.isscalar(p)
         p = np.asarray(p, dtype=float)
         bad = (p <= 0.0) | (p > 1.0) | ((p == 1.0) & lower)
-        if (bad & lower).any():
+        if np.any(bad & lower):
             raise ValueError("quantile requires u in (0, 1)")
         if bad.any():
             raise ValueError("isf requires q in (0, 1]")

@@ -65,14 +65,12 @@ def _log_one_minus_power(theta: float, z, log_1ms):
 
 def _require_shapes(m, n, theta, alpha):
     """Raise ``ValueError`` unless every shape is positive and finite."""
-    if not (0.0 < m < math.inf and 0.0 < n < math.inf and 0.0 < theta < math.inf
-            and 0.0 < alpha < math.inf):
-        for name, value in zip(("m", "n", "theta", "alpha"), (m, n, theta, alpha)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"parameter {name} must be positive and finite, got {value}")
+    for name, value in zip(("m", "n", "theta", "alpha"), (m, n, theta, alpha)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"parameter {name} must be positive and finite, got {value}")
 
 
-def _log_density(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
+def _log_pdf_core(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
     """log f, log s, log(1 - s), log D, log z and log w, z = 1 - s^theta = 1 - w, from one baseline pass.
 
     The one form of the density, for ``BgmoDistribution`` and the fitter
@@ -136,7 +134,7 @@ class BgmoDistribution:
         """Arrays log f, log s, log(1 - s), log sf_G, log D and log z, z = 1 - s^theta."""
         p = self.params
         log_g, log_gbar, log_gcdf = self.baseline.log_parts(t)
-        out, log_s, log_1ms, log_d, log_z, _ = _log_density(
+        out, log_s, log_1ms, log_d, log_z, _ = _log_pdf_core(
             p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf
         )
         # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G
@@ -231,7 +229,7 @@ class BgmoDistribution:
         """
         scalar = np.isscalar(u)
         u = np.asarray(u, dtype=float)
-        if ((u <= 0.0) | (u >= 1.0)).any():
+        if np.any((u <= 0.0) | (u >= 1.0)):
             raise ValueError("quantile requires u in (0, 1)")
         p = self.params
         low = u <= special.reg_inc_beta(0.5, p.m, p.n)

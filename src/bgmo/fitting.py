@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import digamma, ndtri
 
 from .baselines import BASELINE_FAMILIES, Baseline, Points, make_baseline
-from .family import BgmoDistribution, BgmoParams, _log_density, _require_shapes
+from .family import BgmoDistribution, BgmoParams, _log_pdf_core, _require_shapes
 
 __all__ = [
     "FitConfig",
@@ -342,7 +342,7 @@ class _Likelihood:
 
         with np.errstate(all="ignore"):
             h, log_g, log_gbar, log_gcdf = b._pass(x)
-            log_f, log_s, log_1ms, log_d, log_z, log_w = _log_density(
+            log_f, _, log_1ms, log_d, log_z, log_w = _log_pdf_core(
                 m, n, theta, alpha, log_g, log_gbar, log_gcdf
             )
             total = float(log_f.sum())

@@ -169,6 +169,16 @@ class TestScore:
         assert np.all(np.isfinite(sa))
         np.testing.assert_allclose(sa, oracles.finite_difference_score(tpl, values, data), rtol=1e-6)
 
+    def test_finite_in_log_coordinates_where_lam_is_subnormal(self):
+        # d log g/d lam = 1/lam - t^beta overflows at a subnormal lam, while
+        # d log g/d log lam = 1 - h does not: the fitter's score stays finite
+        data = builtin_dataset("turbocharger").values
+        values = [0.05, 0.316, 2.78, 320.0, 4.94e-314, 200.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, g = _Likelihood(ModelTemplate("weibull"), data)(values)
+        assert math.isfinite(value) and np.all(np.isfinite(g))
+
     def test_digamma_terms_in_shape_gradient(self):
         # the m-component separates into digamma terms plus a data sum;
         # verify the digamma part against finite differences of log B(m, n)
@@ -240,7 +250,6 @@ class TestSearchGradient:
     def test_matches_central_differences(self, fixed, x):
         data = builtin_dataset("turbocharger").values
         tpl = ModelTemplate("weibull", fixed=fixed)
-        scale = (len(x) - 2, len(x) - 1)
         sigma, beta = np.exp(x[-2:])
         params = np.append(np.exp(x[:-2]), [sigma**-beta, beta])  # lam = sigma**(-beta)
         value, grad = objective(x, tpl, data)
