@@ -392,7 +392,7 @@ class _Likelihood:
                 for row, d in zip(sf_rows, dlogcdf):
                     row[deep] = (m - 1.0) * d
             # one reduction over all rows: the same pairwise sums as one by one
-            sums = iter(np.array(rows).sum(axis=1).tolist())
+            sums = iter(np.array(rows).sum(axis=1).tolist() if rows else [])
         score = []
         if free_m or free_n:
             psi_mn = float(digamma(m + n))
@@ -434,8 +434,9 @@ def score(template: ModelTemplate, params, data) -> np.ndarray:
     """Gradient of the log-likelihood in the template's free parameters.
 
     Closed-form: the baseline's partials chained through the tilt and the
-    beta layer, in log coordinates and divided by the parameters.  Where the
-    likelihood is zero it is an all-NaN vector.
+    beta layer, in log coordinates and divided by the parameters, so a free
+    parameter at 0 (the modified Weibull's sigma or beta may be) reads NaN.
+    Where the likelihood is zero it is an all-NaN vector.
     """
     free = np.take(template._full(params), template._free_slots)
     with np.errstate(all="ignore"):  # d/d(phi) is about 1/phi where phi is subnormal
