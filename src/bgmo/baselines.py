@@ -232,7 +232,7 @@ class Baseline:
         # where h itself underflows
         neg_h = -h
         other = np.log(-np.expm1(neg_h))
-        if not h.min() >= _TINY:  # some h is tiny, or NaN
+        if not h.min(initial=np.inf) >= _TINY:  # some h is tiny, or NaN
             log_h = np.log(h) if self._log_hazard is None else self._log_hazard(x)
             other = np.where(h < _TINY, log_h, other)
         return self._by_tail(neg_h, other)

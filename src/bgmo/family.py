@@ -58,7 +58,7 @@ def _log_one_minus_power(theta: float, z, log_1ms):
     whose log stays finite even where 1 - s underflows to 0.  Call it under
     ``np.errstate(all="ignore")``.
     """
-    if log_1ms.min() > -700.0:  # False also where one is NaN
+    if log_1ms.min(initial=np.inf) > -700.0:  # False also where one is NaN
         return np.log(z)
     return np.where(log_1ms > -700.0, np.log(z), math.log(theta) + log_1ms)
 

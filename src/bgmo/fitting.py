@@ -302,7 +302,7 @@ class _Likelihood:
     def __init__(self, template: ModelTemplate, data):
         t = np.asarray(data, dtype=float)
         self.template = template
-        self.low = float(t.min()) if t.size else math.inf
+        self.low = float(t.min(initial=math.inf))
         edge = template._support_edge
         self.t = np.maximum(t, Baseline._eval_floor(edge or 0.0))
         self.outside = edge is not None and self.low < edge
@@ -377,7 +377,7 @@ class _Likelihood:
                 if free:
                     sf_rows.append(dlogsf * per_log_sf)
                     rows += [dlogg, sf_rows[-1]]
-            if log_z.min() < -690.0:
+            if log_z.min(initial=np.inf) < -690.0:
                 # where z < 1e-300, m_odds overflows while 1 - s and d(log sf_G) =
                 # -(G/sf_G) d(log G) underflow; to double precision z = theta (1 - s)
                 # there, so log w * m_odds is m - 1, (1 - s) m_odds is (1 - m)/theta,

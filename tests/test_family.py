@@ -517,6 +517,16 @@ class TestEvaluationOverTheBox:
             np.testing.assert_array_equal(got, want)
 
 
+def test_empty_arrays_evaluate_to_empty_arrays():
+    # the passes test a reduction of h or log(1 - s) before masking; it must
+    # have a value on no points
+    d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
+    for name in ("pdf", "log_pdf", "cdf", "sf", "log_sf", "hrf", "rhrf"):
+        assert getattr(d, name)(np.array([])).shape == (0,), name
+    for part in d.baseline.log_parts(np.array([])):
+        assert part.shape == (0,)
+
+
 class TestOneBaselinePass:
     @pytest.mark.parametrize("name", ["log_pdf", "pdf", "cdf", "sf", "log_sf", "hrf", "rhrf"])
     def test_one_log_sf_per_call(self, monkeypatch, name):

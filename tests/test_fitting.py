@@ -118,6 +118,12 @@ class TestLogLikelihood:
         double = log_likelihood(tpl, params, data + data)
         assert double == pytest.approx(2 * single, rel=1e-13)
 
+    def test_no_observations(self):
+        tpl = ModelTemplate("weibull")
+        values = {"m": 1.3, "n": 0.9, "theta": 1.1, "alpha": 2.0, "lam": 0.8, "beta": 1.5}
+        assert log_likelihood(tpl, values, []) == 0.0
+        np.testing.assert_array_equal(score(tpl, values, []), np.zeros(6))
+
     def test_zero_density_sentinel(self):
         tpl = ModelTemplate("exponentiated_pareto")
         params = {"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0, "theta_p": 2.0, "k": 1.0, "gamma": 1.0}
