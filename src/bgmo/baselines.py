@@ -91,8 +91,9 @@ class Baseline:
       is the log of h itself;
     - ``_hazard_partials(x, h)``: for the fitter's analytic score, the pairs
       (d log g, d log h) per parameter in ``param_names`` order, each taken
-      with respect to the parameter's log (a d log h may be a scalar); or
-      ``_partials(x, h)`` where the family forms the triples itself.
+      with respect to the parameter's log, or to the parameter itself where
+      it is 0 (a d log h may be a scalar); or ``_partials(x, h)`` where the
+      family forms the triples itself.
 
     From h this class derives both tails: e^-h is the tail h belongs to and
     -expm1(-h) the other, whose log is log h where h is tiny, so both keep
@@ -181,7 +182,9 @@ class Baseline:
 
         Each is taken with respect to the parameter's log, phi d/d(phi): finite
         also where phi is subnormal, where d/d(phi) of log g is about 1/phi.
-        d log G keeps its relative precision where G underflows.
+        A parameter at 0 (the modified Weibull's sigma or beta) has no log;
+        its partials are d/d(phi) itself.  d log G keeps its relative
+        precision where G underflows.
         """
         x = Points(np.asarray(t, dtype=float))
         return self._partials(x, self._hazard(x.t))
@@ -265,17 +268,6 @@ class Baseline:
             (dlogg, *self._by_tail(neg_h * dlogh, dlogh * other))
             for dlogg, dlogh in self._hazard_partials(x, h)
         ]
-
-    def _score_partials(self, x, h):
-        """(d log g, d log sf) per parameter: the triples without d log G.
-
-        The fitter reads d log G only where 1 - s^theta underflows, and takes
-        it there from ``_partials``; where h is -log sf no h/expm1(h) is formed.
-        """
-        if self._lower_tail:
-            return [(dlogg, dlogsf) for dlogg, dlogsf, _ in self._partials(x, h)]
-        neg_h = -h
-        return [(dlogg, neg_h * dlogh) for dlogg, dlogh in self._hazard_partials(x, h)]
 
     @staticmethod
     def _eval_floor(edge):
@@ -575,14 +567,17 @@ class ModifiedWeibull(Baseline):
         return np.log(rate)
 
     def _hazard_partials(self, x, h):
+        # a coefficient at 0 has no log: its partials are d/d(sigma) or d/d(beta)
         t = x.t
-        bu = self.beta * t ** (self.gamma - 1.0)  # beta t^(gamma - 1)
+        u = t ** (self.gamma - 1.0)
+        bu = self.beta * u  # beta t^(gamma - 1)
         rate = self.sigma + self.gamma * bu  # the hazard rate
         t_h = 1.0 / (self.sigma + bu)  # t/h
         bu_log_t = bu * x.log_t
         gamma_bu_log_t = self.gamma * bu_log_t
-        d_sigma = (self.sigma / rate - self.sigma * t, self.sigma * t_h)
-        d_beta = (self.gamma * bu / rate - t * bu, bu * t_h)
+        c_sigma, c_bu = self.sigma or 1.0, bu if self.beta else u
+        d_sigma = (c_sigma / rate - c_sigma * t, c_sigma * t_h)
+        d_beta = (self.gamma * c_bu / rate - t * c_bu, c_bu * t_h)
         d_gamma = (self.gamma * (bu + gamma_bu_log_t) / rate - t * gamma_bu_log_t, gamma_bu_log_t * t_h)
         return (d_sigma, d_beta, d_gamma)
 

@@ -316,7 +316,8 @@ class _Likelihood:
         """Log-likelihood and its score in the free parameters' logs, from one baseline pass.
 
         The score is d/d(log phi) = phi d/d(phi) for each free phi, the
-        coordinates the search runs in.  With D = 1 - (1-alpha)*sf_G the tilted
+        coordinates the search runs in (d/d(phi) for a baseline phi at 0,
+        which has no log).  With D = 1 - (1-alpha)*sf_G the tilted
         survival s = alpha*sf_G/D has d(log s)/d(log alpha) = 1 - s and
         d(log s)/d(log phi) = d(log sf_G)/d(log phi)/D for a baseline
         parameter phi.  Every term is then a bounded factor times a quantity
@@ -359,54 +360,38 @@ class _Likelihood:
                 + (theta + 1.0) * (1.0 - alpha) * gbar_d
                 + np.exp(math.log(theta) - log_d) * beta_layer
             )
-            # the per-observation terms of each free parameter's score, summed at once
-            free_m, free_n, free_theta, free_alpha, *free_base = self.free
-            rows = [log_z] if free_m else []
-            if free_n:
-                rows.append(log_w)
-            if free_theta:
-                theta_row = log_w * (n + m_odds)
-                rows.append(theta_row)
-            if free_alpha:
-                # d(log f)/d(log alpha) = theta - (theta+1)*alpha*sf_G/D + theta * w_alpha,
-                # with d(log s)/d(log alpha) = 1 - s
-                w_alpha = np.exp(log_1ms) * beta_layer
-                rows += [gbar_d, w_alpha]
-            sf_rows = []
-            for free, (dlogg, dlogsf) in zip(free_base, b._score_partials(x, h)):
-                if free:
-                    sf_rows.append(dlogsf * per_log_sf)
-                    rows += [dlogg, sf_rows[-1]]
+            theta_row = log_w * (n + m_odds)
+            # d(log f)/d(log alpha) = theta - (theta+1)*alpha*sf_G/D + theta * w_alpha,
+            # with d(log s)/d(log alpha) = 1 - s
+            w_alpha = np.exp(log_1ms) * beta_layer
+            rows = [log_z, log_w, theta_row, gbar_d, w_alpha]
+            partials = b._partials(x, h)
+            for dlogg, dlogsf, _ in partials:
+                rows += [dlogg, dlogsf * per_log_sf]
             if log_z.min(initial=np.inf) < -690.0:
                 # where z < 1e-300, m_odds overflows while 1 - s and d(log sf_G) =
                 # -(G/sf_G) d(log G) underflow; to double precision z = theta (1 - s)
                 # there, so log w * m_odds is m - 1, (1 - s) m_odds is (1 - m)/theta,
-                # and each baseline parameter's d(log sf_G) term is (m - 1) d(log G)
+                # and each baseline parameter's d(log sf_G) term (at 6 + 2i, after
+                # its d log g) is (m - 1) d(log G)
                 deep = log_z < -690.0
-                if free_theta:
-                    theta_row[deep] = n * log_w[deep] + (m - 1.0)
-                if free_alpha:
-                    w_alpha[deep] = (1.0 - m) / theta
-                at_deep = b._partials(Points(x.t[deep]), h[deep])
-                dlogcdf = [d for free, (_, _, d) in zip(free_base, at_deep) if free]
-                for row, d in zip(sf_rows, dlogcdf):
-                    row[deep] = (m - 1.0) * d
-            # one reduction over all rows: the same pairwise sums as one by one
-            sums = iter(np.array(rows).sum(axis=1).tolist() if rows else [])
-        score = []
-        if free_m or free_n:
-            psi_mn = float(digamma(m + n))
-        if free_m:
-            score.append(m * (r * (psi_mn - float(digamma(m))) + next(sums)))
-        if free_n:
-            score.append(n * (r * (psi_mn - float(digamma(n))) + next(sums)))
-        if free_theta:
-            score.append(r + next(sums))
-        if free_alpha:
-            sum_gbar_d, sum_w_alpha = next(sums), next(sums)
-            score.append(theta * (r + sum_w_alpha) - (theta + 1.0) * alpha * sum_gbar_d)
-        score += [dlogg + dlogsf for dlogg, dlogsf in zip(sums, sums)]
-        return total, np.array(score)
+                theta_row[deep] = n * log_w[deep] + (m - 1.0)
+                w_alpha[deep] = (1.0 - m) / theta
+                for i, (_, _, dlogcdf) in enumerate(partials):
+                    rows[6 + 2 * i][deep] = (m - 1.0) * dlogcdf[deep]
+            # one reduction over all per-observation terms: the same pairwise sums as one by one
+            sum_log_z, sum_log_w, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = np.array(
+                rows
+            ).sum(axis=1).tolist()
+        psi_mn = float(digamma(m + n))
+        full = [
+            m * (r * (psi_mn - float(digamma(m))) + sum_log_z),
+            n * (r * (psi_mn - float(digamma(n))) + sum_log_w),
+            r + sum_theta,
+            theta * (r + sum_w_alpha) - (theta + 1.0) * alpha * sum_gbar_d,
+            *(g + sf for g, sf in zip(sum_base[::2], sum_base[1::2])),
+        ]
+        return total, np.array([full[slot] for slot in template._free_slots])
 
     def objective(self, x):
         """Negative log-likelihood at search point x and its gradient in x.
@@ -434,13 +419,14 @@ def score(template: ModelTemplate, params, data) -> np.ndarray:
     """Gradient of the log-likelihood in the template's free parameters.
 
     Closed-form: the baseline's partials chained through the tilt and the
-    beta layer, in log coordinates and divided by the parameters, so a free
-    parameter at 0 (the modified Weibull's sigma or beta may be) reads NaN.
-    Where the likelihood is zero it is an all-NaN vector.
+    beta layer, in log coordinates and divided by the parameters.  A free
+    parameter at 0 (the modified Weibull's sigma or beta may be) has no log,
+    and its partials are already d/d(phi) there.  Where the likelihood is
+    zero it is an all-NaN vector.
     """
     free = np.take(template._full(params), template._free_slots)
     with np.errstate(all="ignore"):  # d/d(phi) is about 1/phi where phi is subnormal
-        return _Likelihood(template, data)(params)[1] / free
+        return _Likelihood(template, data)(params)[1] / np.where(free == 0.0, 1.0, free)
 
 
 # --- observed information and intervals ---------------------------------------

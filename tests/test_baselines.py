@@ -215,6 +215,19 @@ def test_frechet_partials_where_z_underflows():
     np.testing.assert_allclose(sf_delta, 2.0, rtol=1e-15)
 
 
+@pytest.mark.parametrize("zero", ["sigma", "beta"])
+def test_modified_weibull_partials_at_a_zero_coefficient(zero):
+    # a coefficient at 0 has no log: its partials are d/d(phi), here one-sided
+    b = dataclasses.replace(ModifiedWeibull(0.7, 0.8, 1.5), **{zero: 0.0})
+    ts = b.quantile(np.linspace(0.02, 0.98, 13))
+    triple = b.log_partials(ts)[b.param_names.index(zero)]
+    step = 1e-5
+    at = [dataclasses.replace(b, **{zero: j * step}) for j in (0, 1, 2)]
+    for got, fn in zip(triple, ("log_pdf", "log_sf", "log_cdf")):
+        f0, f1, f2 = (getattr(c, fn)(ts) for c in at)
+        np.testing.assert_allclose(got, (4.0 * f1 - f2 - 3.0 * f0) / (2.0 * step), rtol=1e-6)
+
+
 class TestWeibullLogCdf:
     def test_log_of_rate_where_cdf_underflows(self):
         b = Weibull(0.8, 2.2)

@@ -14,6 +14,7 @@ from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.fitting import (
     FAMILY_PARAM_NAMES,
     FitConfig,
+    FitError,
     _default_box,
     _Likelihood,
     _pinned,
@@ -184,6 +185,30 @@ class TestScore:
             warnings.simplefilter("error")
             value, g = _Likelihood(ModelTemplate("weibull"), data)(values)
         assert math.isfinite(value) and np.all(np.isfinite(g))
+
+    @pytest.mark.parametrize("zero", ["sigma", "beta"])
+    def test_modified_weibull_coefficient_at_zero(self, zero):
+        # a coefficient at 0 is a valid value with no log: the score there is
+        # d/d(phi) itself, a one-sided difference since phi < 0 is outside
+        tpl = ModelTemplate("modified_weibull", fixed=NESTED)
+        values = dict({"sigma": 0.7, "beta": 0.8, "gamma": 1.5}, **{zero: 0.0})
+        data = [0.5, 1.0, 2.0]
+        i = tpl.free_names.index(zero)
+        g = score(tpl, values, data)
+        assert np.all(np.isfinite(g))
+        step = 1e-5
+        at = [log_likelihood(tpl, dict(values, **{zero: j * step}), data) for j in (0, 1, 2)]
+        one_sided = (4.0 * at[1] - at[2] - 3.0 * at[0]) / (2.0 * step)  # second order
+        assert g[i] == pytest.approx(one_sided, rel=1e-7)
+        # the other coordinates are those with the coefficient held at 0
+        held = ModelTemplate("modified_weibull", fixed=dict(NESTED, **{zero: 0.0}))
+        rest = {name: values[name] for name in held.free_names}
+        np.testing.assert_array_equal(np.delete(g, i), score(held, rest, data))
+        np.testing.assert_allclose(
+            # at beta = 0 gamma has no effect: its score is 0
+            score(held, rest, data), oracles.finite_difference_score(held, rest, data),
+            rtol=1e-6, atol=1e-9,
+        )
 
     def test_digamma_terms_in_shape_gradient(self):
         # the m-component separates into digamma terms plus a data sum;
@@ -650,6 +675,15 @@ class TestFitMle:
         stuck = [r for r in result.trace if r.start["theta_p"] > 1.0]
         assert stuck and all(r.neg_log_lik == math.inf and not r.moved for r in stuck)
         assert math.isfinite(result.log_likelihood)
+
+    def test_no_restart_with_a_finite_likelihood(self):
+        # a free location whose box lies above the smallest observation gives
+        # every trial point zero likelihood, so no restart moves
+        data = np.array([1.0, 3.0, 4.0, 5.0, 6.0])
+        tpl = ModelTemplate("exponentiated_pareto", fixed=NESTED)
+        config = FitConfig(starts=2, start_box={"theta_p": (2.0, 3.0)})
+        with pytest.raises(FitError, match="all 2 restarts produced non-finite likelihood"):
+            fit_mle(tpl, data, config)
 
     def test_fully_fixed_template_rejected(self):
         tpl = ModelTemplate(
