@@ -307,8 +307,6 @@ class _Likelihood:
         self.t = np.maximum(t, Baseline._eval_floor(edge or 0.0))
         self.outside = edge is not None and self.low < edge
         self.points = Points(self.t)
-        # per parameter in param_names order, whether its score is wanted
-        self.free = [slot in template._free_slots for slot in range(len(template.param_names))]
         names = _search_names(template)
         self.scale = (names.index("sigma"), names.index("beta")) if _weibull_scale(template) else None
 
