@@ -6,12 +6,16 @@ ranking), ``curves`` (fitted pdf/cdf over a data-driven grid plus histogram)
 and ``shapes`` (pdf/hazard columns for one or more parameter sets).
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical non-convergence.
+Any ``ValueError`` the library raises on the input (a parameter out of its
+domain, a bad data file, a quantile level outside (0, 1), a bad fit flag)
+is a usage error.
 
 A model spec is one string: the baseline family tag followed by name=value
 pairs, where ``m``, ``n``, ``theta``, ``alpha`` are the family shapes and the
 rest belong to the baseline, e.g. ``"weibull m=2 n=1 theta=1 alpha=1
-lambda=0.5 beta=2"``.  In ``fit``/``compare`` specs, supplied family values
-are held fixed and everything else is estimated.
+lambda=0.5 beta=2"``.  Every spec becomes a ``ModelTemplate`` whose named
+values are held fixed: ``fit``, ``compare`` and ``curves --fit`` estimate
+the rest, and the other subcommands need every value set.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ import sys
 
 import numpy as np
 
-from .baselines import BASELINE_FAMILIES, PARAM_ALIASES, make_baseline
-from .datasets import BUILTIN_NAMES, Dataset, builtin_dataset, load_dataset
-from .family import BgmoDistribution, BgmoParams
-from .fitting import FAMILY_PARAM_NAMES, FitConfig, FitError, ModelTemplate, fit_mle
+from .baselines import BASELINE_FAMILIES, PARAM_ALIASES
+from .datasets import Dataset, builtin_dataset, load_dataset
+from .family import BgmoDistribution
+from .fitting import FitConfig, FitError, ModelTemplate, fit_mle
 
 # shown by ``shapes`` when no spec is given; spans monotone and bathtub hazards
 DEFAULT_GALLERY = (
@@ -50,71 +54,52 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_pairs(tokens):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise CliError(f"expected name=value, got {tok!r}")
-        name, _, value = tok.partition("=")
-        out[name.strip()] = value.strip()
-    return out
-
-
-def parse_model_spec(text: str):
-    """Split a spec string into (baseline_tag, family dict, baseline dict)."""
-    tokens = text.split()
+def _template(spec: str) -> ModelTemplate:
+    """The spec's ``ModelTemplate``: its values fixed, its Z-function settings options."""
+    tokens = spec.split()
     if not tokens:
         raise CliError("empty model spec")
     tag = tokens[0].lower()
     if tag not in BASELINE_FAMILIES:
         known = ", ".join(sorted(BASELINE_FAMILIES))
         raise CliError(f"unknown baseline family {tag!r} (known: {known})")
-    pairs = _parse_pairs(tokens[1:])
-    family = {}
-    baseline = {}
-    for name, value in pairs.items():
-        if name == "z":
-            baseline[name] = value
-            continue
-        try:
-            number = float(value)
-        except ValueError:
-            raise CliError(f"{name}={value!r} is not a number") from None
-        (family if name in FAMILY_PARAM_NAMES else baseline)[name] = number
-    return tag, family, baseline
+    option_names = BASELINE_FAMILIES[tag].option_names
+    fixed, options = {}, {}
+    for tok in tokens[1:]:
+        name, eq, value = tok.partition("=")
+        if not eq:
+            raise CliError(f"expected name=value, got {tok!r}")
+        if name != "z":  # the extended Weibull's Z kind is a word
+            try:
+                value = float(value)
+            except ValueError:
+                raise CliError(f"{name}={value!r} is not a number") from None
+        if name in option_names:
+            options[name] = value
+        else:
+            fixed[PARAM_ALIASES.get(name, name)] = value
+    return ModelTemplate(tag, fixed=fixed, options=options)
 
 
 def build_distribution(spec: str) -> BgmoDistribution:
-    tag, family, baseline = parse_model_spec(spec)
-    missing = [n for n in FAMILY_PARAM_NAMES if n not in family]
-    if missing:
-        raise CliError(f"model spec must set {missing} (got {spec!r})")
-    try:
-        return BgmoDistribution(BgmoParams(**family), make_baseline(tag, **baseline))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    """The distribution a spec names; it must set every parameter."""
+    template = _template(spec)
+    if template.free_names:
+        raise CliError(f"model spec must set {list(template.free_names)} (got {spec!r})")
+    return template.build(())
 
 
 def _load_data(ref: str) -> Dataset:
     if ref.startswith("builtin:"):
-        name = ref.split(":", 1)[1]
-        if name not in BUILTIN_NAMES:
-            raise CliError(f"unknown builtin dataset {name!r} (known: {BUILTIN_NAMES})")
-        return builtin_dataset(name)
+        return builtin_dataset(ref.split(":", 1)[1])
     try:
         return load_dataset(ref)
     except FileNotFoundError:
         raise CliError(f"no such data file: {ref}") from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _parse_values(text: str) -> np.ndarray:
-    toks = [tok for piece in text.split(",") for tok in piece.split()]
-    try:
-        return np.array([float(tok) for tok in toks])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return np.array([float(tok) for piece in text.split(",") for tok in piece.split()])
 
 
 def _emit(path, text: str):
@@ -138,22 +123,6 @@ def _fit_config(args) -> FitConfig:
     )
 
 
-def _fit_template(spec: str) -> ModelTemplate:
-    tag, family, baseline = parse_model_spec(spec)
-    option_names = BASELINE_FAMILIES[tag].option_names
-    fixed = dict(family)
-    options = {}
-    for name, value in baseline.items():
-        if name in option_names:
-            options[name] = value  # structural, e.g. the extended Weibull's Z
-        else:
-            fixed[PARAM_ALIASES.get(name, name)] = value
-    try:
-        return ModelTemplate(tag, fixed=fixed, options=options)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 # --- subcommand bodies -------------------------------------------------------
 
 
@@ -168,33 +137,20 @@ def _cmd_eval(args) -> int:
 def _cmd_quantile(args) -> int:
     dist = build_distribution(args.dist)
     for u in _parse_values(args.u):
-        if not 0.0 < u < 1.0:
-            raise CliError(f"quantile level must be in (0, 1), got {u}")
         print(_fmt(dist.quantile(float(u))))
     return 0
 
 
 def _cmd_sample(args) -> int:
     dist = build_distribution(args.dist)
-    if args.count < 1:
-        raise CliError("--count must be positive")
     # one write: repr of a Python float is _fmt's text
     print("\n".join(map(repr, dist.sample(args.count, args.seed).tolist())))
     return 0
 
 
-def _fit(template: ModelTemplate, data, args):
-    """``fit_mle`` with the command's config; a fit that cannot run is a ``CliError``."""
-    try:
-        return fit_mle(template, data.values, _fit_config(args))
-    except (FitError, ValueError) as exc:
-        raise CliError(str(exc)) from None
-
-
 def _cmd_fit(args) -> int:
     data = _load_data(args.data)
-    spec = args.dist or args.baseline or "weibull"
-    result = _fit(_fit_template(spec), data, args)
+    result = fit_mle(_template(args.dist), data.values, _fit_config(args))
     _emit(args.out, result.to_json() + "\n")
     return 0 if result.converged else 2
 
@@ -203,13 +159,14 @@ def _cmd_compare(args) -> int:
     if len(args.candidates) < 2:
         raise CliError("compare needs at least two --candidate specs")
     data = _load_data(args.data)
+    config = _fit_config(args)
     rows = []
     any_bad = False
     for spec in args.candidates:
-        template = _fit_template(spec)
+        template = _template(spec)
         try:
-            r = _fit(template, data, args)
-        except CliError as exc:
+            r = fit_mle(template, data.values, config)
+        except (FitError, ValueError) as exc:
             rows.append((math.inf, math.inf, spec, math.nan, math.nan, math.nan, f"failed: {exc}"))
             any_bad = True
             continue
@@ -235,8 +192,8 @@ def _grid(data: np.ndarray, points: int, pad: float) -> np.ndarray:
 def _cmd_curves(args) -> int:
     data = _load_data(args.data)
     if args.fit:
-        template = _fit_template(args.dist)
-        dist = template.build(_fit(template, data, args).estimates)
+        template = _template(args.dist)
+        dist = template.build(fit_mle(template, data.values, _fit_config(args)).estimates)
     else:
         dist = build_distribution(args.dist)
     grid = _grid(data.values, args.grid_points, args.pad)
@@ -313,10 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="file path or builtin:<name>")
     p.add_argument(
         "--dist",
-        default=None,
+        default="weibull",
         help="baseline tag plus any parameters to hold fixed",
     )
-    p.add_argument("--baseline", default=None, help="baseline spec (alias for --dist)")
     p.add_argument("--out", default=None, help="report path (default stdout)")
     _add_fit_flags(p)
     p.set_defaults(run=_cmd_fit)
@@ -366,10 +322,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CliError, ValueError, FitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -229,7 +229,7 @@ class BgmoDistribution:
         """
         scalar = np.isscalar(u)
         u = np.asarray(u, dtype=float)
-        if np.any((u <= 0.0) | (u >= 1.0)):
+        if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails too
             raise ValueError("quantile requires u in (0, 1)")
         p = self.params
         low = u <= special.reg_inc_beta(0.5, p.m, p.n)

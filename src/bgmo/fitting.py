@@ -434,15 +434,23 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
     """Negative Hessian of the log-likelihood: central differences of ``score``, symmetrized.
 
     The steps are 1e-4 of each value (relative, so a tiny rate keeps its
-    precision).  A non-finite entry raises ``ArithmeticError``.
+    precision).  A value of exactly 0 (the modified Weibull's sigma or beta
+    may be) is on its domain's edge, so there the difference is the
+    second-order forward one, (-3 s(x) + 4 s(x + h) - s(x + 2h)) / 2h with
+    h = 1e-6.  A non-finite entry raises ``ArithmeticError``.
     """
     if isinstance(params_hat, dict):
         x = np.array([dict(template.fixed, **params_hat)[n] for n in template.free_names])
     else:
         x = np.asarray(params_hat, dtype=float)
+
+    def s(step):
+        return score(template, x + step, data)
+
     H = np.array([
-        (score(template, x + e, data) - score(template, x - e, data)) / (2.0 * e[i])
-        for i, e in enumerate(np.diag(1e-4 * np.abs(x)))
+        (4.0 * s(e) - s(2.0 * e) - 3.0 * s(0.0)) / (2.0 * e[i]) if x[i] == 0.0
+        else (s(e) - s(-e)) / (2.0 * e[i])
+        for i, e in enumerate(np.diag(np.where(x == 0.0, 1e-6, 1e-4 * np.abs(x))))
     ])
     info = -0.5 * (H + H.T)
     if not np.all(np.isfinite(info)):

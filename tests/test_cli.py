@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from bgmo.baselines import make_baseline
 from bgmo.cli import DEFAULT_GALLERY, build_distribution, main
 from bgmo.datasets import builtin_dataset
+from bgmo.family import BgmoDistribution, BgmoParams
 
 REDUCTION = "exponential m=1 n=1 theta=1 alpha=1 lambda=1"
 
@@ -58,6 +60,42 @@ class TestEvalQuantileSample:
         rc, _, err = run(capsys, "eval", "--dist", "exponential m=1 lambda=1", "--t", "1")
         assert rc == 1
 
+    def test_a_missing_baseline_parameter_is_named(self, capsys):
+        spec = "weibull m=1 n=1 theta=1 alpha=1 lambda=1"
+        rc, out, err = run(capsys, "eval", "--dist", spec, "--t", "1")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: model spec must set ['beta']")
+
+    def test_sample_count_is_checked_by_the_distribution(self, capsys):
+        rc, out, err = run(capsys, "sample", "--dist", REDUCTION, "--count", "0")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: count must be positive")
+
+
+SHAPES = {"m": 0.7, "n": 2.5, "theta": 0.5, "alpha": 2.5}
+# every baseline, every Z kind and a modified-Weibull coefficient at 0
+ROUTE_CASES = [
+    ("exponential", {"lambda": 1.3}),
+    ("weibull", {"lambda": 0.5, "beta": 2.0}),
+    ("lomax", {"beta": 2.0, "delta": 1.5}),
+    ("frechet", {"lambda": 2.0, "delta": 1.2}),
+    ("gompertz", {"beta": 0.4, "lambda": 1.1}),
+    ("extended_weibull", {"delta": 0.8, "z": "linear"}),
+    ("extended_weibull", {"delta": 0.8, "z": "square"}),
+    ("extended_weibull", {"delta": 0.8, "z": "log_ratio", "k": 0.25}),
+    ("extended_weibull", {"delta": 0.8, "z": "gompertz_link", "beta": 1.5}),
+    ("modified_weibull", {"sigma": 0.7, "beta": 0.8, "gamma": 1.5}),
+    ("modified_weibull", {"sigma": 0.0, "beta": 0.8, "gamma": 1.5}),
+    ("exponentiated_pareto", {"theta_p": 0.8, "k": 0.3, "gamma": 0.5}),
+]
+
+
+@pytest.mark.parametrize("tag, baseline", ROUTE_CASES)
+def test_spec_builds_the_distribution_it_names(tag, baseline):
+    spec = " ".join([tag] + [f"{k}={v}" for k, v in {**SHAPES, **baseline}.items()])
+    expected = BgmoDistribution(BgmoParams(**SHAPES), make_baseline(tag, **baseline))
+    assert build_distribution(spec) == expected
+
 
 class TestFit:
     def test_missing_data_file(self, capsys):
@@ -91,15 +129,6 @@ class TestFit:
         )
         doc = json.loads(out)
         assert doc["k"] == 1 and list(doc["estimates"]) == ["beta"]
-
-    def test_model_baseline_flag_spelling(self, capsys):
-        # --baseline weibull is an accepted alias for --dist
-        rc, out, _ = run(
-            capsys, "fit", "--data", "builtin:turbocharger",
-            "--baseline", "weibull m=1 n=1 theta=1 alpha=1", "--starts", "2", "--seed", "1",
-        )
-        doc = json.loads(out)
-        assert doc["k"] == 2
 
     def test_extended_weibull_z_function_reaches_the_fit(self, capsys, tmp_path):
         # with the family shapes fixed at 1 the model is sf = exp(-delta*Z(t)),
@@ -190,6 +219,19 @@ class TestCompare:
         # rejected before any restart runs
         assert rows[1][-1].startswith("failed: observations at indices [0, 1, 2,")
         assert rows[1][-1].endswith("are below the support edge 50 of extended_weibull")
+
+    @pytest.mark.parametrize("flag, message", [
+        (("--starts", "0"), "starts must be at least 1"),
+        (("--level", "1.5"), "level must be in (0, 1)"),
+    ])
+    def test_a_bad_fit_flag_is_a_usage_error(self, capsys, flag, message):
+        rc, out, err = run(
+            capsys, "compare", "--data", "builtin:turbocharger",
+            "--candidate", "weibull m=1 n=1 theta=1 alpha=1",
+            "--candidate", "exponential m=1 n=1 theta=1 alpha=1", *flag,
+        )
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_identical_candidates_identical_rows(self, capsys):
         rc, out, _ = run(

@@ -358,11 +358,10 @@ class TestQuantile:
             d = BgmoDistribution(BgmoParams(*p), baselines[k % 4])
             np.testing.assert_allclose(d.cdf(d.quantile(us)), us, atol=1e-8)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            dist(1, 1, 1, 1).quantile(0.0)
-        with pytest.raises(ValueError):
-            dist(1, 1, 1, 1).quantile(1.5)
+    @pytest.mark.parametrize("u", [0.0, 1.5, math.nan, [0.5, math.nan]])
+    def test_domain(self, u):
+        with pytest.raises(ValueError, match=r"quantile requires u in \(0, 1\)"):
+            dist(1, 1, 1, 1).quantile(u)
 
 
 class TestSampling:

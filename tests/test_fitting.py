@@ -433,7 +433,20 @@ class TestObservedInformation:
         info = observed_information(tpl, np.array([lam_hat]), data)
         assert info[0, 0] == pytest.approx(len(data) / lam_hat**2, rel=0.01)
 
-
+    @pytest.mark.parametrize("zero", ["sigma", "beta"])
+    def test_forward_difference_at_a_coefficient_of_zero(self, zero):
+        # a relative step at 0 is 0, and phi < 0 is outside the domain: the
+        # row of a coefficient at 0 is a one-sided difference of the score
+        tpl = ModelTemplate("modified_weibull", fixed=NESTED)
+        i = tpl.free_names.index(zero)
+        x = np.array([0.7, 0.8, 1.5])
+        x[i] = 0.0
+        data = [0.5, 1.0, 2.0]
+        info = observed_information(tpl, x, data)
+        assert np.all(np.isfinite(info))
+        step = 1e-7
+        forward = (score(tpl, x + step * np.eye(3)[i], data) - score(tpl, x, data)) / step
+        np.testing.assert_allclose(info[i], -forward, rtol=1e-5, atol=1e-6)
     def test_relative_steps_follow_the_data_scale(self):
         # in units 100 times smaller the nested Weibull rate is about 1e-11,
         # far below an absolute step of 1e-6; SE(beta) does not depend on
