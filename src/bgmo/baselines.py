@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exprel
 
-from .special import _TINY
+from .special import _TINY, _log, _power
 
 __all__ = [
     "Baseline",
@@ -40,6 +40,16 @@ __all__ = [
 
 def _maybe_scalar(out, scalar_in: bool):
     return float(out) if scalar_in else out
+
+
+def _zmul(c, v):
+    """c*v with the convention 0 * (+-inf) = 0, for vanishing coefficients (c may be an array).
+
+    A scalar c of 0 gives 0.0, which adds to arrays as an array of zeros would.
+    """
+    if isinstance(c, np.ndarray):
+        return np.where(c == 0.0, 0.0, c * v)
+    return c * v if c != 0.0 else 0.0
 
 
 def _require_positive(**params):
@@ -120,6 +130,29 @@ class Baseline:
     edge_param: str | None = None  # the parameter support_low equals, if any
     _lower_tail = False  # h is -log G rather than -log sf
     _log_hazard = None
+
+    def __post_init__(self):
+        _require_positive(**{name: getattr(self, name) for name in self.param_names})
+
+    @classmethod
+    def _in_domain(cls, *values):
+        """Where the parameter values (numbers or arrays, in ``param_names`` order) pass ``__post_init__``."""
+        ok = True
+        for value in values:
+            ok = ok & (value > 0)
+        return ok
+
+    @classmethod
+    def _columns(cls, *values, **options):
+        """An instance whose parameters are columns, one row per parameter vector.
+
+        Each evaluating method then gives one row of results per row; numbers
+        and columns may be mixed.  Nothing is checked: the caller passes only
+        rows that ``_in_domain`` accepts.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls.param_names, values), **options)
+        return self
 
     def params(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self.param_names}
@@ -285,9 +318,6 @@ class Exponential(Baseline):
     param_names = ("lam",)
     hazard_rate = "lam"
 
-    def __post_init__(self):
-        _require_positive(lam=self.lam)
-
     def _hazard(self, t):
         return self.lam * t
 
@@ -295,7 +325,7 @@ class Exponential(Baseline):
         return y / self.lam
 
     def _log_rate(self, x, h):
-        return math.log(self.lam)
+        return _log(self.lam)
 
     def _hazard_partials(self, x, h):
         return ((1.0 - h, 1.0),)
@@ -310,20 +340,17 @@ class Weibull(Baseline):
     param_names = ("lam", "beta")
     hazard_rate = "lam"
 
-    def __post_init__(self):
-        _require_positive(lam=self.lam, beta=self.beta)
-
     def _hazard(self, t):
-        return self.lam * t**self.beta
+        return self.lam * _power(t, self.beta)
 
     def _log_hazard(self, x):
-        return math.log(self.lam) + self.beta * x.log_t
+        return _log(self.lam) + self.beta * x.log_t
 
     def _inv_hazard(self, y):
         return (y / self.lam) ** (1.0 / self.beta)
 
     def _log_rate(self, x, h):
-        return math.log(self.lam) + math.log(self.beta) + (self.beta - 1.0) * x.log_t
+        return _log(self.lam) + _log(self.beta) + (self.beta - 1.0) * x.log_t
 
     def _hazard_partials(self, x, h):
         one_minus_h, beta_log_t = 1.0 - h, self.beta * x.log_t
@@ -339,9 +366,6 @@ class Lomax(Baseline):
     param_names = ("beta", "delta")
     hazard_rate = "beta"
 
-    def __post_init__(self):
-        _require_positive(beta=self.beta, delta=self.delta)
-
     def _hazard(self, t):
         return self.beta * np.log1p(t / self.delta)
 
@@ -349,7 +373,7 @@ class Lomax(Baseline):
         return self.delta * np.expm1(y / self.beta)
 
     def _log_rate(self, x, h):
-        return math.log(self.beta) - math.log(self.delta) - np.log1p(x.t / self.delta)
+        return _log(self.beta) - _log(self.delta) - np.log1p(x.t / self.delta)
 
     def _hazard_partials(self, x, h):
         r = x.t / (self.delta + x.t)  # -d log1p(t/delta)/d log delta
@@ -368,24 +392,21 @@ class Frechet(Baseline):
     param_names = ("lam", "delta")
     _lower_tail = True
 
-    def __post_init__(self):
-        _require_positive(lam=self.lam, delta=self.delta)
-
     def _hazard(self, t):
-        return (self.delta / t) ** self.lam
+        return _power(self.delta / t, self.lam)
 
     def _log_hazard(self, x):
-        return self.lam * (math.log(self.delta) - x.log_t)
+        return self.lam * (_log(self.delta) - x.log_t)
 
     def _inv_hazard(self, y):
         return self.delta * y ** (-1.0 / self.lam)
 
     def _log_rate(self, x, h):
-        return math.log(self.lam) + self.lam * math.log(self.delta) - (self.lam + 1.0) * x.log_t
+        return _log(self.lam) + self.lam * _log(self.delta) - (self.lam + 1.0) * x.log_t
 
     def _hazard_partials(self, x, h):
         # h = (delta/t)^lam: d log h is lam log(delta/t) and lam
-        lam_log_ratio, one_minus_h = self.lam * (math.log(self.delta) - x.log_t), 1.0 - h
+        lam_log_ratio, one_minus_h = self.lam * (_log(self.delta) - x.log_t), 1.0 - h
         return ((1.0 + lam_log_ratio * one_minus_h, lam_log_ratio), (self.lam * one_minus_h, self.lam))
 
 
@@ -398,9 +419,6 @@ class Gompertz(Baseline):
     param_names = ("beta", "lam")
     hazard_rate = "beta"
 
-    def __post_init__(self):
-        _require_positive(beta=self.beta, lam=self.lam)
-
     def _hazard(self, t):
         return (self.beta / self.lam) * np.expm1(self.lam * t)
 
@@ -408,7 +426,7 @@ class Gompertz(Baseline):
         return np.log1p((self.lam / self.beta) * y) / self.lam
 
     def _log_rate(self, x, h):
-        return math.log(self.beta) + self.lam * x.t
+        return _log(self.beta) + self.lam * x.t
 
     def _hazard_partials(self, x, h):
         lam_t = self.lam * x.t
@@ -486,9 +504,6 @@ class ExtendedWeibull(Baseline):
     hazard_rate = "delta"
     option_names = ("z", "k", "beta")
 
-    def __post_init__(self):
-        _require_positive(delta=self.delta)
-
     @property
     def support_low(self):
         return self.z.support_low
@@ -505,13 +520,13 @@ class ExtendedWeibull(Baseline):
         return self.delta * self.z.value(t)
 
     def _log_hazard(self, x):
-        return math.log(self.delta) + self.z.log_value(x.t)
+        return _log(self.delta) + self.z.log_value(x.t)
 
     def _inv_hazard(self, y):
         return self.z.inverse(y / self.delta)
 
     def _log_rate(self, x, h):
-        return math.log(self.delta) + np.log(self.z.deriv(x.t))
+        return _log(self.delta) + np.log(self.z.deriv(x.t))
 
     def _hazard_partials(self, x, h):
         return ((1.0 - h, 1.0),)
@@ -533,10 +548,13 @@ class ModifiedWeibull(Baseline):
             raise ValueError("need sigma, beta >= 0 with sigma + beta > 0")
         _require_positive(gamma=self.gamma)
 
+    @classmethod
+    def _in_domain(cls, sigma, beta, gamma):
+        return np.logical_not((sigma < 0) | (beta < 0) | (sigma + beta <= 0)) & (gamma > 0)
+
     def _hazard(self, t):
         # a zero coefficient's term is left out: 0 * inf is NaN at t = inf
-        power = self.beta * t**self.gamma if self.beta else 0.0
-        return self.sigma * t + power if self.sigma else power
+        return _zmul(self.sigma, t) + _zmul(self.beta, _power(t, self.gamma))
 
     def _log_hazard(self, x):
         log_t = x.log_t
@@ -561,21 +579,18 @@ class ModifiedWeibull(Baseline):
         return out.reshape(np.shape(y)) if np.shape(y) else out[0]
 
     def _log_rate(self, x, h):
-        rate = self.sigma
-        if self.beta:
-            rate = rate + self.beta * self.gamma * x.t ** (self.gamma - 1.0)
-        return np.log(rate)
+        return np.log(self.sigma + _zmul(self.beta * self.gamma, _power(x.t, self.gamma - 1.0)))
 
     def _hazard_partials(self, x, h):
         # a coefficient at 0 has no log: its partials are d/d(sigma) or d/d(beta)
         t = x.t
-        u = t ** (self.gamma - 1.0)
+        u = _power(t, self.gamma - 1.0)
         bu = self.beta * u  # beta t^(gamma - 1)
         rate = self.sigma + self.gamma * bu  # the hazard rate
         t_h = 1.0 / (self.sigma + bu)  # t/h
         bu_log_t = bu * x.log_t
         gamma_bu_log_t = self.gamma * bu_log_t
-        c_sigma, c_bu = self.sigma or 1.0, bu if self.beta else u
+        c_sigma, c_bu = np.where(self.sigma == 0.0, 1.0, self.sigma), np.where(self.beta == 0.0, u, bu)
         d_sigma = (c_sigma / rate - c_sigma * t, c_sigma * t_h)
         d_beta = (self.gamma * c_bu / rate - t * c_bu, c_bu * t_h)
         d_gamma = (self.gamma * (bu + gamma_bu_log_t) / rate - t * gamma_bu_log_t, gamma_bu_log_t * t_h)
@@ -595,9 +610,6 @@ class ExponentiatedPareto(Baseline):
     edge_param = "theta_p"
     _lower_tail = True
 
-    def __post_init__(self):
-        _require_positive(theta_p=self.theta_p, k=self.k, gamma=self.gamma)
-
     @property
     def support_low(self):
         return self.theta_p
@@ -614,7 +626,7 @@ class ExponentiatedPareto(Baseline):
 
     def _log_hazard(self, x):
         # h ~ gamma (theta_p/t)^k far out
-        return math.log(self.gamma) + self.k * (math.log(self.theta_p) - x.log_t)
+        return _log(self.gamma) + self.k * (_log(self.theta_p) - x.log_t)
 
     def _inv_hazard(self, y):
         base = -np.expm1(-y / self.gamma)  # 1 - G^(1/gamma)
@@ -623,9 +635,9 @@ class ExponentiatedPareto(Baseline):
     def _log_rate(self, x, h):
         # |h'| = gamma k theta_p^k t^-(k+1) / [1 - (theta_p/t)^k], the base's log being -h/gamma
         return (
-            math.log(self.gamma)
-            + math.log(self.k)
-            + self.k * math.log(self.theta_p)
+            _log(self.gamma)
+            + _log(self.k)
+            + self.k * _log(self.theta_p)
             - (self.k + 1.0) * x.log_t
             + h / self.gamma
         )

@@ -8,7 +8,9 @@ and ``shapes`` (pdf/hazard columns for one or more parameter sets).
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical non-convergence.
 Any ``ValueError`` the library raises on the input (a parameter out of its
 domain, a bad data file, a quantile level outside (0, 1), a bad fit flag)
-is a usage error.
+is a usage error, and any ``OSError`` reading data or writing a report (a
+directory given as a file, a file without permission) an I/O error.
+``eval`` and ``quantile`` write nothing unless every point evaluates.
 
 A model spec is one string: the baseline family tag followed by name=value
 pairs, where ``m``, ``n``, ``theta``, ``alpha`` are the family shapes and the
@@ -129,15 +131,14 @@ def _fit_config(args) -> FitConfig:
 def _cmd_eval(args) -> int:
     dist = build_distribution(args.dist)
     fn = getattr(dist, args.fn)
-    for t in _parse_values(args.t):
-        print(_fmt(fn(float(t))))
+    # one point at a time, all before one write: a bad point leaves stdout empty
+    _emit(None, "".join(_fmt(fn(float(t))) + "\n" for t in _parse_values(args.t)))
     return 0
 
 
 def _cmd_quantile(args) -> int:
     dist = build_distribution(args.dist)
-    for u in _parse_values(args.u):
-        print(_fmt(dist.quantile(float(u))))
+    _emit(None, "".join(_fmt(dist.quantile(float(u))) + "\n" for u in _parse_values(args.u)))
     return 0
 
 
@@ -322,7 +323,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (CliError, ValueError, FitError, FileNotFoundError) as exc:
+    except (CliError, ValueError, FitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,18 +26,9 @@ import numpy as np
 from . import special
 from .baselines import Baseline
 from .gmo import _LN2, log_tilt, tilt_inverse
+from .special import _log
 
 __all__ = ["BgmoParams", "BgmoDistribution"]
-
-
-def _zmul(c, v):
-    """c*v with the convention 0 * (+-inf) = 0, for vanishing exponents (c may be an array).
-
-    A scalar c of 0 gives 0.0, which adds to arrays as an array of zeros would.
-    """
-    if np.ndim(c) == 0:
-        return c * v if c != 0.0 else 0.0
-    return np.where(c == 0.0, 0.0, c * v)
 
 
 def _log_gamma_variates(rng: np.random.Generator, shape: float, count: int) -> np.ndarray:
@@ -60,7 +51,7 @@ def _log_one_minus_power(theta: float, z, log_1ms):
     """
     if log_1ms.min(initial=np.inf) > -700.0:  # False also where one is NaN
         return np.log(z)
-    return np.where(log_1ms > -700.0, np.log(z), math.log(theta) + log_1ms)
+    return np.where(log_1ms > -700.0, np.log(z), _log(theta) + log_1ms)
 
 
 def _require_shapes(m, n, theta, alpha):
@@ -74,26 +65,30 @@ def _log_pdf_core(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
     """log f, log s, log(1 - s), log D, log z and log w, z = 1 - s^theta = 1 - w, from one baseline pass.
 
     The one form of the density, for ``BgmoDistribution`` and the fitter
-    alike; it applies no support mask.  Call it under
+    alike; it applies no support mask.  The shapes may be numbers or
+    columns of values, one row per parameter vector.  Call it under
     ``np.errstate(all="ignore")``.
     """
     log_s, log_1ms, log_d = log_tilt(alpha, log_gbar, log_gcdf)
     log_w = theta * log_s
     log_z = _log_one_minus_power(theta, -np.expm1(log_w), log_1ms)
     log_f = (
-        math.log(theta)
-        + theta * math.log(alpha)
+        _log(theta)
+        + theta * _log(alpha)
         - special.log_beta(m, n)
         + log_g
         + (theta - 1.0) * log_gbar
         - (theta + 1.0) * log_d
     )
-    # a vanishing exponent's term is 0, also where its log is -inf
-    if m != 1.0:
-        log_f = log_f + (m - 1.0) * log_z
-    if n != 1.0:
-        log_f = log_f + (n - 1.0) * log_w
-    return log_f, log_s, log_1ms, log_d, log_z, log_w
+    return _plus_power(_plus_power(log_f, m, log_z), n, log_w), log_s, log_1ms, log_d, log_z, log_w
+
+
+def _plus_power(log_f, c, log_v):
+    """log_f + (c - 1) log v, the term left out where c is 1: a vanishing exponent's term is 0,
+    also where log v is -inf (c may be a column of values)."""
+    if isinstance(c, np.ndarray):
+        return np.where(c == 1.0, log_f, log_f + (c - 1.0) * log_v)
+    return log_f if c == 1.0 else log_f + (c - 1.0) * log_v
 
 
 @dataclass(frozen=True)

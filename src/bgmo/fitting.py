@@ -8,9 +8,17 @@ a statistically meaningful point.  The box makes the maximization well posed.
 
 Each restart is one L-BFGS-B run (Byrd, Lu, Nocedal & Zhu 1995) driven by the
 analytic score, which every baseline's partials feed; the observed information
-is central differences of the same score.  The score is taken in the log
-coordinates the search runs in, d/d(log phi), so it stays finite where a
-parameter is subnormal.  The template and the data are bound once per fit:
+is central differences of the same score, all stepped points in one batched
+call.  The restarts run in lockstep: ``fit_mle`` steps scipy's
+reverse-communication routine ``setulb`` (Zhu, Byrd, Lu & Nocedal 1997, ACM
+TOMS Algorithm 778) itself, once per restart per round, in the loop
+``scipy.optimize.minimize`` runs around it, and every restart that asks for
+the objective at a new point joins one batched likelihood call.  A fit thus
+makes as many likelihood calls as its longest restart makes evaluations, and
+each restart follows exactly the path ``minimize`` would take from its start.
+
+The score is taken in the log coordinates the search runs in, d/d(log phi),
+so it stays finite where a parameter is subnormal.  The template and the data are bound once per fit:
 ``ModelTemplate`` resolves its names, free slots and baseline class at
 construction, and ``_Likelihood`` floors the observations to the support,
 checks them against a fixed support edge and keeps their log, so each
@@ -42,6 +50,7 @@ from scipy.special import digamma, ndtri
 
 from .baselines import BASELINE_FAMILIES, Baseline, Points, make_baseline
 from .family import BgmoDistribution, BgmoParams, _log_pdf_core, _require_shapes
+from .special import _log
 
 __all__ = [
     "FitConfig",
@@ -197,7 +206,9 @@ class Restart:
     are scipy's (0 is convergence, 1 an iteration or evaluation limit, 2 a
     failed line search).  ``moved`` is False for a run that ended exactly at
     its start: where every trial point has zero likelihood, L-BFGS-B stays
-    put and still reports status 0.
+    put and still reports status 0.  The restarts of a fit run in lockstep,
+    so ``seconds`` is the time from the start of the fit's restarts to this
+    run's stop, which includes the other runs' evaluations until then.
     """
 
     start: dict[str, float]
@@ -290,13 +301,20 @@ class _Likelihood:
     """A template and its observations, bound once per fit.
 
     Calling it gives the log-likelihood and the analytic score at a vector
-    of free values; ``objective`` gives the negative of both at a search
-    point.  The observations are floored to the support and checked against
-    its edge once, and one ``Points`` over them keeps log t for the whole
-    fit, so each evaluation runs one unmasked baseline pass.  Only an edge
-    that a free parameter moves (the exponentiated-Pareto location) is
-    checked per evaluation: an observation below it has zero likelihood, and
-    one on it is evaluated at the edge's floor.
+    of free values, or at each row of a (B, k) block of them in one pass;
+    ``objective`` gives the negative of both at a search point, or at each
+    row of a block of them.  The observations are floored to the support and
+    checked against its edge once, and one ``Points`` over them keeps log t
+    for the whole fit, so each evaluation runs one unmasked baseline pass.
+    Only an edge that a free parameter moves (the exponentiated-Pareto
+    location) is checked per evaluation: an observation below it has zero
+    likelihood, and one on it is evaluated at the edge's floor.
+
+    A block's free parameters become columns, one row per vector, and the
+    fixed ones stay numbers; every step is elementwise, and the parameters'
+    own logs are taken one value at a time (``special._each``), so each row
+    gets exactly the arithmetic of a one-vector call.  A one-row block is
+    evaluated as a vector.
     """
 
     def __init__(self, template: ModelTemplate, data):
@@ -322,9 +340,12 @@ class _Likelihood:
         taken in log space, so the score stays finite wherever the
         log-likelihood is, including where sf_G or 1 - s underflows or phi is
         subnormal.  Where the likelihood is zero the result is -inf and an
-        all-NaN score.  Values outside the parameters' domain raise
-        ``ValueError``.
+        all-NaN score.  A vector outside the parameters' domain raises
+        ``ValueError``; a (B, k) block gives a (B,) array of values and a
+        (B, k) array of scores, -inf and NaN in a row outside the domain.
         """
+        if np.ndim(values) == 2:
+            return self._block(np.asarray(values, dtype=float))
         template = self.template
         m, n, theta, alpha, *base = template._full(values)
         _require_shapes(m, n, theta, alpha)
@@ -337,15 +358,58 @@ class _Likelihood:
                 x = Points(np.maximum(self.t, b._eval_floor(edge)))
         if outside:
             return -math.inf, np.full(template.k_params, math.nan)
-        r = len(self.t)
+        return self._evaluate(m, n, theta, alpha, b, x)
 
+    def _block(self, values):
+        """``__call__`` at each row of a (B, k) block; a row outside the domain gives -inf and NaN."""
+        rows, k = values.shape
+        total, scores = np.full(rows, -math.inf), np.full((rows, k), math.nan)
+        if rows == 1:
+            try:
+                total[0], scores[0] = self(values[0])
+            except ValueError:
+                pass
+            return total, scores
+        template = self.template
+        new = template._new_baseline
+        full = list(template._values)
+        for slot, column in zip(template._free_slots, values.T.copy()):
+            full[slot] = column
+        m, n, theta, alpha, *base = full
+        ok = new.func._in_domain(*base) & (not self.outside)
+        for shape in (m, n, theta, alpha):
+            ok = ok & (0.0 < shape) & (shape < math.inf)
+        if template._support_edge is None:  # the edge moves with a free parameter
+            ok = ok & (self.low >= full[template.param_names.index(new.func.edge_param)])
+        (keep,) = np.nonzero(np.broadcast_to(ok, rows))
+        if keep.size:
+            m, n, theta, alpha, *base = (
+                v[keep][:, None] if isinstance(v, np.ndarray) else v for v in full
+            )
+            b = new.func._columns(*base, **new.keywords)
+            x = self.points
+            if template._support_edge is None and np.any(self.low == b.support_low):
+                # the floor of an edge on the smallest observation leaves the other rows' points as they are
+                x = Points(np.maximum(self.t, np.nextafter(b.support_low, math.inf)))
+            total[keep], scores[keep] = self._evaluate(m, n, theta, alpha, b, x)
+        return total, scores
+
+    def _evaluate(self, m, n, theta, alpha, b, x):
+        """Log-likelihood and score at points x from one pass of baseline b.
+
+        The parameters are numbers, giving a number and a vector, or columns
+        of values, giving a (B,) array and a (B, k) array.
+        """
+        template = self.template
+        r = len(self.t)
         with np.errstate(all="ignore"):
             h, log_g, log_gbar, log_gcdf = b._pass(x)
             log_f, _, log_1ms, log_d, log_z, log_w = _log_pdf_core(
                 m, n, theta, alpha, log_g, log_gbar, log_gcdf
             )
-            total = float(log_f.sum())
-            if not math.isfinite(total):
+            total = log_f.sum(axis=-1)
+            batch = total.ndim == 1
+            if not batch and not math.isfinite(total):
                 return -math.inf, np.full(template.k_params, math.nan)
             m_odds = (1.0 - m) * np.exp(log_w - log_z)  # (1-m) * w/z, w = s^theta = 1 - z
             # d(log f)/d(log s) over theta
@@ -356,40 +420,50 @@ class _Likelihood:
             per_log_sf = (
                 (theta - 1.0)
                 + (theta + 1.0) * (1.0 - alpha) * gbar_d
-                + np.exp(math.log(theta) - log_d) * beta_layer
+                + np.exp(_log(theta) - log_d) * beta_layer
             )
             theta_row = log_w * (n + m_odds)
             # d(log f)/d(log alpha) = theta - (theta+1)*alpha*sf_G/D + theta * w_alpha,
             # with d(log s)/d(log alpha) = 1 - s
             w_alpha = np.exp(log_1ms) * beta_layer
-            rows = [log_z, log_w, theta_row, gbar_d, w_alpha]
             partials = b._partials(x, h)
-            for dlogg, dlogsf, _ in partials:
-                rows += [dlogg, dlogsf * per_log_sf]
+            base_rows = [row for dlogg, dlogsf, _ in partials for row in (dlogg, dlogsf * per_log_sf)]
             if log_z.min(initial=np.inf) < -690.0:
                 # where z < 1e-300, m_odds overflows while 1 - s and d(log sf_G) =
                 # -(G/sf_G) d(log G) underflow; to double precision z = theta (1 - s)
                 # there, so log w * m_odds is m - 1, (1 - s) m_odds is (1 - m)/theta,
-                # and each baseline parameter's d(log sf_G) term (at 6 + 2i, after
-                # its d log g) is (m - 1) d(log G)
+                # and each baseline parameter's d(log sf_G) term (after its d log g)
+                # is (m - 1) d(log G)
                 deep = log_z < -690.0
-                theta_row[deep] = n * log_w[deep] + (m - 1.0)
-                w_alpha[deep] = (1.0 - m) / theta
+                theta_row = np.where(deep, n * log_w + (m - 1.0), theta_row)
+                w_alpha = np.where(deep, (1.0 - m) / theta, w_alpha)
                 for i, (_, _, dlogcdf) in enumerate(partials):
-                    rows[6 + 2 * i][deep] = (m - 1.0) * dlogcdf[deep]
+                    base_rows[2 * i + 1] = np.where(deep, (m - 1.0) * dlogcdf, base_rows[2 * i + 1])
+            rows = [log_z, log_w, theta_row, gbar_d, w_alpha, *base_rows]
             # one reduction over all per-observation terms: the same pairwise sums as one by one
-            sum_log_z, sum_log_w, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = np.array(
-                rows
-            ).sum(axis=1).tolist()
-        psi_mn = float(digamma(m + n))
-        full = [
-            m * (r * (psi_mn - float(digamma(m))) + sum_log_z),
-            n * (r * (psi_mn - float(digamma(n))) + sum_log_w),
-            r + sum_theta,
-            theta * (r + sum_w_alpha) - (theta + 1.0) * alpha * sum_gbar_d,
-            *(g + sf for g, sf in zip(sum_base[::2], sum_base[1::2])),
-        ]
-        return total, np.array([full[slot] for slot in template._free_slots])
+            if batch:
+                stacked = np.empty((len(rows), *log_f.shape))
+                for out, row in zip(stacked, rows):
+                    out[...] = row
+                sums = list(stacked.sum(axis=-1)[:, :, None])
+            else:
+                sums = np.array(rows).sum(axis=1).tolist()
+            sum_log_z, sum_log_w, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = sums
+            psi_mn = digamma(m + n)
+            full = [
+                m * (r * (psi_mn - digamma(m)) + sum_log_z),
+                n * (r * (psi_mn - digamma(n)) + sum_log_w),
+                r + sum_theta,
+                theta * (r + sum_w_alpha) - (theta + 1.0) * alpha * sum_gbar_d,
+                *(g + sf for g, sf in zip(sum_base[::2], sum_base[1::2])),
+            ]
+        score = np.array([full[slot] for slot in template._free_slots])
+        if not batch:
+            return float(total), score
+        finite = np.isfinite(total)
+        score = score[:, :, 0].T
+        score[~finite] = math.nan
+        return np.where(finite, total, -math.inf), score
 
     def objective(self, x):
         """Negative log-likelihood at search point x and its gradient in x.
@@ -397,20 +471,21 @@ class _Likelihood:
         Every coordinate is a log parameter, so the gradient is the score in
         log coordinates, except that the Weibull scale's coordinate log sigma
         reaches log lam = -beta log sigma.  Where the likelihood is zero the
-        value is inf and the gradient zero.
+        value is inf and the gradient zero.  A (B, k) block of points gives
+        a (B,) array of values and a (B, k) array of gradients.
         """
-        params = _to_params(x, self.scale)
-        try:
-            value, grad = self(params)
-        except ValueError:
-            value = -math.inf
-        if not math.isfinite(value):
-            return math.inf, np.zeros(len(x))
+        block = np.atleast_2d(x)
+        params = _to_params(block, self.scale)
+        value, grad = self(params)
         if self.scale is not None:
             i, j = self.scale
-            grad[j] += x[i] * -params[j] * grad[i]  # d log lam/d log beta = -beta log sigma
-            grad[i] *= -params[j]  # d log lam/d log sigma = -beta
-        return -value, -grad
+            with np.errstate(all="ignore"):  # the rows of zero likelihood are NaN
+                grad[:, j] += block[:, i] * -params[:, j] * grad[:, i]  # d log lam/d log beta = -beta log sigma
+                grad[:, i] *= -params[:, j]  # d log lam/d log sigma = -beta
+        value, grad = -value, -grad
+        zero = ~np.isfinite(value)
+        value[zero], grad[zero] = math.inf, 0.0
+        return (float(value[0]), grad[0]) if np.ndim(x) == 1 else (value, grad)
 
 
 def score(template: ModelTemplate, params, data) -> np.ndarray:
@@ -433,6 +508,8 @@ def score(template: ModelTemplate, params, data) -> np.ndarray:
 def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarray:
     """Negative Hessian of the log-likelihood: central differences of ``score``, symmetrized.
 
+    The score at every stepped point comes from one batched likelihood call.
+
     The steps are 1e-4 of each value (relative, so a tiny rate keeps its
     precision).  A value of exactly 0 (the modified Weibull's sigma or beta
     may be) is on its domain's edge, so there the difference is the
@@ -443,14 +520,19 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
         x = np.array([dict(template.fixed, **params_hat)[n] for n in template.free_names])
     else:
         x = np.asarray(params_hat, dtype=float)
-
-    def s(step):
-        return score(template, x + step, data)
-
+    template.build(x)  # a point outside the parameters' domain raises ValueError
+    steps = np.diag(np.where(x == 0.0, 1e-6, 1e-4 * np.abs(x)))
+    # every stepped point in one batch, in the order the rows below take them
+    points = np.array([
+        p for i, e in enumerate(steps)
+        for p in ((x + e, x + 2.0 * e, x + 0.0) if x[i] == 0.0 else (x + e, x + -e))
+    ])
+    with np.errstate(all="ignore"):  # d/d(phi) is about 1/phi where phi is subnormal
+        s = iter(_Likelihood(template, data)(points)[1] / np.where(points == 0.0, 1.0, points))
     H = np.array([
-        (4.0 * s(e) - s(2.0 * e) - 3.0 * s(0.0)) / (2.0 * e[i]) if x[i] == 0.0
-        else (s(e) - s(-e)) / (2.0 * e[i])
-        for i, e in enumerate(np.diag(np.where(x == 0.0, 1e-6, 1e-4 * np.abs(x))))
+        (4.0 * next(s) - next(s) - 3.0 * next(s)) / (2.0 * e[i]) if x[i] == 0.0
+        else (next(s) - next(s)) / (2.0 * e[i])
+        for i, e in enumerate(steps)
     ])
     info = -0.5 * (H + H.T)
     if not np.all(np.isfinite(info)):
@@ -527,7 +609,7 @@ def _default_box(template: ModelTemplate, data) -> dict[str, tuple[float, float]
 
 
 def _to_params(x, scale: tuple[int, int] | None):
-    """Free parameters at search point x.
+    """Free parameters at search point x, or at each row of a block of points.
 
     Every coordinate is a log parameter, except that with ``scale = (i, j)``
     coordinate i is log sigma and parameter i is lam = sigma**(-beta), beta
@@ -537,10 +619,11 @@ def _to_params(x, scale: tuple[int, int] | None):
     params = np.exp(x)
     if scale is not None:
         i, j = scale
-        try:
-            params[i] = math.exp(-params[j] * x[i])
-        except OverflowError:
-            params[i] = math.inf
+        for row, point in zip(np.atleast_2d(params), np.atleast_2d(x)):
+            try:
+                row[i] = math.exp(-row[j] * point[i])
+            except OverflowError:
+                row[i] = math.inf
     return params
 
 
@@ -550,6 +633,105 @@ def _pinned(names, x, grad, lo, hi) -> tuple[str, ...]:
     return tuple(name for name, h in zip(names, hit) if h)
 
 
+class _Run(NamedTuple):
+    """The end of one L-BFGS-B run, as scipy's ``minimize`` reports it, and its time."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nfev: int
+    status: int
+    message: str
+    seconds: float
+
+
+# scipy's L-BFGS-B defaults: stored corrections, projected-gradient tolerance,
+# line-search steps and evaluation limit
+_MAXCOR, _PGTOL, _MAXLS, _MAXFUN = 10, 1e-5, 20, 15000
+
+
+def _descent(x0, low, up, max_iter):
+    """One L-BFGS-B run (Zhu, Byrd, Lu & Nocedal 1997): yields each point it needs f and g at,
+    is sent (f, g) there, and returns its ``_Run`` (seconds 0).
+
+    This is scipy's own loop around the reverse-communication routine
+    ``setulb`` in ``minimize(method="L-BFGS-B", jac=True)``, step for step:
+    x0 clipped to the box, one evaluation there before the first ``setulb``
+    call (which gets f = 0 and g = 0), the last f and g reused where
+    ``setulb`` asks again at the same x, and the same limits, status and
+    message.
+    """
+    # imported here so that ``import bgmo`` does not load scipy.optimize
+    from scipy.optimize._lbfgsb import setulb
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
+    k = len(x0)
+    x = np.clip(x0, low, up)
+    x_at = x.copy()
+    f_at, g_at = yield x_at
+    nfev, nit = 1, 0
+    f, g = np.array(0.0), np.zeros(k)
+    wa = np.zeros(2 * _MAXCOR * k + 5 * k + 11 * _MAXCOR**2 + 8 * _MAXCOR)
+    iwa = np.zeros(3 * k, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    factr = _F_TOL / np.finfo(float).eps
+    bounded_low, bounded_up = np.isfinite(low), np.isfinite(up)
+    nbd = np.where(bounded_low & bounded_up, 2, bounded_low + 3 * bounded_up).astype(np.int32)
+    low, up = np.where(bounded_low, low, 0.0), np.where(bounded_up, up, 0.0)
+    while True:
+        g = g.astype(np.float64)
+        setulb(_MAXCOR, x, low, up, nbd, f, g, factr, _PGTOL, wa, iwa, task, lsave, isave, dsave,
+               _MAXLS, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not np.array_equal(x, x_at):
+                x_at = x.copy()
+                f_at, g_at = yield x_at
+                nfev += 1
+            f, g = f_at, g_at
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= max_iter:
+                task[:] = 5, 504
+            elif nfev > _MAXFUN:
+                task[:] = 5, 502
+        else:
+            break
+    status = 0 if task[0] == 4 else 1 if nfev > _MAXFUN or nit >= max_iter else 2
+    message = status_messages[task[0]] + ": " + task_messages[task[1]]
+    return _Run(x, f, g, nfev, status, message, 0.0)
+
+
+def _lockstep(objective, starts, lo, hi, max_iter) -> list[_Run]:
+    """A ``_descent`` from each start in the box [lo, hi], all stepped together.
+
+    Each round, every run that needs f and g at a new point gets them from
+    one ``objective`` call on the block of those points, so a fit makes as
+    many objective calls as its longest run makes evaluations.  The runs do
+    not interact: each follows exactly the path it would follow alone.  A
+    run's seconds count from the start of the batch to its stop.  Bounds are
+    read as scipy reads them: an upper bound below its lower one raises
+    ``ValueError``, and an infinite or NaN one leaves its side unbounded.
+    """
+    if np.any(hi < lo):
+        raise ValueError("An upper bound is less than the corresponding lower bound.")
+    low, up = np.where(lo > -np.inf, lo, -np.inf), np.where(hi < np.inf, hi, np.inf)
+    t0 = time.perf_counter()
+    runs = [_descent(x0, low, up, max_iter) for x0 in starts]
+    ends = [None] * len(runs)
+    waiting = [(i, run, next(run)) for i, run in enumerate(runs)]
+    while waiting:
+        values, grads = objective(np.array([x for _, _, x in waiting]))
+        asked = []
+        for (i, run, _), f, g in zip(waiting, values.tolist(), grads):
+            try:
+                asked.append((i, run, run.send((f, g))))
+            except StopIteration as stop:
+                ends[i] = stop.value._replace(seconds=time.perf_counter() - t0)
+        waiting = asked
+    return ends
+
+
 def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> FitResult:
     """Box-constrained multi-start L-BFGS-B maximum likelihood.
 
@@ -557,7 +739,8 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     points in the log-space box of the search coordinates (see ``FitConfig``
     for the coordinates, their ``start_box`` keys and default boxes), on the
     negative log-likelihood and its gradient, the analytic score times
-    d(params)/d(coordinates).  It keeps the best final value (ties
+    d(params)/d(coordinates); the descents run in lockstep, one batched
+    likelihood call per round (``_lockstep``).  It keeps the best final value (ties
     within 1e-9 broken toward the lexicographically smaller coordinate
     vector).
     A coordinate that ends on a bound with the projected gradient pointing
@@ -567,8 +750,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     evaluation limit, or never left its start.  ``trace`` records every run.
     Estimates are reported under the template's parameter names.
     """
-    # imported here so that ``import bgmo`` does not load scipy.optimize and scipy.stats
-    from scipy.optimize import minimize
+    # imported here so that ``import bgmo`` does not load scipy.stats
     from scipy.stats import qmc
 
     data = np.asarray(data, dtype=float)
@@ -613,22 +795,16 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
 
     best = None
     trace = []
-    bounds = list(zip(lo, hi))
-    options = dict(maxiter=config.max_iter, ftol=_F_TOL)
-    for x0 in starts:
-        t0 = time.perf_counter()
-        run = minimize(
-            lik.objective, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options
-        )
+    for x0, run in zip(starts, _lockstep(lik.objective, starts, lo, hi, config.max_iter)):
         trace.append(Restart(
             start=param_dict(x0),
             end=param_dict(run.x),
             neg_log_lik=float(run.fun),
-            nfev=int(run.nfev),
-            status=int(run.status),
-            message=str(run.message),
+            nfev=run.nfev,
+            status=run.status,
+            message=run.message,
             at_bound=_pinned(names, run.x, run.jac, lo, hi),
-            seconds=time.perf_counter() - t0,
+            seconds=run.seconds,
             moved=not np.array_equal(run.x, x0),
         ))
         if not math.isfinite(run.fun):
@@ -679,7 +855,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         bic=crit.bic,
         caic=crit.caic,
         hqic=crit.hqic,
-        converged=bool(best.success) and best_moved and not at_boundary,
+        converged=best.status == 0 and best_moved and not at_boundary,
         information_pd=info_pd,
         at_boundary=at_boundary,
         n_obs=int(data.size),

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .baselines import Baseline
+from .special import _log
 
 __all__ = ["log_tilt", "tilt_inverse"]
 
@@ -37,7 +38,7 @@ def log_tilt(alpha: float, log_gbar, log_gcdf):
     log_s = np.where(
         log_1ms < -_LN2,
         np.log1p(-np.exp(log_1ms)),
-        math.log(alpha) + log_gbar - log_d,
+        _log(alpha) + log_gbar - log_d,
     )
     return log_s, log_1ms, log_d
 

@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from .baselines import Baseline
-from .family import BgmoDistribution, _zmul
+from .baselines import Baseline, _zmul
+from .family import BgmoDistribution
 from .gmo import log_tilt
 
 __all__ = [

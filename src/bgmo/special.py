@@ -50,8 +50,45 @@ def _checked(name: str, arg: str, x, m, n) -> np.ndarray:
     return x_arr
 
 
+def _each(fn, v):
+    """fn at a number v, or at each value of an array v, by the scalar ``math`` function.
+
+    The fitter evaluates a batch of parameter vectors as columns; numpy's own
+    log differs from libm's in the last bit on some doubles, so a column
+    takes the same scalar call per value that a single vector takes.
+    """
+    if isinstance(v, np.ndarray):
+        return np.array([fn(x) for x in v.ravel().tolist()]).reshape(v.shape)
+    return fn(v)
+
+
+def _log(v):
+    """``math.log`` of a number, or of each value of an array (see ``_each``)."""
+    return _each(math.log, v) if isinstance(v, np.ndarray) else math.log(v)
+
+
+def _power(base, exponent):
+    """base ** exponent, one row at a time where the exponent is a column (see ``_each``).
+
+    numpy takes some exponents given as a number by other code than the pow
+    it runs over an array of exponents (x ** 2.0 is x * x), so each row gets
+    the scalar exponent a single vector gets.
+    """
+    if isinstance(exponent, np.ndarray):
+        rows = np.broadcast_to(base, np.broadcast_shapes(np.shape(base), exponent.shape))
+        return np.array([row**e for row, e in zip(rows, exponent.ravel().tolist())])
+    return base**exponent
+
+
 def log_beta(m: float, n: float) -> float:
-    """Return ln B(m, n) = ln Γ(m) + ln Γ(n) - ln Γ(m+n) for m, n > 0."""
+    """Return ln B(m, n) = ln Γ(m) + ln Γ(n) - ln Γ(m+n) for m, n > 0.
+
+    Either argument may be an array of values, taken one by one (``_each``).
+    """
+    if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
+        if np.any(m <= 0) or np.any(n <= 0):
+            raise ValueError(f"log_beta requires positive arguments, got ({m}, {n})")
+        return _each(math.lgamma, m) + _each(math.lgamma, n) - _each(math.lgamma, m + n)
     if m <= 0 or n <= 0:
         raise ValueError(f"log_beta requires positive arguments, got ({m}, {n})")
     return math.lgamma(m) + math.lgamma(n) - math.lgamma(m + n)

@@ -352,3 +352,22 @@ class TestUsageErrors:
         spec = "exponential m=1 n=1 theta=1 alpha=1 lambda=abc"
         rc, _, err = run(capsys, "eval", "--dist", spec, "--t", "1")
         assert rc == 1 and "lambda='abc' is not a number" in err
+
+    def test_a_bad_point_after_good_ones_writes_nothing(self, capsys):
+        # every value is formatted before the one write, so stdout is empty
+        rc, out, err = run(capsys, "quantile", "--dist", REDUCTION, "--u", "0.5 1.5")
+        assert rc == 1 and out == "" and err.startswith("error: ")
+
+    def test_eval_writes_each_value_on_its_own_line(self, capsys):
+        rc, out, _ = run(capsys, "eval", "--dist", REDUCTION, "--fn", "cdf", "--t", "0.5, 1 2")
+        dist = build_distribution(REDUCTION)
+        assert rc == 0 and out == "".join(repr(dist.cdf(t)) + "\n" for t in (0.5, 1.0, 2.0))
+
+    def test_a_directory_as_the_data_file_is_an_io_error(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "fit", "--data", str(tmp_path))
+        assert rc == 1 and out == "" and err.startswith("error: ")
+
+    def test_a_directory_as_the_report_path_is_an_io_error(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "fit", "--data", "builtin:turbocharger", "--dist", "weibull m=1 n=1 theta=1 alpha=1",
+                         "--starts", "2", "--out", str(tmp_path))
+        assert rc == 1 and err.startswith("error: ") and "Is a directory" in err

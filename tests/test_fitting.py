@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -8,15 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from bgmo.baselines import Baseline, ExponentiatedPareto, Weibull
+from bgmo.baselines import BASELINE_FAMILIES, Baseline, ExponentiatedPareto, Weibull
 from bgmo.datasets import BUILTIN_NAMES, builtin_dataset
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.fitting import (
+    _F_TOL,
     FAMILY_PARAM_NAMES,
     FitConfig,
     FitError,
     _default_box,
     _Likelihood,
+    _lockstep,
     _pinned,
     _search_names,
     _to_params,
@@ -745,3 +748,215 @@ class TestModelTemplate:
             ModelTemplate("gaussian")
         with pytest.raises(ValueError):
             ModelTemplate("weibull", fixed={"zeta": 1.0})
+
+
+# the lockstep template cases: every baseline six-parameter and nested
+LOCKSTEP_CASES = [
+    (tag, options, fixed)
+    for tag, options in KERNEL_CASES
+    for fixed in ({}, NESTED)
+]
+
+
+def minimize_runs(lik, starts, lo, hi, max_iter):
+    """One ``scipy.optimize.minimize`` L-BFGS-B run per start: the reference ``_lockstep`` must match."""
+    from scipy.optimize import minimize
+
+    options = dict(maxiter=max_iter, ftol=_F_TOL)
+    bounds = list(zip(lo, hi))
+    return [
+        minimize(lik.objective, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
+        for x0 in starts
+    ]
+
+
+def assert_lockstep_matches_minimize(tpl, data, starts, lo, hi, max_iter=2000):
+    lik = _Likelihood(tpl, data)
+    runs = _lockstep(lik.objective, starts, lo, hi, max_iter)
+    for run, want in zip(runs, minimize_runs(lik, starts, lo, hi, max_iter), strict=True):
+        np.testing.assert_array_equal(run.x, want.x)
+        np.testing.assert_array_equal(run.jac, want.jac)
+        assert (run.fun, run.nfev, run.status, run.message) == (
+            want.fun, want.nfev, want.status, want.message
+        )
+        assert run.seconds >= 0
+    return runs
+
+
+class TestLockstep:
+    """``fit_mle`` drives scipy's private ``setulb`` itself, all restarts in lockstep.
+
+    Every run must be bit for bit the run ``scipy.optimize.minimize`` makes
+    from the same start, so that a change in scipy's routine fails here
+    rather than moving fits silently.
+    """
+
+    @staticmethod
+    def box(tpl, data, start_box=None):
+        box = dict(_default_box(tpl, data), **(start_box or {}))
+        names = _search_names(tpl)
+        return np.log([box[n][0] for n in names]), np.log([box[n][1] for n in names])
+
+    @pytest.mark.parametrize(
+        "baseline, options, fixed", LOCKSTEP_CASES,
+        ids=[f"{tag}{'-' + opt['z'] if opt else ''}-{'nested' if fixed else 'six'}"
+             for tag, opt, fixed in LOCKSTEP_CASES],
+    )
+    def test_every_run_is_the_minimize_run(self, baseline, options, fixed):
+        tpl = ModelTemplate(baseline, fixed=fixed, options=options)
+        data = builtin_dataset("turbocharger").values
+        lo, hi = self.box(tpl, data)
+        starts = lo + np.random.default_rng(25).random((3, len(lo))) * (hi - lo)
+        assert_lockstep_matches_minimize(tpl, data, starts, lo, hi)
+
+    def test_an_iteration_limited_run(self):
+        tpl = ModelTemplate("weibull")
+        data = builtin_dataset("turbocharger").values
+        lo, hi = self.box(tpl, data)
+        starts = lo + np.random.default_rng(3).random((4, len(lo))) * (hi - lo)
+        runs = assert_lockstep_matches_minimize(tpl, data, starts, lo, hi, max_iter=3)
+        assert {run.status for run in runs} == {1}
+
+    def test_a_run_pinned_on_a_bound(self):
+        # the nested Weibull's beta is about 3.9 on these data, above this box
+        tpl = ModelTemplate("weibull", fixed=NESTED)
+        data = builtin_dataset("turbocharger").values
+        lo, hi = self.box(tpl, data, {"beta": (0.5, 2.0)})
+        starts = lo + np.random.default_rng(4).random((3, 2)) * (hi - lo)
+        runs = assert_lockstep_matches_minimize(tpl, data, starts, lo, hi)
+        assert all(_pinned(("sigma", "beta"), run.x, run.jac, lo, hi) == ("beta",) for run in runs)
+
+    def test_a_start_of_zero_likelihood(self):
+        # a location above the smallest observation: L-BFGS-B stays at that start
+        data = np.array([1.0, 3.0, 4.0, 5.0, 6.0])
+        tpl = ModelTemplate("exponentiated_pareto", fixed=NESTED)
+        lo, hi = self.box(tpl, data, {"theta_p": (0.5, 3.0)})
+        starts = np.array([[np.log(2.0), 0.3, 0.1], [np.log(0.6), 1.0, -0.5]])
+        runs = assert_lockstep_matches_minimize(tpl, data, starts, lo, hi)
+        assert runs[0].fun == math.inf and np.array_equal(runs[0].x, starts[0])
+        assert math.isfinite(runs[1].fun)
+
+    def test_a_coordinate_whose_ends_are_equal(self):
+        tpl = ModelTemplate("weibull", fixed=NESTED)
+        data = builtin_dataset("turbocharger").values
+        lo, hi = self.box(tpl, data, {"beta": (3.0, 3.0)})
+        starts = lo + np.random.default_rng(5).random((3, 2)) * (hi - lo)
+        runs = assert_lockstep_matches_minimize(tpl, data, starts, lo, hi)
+        assert all(run.x[1] == math.log(3.0) for run in runs)
+
+    def test_a_box_with_every_coordinate_fixed(self):
+        # minimize reports no status here; each lockstep run stops at once on the box's one point
+        tpl = ModelTemplate("weibull", fixed=NESTED)
+        data = builtin_dataset("turbocharger").values
+        result = fit_mle(tpl, data, FitConfig(starts=2, start_box={"sigma": (6.0, 6.0), "beta": (3.0, 3.0)}))
+        assert result.estimates["beta"] == pytest.approx(3.0, rel=1e-15)
+        assert all(r.nfev == 1 and r.status == 0 and not r.moved for r in result.trace)
+        assert not result.converged
+
+    def test_an_upper_bound_below_its_lower_one(self):
+        tpl = ModelTemplate("weibull", fixed=NESTED)
+        data = builtin_dataset("turbocharger").values
+        with pytest.raises(ValueError, match="upper bound is less than"):
+            fit_mle(tpl, data, FitConfig(starts=2, start_box={"beta": (3.0, 2.0)}))
+
+
+def block_cases():
+    """Per template case: the data and a block of free values, with rows outside the domain."""
+    data = builtin_dataset("turbocharger").values
+    for tag, options in KERNEL_CASES:
+        for fixed in ({}, NESTED):
+            tpl = ModelTemplate(tag, fixed=fixed, options=options)
+            lo, hi = np.log([_default_box(tpl, data)[n] for n in _search_names(tpl)]).T
+            values = _to_params(lo + np.random.default_rng(9).random((8, len(lo))) * (hi - lo),
+                                _Likelihood(tpl, data).scale)
+            values[1, -1] = -1.0  # outside every baseline's domain
+            # exponents numpy takes by special code when given as a number (x ** 2.0 is x * x)
+            values[5:] = np.array([2.0, 0.5, 1.0])[:, None]
+            if tag == "exponentiated_pareto":
+                theta_p = tpl.free_names.index("theta_p")
+                values[2, theta_p] = data.min()  # the edge on the smallest observation
+                values[3, theta_p] = 2.0 * data.min()  # an observation below the edge
+            if not fixed:
+                values[4, 0] = math.inf  # a shape outside its domain
+            yield pytest.param(tpl, data, values, id=f"{tag}{'-' + options['z'] if options else ''}-"
+                               f"{'nested' if fixed else 'six'}")
+
+
+class TestBatchedKernel:
+    """Row b of a block call is the one-vector call at row b, bit for bit."""
+
+    @pytest.mark.parametrize("tpl, data, values", block_cases())
+    def test_rows_equal_one_vector_calls(self, tpl, data, values):
+        lik = _Likelihood(tpl, data)
+        totals, scores = lik(values)
+        assert totals.shape == (len(values),) and scores.shape == values.shape
+        for row, total, got in zip(values, totals, scores):
+            try:
+                want = lik(row)
+            except ValueError:
+                want = (-math.inf, np.full(len(row), math.nan))
+            assert total == want[0]
+            np.testing.assert_array_equal(got, want[1])
+        assert totals[1] == -math.inf
+
+    @pytest.mark.parametrize("tpl, data, values", block_cases())
+    def test_objective_rows_equal_one_point_calls(self, tpl, data, values):
+        lik = _Likelihood(tpl, data)
+        with np.errstate(invalid="ignore"):
+            x = np.log(values)
+        fs, gs = lik.objective(x)
+        for point, f, g in zip(x, fs, gs):
+            want = lik.objective(point)
+            assert f == want[0]
+            np.testing.assert_array_equal(g, want[1])
+
+    def test_a_one_row_block_is_a_vector_call(self):
+        data = builtin_dataset("turbocharger").values
+        lik = _Likelihood(ModelTemplate("weibull"), data)
+        values = np.array([[1.3, 0.9, 1.1, 2.0, 0.01, 2.5]])
+        totals, scores = lik(values)
+        total, score_ = lik(values[0])
+        assert totals[0] == total
+        np.testing.assert_array_equal(scores[0], score_)
+        values[0, 0] = -1.0
+        totals, scores = lik(values)
+        assert totals[0] == -math.inf and np.all(np.isnan(scores[0]))
+
+    @pytest.mark.parametrize("cls", list(BASELINE_FAMILIES.values()), ids=list(BASELINE_FAMILIES))
+    def test_in_domain_agrees_with_construction(self, cls):
+        edge = [-1.0, -0.0, 0.0, 5e-324, 0.7, math.inf, math.nan]
+        for values in itertools.product(edge, repeat=len(cls.param_names)):
+            try:
+                cls(*values)
+                valid = True
+            except ValueError:
+                valid = False
+            assert bool(cls._in_domain(*values)) is valid, values
+        columns = [np.array(column) for column in zip(*itertools.product(edge, repeat=len(cls.param_names)))]
+        by_row = [bool(cls._in_domain(*row)) for row in zip(*columns)]
+        assert cls._in_domain(*columns).tolist() == by_row
+
+    @pytest.mark.parametrize(
+        "tpl, x",
+        [
+            (ModelTemplate("weibull"), [0.3107, 0.2833, 0.5414, 0.3384, 3.6325, 2.9785]),
+            (ModelTemplate("weibull", fixed=NESTED), [0.0123, 3.87]),
+            (ModelTemplate("modified_weibull", fixed=NESTED), [0.0, 0.8, 1.5]),
+            (ModelTemplate("modified_weibull", fixed=NESTED), [0.7, 0.0, 1.5]),
+        ],
+        ids=["weibull-six", "weibull-nested", "modified-weibull-sigma0", "modified-weibull-beta0"],
+    )
+    def test_observed_information_equals_score_by_score(self, tpl, x):
+        # one batch of stepped points gives the differences of the public score, one point at a time
+        data = builtin_dataset("turbocharger").values
+        x = np.array(x)
+
+        def s(step):
+            return score(tpl, x + step, data)
+
+        H = np.array([
+            (4.0 * s(e) - s(2.0 * e) - 3.0 * s(0.0)) / (2.0 * e[i]) if x[i] == 0.0
+            else (s(e) - s(-e)) / (2.0 * e[i])
+            for i, e in enumerate(np.diag(np.where(x == 0.0, 1e-6, 1e-4 * np.abs(x))))
+        ])
+        np.testing.assert_array_equal(observed_information(tpl, x, data), -0.5 * (H + H.T))
