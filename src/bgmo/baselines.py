@@ -304,9 +304,11 @@ class Baseline:
 
     @staticmethod
     def _eval_floor(edge):
-        # evaluation points are nudged just above the support edge, to the next
-        # double, so that formulas with t**negative or log(1 - edge/t) stay
-        # finite; masks zero them out anyway
+        # evaluation points are nudged just above the support edge (a number,
+        # or a column of them), to the next double, so that formulas with
+        # t**negative or log(1 - edge/t) stay finite; masks zero them out anyway
+        if isinstance(edge, np.ndarray):
+            return np.where(edge > 0, np.nextafter(edge, math.inf), 1e-300)
         return math.nextafter(edge, math.inf) if edge > 0 else 1e-300
 
 
@@ -544,9 +546,8 @@ class ModifiedWeibull(Baseline):
     param_names = ("sigma", "beta", "gamma")
 
     def __post_init__(self):
-        if self.sigma < 0 or self.beta < 0 or self.sigma + self.beta <= 0:
-            raise ValueError("need sigma, beta >= 0 with sigma + beta > 0")
-        _require_positive(gamma=self.gamma)
+        if not self._in_domain(self.sigma, self.beta, self.gamma):
+            raise ValueError(f"need sigma, beta >= 0 with sigma + beta > 0 and gamma > 0, got {self.params()}")
 
     @classmethod
     def _in_domain(cls, sigma, beta, gamma):

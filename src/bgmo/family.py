@@ -54,11 +54,12 @@ def _log_one_minus_power(theta: float, z, log_1ms):
     return np.where(log_1ms > -700.0, np.log(z), _log(theta) + log_1ms)
 
 
-def _require_shapes(m, n, theta, alpha):
-    """Raise ``ValueError`` unless every shape is positive and finite."""
-    for name, value in zip(("m", "n", "theta", "alpha"), (m, n, theta, alpha)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"parameter {name} must be positive and finite, got {value}")
+def _in_shape_domain(*shapes):
+    """Where every shape (a number or an array) is positive and finite."""
+    ok = True
+    for value in shapes:
+        ok = ok & (0.0 < value) & (value < math.inf)
+    return ok
 
 
 def _log_pdf_core(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
@@ -106,7 +107,9 @@ class BgmoParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        _require_shapes(self.m, self.n, self.theta, self.alpha)
+        for name, value in self.as_dict().items():
+            if not _in_shape_domain(value):
+                raise ValueError(f"parameter {name} must be positive and finite, got {value}")
 
     def as_dict(self) -> dict[str, float]:
         return {"m": self.m, "n": self.n, "theta": self.theta, "alpha": self.alpha}

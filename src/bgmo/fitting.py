@@ -19,10 +19,13 @@ each restart follows exactly the path ``minimize`` would take from its start.
 
 The score is taken in the log coordinates the search runs in, d/d(log phi),
 so it stays finite where a parameter is subnormal.  The template and the data are bound once per fit:
-``ModelTemplate`` resolves its names, free slots and baseline class at
-construction, and ``_Likelihood`` floors the observations to the support,
-checks them against a fixed support edge and keeps their log, so each
-evaluation binds its vector by position and runs one unmasked baseline pass.
+``ModelTemplate`` checks its fixed values and resolves its names, free slots
+and baseline class at construction, and ``_Likelihood`` floors the
+observations to the support, checks them against a fixed support edge and
+keeps their log, so each evaluation binds its vectors by position, masks the
+rows outside the parameters' domain and runs one unmasked baseline pass.  The
+public ``score`` and ``observed_information`` reject a point outside the
+domain with ``ValueError``; the likelihood kernel gives it zero likelihood.
 ``fit_mle`` rejects observations below a fixed support edge with
 ``ValueError`` before any restart.  A Weibull baseline with both parameters
 free is searched in its scale sigma = lam**(-1/beta) instead of its rate: lam
@@ -49,7 +52,7 @@ import numpy as np
 from scipy.special import digamma, ndtri
 
 from .baselines import BASELINE_FAMILIES, Baseline, Points, make_baseline
-from .family import BgmoDistribution, BgmoParams, _log_pdf_core, _require_shapes
+from .family import BgmoDistribution, BgmoParams, _in_shape_domain, _log_pdf_core
 from .special import _log
 
 __all__ = [
@@ -119,8 +122,11 @@ class ModelTemplate:
         if bad:
             allowed = b_cls.option_names
             raise ValueError(f"options {sorted(bad)} not in {allowed} for {self.baseline}")
-        # building the baseline once checks the option values
-        probe = make_baseline(self.baseline, **dict.fromkeys(base_names, 1.0), **self.options)
+        # building the shapes and the baseline once checks the fixed and option values
+        BgmoParams(*(self.fixed.get(name, 1.0) for name in FAMILY_PARAM_NAMES))
+        probe = make_baseline(
+            self.baseline, **{name: self.fixed.get(name, 1.0) for name in base_names}, **self.options
+        )
         built_options = {f.name: getattr(probe, f.name) for f in fields(probe)}
         edge_param = b_cls.edge_param
         if edge_param is None:
@@ -291,9 +297,8 @@ def log_likelihood(template: ModelTemplate, params, data) -> float:
         dist = template.build(params)
     except ValueError:
         return -math.inf
-    with np.errstate(all="ignore"):
-        contributions = dist.log_pdf(data)
-    total = float(np.sum(contributions))
+    with np.errstate(all="ignore"):  # a sum of inf and -inf is NaN, a zero likelihood
+        total = float(np.sum(dist.log_pdf(data)))
     return total if math.isfinite(total) else -math.inf
 
 
@@ -310,11 +315,13 @@ class _Likelihood:
     location) is checked per evaluation: an observation below it has zero
     likelihood, and one on it is evaluated at the edge's floor.
 
-    A block's free parameters become columns, one row per vector, and the
-    fixed ones stay numbers; every step is elementwise, and the parameters'
-    own logs are taken one value at a time (``special._each``), so each row
-    gets exactly the arithmetic of a one-vector call.  A one-row block is
-    evaluated as a vector.
+    One mask, from the shapes' and the baseline's domains and the support
+    edge, selects the rows that are evaluated; any other row gives -inf and
+    NaN, and nothing raises.  The free parameters of several rows become
+    columns, one row per vector, and the fixed ones stay numbers; every step
+    is elementwise, and the parameters' own logs are taken one value at a
+    time (``special._each``), so each row gets exactly the arithmetic of a
+    one-row call.  One row binds numbers, so it runs the same code on floats.
     """
 
     def __init__(self, template: ModelTemplate, data):
@@ -339,60 +346,35 @@ class _Likelihood:
         parameter phi.  Every term is then a bounded factor times a quantity
         taken in log space, so the score stays finite wherever the
         log-likelihood is, including where sf_G or 1 - s underflows or phi is
-        subnormal.  Where the likelihood is zero the result is -inf and an
-        all-NaN score.  A vector outside the parameters' domain raises
-        ``ValueError``; a (B, k) block gives a (B,) array of values and a
-        (B, k) array of scores, -inf and NaN in a row outside the domain.
+        subnormal.  A vector gives a number and a vector; a (B, k) block
+        gives a (B,) array of values and a (B, k) array of scores.  Where the
+        likelihood is zero or the values are outside the parameters' domain,
+        the value is -inf and the score all NaN.
         """
-        if np.ndim(values) == 2:
-            return self._block(np.asarray(values, dtype=float))
         template = self.template
-        m, n, theta, alpha, *base = template._full(values)
-        _require_shapes(m, n, theta, alpha)
-        b = template._new_baseline(*base)
-        x, outside = self.points, self.outside
-        if template._support_edge is None:  # the edge moves with a free parameter
-            edge = b.support_low
-            outside = self.low < edge
-            if self.low == edge:
-                x = Points(np.maximum(self.t, b._eval_floor(edge)))
-        if outside:
-            return -math.inf, np.full(template.k_params, math.nan)
-        return self._evaluate(m, n, theta, alpha, b, x)
-
-    def _block(self, values):
-        """``__call__`` at each row of a (B, k) block; a row outside the domain gives -inf and NaN."""
-        rows, k = values.shape
-        total, scores = np.full(rows, -math.inf), np.full((rows, k), math.nan)
-        if rows == 1:
-            try:
-                total[0], scores[0] = self(values[0])
-            except ValueError:
-                pass
-            return total, scores
-        template = self.template
-        new = template._new_baseline
+        rows = np.atleast_2d(np.asarray(values, dtype=float))
+        count = len(rows)
         full = list(template._values)
-        for slot, column in zip(template._free_slots, values.T.copy()):
-            full[slot] = column
-        m, n, theta, alpha, *base = full
-        ok = new.func._in_domain(*base) & (not self.outside)
-        for shape in (m, n, theta, alpha):
-            ok = ok & (0.0 < shape) & (shape < math.inf)
+        # one row binds numbers, so its evaluation runs on floats; more bind columns
+        for slot, value in zip(template._free_slots, rows[0].tolist() if count == 1 else rows.T.copy()):
+            full[slot] = value
+        new = template._new_baseline
+        ok = _in_shape_domain(*full[:4]) & new.func._in_domain(*full[4:]) & (not self.outside)
         if template._support_edge is None:  # the edge moves with a free parameter
             ok = ok & (self.low >= full[template.param_names.index(new.func.edge_param)])
-        (keep,) = np.nonzero(np.broadcast_to(ok, rows))
+        total, scores = np.full(count, -math.inf), np.full((count, template.k_params), math.nan)
+        (keep,) = np.array(ok, ndmin=1).nonzero()  # ok is one flag for one row, else one per row
         if keep.size:
-            m, n, theta, alpha, *base = (
-                v[keep][:, None] if isinstance(v, np.ndarray) else v for v in full
-            )
+            if count > 1:
+                full = [v[keep][:, None] if isinstance(v, np.ndarray) else v for v in full]
+            m, n, theta, alpha, *base = full
             b = new.func._columns(*base, **new.keywords)
             x = self.points
             if template._support_edge is None and np.any(self.low == b.support_low):
                 # the floor of an edge on the smallest observation leaves the other rows' points as they are
-                x = Points(np.maximum(self.t, np.nextafter(b.support_low, math.inf)))
+                x = Points(np.maximum(self.t, b._eval_floor(b.support_low)))
             total[keep], scores[keep] = self._evaluate(m, n, theta, alpha, b, x)
-        return total, scores
+        return (float(total[0]), scores[0]) if np.ndim(values) == 1 else (total, scores)
 
     def _evaluate(self, m, n, theta, alpha, b, x):
         """Log-likelihood and score at points x from one pass of baseline b.
@@ -495,11 +477,13 @@ def score(template: ModelTemplate, params, data) -> np.ndarray:
     beta layer, in log coordinates and divided by the parameters.  A free
     parameter at 0 (the modified Weibull's sigma or beta may be) has no log,
     and its partials are already d/d(phi) there.  Where the likelihood is
-    zero it is an all-NaN vector.
+    zero it is an all-NaN vector.  A point outside the parameters' domain
+    raises ``ValueError``.
     """
+    template.build(params)
     free = np.take(template._full(params), template._free_slots)
     with np.errstate(all="ignore"):  # d/d(phi) is about 1/phi where phi is subnormal
-        return _Likelihood(template, data)(params)[1] / np.where(free == 0.0, 1.0, free)
+        return _Likelihood(template, data)(free)[1] / np.where(free == 0.0, 1.0, free)
 
 
 # --- observed information and intervals ---------------------------------------

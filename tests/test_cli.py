@@ -170,6 +170,12 @@ class TestFit:
             assert rc == 1 and out == ""
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize("spec, name", [("weibull lambda=-1", "lam"), ("weibull m=0", "m")])
+    def test_a_fixed_value_outside_the_domain_is_a_usage_error(self, capsys, spec, name):
+        rc, out, err = run(capsys, "fit", "--data", "builtin:turbocharger", "--dist", spec)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: parameter {name} ")
+
     def test_writes_report_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         rc, out, _ = run(

@@ -236,6 +236,17 @@ class TestScore:
         assert math.isfinite(log_likelihood(tpl, values, [0.0, 0.5, 1.2]))
         assert np.all(np.isfinite(score(tpl, values, [0.0, 0.5, 1.2])))
 
+    @pytest.mark.parametrize("name, bad", [("m", 0.0), ("alpha", math.inf), ("lam", -1.0), ("beta", math.nan)])
+    def test_rejects_a_point_outside_the_domain(self, name, bad):
+        tpl = ModelTemplate("weibull")
+        values = {"m": 1.3, "n": 0.9, "theta": 1.1, "alpha": 2.0, "lam": 0.8, "beta": 1.5}
+        values[name] = bad
+        data = builtin_dataset("turbocharger").values
+        with pytest.raises(ValueError, match=f"parameter {name} "):
+            score(tpl, values, data)
+        with pytest.raises(ValueError, match=f"parameter {name} "):
+            score(tpl, [values[n] for n in tpl.free_names], data)
+
     def test_nan_where_likelihood_is_zero(self):
         tpl = ModelTemplate("weibull")
         values = {"m": 1.3, "n": 0.9, "theta": 1.1, "alpha": 2.0, "lam": 0.8, "beta": 1.5}
@@ -418,6 +429,36 @@ class TestObjectiveKernel:
         lik = _Likelihood(ModelTemplate("exponentiated_pareto"), data)
         lik.objective(np.log([1.3, 0.9, 1.1, 2.0, 1.0, 2.0, 1.5]))
         assert len(calls) == 1
+
+
+class TestKernelTotalIsLogLikelihood:
+    """The kernel's total is the public ``log_likelihood`` wherever it is evaluated.
+
+    The points reach 3 log-units beyond the default box on every side, and
+    each data set adds one observation at or past the support's limits (or
+    NaN) to the turbocharger data.  Every row is checked as a vector call and
+    inside a block; neither raises, also outside the parameters' domain.
+    """
+
+    @pytest.mark.parametrize(
+        "baseline, options", KERNEL_CASES,
+        ids=[f"{tag}-{opt['z']}" if opt else tag for tag, opt in KERNEL_CASES],
+    )
+    @pytest.mark.parametrize("fixed", [{}, NESTED], ids=["six", "nested"])
+    def test_beyond_the_box_and_the_support(self, baseline, options, fixed):
+        tpl = ModelTemplate(baseline, fixed=fixed, options=options)
+        clean = builtin_dataset("turbocharger").values
+        lo, hi = np.log([_default_box(tpl, clean)[n] for n in _search_names(tpl)]).T
+        rng = np.random.default_rng(26)
+        for extra in (0.0, 1e-320, 1e300, math.nan, -1.0, 1e5):
+            data = np.append(clean, extra)
+            lik = _Likelihood(tpl, data)
+            x = lo - 3.0 + rng.random((60, len(lo))) * (hi - lo + 6.0)
+            values = _to_params(x, lik.scale)
+            totals, _ = lik(values)
+            for row, total in zip(values, totals):
+                want = log_likelihood(tpl, row, data)
+                assert lik(row)[0] == want and total == want, (extra, row)
 
 
 class TestObservedInformation:
@@ -739,9 +780,22 @@ class TestModelTemplate:
             free.build([values[n] for n in free.free_names])
         with pytest.raises(ValueError, match="positive"):
             free.build(values)
-        fixed = ModelTemplate("weibull", fixed={name: bad})
         with pytest.raises(ValueError, match="positive"):
+            fixed = ModelTemplate("weibull", fixed={name: bad})
             fixed.build(np.ones(fixed.k_params))
+
+    @pytest.mark.parametrize(
+        "baseline, fixed, message",
+        [
+            ("weibull", {"lam": -1.0}, "parameter lam "),
+            ("weibull", {"m": 0.0}, "parameter m "),
+            # the modified Weibull's coefficients may each be 0, but not both
+            ("modified_weibull", {"sigma": 0.0, "beta": 0.0}, r"sigma \+ beta > 0"),
+        ],
+    )
+    def test_construction_rejects_fixed_values_outside_the_domain(self, baseline, fixed, message):
+        with pytest.raises(ValueError, match=message):
+            ModelTemplate(baseline, fixed=fixed)
 
     def test_validation(self):
         with pytest.raises(ValueError):
