@@ -580,7 +580,13 @@ class ModifiedWeibull(Baseline):
         return out.reshape(np.shape(y)) if np.shape(y) else out[0]
 
     def _log_rate(self, x, h):
-        return np.log(self.sigma + _zmul(self.beta * self.gamma, _power(x.t, self.gamma - 1.0)))
+        log_rate = np.log(self.sigma + _zmul(self.beta * self.gamma, _power(x.t, self.gamma - 1.0)))
+        over = log_rate == np.inf
+        if not np.any(over):
+            return log_rate
+        # the rate overflows before its log does: there take the log from the two terms' logs
+        log_beta_term = np.log(self.beta * self.gamma) + (self.gamma - 1.0) * x.log_t
+        return np.where(over, np.logaddexp(np.log(self.sigma), log_beta_term), log_rate)
 
     def _hazard_partials(self, x, h):
         # a coefficient at 0 has no log: its partials are d/d(sigma) or d/d(beta)

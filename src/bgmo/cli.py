@@ -62,10 +62,8 @@ def _template(spec: str) -> ModelTemplate:
     if not tokens:
         raise CliError("empty model spec")
     tag = tokens[0].lower()
-    if tag not in BASELINE_FAMILIES:
-        known = ", ".join(sorted(BASELINE_FAMILIES))
-        raise CliError(f"unknown baseline family {tag!r} (known: {known})")
-    option_names = BASELINE_FAMILIES[tag].option_names
+    # an unknown tag has no options; ModelTemplate rejects it
+    option_names = getattr(BASELINE_FAMILIES.get(tag), "option_names", ())
     fixed, options = {}, {}
     for tok in tokens[1:]:
         name, eq, value = tok.partition("=")
@@ -94,10 +92,7 @@ def build_distribution(spec: str) -> BgmoDistribution:
 def _load_data(ref: str) -> Dataset:
     if ref.startswith("builtin:"):
         return builtin_dataset(ref.split(":", 1)[1])
-    try:
-        return load_dataset(ref)
-    except FileNotFoundError:
-        raise CliError(f"no such data file: {ref}") from None
+    return load_dataset(ref)
 
 
 def _parse_values(text: str) -> np.ndarray:

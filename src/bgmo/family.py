@@ -129,17 +129,15 @@ class BgmoDistribution:
     # --- log-space building blocks, called under np.errstate(all="ignore") ---
 
     def _log_pdf_parts(self, t):
-        """Arrays log f, log s, log(1 - s), log sf_G, log D and log z, z = 1 - s^theta."""
+        """Arrays log f, log s and log(1 - s)."""
         p = self.params
         log_g, log_gbar, log_gcdf = self.baseline.log_parts(t)
-        out, log_s, log_1ms, log_d, log_z, _ = _log_pdf_core(
-            p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf
-        )
+        out, log_s, log_1ms, *_ = _log_pdf_core(p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf)
         # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G
         # alone would be +inf for theta < 1
         t_arr = np.asarray(t, dtype=float)
         out = np.where((t_arr >= self.support_low) & (log_gbar > -np.inf), out, -np.inf)
-        return out, log_s, log_1ms, log_gbar, log_d, log_z
+        return out, log_s, log_1ms
 
     def log_pdf(self, t):
         with np.errstate(all="ignore"):
@@ -199,7 +197,7 @@ class BgmoDistribution:
         """Hazard pdf/sf, taken as exp(log pdf - log sf) from one baseline pass."""
         p = self.params
         with np.errstate(all="ignore"):
-            log_f, log_s, log_1ms = self._log_pdf_parts(t)[:3]
+            log_f, log_s, log_1ms = self._log_pdf_parts(t)
             z, w = self._beta_args(log_s, log_1ms)
             out = np.exp(log_f - special.log_reg_inc_beta_mirrored(*w, *z, p.n, p.m))
         return float(out) if np.isscalar(t) else out
@@ -208,7 +206,7 @@ class BgmoDistribution:
         """Reversed hazard pdf/cdf, taken as exp(log pdf - log cdf) from one baseline pass."""
         p = self.params
         with np.errstate(all="ignore"):
-            log_f, log_s, log_1ms = self._log_pdf_parts(t)[:3]
+            log_f, log_s, log_1ms = self._log_pdf_parts(t)
             z, w = self._beta_args(log_s, log_1ms)
             out = np.exp(log_f - special.log_reg_inc_beta_mirrored(*z, *w, p.m, p.n))
         return float(out) if np.isscalar(t) else out

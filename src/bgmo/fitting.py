@@ -24,8 +24,9 @@ and baseline class at construction, and ``_Likelihood`` floors the
 observations to the support, checks them against a fixed support edge and
 keeps their log, so each evaluation binds its vectors by position, masks the
 rows outside the parameters' domain and runs one unmasked baseline pass.  The
-public ``score`` and ``observed_information`` reject a point outside the
-domain with ``ValueError``; the likelihood kernel gives it zero likelihood.
+public functions read a point by one rule (``ModelTemplate._free``); ``log_likelihood``
+is the kernel's total, -inf outside the domain, where ``score`` and
+``observed_information`` raise ``ValueError``.
 ``fit_mle`` rejects observations below a fixed support edge with
 ``ValueError`` before any restart.  A Weibull baseline with both parameters
 free is searched in its scale sigma = lam**(-1/beta) instead of its rate: lam
@@ -43,7 +44,7 @@ import json
 import math
 import time
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import NamedTuple
@@ -151,22 +152,28 @@ class ModelTemplate:
     def k_params(self) -> int:
         return len(self.free_names)
 
-    def build(self, free_values) -> BgmoDistribution:
-        """Bind free parameter values (array in free_names order, or mapping).
-
-        ``BgmoParams`` and the baseline reject values outside their domain
-        with ``ValueError``, fixed values included.
-        """
-        m, n, theta, alpha, *base = self._full(free_values)
+    def build(self, point) -> BgmoDistribution:
+        """Bind a point (see ``_free``).  ``BgmoParams`` and the baseline reject values
+        outside their domain with ``ValueError``, fixed values included."""
+        m, n, theta, alpha, *base = self._full(self._free(point).tolist())
         return BgmoDistribution(BgmoParams(m, n, theta, alpha), self._new_baseline(*base))
 
-    def _full(self, free_values) -> list[float]:
-        """Every parameter's value in ``param_names`` order, from the free values."""
-        if isinstance(free_values, dict):
-            values = dict(self.fixed, **free_values)
-            return [float(values[name]) for name in self.param_names]
+    def _free(self, point) -> np.ndarray:
+        """The free values of a point: a vector of ``k_params`` values in ``free_names`` order,
+        or a mapping of exactly ``free_names``.  Anything else raises ``ValueError``."""
+        if isinstance(point, Mapping):
+            if set(point) != set(self.free_names):
+                raise ValueError(f"a point maps exactly {list(self.free_names)}, got {list(point)}")
+            point = [point[name] for name in self.free_names]
+        values = np.asarray(point, dtype=float)
+        if values.shape != (self.k_params,):
+            raise ValueError(f"a point has {self.k_params} values {self.free_names}, got shape {values.shape}")
+        return values
+
+    def _full(self, free) -> list:
+        """Every parameter's value in ``param_names`` order, with ``free`` in the free slots."""
         full = list(self._values)
-        for slot, value in zip(self._free_slots, np.asarray(free_values, dtype=float).tolist()):
+        for slot, value in zip(self._free_slots, free):
             full[slot] = value
         return full
 
@@ -291,15 +298,17 @@ class FitResult:
 
 
 def log_likelihood(template: ModelTemplate, params, data) -> float:
-    """Sum of log densities; -inf when any observation has zero density."""
-    data = np.asarray(data, dtype=float)
-    try:
-        dist = template.build(params)
-    except ValueError:
-        return -math.inf
-    with np.errstate(all="ignore"):  # a sum of inf and -inf is NaN, a zero likelihood
-        total = float(np.sum(dist.log_pdf(data)))
-    return total if math.isfinite(total) else -math.inf
+    """Sum of log densities at a point, the kernel's total; -inf where any observation
+    has zero density or the point is outside the parameters' domain."""
+    return _Likelihood(template, data)(template._free(params))[0]
+
+
+def _per_value(log_score, values):
+    """d/d(phi) from the score d/d(log phi): divided by each phi, except a phi at 0
+    (the modified Weibull's sigma or beta may be), which has no log, so its entry
+    is d/d(phi) already."""
+    with np.errstate(all="ignore"):  # d/d(phi) is about 1/phi where phi is subnormal
+        return log_score / np.where(values == 0.0, 1.0, values)
 
 
 class _Likelihood:
@@ -325,7 +334,7 @@ class _Likelihood:
     """
 
     def __init__(self, template: ModelTemplate, data):
-        t = np.asarray(data, dtype=float)
+        t = np.asarray(data, dtype=float).ravel()
         self.template = template
         self.low = float(t.min(initial=math.inf))
         edge = template._support_edge
@@ -354,10 +363,8 @@ class _Likelihood:
         template = self.template
         rows = np.atleast_2d(np.asarray(values, dtype=float))
         count = len(rows)
-        full = list(template._values)
         # one row binds numbers, so its evaluation runs on floats; more bind columns
-        for slot, value in zip(template._free_slots, rows[0].tolist() if count == 1 else rows.T.copy()):
-            full[slot] = value
+        full = template._full(rows[0].tolist() if count == 1 else rows.T.copy())
         new = template._new_baseline
         ok = _in_shape_domain(*full[:4]) & new.func._in_domain(*full[4:]) & (not self.outside)
         if template._support_edge is None:  # the edge moves with a free parameter
@@ -474,16 +481,13 @@ def score(template: ModelTemplate, params, data) -> np.ndarray:
     """Gradient of the log-likelihood in the template's free parameters.
 
     Closed-form: the baseline's partials chained through the tilt and the
-    beta layer, in log coordinates and divided by the parameters.  A free
-    parameter at 0 (the modified Weibull's sigma or beta may be) has no log,
-    and its partials are already d/d(phi) there.  Where the likelihood is
-    zero it is an all-NaN vector.  A point outside the parameters' domain
-    raises ``ValueError``.
+    beta layer, in log coordinates and divided by the parameters
+    (``_per_value``).  Where the likelihood is zero it is an all-NaN vector.
+    A point outside the parameters' domain raises ``ValueError``.
     """
-    template.build(params)
-    free = np.take(template._full(params), template._free_slots)
-    with np.errstate(all="ignore"):  # d/d(phi) is about 1/phi where phi is subnormal
-        return _Likelihood(template, data)(free)[1] / np.where(free == 0.0, 1.0, free)
+    free = template._free(params)
+    template.build(free)
+    return _per_value(_Likelihood(template, data)(free)[1], free)
 
 
 # --- observed information and intervals ---------------------------------------
@@ -500,10 +504,7 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
     second-order forward one, (-3 s(x) + 4 s(x + h) - s(x + 2h)) / 2h with
     h = 1e-6.  A non-finite entry raises ``ArithmeticError``.
     """
-    if isinstance(params_hat, dict):
-        x = np.array([dict(template.fixed, **params_hat)[n] for n in template.free_names])
-    else:
-        x = np.asarray(params_hat, dtype=float)
+    x = template._free(params_hat)
     template.build(x)  # a point outside the parameters' domain raises ValueError
     steps = np.diag(np.where(x == 0.0, 1e-6, 1e-4 * np.abs(x)))
     # every stepped point in one batch, in the order the rows below take them
@@ -511,8 +512,7 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
         p for i, e in enumerate(steps)
         for p in ((x + e, x + 2.0 * e, x + 0.0) if x[i] == 0.0 else (x + e, x + -e))
     ])
-    with np.errstate(all="ignore"):  # d/d(phi) is about 1/phi where phi is subnormal
-        s = iter(_Likelihood(template, data)(points)[1] / np.where(points == 0.0, 1.0, points))
+    s = iter(_per_value(_Likelihood(template, data)(points)[1], points))
     H = np.array([
         (4.0 * next(s) - next(s) - 3.0 * next(s)) / (2.0 * e[i]) if x[i] == 0.0
         else (next(s) - next(s)) / (2.0 * e[i])

@@ -16,12 +16,14 @@ draws, against which the family's gamma-ratio sampler is compared,
 cdf and sf at 50 digits from a baseline cdf or sf below the double range,
 ``binom_row`` a scalar binomial row for the loop forms of the series tables,
 ``tanhsinh_support_quad`` the support integral of ``series._support_quad``
-by scipy's tanh-sinh solver, and
-``finite_difference_score`` the fitter's score by differences of its
-log-likelihood.
+by scipy's tanh-sinh solver, ``log_pdf_sum`` the fitter's log-likelihood as
+the sum of the family's log densities, and ``finite_difference_score`` its
+score by differences of that sum.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
@@ -196,8 +198,23 @@ def tanhsinh_support_quad(fn, baseline, *args):
     return res.integral
 
 
+def log_pdf_sum(template, params, data):
+    """Sum of ``log_pdf`` of the distribution ``template.build`` binds, over the data.
+
+    It is -inf where any observation has zero density or ``build`` rejects
+    the point.
+    """
+    try:
+        dist = template.build(params)
+    except ValueError:
+        return -math.inf
+    with np.errstate(all="ignore"):  # a sum of inf and -inf is NaN, a zero likelihood
+        total = float(np.sum(dist.log_pdf(np.asarray(data, dtype=float))))
+    return total if math.isfinite(total) else -math.inf
+
+
 def finite_difference_score(template, params, data, error=False):
-    """Gradient of ``bgmo.fitting.log_likelihood`` by 5-point central differences.
+    """Gradient of ``log_pdf_sum`` by 5-point central differences.
 
     The step in each free parameter is 1e-3 of its value (at least 1e-6), so
     the stencil spans +-0.2% of it; an entry is non-finite where the stencil
@@ -205,19 +222,13 @@ def finite_difference_score(template, params, data, error=False):
     twice its gap to the 3-point difference of the inner points (truncation)
     plus 1e3 eps |log L| / h (rounding).
     """
-    from bgmo.fitting import log_likelihood
-
-    if isinstance(params, dict):
-        values = dict(template.fixed, **params)
-        x = np.array([values[name] for name in template.free_names], dtype=float)
-    else:
-        x = np.asarray(params, dtype=float)
+    x = template._free(params)
     out, err = np.empty(len(x)), np.empty(len(x))
     for i in range(len(x)):
         h = 1e-3 * max(abs(x[i]), 1e-3)
         e = np.zeros(len(x))
         e[i] = h
-        ll = [log_likelihood(template, x + j * e, data) for j in (2, 1, -1, -2)]
+        ll = [log_pdf_sum(template, x + j * e, data) for j in (2, 1, -1, -2)]
         up2, up, down, down2 = ll
         out[i] = (-up2 + 8.0 * up - 8.0 * down + down2) / (12.0 * h)
         rounding = 1e3 * np.finfo(float).eps * np.max(np.abs(ll)) / h

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -281,6 +282,19 @@ def test_density_where_the_hazard_overflows(b):
     np.testing.assert_array_equal(b.pdf(ts), [0.0, 0.0])
     np.testing.assert_array_equal(b.log_pdf(ts), [-math.inf, -math.inf])
     np.testing.assert_array_equal(b.log_parts(ts)[0], [-math.inf, -math.inf])
+
+
+def test_modified_weibull_log_density_where_the_rate_overflows():
+    # beta*gamma*t^(gamma-1) overflows at t = 6.1 while h does not: the log rate
+    # (713.68) is taken from the two terms' logs there, so log g is finite, as
+    # the Weibull's with the same beta*t^gamma term is
+    b = ModifiedWeibull(1.97, 150.0, 389.6)
+    with mpmath.workdps(40):
+        sigma, beta, gamma, t = map(mpmath.mpf, (1.97, 150.0, 389.6, 6.1))
+        want = mpmath.log(sigma + beta * gamma * t ** (gamma - 1)) - (sigma * t + beta * t**gamma)
+    assert b.log_pdf(6.1) == pytest.approx(float(want), rel=1e-14)
+    assert b.log_pdf(6.1) == pytest.approx(Weibull(150.0, 389.6).log_pdf(6.1), rel=1e-14)
+    assert b.log_parts(np.array([6.1]))[0] == b.log_pdf(6.1)
 
 
 class TestSpotValues:

@@ -113,6 +113,9 @@ class TestLogLikelihood:
         d = tpl.build(params)
         t = 1.7
         assert log_likelihood(tpl, params, [t]) == pytest.approx(d.log_pdf(t), rel=1e-13)
+        # the data are observations whatever their shape, a number included
+        one = log_likelihood(tpl, params, [t])
+        assert log_likelihood(tpl, params, t) == one and log_likelihood(tpl, params, [[t]]) == one
 
     def test_duplication_doubles(self):
         tpl = ModelTemplate("exponential")
@@ -331,10 +334,10 @@ KERNEL_CASES = [(tag, {}) for tag in BASELINE_RANGES if tag != "extended_weibull
 class TestObjectiveKernel:
     """``_Likelihood.objective`` takes its value and gradient from one pass over the data.
 
-    The value is the public ``log_likelihood`` exactly, and the gradient the
-    score in log coordinates, which the public ``score`` divides by the
-    parameters, chained through log lam = -beta log sigma where the Weibull is
-    searched in its scale.
+    The value is the sum of log densities (``oracles.log_pdf_sum``) exactly,
+    and the gradient the score in log coordinates, which the public ``score``
+    divides by the parameters, chained through log lam = -beta log sigma where
+    the Weibull is searched in its scale.
     """
 
     @staticmethod
@@ -350,7 +353,7 @@ class TestObjectiveKernel:
     def assert_matches_public(tpl, x, data, scale):
         params = _to_params(x, scale)
         value, grad = objective(x, tpl, data)
-        assert value == -log_likelihood(tpl, params, data)
+        assert value == -oracles.log_pdf_sum(tpl, params, data)
         log_score = _Likelihood(tpl, data)(params)[1]
         with np.errstate(all="ignore"):
             np.testing.assert_array_equal(score(tpl, params, data), log_score / params)
@@ -432,7 +435,8 @@ class TestObjectiveKernel:
 
 
 class TestKernelTotalIsLogLikelihood:
-    """The kernel's total is the public ``log_likelihood`` wherever it is evaluated.
+    """The kernel's total, the public ``log_likelihood``, is the sum of log densities
+    (``oracles.log_pdf_sum``) wherever it is evaluated.
 
     The points reach 3 log-units beyond the default box on every side, and
     each data set adds one observation at or past the support's limits (or
@@ -457,8 +461,32 @@ class TestKernelTotalIsLogLikelihood:
             values = _to_params(x, lik.scale)
             totals, _ = lik(values)
             for row, total in zip(values, totals):
-                want = log_likelihood(tpl, row, data)
+                want = oracles.log_pdf_sum(tpl, row, data)
                 assert lik(row)[0] == want and total == want, (extra, row)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda tpl, point, data: tpl.build(point), log_likelihood, score, observed_information],
+    ids=["build", "log_likelihood", "score", "observed_information"],
+)
+@pytest.mark.parametrize(
+    "fixed, point",
+    [
+        ({}, {"m": 1.3, "n": 0.9, "theta": 1.1, "alpha": 2.0, "lam": 0.8}),
+        (NESTED, {"lam": 0.01, "beta": 3.0, "m": 2.0}),
+        (NESTED, {"lam": 0.01, "beta": 3.0, "zeta": 1.0}),
+        ({}, [1.3, 0.9, 1.1, 2.0, 0.8]),
+        ({}, [1.3, 0.9, 1.1, 2.0, 0.8, 1.5, 1.0]),
+    ],
+    ids=["lacks-a-free-name", "names-a-fixed-one", "names-an-unknown-one", "k-1-values", "k+1-values"],
+)
+def test_a_point_is_k_values_or_a_mapping_of_the_free_names(read, fixed, point):
+    # the mapping with m on the nested template was read at m = 2 by
+    # log_likelihood and at the fixed m = 1 by score
+    tpl = ModelTemplate("weibull", fixed=fixed)
+    with pytest.raises(ValueError, match="a point "):
+        read(tpl, point, builtin_dataset("turbocharger").values)
 
 
 class TestObservedInformation:
@@ -719,14 +747,14 @@ class TestFitMle:
     def test_a_free_location_above_an_observation_is_zero_likelihood(self):
         # a free exponentiated-Pareto location moves the edge, so each
         # evaluation checks it; on the smallest observation it is evaluated
-        # at the edge's floor, as the public log_likelihood does
+        # at the edge's floor, as the sum of log densities is
         data = np.array([1.0, 3.0, 4.0, 5.0, 6.0])
         tpl = ModelTemplate("exponentiated_pareto", fixed=NESTED)
         lik = _Likelihood(tpl, data)
         value, grad = lik([2.0, 1.0, 1.0])
         assert value == -math.inf and np.all(np.isnan(grad))
         for theta_p in (0.5, 1.0):
-            assert lik([theta_p, 1.0, 1.0])[0] == log_likelihood(tpl, [theta_p, 1.0, 1.0], data)
+            assert lik([theta_p, 1.0, 1.0])[0] == oracles.log_pdf_sum(tpl, [theta_p, 1.0, 1.0], data)
             assert math.isfinite(lik([theta_p, 1.0, 1.0])[0])
         result = fit_mle(tpl, data, FitConfig(starts=4, start_box={"theta_p": (0.5, 3.0)}))
         stuck = [r for r in result.trace if r.start["theta_p"] > 1.0]
