@@ -193,13 +193,13 @@ class Baseline:
         return self._masked(lambda x: self._log_tails(x, self._hazard(x.t)), t, (0.0, -np.inf))
 
     def hrf(self, t):
-        """g/sf: h' itself where h is -log sf, else exp(log g - log sf) from one pass."""
+        """g/sf: h' itself where h is -log sf, else exp(log g - log sf) from one pass, 0 where g is 0."""
 
         def rate(x):
             if not self._lower_tail:  # no such rate reads h; a constant one is a scalar
                 return np.exp(np.broadcast_to(self._log_rate(x, None), x.t.shape))
             log_g, log_sf, _ = self._log_parts(x)
-            return np.exp(log_g - log_sf)
+            return np.exp(np.where(log_g == -np.inf, -np.inf, log_g - log_sf))
 
         return self._on_support(rate, t, 0.0)
 

@@ -131,12 +131,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_quantile(args) -> int:
-    dist = build_distribution(args.dist)
-    _emit(None, "".join(_fmt(dist.quantile(float(u))) + "\n" for u in _parse_values(args.u)))
-    return 0
-
-
 def _cmd_sample(args) -> int:
     dist = build_distribution(args.dist)
     # one write: repr of a Python float is _fmt's text
@@ -179,10 +173,11 @@ def _cmd_compare(args) -> int:
     return 2 if any_bad else 0
 
 
-def _grid(data: np.ndarray, points: int, pad: float) -> np.ndarray:
+def _grid(data: np.ndarray, points: int) -> np.ndarray:
+    """``points`` values over the data's range, widened by 5% of it at each end."""
     lo, hi = float(np.min(data)), float(np.max(data))
-    span = hi - lo
-    return np.linspace(lo - pad * span, hi + pad * span, points)
+    pad = 0.05 * (hi - lo)
+    return np.linspace(lo - pad, hi + pad, points)
 
 
 def _cmd_curves(args) -> int:
@@ -192,7 +187,7 @@ def _cmd_curves(args) -> int:
         dist = template.build(fit_mle(template, data.values, _fit_config(args)).estimates)
     else:
         dist = build_distribution(args.dist)
-    grid = _grid(data.values, args.grid_points, args.pad)
+    grid = _grid(data.values, args.grid_points)
     pdf = dist.pdf(grid)
     cdf = dist.cdf(grid)
     edges = np.histogram_bin_edges(data.values, bins="fd")
@@ -253,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("quantile", help="evaluate the quantile function")
     p.add_argument("--dist", required=True)
-    p.add_argument("--u", required=True, help="levels in (0,1)")
-    p.set_defaults(run=_cmd_quantile)
+    p.add_argument("--u", dest="t", metavar="U", required=True, help="levels in (0,1)")
+    p.set_defaults(run=_cmd_eval, fn="quantile")
 
     p = subs.add_parser("sample", help="draw a seeded random sample")
     p.add_argument("--dist", required=True)
@@ -291,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="model spec (full, unless --fit)")
     p.add_argument("--fit", action="store_true", help="fit the spec to the data first")
     p.add_argument("--grid-points", type=int, default=400)
-    p.add_argument("--pad", type=float, default=0.05, help="grid margin as a range fraction")
     p.add_argument("--out", default=None)
     _add_fit_flags(p)
     p.set_defaults(run=_cmd_curves)

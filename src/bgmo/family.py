@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .baselines import Baseline
+from .baselines import Baseline, _zmul
 from .gmo import _LN2, log_tilt, tilt_inverse
 from .special import _log
 
@@ -42,16 +42,18 @@ def _log_gamma_variates(rng: np.random.Generator, shape: float, count: int) -> n
     return np.log(rng.standard_gamma(shape + 1.0, count)) + np.log1p(-rng.random(count)) / shape
 
 
-def _log_one_minus_power(theta: float, z, log_1ms):
-    """log z of z = 1 - s^theta, from z and log(1 - s).
+def _z_of_s(theta, log_s, log_1ms):
+    """z = 1 - s^theta, log z and log w, the beta layer's arguments z and w = s^theta = 1 - z.
 
-    Where 1 - s is below exp(-700) its leading term theta*(1 - s) is used,
-    whose log stays finite even where 1 - s underflows to 0.  Call it under
+    Where 1 - s is below exp(-700) log z is that of the leading term
+    theta*(1 - s), finite even where 1 - s underflows to 0.  Call it under
     ``np.errstate(all="ignore")``.
     """
+    log_w = theta * log_s
+    z = -np.expm1(log_w)
     if log_1ms.min(initial=np.inf) > -700.0:  # False also where one is NaN
-        return np.log(z)
-    return np.where(log_1ms > -700.0, np.log(z), _log(theta) + log_1ms)
+        return z, np.log(z), log_w
+    return z, np.where(log_1ms > -700.0, np.log(z), _log(theta) + log_1ms), log_w
 
 
 def _in_shape_domain(*shapes):
@@ -63,33 +65,27 @@ def _in_shape_domain(*shapes):
 
 
 def _log_pdf_core(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
-    """log f, log s, log(1 - s), log D, log z and log w, z = 1 - s^theta = 1 - w, from one baseline pass.
+    """log f, log s, log(1 - s), log D, z, log z and log w (``_z_of_s``) from one baseline pass.
 
-    The one form of the density, for ``BgmoDistribution`` and the fitter
-    alike; it applies no support mask.  The shapes may be numbers or
-    columns of values, one row per parameter vector.  Call it under
-    ``np.errstate(all="ignore")``.
+    The one form of the density, for ``BgmoDistribution``, the fitter and
+    the series layer's plain tilt (m = n = theta = 1) alike; it applies no
+    support mask.  A vanishing exponent's term is 0 (``_zmul``), also where
+    its log is -inf.  The shapes may be numbers or columns of values, one
+    row per parameter vector.  Call it under ``np.errstate(all="ignore")``.
     """
     log_s, log_1ms, log_d = log_tilt(alpha, log_gbar, log_gcdf)
-    log_w = theta * log_s
-    log_z = _log_one_minus_power(theta, -np.expm1(log_w), log_1ms)
+    z, log_z, log_w = _z_of_s(theta, log_s, log_1ms)
     log_f = (
         _log(theta)
         + theta * _log(alpha)
         - special.log_beta(m, n)
         + log_g
-        + (theta - 1.0) * log_gbar
+        + _zmul(theta - 1.0, log_gbar)
         - (theta + 1.0) * log_d
+        + _zmul(m - 1.0, log_z)
+        + _zmul(n - 1.0, log_w)
     )
-    return _plus_power(_plus_power(log_f, m, log_z), n, log_w), log_s, log_1ms, log_d, log_z, log_w
-
-
-def _plus_power(log_f, c, log_v):
-    """log_f + (c - 1) log v, the term left out where c is 1: a vanishing exponent's term is 0,
-    also where log v is -inf (c may be a column of values)."""
-    if isinstance(c, np.ndarray):
-        return np.where(c == 1.0, log_f, log_f + (c - 1.0) * log_v)
-    return log_f if c == 1.0 else log_f + (c - 1.0) * log_v
+    return log_f, log_s, log_1ms, log_d, z, log_z, log_w
 
 
 @dataclass(frozen=True)
@@ -129,15 +125,15 @@ class BgmoDistribution:
     # --- log-space building blocks, called under np.errstate(all="ignore") ---
 
     def _log_pdf_parts(self, t):
-        """Arrays log f, log s and log(1 - s)."""
+        """Arrays log f, z, log z and log w (``_z_of_s``)."""
         p = self.params
         log_g, log_gbar, log_gcdf = self.baseline.log_parts(t)
-        out, log_s, log_1ms, *_ = _log_pdf_core(p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf)
+        out, *_, z, log_z, log_w = _log_pdf_core(p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf)
         # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G
         # alone would be +inf for theta < 1
         t_arr = np.asarray(t, dtype=float)
         out = np.where((t_arr >= self.support_low) & (log_gbar > -np.inf), out, -np.inf)
-        return out, log_s, log_1ms
+        return out, z, log_z, log_w
 
     def log_pdf(self, t):
         with np.errstate(all="ignore"):
@@ -146,18 +142,27 @@ class BgmoDistribution:
 
     def pdf(self, t):
         with np.errstate(all="ignore"):
-            out = np.exp(self.log_pdf(t))
-        return out
+            out = np.exp(self._log_pdf_parts(t)[0])
+        return float(out) if np.isscalar(t) else out
 
-    def _tilt_tails(self, t):
-        """log s and log(1 - s) at t, from one ``Baseline.log_tails`` pass."""
-        return log_tilt(self.params.alpha, *self.baseline.log_tails(t))[:2]
+    def _beta_tail(self, fn, upper, z, log_z, log_w):
+        """``fn`` (``special.reg_inc_beta_mirrored`` or its log) of the cdf, or of the sf where ``upper``.
 
-    def _beta_args(self, log_s, log_1ms):
-        """(z, log z) and (w, log w) of the beta layer's arguments z = 1 - s^theta and w = s^theta."""
-        log_w = self.params.theta * log_s
-        z = -np.expm1(log_w)
-        return (z, _log_one_minus_power(self.params.theta, z, log_1ms)), (np.exp(log_w), log_w)
+        The one place the mirrored pair's argument order is set: the cdf is
+        I_z(m, n), and the sf I_w(n, m) swaps z with w = 1 - z and m with n.
+        """
+        p = self.params
+        cdf_side, sf_side = (z, log_z, p.m), (np.exp(log_w), log_w, p.n)
+        (x, log_x, a), (y, log_y, b) = (sf_side, cdf_side) if upper else (cdf_side, sf_side)
+        return fn(x, log_x, y, log_y, a, b)
+
+    def _tail(self, fn, upper, t):
+        """``_beta_tail`` at t, from one ``Baseline.log_tails`` pass."""
+        p = self.params
+        with np.errstate(all="ignore"):
+            log_s, log_1ms, _ = log_tilt(p.alpha, *self.baseline.log_tails(t))
+            out = self._beta_tail(fn, upper, *_z_of_s(p.theta, log_s, log_1ms))
+        return float(out) if np.isscalar(t) else out
 
     def cdf(self, t):
         """I_z(m, n) at z = 1 - s^theta where z <= 1/2, else 1 - I_w(n, m) at w = s^theta.
@@ -167,11 +172,7 @@ class BgmoDistribution:
         keeps its digits near 1 and sums with the sf to 1, also where z is
         not a normal double.
         """
-        p = self.params
-        with np.errstate(all="ignore"):
-            z, w = self._beta_args(*self._tilt_tails(t))
-            out = special.reg_inc_beta_mirrored(*z, *w, p.m, p.n)
-        return float(out) if np.isscalar(t) else out
+        return self._tail(special.reg_inc_beta_mirrored, False, t)
 
     def sf(self, t):
         """I_w(n, m) at w = s^theta where w <= 1/2, else 1 - I_z(m, n) at z = 1 - w.
@@ -179,37 +180,26 @@ class BgmoDistribution:
         Exact where the cdf rounds to 1; as in ``cdf``, no incomplete beta
         reads an argument rounded to 1.
         """
-        p = self.params
-        with np.errstate(all="ignore"):
-            z, w = self._beta_args(*self._tilt_tails(t))
-            out = special.reg_inc_beta_mirrored(*w, *z, p.n, p.m)
-        return float(out) if np.isscalar(t) else out
+        return self._tail(special.reg_inc_beta_mirrored, True, t)
 
     def log_sf(self, t):
         """log sf, finite where the sf underflows (``special.log_reg_inc_beta_mirrored``)."""
-        p = self.params
+        return self._tail(special.log_reg_inc_beta_mirrored, True, t)
+
+    def _over_tail(self, upper, t):
+        """exp(log pdf - log sf) where ``upper``, else exp(log pdf - log cdf), from one baseline pass."""
         with np.errstate(all="ignore"):
-            z, w = self._beta_args(*self._tilt_tails(t))
-            out = special.log_reg_inc_beta_mirrored(*w, *z, p.n, p.m)
+            log_f, *beta = self._log_pdf_parts(t)
+            out = np.exp(log_f - self._beta_tail(special.log_reg_inc_beta_mirrored, upper, *beta))
         return float(out) if np.isscalar(t) else out
 
     def hrf(self, t):
-        """Hazard pdf/sf, taken as exp(log pdf - log sf) from one baseline pass."""
-        p = self.params
-        with np.errstate(all="ignore"):
-            log_f, log_s, log_1ms = self._log_pdf_parts(t)
-            z, w = self._beta_args(log_s, log_1ms)
-            out = np.exp(log_f - special.log_reg_inc_beta_mirrored(*w, *z, p.n, p.m))
-        return float(out) if np.isscalar(t) else out
+        """Hazard pdf/sf."""
+        return self._over_tail(True, t)
 
     def rhrf(self, t):
-        """Reversed hazard pdf/cdf, taken as exp(log pdf - log cdf) from one baseline pass."""
-        p = self.params
-        with np.errstate(all="ignore"):
-            log_f, log_s, log_1ms = self._log_pdf_parts(t)
-            z, w = self._beta_args(log_s, log_1ms)
-            out = np.exp(log_f - special.log_reg_inc_beta_mirrored(*z, *w, p.m, p.n))
-        return float(out) if np.isscalar(t) else out
+        """Reversed hazard pdf/cdf."""
+        return self._over_tail(False, t)
 
     def chrf(self, t):
         """Cumulative hazard -log sf."""

@@ -393,7 +393,7 @@ class _Likelihood:
         r = len(self.t)
         with np.errstate(all="ignore"):
             h, log_g, log_gbar, log_gcdf = b._pass(x)
-            log_f, _, log_1ms, log_d, log_z, log_w = _log_pdf_core(
+            log_f, _, log_1ms, log_d, _, log_z, log_w = _log_pdf_core(
                 m, n, theta, alpha, log_g, log_gbar, log_gcdf
             )
             total = log_f.sum(axis=-1)

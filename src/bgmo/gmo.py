@@ -1,4 +1,4 @@
-"""The Marshall-Olkin tilt, shared by the family and the series layer.
+"""The Marshall-Olkin tilt, under the family's density, cdf and quantile.
 
 The tilt maps a baseline survival function sf_G into
 ``s = alpha*sf_G/D`` with ``D = 1 - (1-alpha)*sf_G``, so ``1 - s = G/D``;

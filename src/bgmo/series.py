@@ -25,8 +25,7 @@ import numpy as np
 
 from . import special
 from .baselines import Baseline, _zmul
-from .family import BgmoDistribution
-from .gmo import log_tilt
+from .family import BgmoDistribution, _log_pdf_core
 
 __all__ = [
     "SeriesEval",
@@ -241,13 +240,12 @@ def _psi_cdf_coeffs(m, n, theta, max_terms):
 def _mo_log_parts(alpha: float, baseline: Baseline, t):
     """(log f_MO, log S_MO, log C_MO) of the plain tilt at the points t.
 
-    S and C = 1 - S are the tilt of ``log_tilt``, each exact in its small
-    tail, and f = alpha*g/D^2.
+    The family's one density form, ``family._log_pdf_core``, at
+    m = n = theta = 1: f = alpha*g/D^2, and S and C = 1 - S each exact in
+    its small tail.
     """
     with np.errstate(all="ignore"):
-        log_g, log_gbar, log_gcdf = baseline.log_parts(t)
-        log_s, log_c, log_d = log_tilt(alpha, log_gbar, log_gcdf)
-        return math.log(alpha) + log_g - 2.0 * log_d, log_s, log_c
+        return _log_pdf_core(1.0, 1.0, 1.0, alpha, *baseline.log_parts(t))[:3]
 
 
 def _power_sum(log_front, coeffs, log_base, powers) -> float:

@@ -16,9 +16,11 @@ draws, against which the family's gamma-ratio sampler is compared,
 cdf and sf at 50 digits from a baseline cdf or sf below the double range,
 ``binom_row`` a scalar binomial row for the loop forms of the series tables,
 ``tanhsinh_support_quad`` the support integral of ``series._support_quad``
-by scipy's tanh-sinh solver, ``log_pdf_sum`` the fitter's log-likelihood as
-the sum of the family's log densities, and ``finite_difference_score`` its
-score by differences of that sum.
+by scipy's tanh-sinh solver, ``mo_log_parts`` the plain tilt's log density
+and log tails as alpha*g/D^2 over ``gmo.log_tilt``, the series layer's own
+coding before it took the family's density form, ``log_pdf_sum`` the
+fitter's log-likelihood as the sum of the family's log densities, and
+``finite_difference_score`` its score by differences of that sum.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import math
 import mpmath
 import numpy as np
 from scipy.special import beta as beta_fn
+
+from bgmo.gmo import log_tilt
 
 
 def _tilt_denominator(alpha, b, t):
@@ -196,6 +200,14 @@ def tanhsinh_support_quad(fn, baseline, *args):
     if np.any(res.status != 0):
         raise ArithmeticError(f"tanh-sinh status {res.status}")
     return res.integral
+
+
+def mo_log_parts(alpha, b, t):
+    """(log f, log S, log C) of the plain tilt: log alpha + log g - 2 log D, S and C from ``log_tilt``."""
+    with np.errstate(all="ignore"):
+        log_g, log_gbar, log_gcdf = b.log_parts(t)
+        log_s, log_c, log_d = log_tilt(alpha, log_gbar, log_gcdf)
+        return math.log(alpha) + log_g - 2.0 * log_d, log_s, log_c
 
 
 def log_pdf_sum(template, params, data):

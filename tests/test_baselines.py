@@ -179,6 +179,26 @@ def test_hazard_rate_is_exact_where_h_is_huge_or_tiny(b, rate):
     assert b.hrf(math.inf) == want[-1]
 
 
+@pytest.mark.parametrize(
+    "b, rate", [(Frechet(2.0, 1.0), 2.0), (ExponentiatedPareto(1.0, 2.0, 1.5), 2.0)], ids=lambda v: repr(v)
+)
+def test_a_lower_tail_hazard_is_zero_at_infinity(b, rate):
+    # g/sf falls as rate/t (lam/t, k/t); at inf exp(log g - log sf) would read -inf - (-inf)
+    assert b.hrf(1e300) == pytest.approx(rate / 1e300, rel=1e-12)
+    assert b.hrf(math.inf) == 0.0
+    np.testing.assert_array_equal(b.hrf(np.array([2.0, math.inf]))[1:], 0.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["log_pdf", "pdf", "cdf", "sf", "log_sf", "log_cdf", "hrf", "quantile", "isf"]
+)
+@pytest.mark.parametrize("b", [Weibull(1.0, 2.0), Frechet(2.0, 1.0)], ids=lambda b: b.tag)
+def test_a_scalar_point_gives_a_python_float(b, name):
+    points = (0.5,) if name in ("quantile", "isf") else (0.5, -1.0, math.inf)
+    for t in points:
+        assert type(getattr(b, name)(t)) is float, t
+
+
 def test_every_family_codes_its_partials():
     assert {type(b) for b in PARTIALS_CASES} == set(BASELINE_FAMILIES.values())
     for cls in BASELINE_FAMILIES.values():

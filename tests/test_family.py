@@ -526,6 +526,16 @@ def test_empty_arrays_evaluate_to_empty_arrays():
         assert part.shape == (0,)
 
 
+@pytest.mark.parametrize(
+    "name", ["log_pdf", "pdf", "cdf", "sf", "log_sf", "hrf", "rhrf", "chrf", "quantile"]
+)
+def test_a_scalar_point_gives_a_python_float(name):
+    d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
+    points = (0.5,) if name == "quantile" else (0.5, -1.0, math.inf)
+    for t in points:
+        assert type(getattr(d, name)(t)) is float, t
+
+
 class TestOneBaselinePass:
     @pytest.mark.parametrize("name", ["log_pdf", "pdf", "cdf", "sf", "log_sf", "hrf", "rhrf"])
     def test_one_log_sf_per_call(self, monkeypatch, name):

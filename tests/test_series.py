@@ -247,6 +247,19 @@ class TestBinomialRecurrence:
         np.testing.assert_array_equal(_alt_binom_table(-1.0, 5), np.ones(5))
 
 
+@pytest.mark.parametrize("b", ALL_BASELINES, ids=BASELINE_IDS)
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+def test_the_plain_tilt_is_the_family_density_form_at_unit_shapes(b, alpha):
+    # _log_pdf_core at m = n = theta = 1 gives log alpha + log g - 2 log D and the
+    # log tails of log_tilt bit for bit, also where sf_G is 0 (there 0 * log sf_G is 0)
+    edge = b.support_low
+    ts = [edge - 1.0, edge, math.nextafter(edge, math.inf), edge + 0.5, 1e-300, 0.5, 3.0, 1e300, math.inf]
+    for t in (*ts, np.array(ts)):
+        got, want = series._mo_log_parts(alpha, b, t), oracles.mo_log_parts(alpha, b, t)
+        for part, (g, w) in enumerate(zip(got, want)):
+            assert np.all(g == w), (t, part)
+
+
 class TestPdfExpansion:
     def test_integer_exact(self):
         d = dist(2, 1, 1, 1)
