@@ -52,6 +52,18 @@ def _zmul(c, v):
     return c * v if c != 0.0 else 0.0
 
 
+def _hazard_levels(p, lower, lower_tail):
+    """The cumulative hazard h⁻¹ takes at the level p of G where ``lower`` holds, else of sf.
+
+    -log p where p is a level of h's own tail (G where ``lower_tail``, the
+    family's ``_lower_tail``, is set) and -log1p(-p) for the other, inf
+    with numpy's warning at a level 1 of the other tail.  The one
+    level-to-hazard rule of ``Baseline._invert``; ``series`` applies it to
+    its fixed quadrature levels once at import.
+    """
+    return np.where(lower == lower_tail, -np.log(p), -np.log1p(-p))
+
+
 def _require_positive(**params):
     for name, value in params.items():
         if not value > 0:
@@ -112,7 +124,9 @@ class Baseline:
     reads inf - inf.  Where h is -log sf, h' is the hazard rate itself; where
     it is -log G, the hazard rate is g/sf.  Every inversion (quantile,
     isf, the tilt inverse) is one ``_invert`` call: h⁻¹ at -log p for a level
-    p of h's own tail and at -log1p(-p) for the other, the tail set per point.
+    p of h's own tail and at -log1p(-p) for the other, the tail set per point
+    (``_hazard_levels``); the quadrature of ``series`` applies that rule to
+    its fixed levels once and calls ``_inv_hazard`` itself.
     It also handles support masking and scalar passthrough.
     ``log_parts`` (or ``log_tails`` where the density is not needed) is the
     one pass the family layer makes: log g, log sf and log G from one floor,
@@ -184,24 +198,25 @@ class Baseline:
     def log_cdf(self, t):
         return self._on_support(lambda x: self._log_tails(x, self._hazard(x.t))[1], t, -np.inf)
 
-    def log_parts(self, t):
-        """(log g, log sf, log G) at t, as arrays equal to ``log_pdf``, ``log_sf`` and ``log_cdf``."""
-        return self._masked(self._log_parts, t, (-np.inf, 0.0, -np.inf))
+    def log_parts(self, t, hazard=False):
+        """(log g, log sf, log G) at t, as arrays equal to ``log_pdf``, ``log_sf`` and ``log_cdf``.
+
+        With ``hazard`` the log of ``hrf`` (``_log_hrf``) follows, from the same pass.
+        """
+
+        def parts(x):
+            out = self._log_parts(x)
+            return (*out, self._log_hrf(x, out)) if hazard else out
+
+        return self._masked(parts, t, (-np.inf, 0.0, -np.inf, -np.inf))
 
     def log_tails(self, t):
         """(log sf, log G) at t: the pass of ``log_parts`` without the density."""
         return self._masked(lambda x: self._log_tails(x, self._hazard(x.t)), t, (0.0, -np.inf))
 
     def hrf(self, t):
-        """g/sf: h' itself where h is -log sf, else exp(log g - log sf) from one pass, 0 where g is 0."""
-
-        def rate(x):
-            if not self._lower_tail:  # no such rate reads h; a constant one is a scalar
-                return np.exp(np.broadcast_to(self._log_rate(x, None), x.t.shape))
-            log_g, log_sf, _ = self._log_parts(x)
-            return np.exp(np.where(log_g == -np.inf, -np.inf, log_g - log_sf))
-
-        return self._on_support(rate, t, 0.0)
+        """g/sf (``_log_hrf``), 0 where g is 0."""
+        return self._on_support(lambda x: np.exp(np.broadcast_to(self._log_hrf(x), x.t.shape)), t, 0.0)
 
     def quantile(self, u):
         return self._invert(u, lower=True)
@@ -260,6 +275,17 @@ class Baseline:
         h, log_g, log_sf, log_cdf = self._pass(x)
         return _zero_where_h_is_inf(log_g, h), log_sf, log_cdf
 
+    def _log_hrf(self, x, parts=None):
+        """log g/sf at x: log h' itself where h is -log sf, else log g - log sf, -inf where g is 0.
+
+        No such h' reads h, and a constant one is a scalar.  log g and log sf
+        are those of ``parts`` (``_log_parts`` at x), or of a new pass.
+        """
+        if not self._lower_tail:
+            return self._log_rate(x, None)
+        log_g, log_sf, _ = parts or self._log_parts(x)
+        return np.where(log_g == -np.inf, -np.inf, log_g - log_sf)
+
     def _log_density(self, x, h):
         return _zero_where_h_is_inf(self._log_rate(x, h) - h, h)
 
@@ -287,8 +313,7 @@ class Baseline:
         if bad.any():
             raise ValueError("isf requires q in (0, 1]")
         with np.errstate(all="ignore"):
-            y = np.where(lower == self._lower_tail, -np.log(p), -np.log1p(-p))
-            return _maybe_scalar(self._inv_hazard(y), scalar)
+            return _maybe_scalar(self._inv_hazard(_hazard_levels(p, lower, self._lower_tail)), scalar)
 
     def _partials(self, x, h):
         """The triples (d log g, d log sf, d log G) from ``_hazard_partials``.

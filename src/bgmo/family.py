@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from . import special
 from .baselines import Baseline, _zmul
@@ -124,16 +125,22 @@ class BgmoDistribution:
 
     # --- log-space building blocks, called under np.errstate(all="ignore") ---
 
-    def _log_pdf_parts(self, t):
-        """Arrays log f, z, log z and log w (``_z_of_s``)."""
+    def _log_pdf_parts(self, t, hazard=False):
+        """Arrays log f, z, log z and log w (``_z_of_s``).
+
+        With ``hazard``, log D and the baseline's log hazard rate
+        (``Baseline.hrf``) follow, from the same baseline pass.
+        """
         p = self.params
-        log_g, log_gbar, log_gcdf = self.baseline.log_parts(t)
-        out, *_, z, log_z, log_w = _log_pdf_core(p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf)
+        log_g, log_gbar, log_gcdf, *log_hg = self.baseline.log_parts(t, hazard)
+        out, _, _, log_d, z, log_z, log_w = _log_pdf_core(
+            p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf
+        )
         # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G
         # alone would be +inf for theta < 1
         t_arr = np.asarray(t, dtype=float)
         out = np.where((t_arr >= self.support_low) & (log_gbar > -np.inf), out, -np.inf)
-        return out, z, log_z, log_w
+        return (out, z, log_z, log_w, log_d, *log_hg) if hazard else (out, z, log_z, log_w)
 
     def log_pdf(self, t):
         with np.errstate(all="ignore"):
@@ -186,20 +193,35 @@ class BgmoDistribution:
         """log sf, finite where the sf underflows (``special.log_reg_inc_beta_mirrored``)."""
         return self._tail(special.log_reg_inc_beta_mirrored, True, t)
 
-    def _over_tail(self, upper, t):
-        """exp(log pdf - log sf) where ``upper``, else exp(log pdf - log cdf), from one baseline pass."""
+    def hrf(self, t):
+        """Hazard pdf/sf.
+
+        Where w = s^theta <= 1/2 it is theta n h_G/(D z 2F1(m + n, 1; n + 1; w)),
+        the density over the sf I_w(n, m) in its hypergeometric form (DLMF
+        8.17.8), with h_G the baseline hazard rate from the same pass: no two
+        logs of size theta n h are subtracted, so it keeps its digits far out
+        and is theta n h_G at t = inf.  Elsewhere it is exp(log pdf - log sf).
+        """
+        p = self.params
         with np.errstate(all="ignore"):
-            log_f, *beta = self._log_pdf_parts(t)
-            out = np.exp(log_f - self._beta_tail(special.log_reg_inc_beta_mirrored, upper, *beta))
+            log_f, z, log_z, log_w, log_d, log_hg = self._log_pdf_parts(t, hazard=True)
+            w = np.exp(log_w)
+            small = (w <= 0.5).ravel()  # flat indices and the array methods: cheap on short arrays
+            far, near, out = small.nonzero()[0], (~small).nonzero()[0], np.empty(np.shape(w))
+            rate = np.exp((log_hg - log_d - log_z).take(far))
+            out.put(far, p.theta * p.n * rate / hyp2f1(p.m + p.n, 1.0, p.n + 1.0, w.take(far)))
+            log_sf = self._beta_tail(
+                special.log_reg_inc_beta_mirrored, True, z.take(near), log_z.take(near), log_w.take(near)
+            )
+            out.put(near, np.exp(log_f.take(near) - log_sf))
         return float(out) if np.isscalar(t) else out
 
-    def hrf(self, t):
-        """Hazard pdf/sf."""
-        return self._over_tail(True, t)
-
     def rhrf(self, t):
-        """Reversed hazard pdf/cdf."""
-        return self._over_tail(False, t)
+        """Reversed hazard pdf/cdf, exp(log pdf - log cdf) from one baseline pass."""
+        with np.errstate(all="ignore"):
+            log_f, *beta = self._log_pdf_parts(t)
+            out = np.exp(log_f - self._beta_tail(special.log_reg_inc_beta_mirrored, False, *beta))
+        return float(out) if np.isscalar(t) else out
 
     def chrf(self, t):
         """Cumulative hazard -log sf."""

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from .baselines import Baseline, _zmul
+from .baselines import Baseline, _hazard_levels, _zmul
 from .family import BgmoDistribution, _log_pdf_core
 
 __all__ = [
@@ -388,14 +388,19 @@ _LADDER = [_tanh_sinh_level(k) for k in range(_MAX_LEVEL + 1)]
 def _batch(levels, probe=()):
     """One integrand call over ``levels`` of the ladder.
 
-    Returns the nodes w, the baseline levels (w of G, then w and ``probe`` of
-    sf) with their tail mask, and per level (k, its slice of w, its weights).
+    Returns the node count of each half, the cumulative hazards at which the
+    baseline's h reaches the points' levels (w of G, then w and ``probe`` of
+    sf), one array per tail orientation (indexed by ``Baseline._lower_tail``),
+    and per level (k, its slice of w, its weights).
     """
     sizes = [_LADDER[k][0].size for k in levels]
     ends = np.cumsum(sizes)
     parts = [(k, slice(e - n, e), _LADDER[k][1]) for k, n, e in zip(levels, sizes, ends)]
     w = np.concatenate([_LADDER[k][0] for k in levels])
-    return w, np.concatenate((w, w, probe)), np.arange(2 * w.size + len(probe)) < w.size, parts
+    p = np.concatenate((w, w, probe))
+    lower = np.arange(p.size) < w.size
+    hazards = tuple(_hazard_levels(p, lower, lower_tail) for lower_tail in (False, True))
+    return w.size, hazards, parts
 
 
 _BATCHES = [_batch(range(_FIRST_LEVELS), _TAIL_PROBE)] + [
@@ -407,12 +412,25 @@ def _bailey_error(older, old, new):
     """Relative error of ``new`` from the sums of the last three levels (Bailey's d1^2/d2).
 
     d1 and d2 are log10 of |new - old| and |new - older| relative to |new|;
-    the estimate is 10^max(d1^2/d2, 2 d1), and 0 where new equals old.
+    the estimate is 10^max(d1^2/d2, 2 d1), 0 where new equals old and inf
+    where it is NaN.  The sums are arrays, or numbers where the integral is
+    one: numbers take ``math``, and its errors (a zero sum, a d2 of 0, an
+    overflow) are the cases the array form sets to inf.
     """
-    d1 = np.log10(np.abs(new - old) / np.abs(new))
-    d2 = np.log10(np.abs(new - older) / np.abs(new))
-    est = 10.0 ** np.maximum(d1 * d1 / d2, 2.0 * d1)
-    return np.where(new == old, 0.0, np.where(np.isnan(est), np.inf, est))
+    if isinstance(new, np.ndarray):
+        d1 = np.log10(np.abs(new - old) / np.abs(new))
+        d2 = np.log10(np.abs(new - older) / np.abs(new))
+        est = 10.0 ** np.maximum(d1 * d1 / d2, 2.0 * d1)
+        return np.where(new == old, 0.0, np.where(np.isnan(est), np.inf, est))
+    if new == old:
+        return 0.0
+    try:
+        d1 = math.log10(abs(new - old) / abs(new))
+        r2 = abs(new - older) / abs(new)
+        est = 10.0 ** max(d1 * d1 / (math.log10(r2) if r2 != 0.0 else -math.inf), 2.0 * d1)
+    except ArithmeticError:
+        return math.inf
+    return math.inf if math.isnan(est) else est
 
 
 def _check_tail_decay(check: str, t, values):
@@ -443,13 +461,17 @@ def _support_quad(fn: Callable, baseline: Baseline, *args, check: str | None = N
     The rule walks the node ladder ``_LADDER``: the sum at level k is half
     that of level k - 1 plus 2^-k times the sum over its new nodes.  Levels 0
     to 3 share one call of the baseline and of fn, and each later level takes
-    one call.  The args get a new last axis, so the baseline (and whatever in
-    fn depends on t alone) is evaluated once per node, and only the final
-    combination once per element and node; a call's arrays are the element
-    count times its nodes (198 in the first call, 1,578 at level 8).  It
-    stops once Bailey's error estimate is at most 1e-14 relative for every
-    element; ``DivergenceError``, naming the estimate and the count of zeroed
-    values, is raised after level 8.
+    one call.  What depends on the ladder alone is fixed at import in
+    ``_BATCHES``: the hazards at which h reaches each call's levels, for both
+    tail orientations, so a call inverts its nodes with one ``_inv_hazard``.
+    A single integral (no args, or args of shape ()) carries its level sums
+    as Python floats.  The args get a new last axis, so the baseline (and
+    whatever in fn depends on t alone) is evaluated once per node, and only
+    the final combination once per element and node; a call's arrays are
+    the element count times its nodes (198 in the first call, 1,578 at
+    level 8).  It stops once Bailey's error estimate is at most 1e-14
+    relative for every element; ``DivergenceError``, naming the estimate and
+    the count of zeroed values, is raised after level 8.
 
     When ``check`` is given, it names the integral in a tail-decay check
     that rejects integrands whose far-tail contribution is not shrinking.
@@ -458,32 +480,35 @@ def _support_quad(fn: Callable, baseline: Baseline, *args, check: str | None = N
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     args = tuple(np.asarray(a)[..., None] for a in args)
-    zeroed = np.zeros(shape, dtype=int)
-    sums = []
+    sums, finites = [], []
     with np.errstate(all="ignore"):
-        for w, levels, lower, parts in _BATCHES:
-            t = baseline._invert(levels, lower)
+        for half, hazards, parts in _BATCHES:
+            t = baseline._inv_hazard(hazards[baseline._lower_tail])
             values = fn(t, *args)
-            nodes = 2 * w.size
+            nodes = 2 * half
             if check and t.size > nodes:  # the first call, with the tail probe
                 _check_tail_decay(check, t[nodes:], values[..., nodes:])
-            ratio = np.broadcast_to(values[..., :nodes] / baseline.pdf(t[:nodes]), shape + (nodes,))
-            finite = np.isfinite(ratio)
-            zeroed = zeroed + np.count_nonzero(~finite, axis=-1)
-            ratio = np.where(finite, ratio, 0.0)
-            lower, upper = ratio[..., : w.size], ratio[..., w.size :]
+            ratio = values[..., :nodes] / baseline.pdf(t[:nodes])
+            if ratio.shape != shape + (nodes,):  # fn does not read every arg
+                ratio = np.broadcast_to(ratio, shape + (nodes,))
+            finites.append(np.isfinite(ratio))
+            ratio = np.where(finites[-1], ratio, 0.0)
+            both = ratio[..., :half] + ratio[..., half:]
             for k, part, weight in parts:
-                level = 2.0**-k * ((lower[..., part] + upper[..., part]) @ weight)
+                level = both[..., part] @ weight
+                level = 2.0**-k * (float(level) if not shape else level)
                 sums.append(level if k == 0 else 0.5 * sums[-1] + level)
                 if k >= 2:
                     err = _bailey_error(*sums[-3:])
-                    if np.all(err <= _RTOL):
-                        return float(sums[-1]) if sums[-1].ndim == 0 else sums[-1]
+                    if err <= _RTOL if not shape else np.all(err <= _RTOL):
+                        return sums[-1]
+    err, total = np.asarray(err), np.asarray(sums[-1])
+    zeroed = sum(np.count_nonzero(~finite, axis=-1) for finite in finites)
     i = np.unravel_index(np.argmax(err > _RTOL), shape)
     raise DivergenceError(
         f"tanh-sinh quadrature did not converge (status: {np.count_nonzero(err > _RTOL)} of "
         f"{err.size} integrals above tolerance after level {_MAX_LEVEL}): relative error "
-        f"estimate {err[i]:.3g} of integral {sums[-1][i]:.6g}, {zeroed[i]} non-finite "
+        f"estimate {err[i]:.3g} of integral {total[i]:.6g}, {zeroed[i]} non-finite "
         f"integrand values counted as 0"
     )
 

@@ -41,11 +41,15 @@ def _scalar_or_array(out, *inputs):
 
 
 def _checked(name: str, arg: str, x, m, n) -> np.ndarray:
-    """``x`` as a float array, once m, n > 0 and x in [0, 1] hold everywhere."""
-    if np.any(~(np.asarray(m) > 0)) or np.any(~(np.asarray(n) > 0)):
+    """``x`` as a float array, once m, n > 0 and x in [0, 1] hold everywhere (NaN fails).
+
+    The array methods ``all`` cost a fraction of ``np.any``'s dispatch, which
+    took about a fifth of a 100-point incomplete beta.
+    """
+    if not ((np.asarray(m) > 0).all() and (np.asarray(n) > 0).all()):
         raise ValueError(f"{name} requires positive shapes, got ({m}, {n})")
     x_arr = np.asarray(x, dtype=float)
-    if np.any(~((x_arr >= 0.0) & (x_arr <= 1.0))):
+    if not ((x_arr >= 0.0) & (x_arr <= 1.0)).all():
         raise ValueError(f"{name} requires {arg} in [0, 1], got {x}")
     return x_arr
 
@@ -210,7 +214,9 @@ def beta_quantile_series(u: float, m: float, n: float, order: int = 4) -> float:
     """Small-u power series for the beta quantile.
 
     Q_{m,n}(u) ~ sum_i d_i w^i with w = [m B(m, n) u]^(1/m), so the i-th term
-    scales as [m B(m, n)]^(i/m) u^(i/m).  Valid only as u -> 0; the exact
+    scales as [m B(m, n)]^(i/m) u^(i/m).  w is formed from the logs of its
+    factors, so it stays a normal double where m B(m, n) u underflows (B(1000,
+    1000) is about e^-1390).  Valid only as u -> 0; the exact
     ``beta_quantile`` should be used elsewhere.
     """
     if not 1 <= order <= 4:
@@ -222,6 +228,6 @@ def beta_quantile_series(u: float, m: float, n: float, order: int = 4) -> float:
     if u == 0.0:
         return 0.0
     d = _quantile_series_coeffs(m, n)
-    w = (m * math.exp(log_beta(m, n)) * u) ** (1.0 / m)
+    w = math.exp((math.log(m) + log_beta(m, n) + math.log(u)) / m)
     return sum(d[i] * w ** (i + 1) for i in range(order))
 

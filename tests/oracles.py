@@ -149,14 +149,18 @@ def cdf_sf_mp(m, n, theta, alpha, log_gbar):
         return float(1 - sf), float(sf)
 
 
-def pdf_cdf_mp(m, n, theta, alpha, g, gcdf, gbar=None):
+def pdf_cdf_mp(m, n, theta, alpha, g, gcdf, gbar=None, dps=50):
     """The family's pdf, cdf and sf at 50 digits, from a baseline g, G and sf_G taken as exact.
 
     g, G and sf_G (1 - G unless given) are mpmath numbers, so they may lie
     below the smallest double; 1 - s is formed as G/D where G/D < 1/2 and s
-    as alpha*sf_G/D elsewhere, never as a difference.
+    as alpha*sf_G/D elsewhere, never as a difference.  As in ``cdf_sf_mp``,
+    the incomplete beta is evaluated at the smaller of z and w, the other
+    tail as its complement.  Where -log sf_G has k digits before the point,
+    the powers of s keep 50 digits only at ``dps`` = 50 + k, and the
+    baseline values must carry as many.
     """
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         m, n, theta, alpha = (mpmath.mpf(v) for v in (m, n, theta, alpha))
         gbar = 1 - gcdf if gbar is None else gbar
         d = 1 - (1 - alpha) * gbar
@@ -166,8 +170,11 @@ def pdf_cdf_mp(m, n, theta, alpha, g, gcdf, gbar=None):
             theta * alpha**theta * g * gbar ** (theta - 1) / d ** (theta + 1)
             * z ** (m - 1) * w ** (n - 1) / mpmath.beta(m, n)
         )
-        cdf = mpmath.betainc(m, n, 0, z, regularized=True)
-        return pdf, cdf, mpmath.betainc(n, m, 0, w, regularized=True)
+        if z <= w:
+            cdf = mpmath.betainc(m, n, 0, z, regularized=True)
+            return pdf, cdf, 1 - cdf
+        sf = mpmath.betainc(n, m, 0, w, regularized=True)
+        return pdf, 1 - sf, sf
 
 
 def binom_row(x: float, length: int) -> np.ndarray:

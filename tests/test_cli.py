@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bgmo
 from bgmo.baselines import make_baseline
 from bgmo.cli import DEFAULT_GALLERY, build_distribution, main
 from bgmo.datasets import builtin_dataset
@@ -43,6 +48,16 @@ class TestEvalQuantileSample:
         assert rc1 == rc2 == 0
         assert out1 == out2
         assert len(out1.strip().splitlines()) == 5
+
+    def test_python_dash_m_runs_main(self, capsys):
+        args = ("sample", "--dist", REDUCTION, "--count", "5", "--seed", "1")
+        src = str(Path(bgmo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "bgmo", *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+        rc, out, _ = run(capsys, *args)
+        assert done.returncode == rc == 0
+        assert done.stdout == out
 
     def test_sample_lines_are_repr_of_draws(self, capsys):
         spec = "weibull m=0.7 n=2.5 theta=0.5 alpha=2.5 lambda=1 beta=2"

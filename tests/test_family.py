@@ -332,6 +332,57 @@ class TestTails:
             assert d.sf(t) == pytest.approx(float(sf), rel=1e-12)
             assert d.hrf(t) == pytest.approx(float(pdf / sf), rel=1e-12)
 
+    # (baseline, its (g, G, sf) at t from h and e^-h, its cumulative hazard
+    # h at t, its hazard rate at t = inf); Frechet's h is -log G, the
+    # others' -log sf.  The far points run to h = 1e300 (t = 1e150 for the
+    # Weibull, whose h = t^2)
+    HRF_BASELINES = [
+        (Exponential(1.3), lambda t, h, e: (1.3 * e, -mpmath.expm1(-h), e), lambda t: 1.3 * t, 1.3),
+        (Weibull(1.0, 2.0), lambda t, h, e: (2 * t * e, -mpmath.expm1(-h), e), lambda t: t * t, math.inf),
+        (Lomax(2.0, 1.0), lambda t, h, e: (2 * e / (1 + t), -mpmath.expm1(-h), e), lambda t: 2 * mpmath.log1p(t), 0.0),
+        (
+            Frechet(2.0, 1.2),
+            lambda t, h, e: (2 * h / t * e, e, -mpmath.expm1(-h)),
+            lambda t: (mpmath.mpf(1.2) / t) ** 2,
+            0.0,
+        ),
+    ]
+
+    @pytest.mark.parametrize("baseline, exact, hazard, _", HRF_BASELINES, ids=lambda v: getattr(v, "tag", ""))
+    def test_hrf_far_into_the_upper_tail(self, baseline, exact, hazard, _):
+        # w = s^theta <= 1/2 takes theta n h_G/(D z 2F1(m + n, 1; n + 1; w)):
+        # exp(log f - log sf) lost about theta n h eps, and was NaN once h overflowed
+        def exact_at(t):
+            with mpmath.workdps(400):  # h is up to 1.3e300
+                t = mpmath.mpf(t)
+                h = hazard(t)
+                return exact(t, h, mpmath.exp(-h))
+
+        far = [1e5, 1e50, 1e100, 1e150] if baseline.tag == "weibull" else [1e5, 1e100, 1e200, 1e300]
+        at_far = [exact_at(t) for t in far]
+        for shapes in [(0.7, 2.5, 0.5, 2.5), (2.0, 1.5, 0.8, 2.0), (1.0, 1.0, 1.0, 1.0)]:
+            d = dist(*shapes, baseline)
+            body = [float(t) for t in d.quantile(np.array([0.6, 0.9, 0.999]))]
+            for t, (g, gcdf, gbar) in zip(body + far, [exact_at(t) for t in body] + at_far):
+                # 50 digits beyond those of -log sf_G before the point
+                dps = 50 + int(mpmath.log10(1 - mpmath.log(gbar)))
+                pdf, _, sf = oracles.pdf_cdf_mp(*shapes, g, gcdf, gbar, dps=dps)
+                assert d.hrf(t) == pytest.approx(float(pdf / sf), rel=1e-12, abs=0), (shapes, t)
+            np.testing.assert_array_equal(d.hrf(np.array(far)), [d.hrf(t) for t in far])
+
+    @pytest.mark.parametrize("baseline, _, __, rate", HRF_BASELINES, ids=lambda v: getattr(v, "tag", ""))
+    def test_hrf_at_inf_is_theta_n_times_the_baseline_hazard(self, baseline, _, __, rate):
+        # D = 1 and z = 1 there
+        assert baseline.hrf(math.inf) == rate
+        for m, n, theta, alpha in [(0.7, 2.5, 0.5, 2.5), (2.0, 1.5, 0.8, 2.0)]:
+            assert dist(m, n, theta, alpha, baseline).hrf(math.inf) == theta * n * rate
+
+    def test_hrf_at_the_points_of_the_upper_tail_faults(self):
+        d = dist(0.7, 2.5, 0.5, 2.5)
+        assert d.hrf(1e100) == pytest.approx(1.25, rel=1e-14)
+        assert d.hrf(math.inf) == pytest.approx(1.25, rel=1e-14)
+        assert dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0)).hrf(1e200) == pytest.approx(2.5e200, rel=1e-12)
+
     def test_quantile_round_trip_is_relative_at_tiny_levels(self):
         d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
         us = 10.0 ** -np.arange(4, 16, 2)
@@ -514,6 +565,19 @@ class TestEvaluationOverTheBox:
         np.testing.assert_array_equal(log_cdf, baseline.log_cdf(t))
         for got, want in zip(baseline.log_tails(t), (log_sf, log_cdf)):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("baseline", ALL_BASELINES, ids=BASELINE_IDS)
+def test_the_hazard_of_the_pass_is_the_baseline_hrf(baseline):
+    # log_parts(t, hazard=True) appends log hrf from the same pass, also
+    # below the support, at its edge and at inf and NaN
+    lo = baseline.support_low
+    t = np.array([lo - 1.0, lo, math.nextafter(lo, math.inf), lo + 0.5, lo + 3.0, 1e300, math.inf, math.nan])
+    *parts, log_h = baseline.log_parts(t, hazard=True)
+    with np.errstate(over="ignore"):  # the Gompertz hazard overflows far out
+        np.testing.assert_array_equal(np.exp(log_h), baseline.hrf(t))
+    for got, want in zip(parts, baseline.log_parts(t)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_empty_arrays_evaluate_to_empty_arrays():

@@ -10,7 +10,18 @@ from scipy.special import beta as scipy_beta
 from test_gmo import ALL_BASELINES, BASELINE_IDS
 
 from bgmo import series
-from bgmo.baselines import Exponential, Frechet, Lomax, Weibull
+from bgmo.baselines import (
+    BASELINE_FAMILIES,
+    Exponential,
+    ExponentiatedPareto,
+    ExtendedWeibull,
+    Frechet,
+    Gompertz,
+    Lomax,
+    ModifiedWeibull,
+    Weibull,
+    ZFunction,
+)
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.series import (
     _LADDER,
@@ -35,6 +46,18 @@ from bgmo.series import (
 )
 
 EXP = Exponential(1.0)
+# one baseline per family, the extended Weibull once per Z kind
+EACH_FAMILY = [
+    Exponential(1.3),
+    Weibull(0.5, 2.0),
+    Lomax(2.0, 1.5),
+    Frechet(2.0, 1.2),
+    Gompertz(0.4, 1.1),
+    *(ExtendedWeibull(0.8, ZFunction(kind, k=0.25, beta=1.5))
+      for kind in ("linear", "square", "log_ratio", "gompertz_link")),
+    ModifiedWeibull(0.7, 0.8, 1.5),
+    ExponentiatedPareto(0.8, 0.3, 0.5),
+]
 
 
 def dist(m, n, theta, alpha, baseline=EXP):
@@ -503,6 +526,49 @@ class TestSupportQuad:
         got = _support_quad(fn, baseline, *args)
         np.testing.assert_array_equal(got, want)
         assert len(estimates) + 1 == stop  # one estimate per level from level 2 on
+
+    def test_each_family_and_tail_orientation_is_covered(self):
+        assert {b.tag for b in EACH_FAMILY} == set(BASELINE_FAMILIES)
+        assert {b._lower_tail for b in EACH_FAMILY} == {False, True}
+
+    @pytest.mark.parametrize("baseline", EACH_FAMILY, ids=repr)
+    def test_hoisted_hazard_levels_invert_as_invert_does(self, baseline):
+        # the hazards stored at import give the t of _invert at the batch's
+        # levels (w of G, then w and the tail probe of sf), bit for bit
+        first = list(range(series._FIRST_LEVELS))
+        groups = [first] + [[k] for k in range(series._FIRST_LEVELS, series._MAX_LEVEL + 1)]
+        assert len(groups) == len(series._BATCHES)
+        for (half, hazards, _), levels in zip(series._BATCHES, groups):
+            w = np.concatenate([_LADDER[k][0] for k in levels])
+            p = np.concatenate((w, w, series._TAIL_PROBE if levels == first else []))
+            want = baseline._invert(p, np.arange(p.size) < w.size)
+            assert half == w.size
+            with np.errstate(all="ignore"):  # as in _support_quad; _invert sets its own
+                got = baseline._inv_hazard(hazards[baseline._lower_tail])
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "sums, want",
+        [
+            ((1.0, 2.0, 2.0), 0.0),  # new equals old
+            ((1.0, 2.0, 0.0), math.inf),  # a zero sum
+            ((1.0, 2.0, math.nan), math.inf),
+            ((1.0, math.nan, 2.0), math.inf),
+            ((2.0, 1.0, 2.0), None),  # new equals older: d2 is -inf
+            ((2.0, 3.0, 1.0), None),  # |new - older|/|new| is 1: d2 is 0
+            ((11e-300, 1e300, 1e-300), None),  # 10^(d1^2/d2) overflows
+            ((0.999, 0.99999, 0.9999999), None),
+            ((1.0, 1.0 + 1e-9, 1.0 + 1e-9 + 1e-13), None),
+        ],
+    )
+    def test_bailey_error_on_numbers_matches_its_array_form(self, sums, want):
+        got = _bailey_error(*sums)
+        with np.errstate(all="ignore"):  # as in _support_quad
+            array = _bailey_error(*(np.array([s]) for s in sums))[0]
+        assert isinstance(got, float)
+        assert got == pytest.approx(array, rel=1e-14, abs=0)
+        if want is not None:
+            assert got == array == want
 
     def test_one_integrand_call_up_to_level_3(self, monkeypatch):
         sizes = []

@@ -236,3 +236,12 @@ class TestBetaQuantileSeries:
     def test_order_domain(self):
         with pytest.raises(ValueError):
             beta_quantile_series(0.1, 2, 3, 5)
+
+    @pytest.mark.parametrize("u, m, n", [(1e-10, 1000, 1000), (1e-100, 600, 600)])
+    def test_no_underflow_where_m_beta_u_underflows(self, u, m, n):
+        # m B(m, n) u is below the double range (B(1000, 1000) ~ e^-1390)
+        with mpmath.workdps(50):
+            want = float((m * mpmath.beta(m, n) * mpmath.mpf(u)) ** (mpmath.mpf(1) / m))
+        assert beta_quantile_series(u, m, n, 1) == pytest.approx(want, rel=1e-12, abs=0)
+        for order in (2, 3, 4):
+            assert math.isfinite(beta_quantile_series(u, m, n, order))
