@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exprel
 
-from .special import _TINY, _log, _power
+from .special import _TINY, _log, _power, _scalar_or_array
 
 __all__ = [
     "Baseline",
@@ -33,13 +33,10 @@ __all__ = [
     "ModifiedWeibull",
     "ExponentiatedPareto",
     "make_baseline",
+    "baseline_class",
     "BASELINE_FAMILIES",
     "PARAM_ALIASES",
 ]
-
-
-def _maybe_scalar(out, scalar_in: bool):
-    return float(out) if scalar_in else out
 
 
 def _zmul(c, v):
@@ -127,7 +124,7 @@ class Baseline:
     p of h's own tail and at -log1p(-p) for the other, the tail set per point
     (``_hazard_levels``); the quadrature of ``series`` applies that rule to
     its fixed levels once and calls ``_inv_hazard`` itself.
-    It also handles support masking and scalar passthrough.
+    It also handles support masking and the scalar rule (``_scalar_or_array``).
     ``log_parts`` (or ``log_tails`` where the density is not needed) is the
     one pass the family layer makes: log g, log sf and log G from one floor,
     one ``_hazard`` and one support mask (none where every point is on the
@@ -239,7 +236,7 @@ class Baseline:
 
     def _on_support(self, fn, t, outside):
         """fn on the support (points nudged up to its floor), ``outside`` below it."""
-        return _maybe_scalar(self._masked(lambda x: (fn(x),), t, (outside,))[0], np.isscalar(t))
+        return _scalar_or_array(self._masked(lambda x: (fn(x),), t, (outside,))[0], t)
 
     def _masked(self, fn, t, outside):
         """The arrays of fn at t floored to the support, each set to its ``outside`` value below it.
@@ -305,15 +302,14 @@ class Baseline:
         Levels of G lie in (0, 1) and of sf in (0, 1]; h⁻¹(inf) at a level 1
         of the other tail is the support edge, so no warning is raised.
         """
-        scalar = np.isscalar(p)
-        p = np.asarray(p, dtype=float)
-        bad = (p <= 0.0) | (p > 1.0) | ((p == 1.0) & lower)
+        levels = np.asarray(p, dtype=float)
+        bad = (levels <= 0.0) | (levels > 1.0) | ((levels == 1.0) & lower)
         if np.any(bad & lower):
             raise ValueError("quantile requires u in (0, 1)")
         if bad.any():
             raise ValueError("isf requires q in (0, 1]")
         with np.errstate(all="ignore"):
-            return _maybe_scalar(self._inv_hazard(_hazard_levels(p, lower, self._lower_tail)), scalar)
+            return _scalar_or_array(self._inv_hazard(_hazard_levels(levels, lower, self._lower_tail)), p)
 
     def _partials(self, x, h):
         """The triples (d log g, d log sf, d log G) from ``_hazard_partials``.
@@ -708,6 +704,14 @@ BASELINE_FAMILIES = {
 PARAM_ALIASES = {"lambda": "lam"}
 
 
+def baseline_class(tag: str) -> type[Baseline]:
+    """The family class ``tag`` names; an unknown tag is a ``ValueError`` listing the known ones."""
+    if tag not in BASELINE_FAMILIES:
+        known = ", ".join(sorted(BASELINE_FAMILIES))
+        raise ValueError(f"unknown baseline family {tag!r} (known: {known})")
+    return BASELINE_FAMILIES[tag]
+
+
 def make_baseline(tag: str, **params) -> Baseline:
     """Construct a baseline from its family tag and named parameters.
 
@@ -716,10 +720,7 @@ def make_baseline(tag: str, **params) -> Baseline:
     parameter (``k`` for log_ratio, ``beta`` for gompertz_link).
     """
     tag = tag.lower()
-    if tag not in BASELINE_FAMILIES:
-        known = ", ".join(sorted(BASELINE_FAMILIES))
-        raise ValueError(f"unknown baseline family {tag!r} (known: {known})")
-    cls = BASELINE_FAMILIES[tag]
+    cls = baseline_class(tag)
     kwargs = {PARAM_ALIASES.get(name, name): value for name, value in params.items()}
     if cls is ExtendedWeibull:
         kind = kwargs.pop("z", "linear")

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .baselines import BASELINE_FAMILIES, PARAM_ALIASES
+from .baselines import PARAM_ALIASES, baseline_class
 from .datasets import Dataset, builtin_dataset, load_dataset
 from .family import BgmoDistribution
 from .fitting import FitConfig, FitError, ModelTemplate, fit_mle
@@ -62,8 +62,7 @@ def _template(spec: str) -> ModelTemplate:
     if not tokens:
         raise CliError("empty model spec")
     tag = tokens[0].lower()
-    # an unknown tag has no options; ModelTemplate rejects it
-    option_names = getattr(BASELINE_FAMILIES.get(tag), "option_names", ())
+    option_names = baseline_class(tag).option_names
     fixed, options = {}, {}
     for tok in tokens[1:]:
         name, eq, value = tok.partition("=")
@@ -230,10 +229,10 @@ def _cmd_shapes(args) -> int:
 
 
 def _add_fit_flags(sub):
-    sub.add_argument("--starts", type=int, default=24, help="multi-start restarts")
-    sub.add_argument("--max-iter", type=int, default=2000, help="optimizer iteration cap")
-    sub.add_argument("--seed", type=int, default=0, help="restart sampling seed")
-    sub.add_argument("--level", type=float, default=0.05, help="1 - confidence level")
+    sub.add_argument("--starts", type=int, default=FitConfig.starts, help="multi-start restarts")
+    sub.add_argument("--max-iter", type=int, default=FitConfig.max_iter, help="optimizer iteration cap")
+    sub.add_argument("--seed", type=int, default=FitConfig.seed, help="restart sampling seed")
+    sub.add_argument("--level", type=float, default=FitConfig.level, help="1 - confidence level")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ from scipy.special import hyp2f1
 from . import special
 from .baselines import Baseline, _zmul
 from .gmo import _LN2, log_tilt, tilt_inverse
-from .special import _log
+from .special import _log, _scalar_or_array
 
 __all__ = ["BgmoParams", "BgmoDistribution"]
 
@@ -63,6 +63,12 @@ def _in_shape_domain(*shapes):
     for value in shapes:
         ok = ok & (0.0 < value) & (value < math.inf)
     return ok
+
+
+def _zero_where_g_is(log_g, log_f):
+    """log f, -inf exactly where the baseline pass gives log g = -inf: the one zero-set rule,
+    also where a power of a vanishing z or sf_G alone reads +inf against it."""
+    return np.where(log_g == -np.inf, -np.inf, log_f)
 
 
 def _log_pdf_core(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
@@ -126,7 +132,7 @@ class BgmoDistribution:
     # --- log-space building blocks, called under np.errstate(all="ignore") ---
 
     def _log_pdf_parts(self, t, hazard=False):
-        """Arrays log f, z, log z and log w (``_z_of_s``).
+        """Arrays log f, z, log z and log w (``_z_of_s``); f is 0 exactly where g is.
 
         With ``hazard``, log D and the baseline's log hazard rate
         (``Baseline.hrf``) follow, from the same baseline pass.
@@ -136,21 +142,18 @@ class BgmoDistribution:
         out, _, _, log_d, z, log_z, log_w = _log_pdf_core(
             p.m, p.n, p.theta, p.alpha, log_g, log_gbar, log_gcdf
         )
-        # 0 below the support and where sf_G is 0, where (theta - 1) * log sf_G
-        # alone would be +inf for theta < 1
-        t_arr = np.asarray(t, dtype=float)
-        out = np.where((t_arr >= self.support_low) & (log_gbar > -np.inf), out, -np.inf)
+        out = _zero_where_g_is(log_g, out)
         return (out, z, log_z, log_w, log_d, *log_hg) if hazard else (out, z, log_z, log_w)
 
     def log_pdf(self, t):
         with np.errstate(all="ignore"):
             out = self._log_pdf_parts(t)[0]
-        return float(out) if np.isscalar(t) else out
+        return _scalar_or_array(out, t)
 
     def pdf(self, t):
         with np.errstate(all="ignore"):
             out = np.exp(self._log_pdf_parts(t)[0])
-        return float(out) if np.isscalar(t) else out
+        return _scalar_or_array(out, t)
 
     def _beta_tail(self, fn, upper, z, log_z, log_w):
         """``fn`` (``special.reg_inc_beta_mirrored`` or its log) of the cdf, or of the sf where ``upper``.
@@ -169,7 +172,7 @@ class BgmoDistribution:
         with np.errstate(all="ignore"):
             log_s, log_1ms, _ = log_tilt(p.alpha, *self.baseline.log_tails(t))
             out = self._beta_tail(fn, upper, *_z_of_s(p.theta, log_s, log_1ms))
-        return float(out) if np.isscalar(t) else out
+        return _scalar_or_array(out, t)
 
     def cdf(self, t):
         """I_z(m, n) at z = 1 - s^theta where z <= 1/2, else 1 - I_w(n, m) at w = s^theta.
@@ -214,14 +217,14 @@ class BgmoDistribution:
                 special.log_reg_inc_beta_mirrored, True, z.take(near), log_z.take(near), log_w.take(near)
             )
             out.put(near, np.exp(log_f.take(near) - log_sf))
-        return float(out) if np.isscalar(t) else out
+        return _scalar_or_array(out, t)
 
     def rhrf(self, t):
         """Reversed hazard pdf/cdf, exp(log pdf - log cdf) from one baseline pass."""
         with np.errstate(all="ignore"):
             log_f, *beta = self._log_pdf_parts(t)
             out = np.exp(log_f - self._beta_tail(special.log_reg_inc_beta_mirrored, False, *beta))
-        return float(out) if np.isscalar(t) else out
+        return _scalar_or_array(out, t)
 
     def chrf(self, t):
         """Cumulative hazard -log sf."""
@@ -235,19 +238,17 @@ class BgmoDistribution:
         I_(1-z)(n, m) = 1 - u, so the smaller of the two, and with it
         theta*log s, keeps full relative precision at extreme levels.
         """
-        scalar = np.isscalar(u)
-        u = np.asarray(u, dtype=float)
-        if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails too
+        levels = np.asarray(u, dtype=float)
+        if not np.all((levels > 0.0) & (levels < 1.0)):  # NaN fails too
             raise ValueError("quantile requires u in (0, 1)")
         p = self.params
-        low = u <= special.reg_inc_beta(0.5, p.m, p.n)
+        low = levels <= special.reg_inc_beta(0.5, p.m, p.n)
         x = special.beta_quantile(
-            np.where(low, u, 1.0 - u), np.where(low, p.m, p.n), np.where(low, p.n, p.m)
+            np.where(low, levels, 1.0 - levels), np.where(low, p.m, p.n), np.where(low, p.n, p.m)
         )
         with np.errstate(divide="ignore"):
             log_s_theta = np.where(low, np.log1p(-x), np.log(x))
-        out = tilt_inverse(p.alpha, self.baseline, log_s_theta / p.theta)
-        return float(out) if scalar else out
+        return _scalar_or_array(tilt_inverse(p.alpha, self.baseline, log_s_theta / p.theta), u)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """``count`` draws, deterministic for a fixed seed.

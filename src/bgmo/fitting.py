@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import digamma, ndtri
 
-from .baselines import BASELINE_FAMILIES, Baseline, Points, make_baseline
+from .baselines import Baseline, Points, baseline_class, make_baseline
 from .family import BgmoDistribution, BgmoParams, _in_shape_domain, _log_pdf_core
 from .special import _log
 
@@ -110,10 +110,7 @@ class ModelTemplate:
     _new_baseline: Callable[..., Baseline] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.baseline not in BASELINE_FAMILIES:
-            known = ", ".join(sorted(BASELINE_FAMILIES))
-            raise ValueError(f"unknown baseline family {self.baseline!r} (known: {known})")
-        b_cls = BASELINE_FAMILIES[self.baseline]
+        b_cls = baseline_class(self.baseline)
         base_names = b_cls.param_names
         names = FAMILY_PARAM_NAMES + base_names
         bad = set(self.fixed) - set(names)
@@ -575,7 +572,7 @@ def _default_box(template: ModelTemplate, data) -> dict[str, tuple[float, float]
     if _weibull_scale(template):
         mean = float(np.mean(data))
         box["sigma"] = (mean * 1e-2, mean * 1e2)
-    rate = BASELINE_FAMILIES[template.baseline].hazard_rate
+    rate = baseline_class(template.baseline).hazard_rate
     if rate in box and set(template.baseline_param_names) - {rate} <= set(template.fixed):
         # log sf = -rate*Z(t) with Z known, so the baseline alone has the
         # closed-form MLE n / sum Z(t); Z is minus the log sf at rate 1

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import special
 from .baselines import Baseline, _hazard_levels, _zmul
-from .family import BgmoDistribution, _log_pdf_core
+from .family import BgmoDistribution, _log_pdf_core, _zero_where_g_is
 
 __all__ = [
     "SeriesEval",
@@ -555,10 +555,15 @@ def _delta_mixture(dist: BgmoDistribution, max_terms, what: str, power=1.0, **po
     f^a = (theta/B(m, n))^a f_MO^a S^(a(theta n - 1)) (1 - S^theta)^(a(m-1)),
     and the last factor expands as sum_j (-1)^j C(a(m-1), j) S^(theta j).  At
     a = 1 the weights are the ``delta_coeffs`` table, and the terms the
-    delta-weighted survival powers of the density expansion.
+    delta-weighted survival powers of the density expansion.  Where
+    a(m - 1) <= -1 no |C(a(m-1), j)| is below 1, so a truncated sum has no
+    error bound: ``DivergenceError``.
     """
     p = dist.params
-    row = _alt_binom_row(power * (p.m - 1.0), max_terms)
+    exponent = power * (p.m - 1.0)
+    if exponent <= -1.0:
+        raise DivergenceError(f"{what}: the binomial row of (1 - S^theta)^a, a = {exponent:g}, does not decay")
+    row = _alt_binom_row(exponent, max_terms)
     j = np.arange(len(row))
     front = math.exp(power * (math.log(p.theta) - special.log_beta(p.m, p.n)))
     weights = front * row
@@ -684,14 +689,26 @@ def asymptote(dist: BgmoDistribution, end: str) -> TailApproximant:
     Upper tail (t -> infinity):
         f ~ theta * alpha^(theta*n) * g * sf_G^(theta*n - 1) / B(m,n)
         1-F ~ (alpha*sf_G)^(theta*n) / (n * B(m,n))
-        h ~ theta * n * g / sf_G
+        h ~ theta * n * h_G, with h_G = g/sf_G the baseline's ``hrf``
+
+    Both densities are 0 exactly where g is (``family._zero_where_g_is``).
     """
     p = dist.params
     b = dist.baseline
     log_b = special.log_beta(p.m, p.n)
+
+    def density(log_f_of):
+        """exp of log f from log g and the tail of one ``log_parts`` pass, 0 exactly where g is."""
+
+        def log_f(t):
+            log_g, log_sf, log_cdf = b.log_parts(t)
+            return _zero_where_g_is(log_g, log_f_of(log_g, log_sf, log_cdf))
+
+        return _exp_of(log_f)
+
     if end == "lower":
         log_front = p.m * (math.log(p.theta) - math.log(p.alpha))
-        f = _exp_of(lambda t: log_front + b.log_pdf(t) + _zmul(p.m - 1.0, b.log_cdf(t)) - log_b)
+        f = density(lambda log_g, _, log_cdf: log_front + log_g + _zmul(p.m - 1.0, log_cdf) - log_b)
         F = _exp_of(lambda t: log_front + p.m * b.log_cdf(t) - math.log(p.m) - log_b)
         return TailApproximant("lower", f, F, f)
     if end == "upper":
@@ -700,9 +717,9 @@ def asymptote(dist: BgmoDistribution, end: str) -> TailApproximant:
         log_theta = math.log(p.theta)
         return TailApproximant(
             "upper",
-            _exp_of(lambda t: log_theta + log_front + b.log_pdf(t) + (tn - 1.0) * b.log_sf(t)),
+            density(lambda log_g, log_sf, _: log_theta + log_front + log_g + (tn - 1.0) * log_sf),
             _exp_of(lambda t: log_front + tn * b.log_sf(t) - math.log(p.n)),
-            _exp_of(lambda t: math.log(tn) + b.log_pdf(t) - b.log_sf(t)),
+            lambda t: tn * b.hrf(t),
         )
     raise ValueError(f"end must be 'lower' or 'upper', got {end!r}")
 

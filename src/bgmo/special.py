@@ -37,6 +37,7 @@ __all__ = [
 
 
 def _scalar_or_array(out, *inputs):
+    """The package's one scalar rule: ``out`` as a Python float exactly when every input has ndim 0."""
     return float(out) if all(np.ndim(x) == 0 for x in inputs) else out
 
 

@@ -194,9 +194,15 @@ def test_a_lower_tail_hazard_is_zero_at_infinity(b, rate):
 )
 @pytest.mark.parametrize("b", [Weibull(1.0, 2.0), Frechet(2.0, 1.0)], ids=lambda b: b.tag)
 def test_a_scalar_point_gives_a_python_float(b, name):
+    # the one scalar rule (``special._scalar_or_array``): a float exactly when the input has ndim 0
+    fn = getattr(b, name)
     points = (0.5,) if name in ("quantile", "isf") else (0.5, -1.0, math.inf)
     for t in points:
-        assert type(getattr(b, name)(t)) is float, t
+        for point in (t, np.float64(t), np.array(t)):
+            assert type(fn(point)) is float, point
+    for shape in ((1,), (2, 3)):
+        out = fn(np.full(shape, 0.5))
+        assert isinstance(out, np.ndarray) and out.shape == shape
 
 
 def test_every_family_codes_its_partials():

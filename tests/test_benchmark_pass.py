@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
-KNOWN_FAILURES = 7  # the functionals pass's known series faults (``KNOWN_SERIES``)
+KNOWN_FAILURES = 6  # the functionals pass's known series faults (``KNOWN_SERIES``)
 
 
 @pytest.fixture

@@ -10,9 +10,10 @@ import pytest
 
 import bgmo
 from bgmo.baselines import make_baseline
-from bgmo.cli import DEFAULT_GALLERY, build_distribution, main
+from bgmo.cli import DEFAULT_GALLERY, build_distribution, build_parser, main
 from bgmo.datasets import builtin_dataset
 from bgmo.family import BgmoDistribution, BgmoParams
+from bgmo.fitting import FitConfig, ModelTemplate
 
 REDUCTION = "exponential m=1 n=1 theta=1 alpha=1 lambda=1"
 
@@ -368,6 +369,31 @@ class TestUsageErrors:
     def test_unknown_family(self, capsys):
         rc, _, err = run(capsys, "eval", "--dist", "normal m=1 n=1 theta=1 alpha=1", "--t", "1")
         assert rc == 1
+
+    def test_an_unknown_family_has_one_message(self, capsys):
+        # ``baselines.baseline_class`` is the one lookup of a tag
+        messages = []
+        for build in (lambda: ModelTemplate("nope"), lambda: make_baseline("nope")):
+            with pytest.raises(ValueError) as info:
+                build()
+            messages.append(str(info.value))
+        rc, out, err = run(capsys, "fit", "--data", "builtin:turbocharger", "--dist", "nope")
+        assert rc == 1 and out == ""
+        messages.append(err.removeprefix("error: ").removesuffix("\n"))
+        assert len(set(messages)) == 1
+        assert messages[0].startswith("unknown baseline family 'nope' (known: exponential, ")
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--data", "data.csv"),
+        ("compare", "--data", "data.csv"),
+        ("curves", "--data", "data.csv", "--dist", "weibull", "--fit"),
+    ], ids=lambda argv: argv[0])
+    def test_the_fit_flag_defaults_are_fit_configs(self, argv):
+        args = build_parser().parse_args(argv)
+        names = ("starts", "max_iter", "seed", "level")
+        assert {name: getattr(args, name) for name in names} == {
+            name: getattr(FitConfig(), name) for name in names
+        }
 
     def test_non_numeric_value(self, capsys):
         spec = "exponential m=1 n=1 theta=1 alpha=1 lambda=abc"

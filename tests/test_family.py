@@ -22,7 +22,9 @@ from bgmo.baselines import (
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.gmo import tilt_inverse
 from bgmo.series import DivergenceError, _support_quad, asymptote
+from eval_sweep import SHAPES as SWEEP_SHAPES
 from test_gmo import ALL_BASELINES, BASELINE_IDS
+from test_series import EACH_FAMILY
 
 # (m, n, theta, alpha), each log-uniform on [1e-2, 1e2]
 SHAPE_BOX = st.tuples(*[st.floats(-2.0, 2.0).map(lambda e: 10.0**e)] * 4)
@@ -594,10 +596,39 @@ def test_empty_arrays_evaluate_to_empty_arrays():
     "name", ["log_pdf", "pdf", "cdf", "sf", "log_sf", "hrf", "rhrf", "chrf", "quantile"]
 )
 def test_a_scalar_point_gives_a_python_float(name):
-    d = dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0))
+    # the one scalar rule (``special._scalar_or_array``): a float exactly when the input has ndim 0
+    fn = getattr(dist(0.7, 2.5, 0.5, 2.5, Weibull(1.0, 2.0)), name)
     points = (0.5,) if name == "quantile" else (0.5, -1.0, math.inf)
     for t in points:
-        assert type(getattr(d, name)(t)) is float, t
+        for point in (t, np.float64(t), np.array(t)):
+            assert type(fn(point)) is float, point
+    for shape in ((1,), (2, 3)):
+        out = fn(np.full(shape, 0.5))
+        assert isinstance(out, np.ndarray) and out.shape == shape
+
+
+@pytest.mark.parametrize("shapes", SWEEP_SHAPES)
+@pytest.mark.parametrize(
+    "baseline", EACH_FAMILY,
+    ids=lambda b: f"{b.tag}-{b.z.kind}" if isinstance(b, ExtendedWeibull) else b.tag,
+)
+def test_the_density_is_zero_exactly_where_the_baselines_is(baseline, shapes):
+    # every family, the extended Weibull once per Z kind, at the eval sweep's shape sets:
+    # f is 0 where g is, also where a power of a vanishing z or sf_G alone reads +inf
+    # against log g = -inf (Frechet at m < 1 near t = 0 was NaN there)
+    d = BgmoDistribution(BgmoParams(*shapes), baseline)
+    edge = d.support_low
+    ts = np.array([
+        edge, math.nextafter(edge, math.inf), edge + 1e-300, 1e-160, edge + 1e-160, edge + 1e-10,
+        edge + 1.0, edge + 100.0, 1e5, 1e100, 1e300, math.inf,
+    ])
+    for name in ("log_pdf", "pdf", "hrf"):
+        fn = getattr(d, name)
+        assert not np.isnan(fn(ts)).any(), name
+        assert not any(math.isnan(fn(t)) for t in ts), name
+    zero = baseline.log_pdf(ts) == -np.inf
+    assert (d.log_pdf(ts)[zero] == -np.inf).all()
+    assert (d.pdf(ts)[zero] == 0.0).all()
 
 
 class TestOneBaselinePass:

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used there or exported, and every
-private function, method or class it defines is named somewhere else in the project."""
+"""Source hygiene: every name a package module imports is used there or exported, every
+private function, method or class it defines is named somewhere else in the project, and
+no module codes a scalar rule of its own."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,10 @@ def test_the_check_sees_an_unreferenced_private_name():
     )
     test = "from pkg import _helper\nsetattr(_helper(), '_patched', None)\n"
     assert unreferenced_private_names([package], [package, test]) == ["_block", "_unused"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_codes_its_own_scalar_rule(path):
+    # ``special._scalar_or_array`` is the one rule for what a 0-d input returns;
+    # ``np.isscalar`` says False for a 0-d array, so a copy built on it disagrees
+    assert "isscalar" not in path.read_text()

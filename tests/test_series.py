@@ -774,6 +774,17 @@ class TestRenyi:
         with pytest.raises(ValueError):
             renyi_entropy(dist(1, 1, 1, 1), 1.0)
 
+    @pytest.mark.parametrize("shapes, baseline, a", [
+        ((0.5, 2.5, 0.5, 2.5), EXP, "-1"),  # the direct integral diverges: f ~ t^(-1/2) at 0
+        ((0.5, 2.5, 0.5, 2.5), Weibull(1.0, 2.0), "-1"),  # direct 0.4644; the series gave 0.7259
+        ((1e-3, 1e-3, 1.0, 1.0), Lomax(2.0, 1.0), "-1.998"),  # the series gave 10.37
+    ])
+    def test_series_raises_where_its_binomial_row_does_not_decay(self, shapes, baseline, a):
+        # (1 - S^theta)^a with a = delta (m - 1) <= -1: no |C(a, j)| is below 1, so 60
+        # terms have no error bound
+        with pytest.raises(DivergenceError, match=rf"a = {a}, does not decay"):
+            renyi_entropy(dist(*shapes, baseline), 2.0)
+
 
 class TestAsymptotes:
     STD = (2.0, 1.5, 0.8, 2.0)
@@ -819,3 +830,25 @@ class TestAsymptotes:
     def test_end_validation(self):
         with pytest.raises(ValueError):
             asymptote(dist(1, 1, 1, 1), "middle")
+
+    def test_upper_hazard_is_theta_n_times_the_baseline_hazard(self):
+        # no two logs of size h are subtracted: at t = 1e300 the hazard is theta n lam
+        ap = asymptote(dist(0.7, 2.5, 0.5, 2.5, Exponential(1.3)), "upper")
+        assert ap.hrf(1e300) == 1.25 * 1.3
+        b = Weibull(1.0, 2.0)
+        ap = asymptote(dist(0.7, 2.5, 0.5, 2.5, b), "upper")
+        ts = np.array([1.0, 1e5, 1e300, math.inf])
+        np.testing.assert_array_equal(ap.hrf(ts), 1.25 * b.hrf(ts))
+        assert ap.hrf(1e5) == pytest.approx(2.5e5, rel=1e-14)
+        assert ap.hrf(1e300) == pytest.approx(2.5e300, rel=1e-12)
+
+    @pytest.mark.parametrize("shapes, baseline, end, t", [
+        ((0.7, 2.5, 0.5, 2.5), Frechet(2.0, 1.0), "lower", 1e-160),
+        ((1.0, 1.0, 1.0, 2.5), Weibull(1.0, 2.0), "upper", 1e300),
+    ])
+    def test_the_densities_are_zero_where_the_baselines_is(self, shapes, baseline, end, t):
+        # the baseline density is 0 there, and a vanishing power read +inf or 0 * -inf against it
+        assert baseline.pdf(t) == 0.0
+        pdf = asymptote(dist(*shapes, baseline), end).pdf
+        assert pdf(t) == 0.0
+        assert pdf(np.array([t]))[0] == 0.0

@@ -245,3 +245,22 @@ class TestBetaQuantileSeries:
         assert beta_quantile_series(u, m, n, 1) == pytest.approx(want, rel=1e-12, abs=0)
         for order in (2, 3, 4):
             assert math.isfinite(beta_quantile_series(u, m, n, order))
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda x: reg_inc_beta(x, 0.7, 2.5),
+        lambda x: reg_inc_beta_mirrored(x, np.log(x), 1.0 - x, np.log1p(-x), 0.7, 2.5),
+        lambda x: log_reg_inc_beta_mirrored(x, np.log(x), 1.0 - x, np.log1p(-x), 0.7, 2.5),
+        lambda x: beta_quantile(x, 0.7, 2.5),
+    ],
+    ids=["reg_inc_beta", "reg_inc_beta_mirrored", "log_reg_inc_beta_mirrored", "beta_quantile"],
+)
+def test_a_scalar_point_gives_a_python_float(fn):
+    # the one scalar rule (``_scalar_or_array``): a float exactly when every input has ndim 0
+    for point in (0.3, np.float64(0.3), np.array(0.3)):
+        assert type(fn(point)) is float, point
+    for shape in ((1,), (2, 3)):
+        out = fn(np.full(shape, 0.3))
+        assert isinstance(out, np.ndarray) and out.shape == shape
