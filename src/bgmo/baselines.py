@@ -61,18 +61,26 @@ def _hazard_levels(p, lower, lower_tail):
     return np.where(lower == lower_tail, -np.log(p), -np.log1p(-p))
 
 
-def _require_positive(**params):
-    for name, value in params.items():
-        if not value > 0:
-            raise ValueError(f"parameter {name} must be positive, got {value}")
+def _in_domain(*values):
+    """Where every value (a number or a column) is positive and finite: the one domain rule
+    of the model's parameters, false at NaN."""
+    ok = True
+    for value in values:
+        ok = ok & (0.0 < value) & (value < math.inf)
+    return ok
 
 
-def _zero_where_h_is_inf(log_g, h):
-    """log g with g = 0 wherever h is +inf, also where log|h'| - h reads inf - inf."""
-    nan = np.isnan(log_g)
-    if nan.any():
-        log_g = np.where(nan & (h == np.inf), -np.inf, log_g)
-    return log_g
+def _require_in_domain(**named):
+    """Raise ``ValueError`` naming the first value that ``_in_domain`` rejects."""
+    for name, value in named.items():
+        if not _in_domain(value):
+            raise ValueError(f"parameter {name} must be positive and finite, got {value}")
+
+
+def _zero_where_g_is(log_g, log_f):
+    """log f, -inf exactly where log g is -inf: the one zero-set rule, also where a power of a
+    vanishing factor alone reads +inf against it."""
+    return np.where(log_g == -np.inf, -np.inf, log_f)
 
 
 class Points:
@@ -142,16 +150,11 @@ class Baseline:
     _lower_tail = False  # h is -log G rather than -log sf
     _log_hazard = None
 
-    def __post_init__(self):
-        _require_positive(**{name: getattr(self, name) for name in self.param_names})
+    # where the parameter values (numbers or columns, in ``param_names`` order) pass ``__post_init__``
+    _in_domain = staticmethod(_in_domain)
 
-    @classmethod
-    def _in_domain(cls, *values):
-        """Where the parameter values (numbers or arrays, in ``param_names`` order) pass ``__post_init__``."""
-        ok = True
-        for value in values:
-            ok = ok & (value > 0)
-        return ok
+    def __post_init__(self):
+        _require_in_domain(**{name: getattr(self, name) for name in self.param_names})
 
     @classmethod
     def _columns(cls, *values, **options):
@@ -260,17 +263,12 @@ class Baseline:
         return self._by_tail(np.exp(-h), -np.expm1(-h))
 
     def _pass(self, x):
-        """h, log|h'| - h, log sf and log G at x, from one ``_hazard``.
-
-        The density is left as log|h'| - h, NaN where both are inf: a caller
-        that sums it sees a zero likelihood either way.
-        """
+        """h, log g (``_log_density``), log sf and log G at x, from one ``_hazard``."""
         h = self._hazard(x.t)
-        return (h, self._log_rate(x, h) - h, *self._log_tails(x, h))
+        return (h, self._log_density(x, h), *self._log_tails(x, h))
 
     def _log_parts(self, x):
-        h, log_g, log_sf, log_cdf = self._pass(x)
-        return _zero_where_h_is_inf(log_g, h), log_sf, log_cdf
+        return self._pass(x)[1:]
 
     def _log_hrf(self, x, parts=None):
         """log g/sf at x: log h' itself where h is -log sf, else log g - log sf, -inf where g is 0.
@@ -281,10 +279,15 @@ class Baseline:
         if not self._lower_tail:
             return self._log_rate(x, None)
         log_g, log_sf, _ = parts or self._log_parts(x)
-        return np.where(log_g == -np.inf, -np.inf, log_g - log_sf)
+        return _zero_where_g_is(log_g, log_g - log_sf)
 
     def _log_density(self, x, h):
-        return _zero_where_h_is_inf(self._log_rate(x, h) - h, h)
+        """log g = log|h'| - h, with g = 0 wherever h is +inf, also where that reads inf - inf."""
+        log_g = self._log_rate(x, h) - h
+        nan = np.isnan(log_g)
+        if nan.any():
+            log_g = np.where(nan & (h == np.inf), -np.inf, log_g)
+        return log_g
 
     def _log_tails(self, x, h):
         # -h and log(1 - e^-h); where h is not a normal double, log h, finite
@@ -475,7 +478,7 @@ class ZFunction:
         kinds = ("linear", "square", "log_ratio", "gompertz_link")
         if self.kind not in kinds:
             raise ValueError(f"unknown Z-function kind {self.kind!r} (known: {', '.join(kinds)})")
-        _require_positive(k=self.k, beta=self.beta)
+        _require_in_domain(k=self.k, beta=self.beta)
 
     @property
     def support_low(self):
@@ -568,11 +571,11 @@ class ModifiedWeibull(Baseline):
 
     def __post_init__(self):
         if not self._in_domain(self.sigma, self.beta, self.gamma):
-            raise ValueError(f"need sigma, beta >= 0 with sigma + beta > 0 and gamma > 0, got {self.params()}")
+            raise ValueError(f"need sigma, beta >= 0, sigma + beta > 0 and gamma > 0, all finite, got {self.params()}")
 
-    @classmethod
-    def _in_domain(cls, sigma, beta, gamma):
-        return np.logical_not((sigma < 0) | (beta < 0) | (sigma + beta <= 0)) & (gamma > 0)
+    @staticmethod
+    def _in_domain(sigma, beta, gamma):
+        return _in_domain(sigma + beta, gamma) & (sigma >= 0) & (beta >= 0)
 
     def _hazard(self, t):
         # a zero coefficient's term is left out: 0 * inf is NaN at t = inf

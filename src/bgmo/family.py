@@ -18,14 +18,13 @@ both keep their relative precision in their small tail.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import hyp2f1
 
 from . import special
-from .baselines import Baseline, _zmul
+from .baselines import Baseline, _require_in_domain, _zero_where_g_is, _zmul
 from .gmo import _LN2, log_tilt, tilt_inverse
 from .special import _log, _scalar_or_array
 
@@ -55,20 +54,6 @@ def _z_of_s(theta, log_s, log_1ms):
     if log_1ms.min(initial=np.inf) > -700.0:  # False also where one is NaN
         return z, np.log(z), log_w
     return z, np.where(log_1ms > -700.0, np.log(z), _log(theta) + log_1ms), log_w
-
-
-def _in_shape_domain(*shapes):
-    """Where every shape (a number or an array) is positive and finite."""
-    ok = True
-    for value in shapes:
-        ok = ok & (0.0 < value) & (value < math.inf)
-    return ok
-
-
-def _zero_where_g_is(log_g, log_f):
-    """log f, -inf exactly where the baseline pass gives log g = -inf: the one zero-set rule,
-    also where a power of a vanishing z or sf_G alone reads +inf against it."""
-    return np.where(log_g == -np.inf, -np.inf, log_f)
 
 
 def _log_pdf_core(m, n, theta, alpha, log_g, log_gbar, log_gcdf):
@@ -110,9 +95,7 @@ class BgmoParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not _in_shape_domain(value):
-                raise ValueError(f"parameter {name} must be positive and finite, got {value}")
+        _require_in_domain(**self.as_dict())
 
     def as_dict(self) -> dict[str, float]:
         return {"m": self.m, "n": self.n, "theta": self.theta, "alpha": self.alpha}

@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import digamma, ndtri
 
-from .baselines import Baseline, Points, baseline_class, make_baseline
-from .family import BgmoDistribution, BgmoParams, _in_shape_domain, _log_pdf_core
+from .baselines import Baseline, Points, _in_domain, baseline_class, make_baseline
+from .family import BgmoDistribution, BgmoParams, _log_pdf_core
 from .special import _log
 
 __all__ = [
@@ -363,7 +363,7 @@ class _Likelihood:
         # one row binds numbers, so its evaluation runs on floats; more bind columns
         full = template._full(rows[0].tolist() if count == 1 else rows.T.copy())
         new = template._new_baseline
-        ok = _in_shape_domain(*full[:4]) & new.func._in_domain(*full[4:]) & (not self.outside)
+        ok = _in_domain(*full[:4]) & new.func._in_domain(*full[4:]) & (not self.outside)
         if template._support_edge is None:  # the edge moves with a free parameter
             ok = ok & (self.low >= full[template.param_names.index(new.func.edge_param)])
         total, scores = np.full(count, -math.inf), np.full((count, template.k_params), math.nan)
@@ -510,12 +510,13 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
         for p in ((x + e, x + 2.0 * e, x + 0.0) if x[i] == 0.0 else (x + e, x + -e))
     ])
     s = iter(_per_value(_Likelihood(template, data)(points)[1], points))
-    H = np.array([
-        (4.0 * next(s) - next(s) - 3.0 * next(s)) / (2.0 * e[i]) if x[i] == 0.0
-        else (next(s) - next(s)) / (2.0 * e[i])
-        for i, e in enumerate(steps)
-    ])
-    info = -0.5 * (H + H.T)
+    with np.errstate(all="ignore"):  # a difference that overflows is caught below
+        H = np.array([
+            (4.0 * next(s) - next(s) - 3.0 * next(s)) / (2.0 * e[i]) if x[i] == 0.0
+            else (next(s) - next(s)) / (2.0 * e[i])
+            for i, e in enumerate(steps)
+        ])
+        info = -0.5 * (H + H.T)
     if not np.all(np.isfinite(info)):
         names = template.free_names
         bad = [(names[i], names[j]) for i, j in zip(*np.nonzero(~np.isfinite(info))) if i <= j]

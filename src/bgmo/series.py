@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from .baselines import Baseline, _hazard_levels, _zmul
-from .family import BgmoDistribution, _log_pdf_core, _zero_where_g_is
+from .baselines import Baseline, _hazard_levels, _require_in_domain, _zero_where_g_is, _zmul
+from .family import BgmoDistribution, _log_pdf_core
 
 __all__ = [
     "SeriesEval",
@@ -187,8 +187,7 @@ def delta_coeffs(m: float, n: float, theta: float, max_terms: int = 60):
     so that delta[j] = -delta'[j] * theta * (j + n).  For integer m there are
     exactly m nonzero terms; otherwise the table has ``max_terms`` terms.
     """
-    if m <= 0 or n <= 0 or theta <= 0:
-        raise ValueError("shape parameters must be positive")
+    _require_in_domain(m=m, n=n, theta=theta)
     row = _alt_binom_row(m - 1.0, max_terms)
     inv_beta = math.exp(-special.log_beta(m, n))
     delta = theta * row * inv_beta
@@ -256,7 +255,7 @@ def _power_sum(log_front, coeffs, log_base, powers) -> float:
     vanishing base makes the exponent -inf + inf.
     """
     with np.errstate(all="ignore"):
-        log_terms = np.where(log_front == -np.inf, -np.inf, log_front + _zmul(powers, log_base))
+        log_terms = _zero_where_g_is(log_front, log_front + _zmul(powers, log_base))
         return float(coeffs @ np.exp(log_terms))
 
 
@@ -456,7 +455,7 @@ def _support_quad(fn: Callable, baseline: Baseline, *args, check: str | None = N
     tailed baselines included).  The v range is split at 1/2 and folded onto
     w in (0, 1/2]: the lower half takes t = Q_G(w), the upper half t = isf(w),
     so both tails keep their relative precision.  Non-finite values of fn/g
-    count as 0.
+    count as 0.  fn reads every arg, so its values have their broadcast shape.
 
     The rule walks the node ladder ``_LADDER``: the sum at level k is half
     that of level k - 1 plus 2^-k times the sum over its new nodes.  Levels 0
@@ -489,8 +488,6 @@ def _support_quad(fn: Callable, baseline: Baseline, *args, check: str | None = N
             if check and t.size > nodes:  # the first call, with the tail probe
                 _check_tail_decay(check, t[nodes:], values[..., nodes:])
             ratio = values[..., :nodes] / baseline.pdf(t[:nodes])
-            if ratio.shape != shape + (nodes,):  # fn does not read every arg
-                ratio = np.broadcast_to(ratio, shape + (nodes,))
             finites.append(np.isfinite(ratio))
             ratio = np.where(finites[-1], ratio, 0.0)
             both = ratio[..., :half] + ratio[..., half:]
@@ -691,7 +688,7 @@ def asymptote(dist: BgmoDistribution, end: str) -> TailApproximant:
         1-F ~ (alpha*sf_G)^(theta*n) / (n * B(m,n))
         h ~ theta * n * h_G, with h_G = g/sf_G the baseline's ``hrf``
 
-    Both densities are 0 exactly where g is (``family._zero_where_g_is``).
+    Both densities are 0 exactly where g is (``baselines._zero_where_g_is``).
     """
     p = dist.params
     b = dist.baseline

@@ -16,8 +16,9 @@ mgf and Renyi entropy, a PWM of the plain tilt and both tail approximants.
 Each value is recorded as ``float.hex``, so a change of return type alone
 (``numpy.float64`` to ``float``) does not show; each raised error as its
 type and message.  A change that claims to leave evaluation as it is leaves
-this file byte for byte the same.  Pytest does not collect it: its name
-does not start with ``test_``.
+this file byte for byte the same; ``tests/test_sweeps.py`` compares it with
+``tests/golden/eval_sweep.json`` entry by entry.  Pytest does not collect
+it: its name does not start with ``test_``.
 """
 
 import json

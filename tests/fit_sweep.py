@@ -8,8 +8,9 @@ Each of the 66 fits runs at the default ``FitConfig`` (24 starts, seed 0).
 For each, OUT.json holds its ``to_json()``, ``restarts_at_best``,
 ``at_boundary``, ``information_pd`` and every ``Restart`` field but
 ``seconds``.  A change that claims to leave fits as they are leaves this file
-byte for byte the same.  Pytest does not collect it: its name does not start
-with ``test_``.
+byte for byte the same; ``tests/test_sweeps.py`` compares it with
+``tests/golden/fit_sweep.json`` entry by entry.  Pytest does not collect it:
+its name does not start with ``test_``.
 """
 
 import dataclasses

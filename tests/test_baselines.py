@@ -389,6 +389,31 @@ class TestParameterValidation:
             ModifiedWeibull(-0.5, 1.0, 1.0)
         # sigma = 0 is allowed when beta > 0
         ModifiedWeibull(0.0, 1.0, 2.0)
+        # NaN + 0.8 fails the rule on sigma + beta: every value it gave was NaN
+        with pytest.raises(ValueError, match="all finite"):
+            ModifiedWeibull(math.nan, 0.8, 2.0)
+
+    @pytest.mark.parametrize("cls", list(BASELINE_FAMILIES.values()), ids=list(BASELINE_FAMILIES))
+    def test_every_parameter_is_positive_and_finite(self, cls):
+        # ``baselines._in_domain`` is the one rule; the modified Weibull's
+        # sigma and beta may each be 0 where the other is not
+        for i, name in enumerate(cls.param_names):
+            zero_ok = cls is ModifiedWeibull and name != "gamma"
+            for value in (-1.0, -0.0, 0.0, math.inf, math.nan, 5e-324, 0.7):
+                values = [1.0] * len(cls.param_names)
+                values[i] = value
+                if value in (5e-324, 0.7) or (zero_ok and value == 0.0):
+                    cls(*values)
+                    continue
+                with pytest.raises(ValueError, match=rf"\b{name}\b") as info:
+                    cls(*values)
+                assert str(value) in str(info.value)
+
+    @pytest.mark.parametrize("setting", [{"k": math.inf}, {"k": math.nan}, {"beta": math.inf}, {"k": 0.0}])
+    def test_z_function_settings_are_positive_and_finite(self, setting):
+        (name, value), = setting.items()
+        with pytest.raises(ValueError, match=f"parameter {name} must be positive and finite, got {value}"):
+            ZFunction("log_ratio", **setting)
 
     def test_quantile_domain(self):
         with pytest.raises(ValueError):

@@ -186,7 +186,10 @@ class TestFit:
             assert rc == 1 and out == ""
             assert err.startswith("error:")
 
-    @pytest.mark.parametrize("spec, name", [("weibull lambda=-1", "lam"), ("weibull m=0", "m")])
+    @pytest.mark.parametrize(
+        "spec, name",
+        [("weibull lambda=-1", "lam"), ("weibull m=0", "m"), ("weibull lambda=inf", "lam")],
+    )
     def test_a_fixed_value_outside_the_domain_is_a_usage_error(self, capsys, spec, name):
         rc, out, err = run(capsys, "fit", "--data", "builtin:turbocharger", "--dist", spec)
         assert rc == 1 and out == ""
@@ -394,6 +397,15 @@ class TestUsageErrors:
         assert {name: getattr(args, name) for name in names} == {
             name: getattr(FitConfig(), name) for name in names
         }
+
+    @pytest.mark.parametrize("spec, message", [
+        ("weibull m=1 n=1 theta=1 alpha=1 lambda=inf beta=2", "parameter lam must be positive and finite, got inf"),
+        ("modified_weibull m=1 n=1 theta=1 alpha=1 sigma=nan beta=0.8 gamma=2", "all finite, got {'sigma': nan"),
+    ])
+    def test_a_value_outside_the_domain_is_a_usage_error(self, capsys, spec, message):
+        for fn in ("cdf", "pdf"):
+            rc, out, err = run(capsys, "eval", "--dist", spec, "--fn", fn, "--t", "1")
+            assert rc == 1 and out == "" and message in err
 
     def test_non_numeric_value(self, capsys):
         spec = "exponential m=1 n=1 theta=1 alpha=1 lambda=abc"

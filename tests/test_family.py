@@ -682,9 +682,15 @@ class TestReductionCheck:
 
 class TestParams:
     def test_positivity(self):
-        for bad in [(0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1), (1, 1, 1, math.inf)]:
-            with pytest.raises(ValueError):
-                BgmoParams(*bad)
+        # each shape is positive and finite (``baselines._in_domain``), false at NaN
+        for name in ("m", "n", "theta", "alpha"):
+            for value in (-1.0, -0.0, 0.0, math.inf, math.nan, 5e-324, 0.7):
+                shapes = {"m": 1.0, "n": 1.0, "theta": 1.0, "alpha": 1.0, name: value}
+                if value in (5e-324, 0.7):
+                    assert BgmoParams(**shapes).as_dict()[name] == value
+                    continue
+                with pytest.raises(ValueError, match=f"parameter {name} must be positive and finite, got {value}"):
+                    BgmoParams(**shapes)
 
     def test_as_dict(self):
         p = BgmoParams(2, 3, 0.5, 1.5)

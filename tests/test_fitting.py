@@ -519,6 +519,18 @@ class TestObservedInformation:
         step = 1e-7
         forward = (score(tpl, x + step * np.eye(3)[i], data) - score(tpl, x, data)) / step
         np.testing.assert_allclose(info[i], -forward, rtol=1e-5, atol=1e-6)
+
+    def test_an_overflowing_difference_is_a_non_positive_definite_information(self):
+        # wide shape boxes end this fit where the score's differences overflow:
+        # ``observed_information`` raises its ArithmeticError, not numpy's
+        # RuntimeWarning, and the fit reports no Wald numbers
+        box = {name: (0.001, 1000.0) for name in ("m", "n", "theta", "alpha", "beta")}
+        result = fit_mle(
+            ModelTemplate("weibull"), builtin_dataset("turbocharger").values, FitConfig(starts=96, start_box=box)
+        )
+        assert not result.information_pd
+        assert all(math.isnan(se) for se in result.std_errors.values())
+
     def test_relative_steps_follow_the_data_scale(self):
         # in units 100 times smaller the nested Weibull rate is about 1e-11,
         # far below an absolute step of 1e-6; SE(beta) does not depend on
@@ -816,6 +828,8 @@ class TestModelTemplate:
         "baseline, fixed, message",
         [
             ("weibull", {"lam": -1.0}, "parameter lam "),
+            ("weibull", {"lam": math.inf}, "parameter lam must be positive and finite, got inf"),
+            ("exponentiated_pareto", {"theta_p": math.nan}, "parameter theta_p must be positive and finite"),
             ("weibull", {"m": 0.0}, "parameter m "),
             # the modified Weibull's coefficients may each be 0, but not both
             ("modified_weibull", {"sigma": 0.0, "beta": 0.0}, r"sigma \+ beta > 0"),

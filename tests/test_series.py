@@ -116,6 +116,13 @@ class TestDeltaCoeffs:
         with pytest.raises(ValueError, match="max_terms must be at least 1"):
             call(dist(2.5, 1.3, 0.7, 1.5))
 
+    @pytest.mark.parametrize(
+        "shapes, name", [((math.inf, 1.3, 0.7), "m"), ((2.5, 0.0, 0.7), "n"), ((2.5, 1.3, math.nan), "theta")]
+    )
+    def test_delta_coeffs_shapes_are_positive_and_finite(self, shapes, name):
+        with pytest.raises(ValueError, match=f"parameter {name} must be positive and finite"):
+            delta_coeffs(*shapes)
+
     def test_single_term_for_m_one(self):
         delta, _ = delta_coeffs(1.0, 3.0, 2.0)
         assert len(delta) == 1
