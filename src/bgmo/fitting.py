@@ -203,6 +203,8 @@ class FitConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if not 0 < self.level < 1:
             raise ValueError("level must be in (0, 1)")
 
@@ -325,9 +327,13 @@ class _Likelihood:
     edge, selects the rows that are evaluated; any other row gives -inf and
     NaN, and nothing raises.  The free parameters of several rows become
     columns, one row per vector, and the fixed ones stay numbers; every step
-    is elementwise, and the parameters' own logs are taken one value at a
-    time (``special._each``), so each row gets exactly the arithmetic of a
-    one-row call.  One row binds numbers, so it runs the same code on floats.
+    is elementwise, and where numpy's array code could differ in the last
+    bit from what a number gets, a column takes the number's call per value:
+    the parameters' logs and log-gammas by the scalar ``math`` function
+    (``special._each``), powers with a column exponent by one broadcast
+    with its special-cased exponents redone (``special._power``).  So each
+    row gets exactly the arithmetic of a one-row call.  One row binds
+    numbers, so it runs the same code on floats.
     """
 
     def __init__(self, template: ModelTemplate, data):
@@ -595,18 +601,25 @@ def _to_params(x, scale: tuple[int, int] | None):
 
     Every coordinate is a log parameter, except that with ``scale = (i, j)``
     coordinate i is log sigma and parameter i is lam = sigma**(-beta), beta
-    being parameter j.  A lam past the largest double is inf, a point of zero
-    likelihood.
+    being parameter j: one product gives every row's log lam, and lam is its
+    ``math.exp`` per value, as a single point takes it.  A lam past the
+    largest double is inf, a point of zero likelihood.
     """
     params = np.exp(x)
     if scale is not None:
         i, j = scale
-        for row, point in zip(np.atleast_2d(params), np.atleast_2d(x)):
-            try:
-                row[i] = math.exp(-row[j] * point[i])
-            except OverflowError:
-                row[i] = math.inf
+        rows = params.reshape(-1, params.shape[-1])  # a view: writing a row writes params
+        log_lam = (-rows[:, j] * np.reshape(x, rows.shape)[:, i]).tolist()
+        rows[:, i] = np.fromiter(map(_exp, log_lam), float, len(log_lam))
     return params
+
+
+def _exp(v: float) -> float:
+    """``math.exp``, inf past the largest double."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def _pinned(names, x, grad, lo, hi) -> tuple[str, ...]:
@@ -632,25 +645,25 @@ class _Run(NamedTuple):
 _MAXCOR, _PGTOL, _MAXLS, _MAXFUN = 10, 1e-5, 20, 15000
 
 
-def _descent(x0, low, up, max_iter):
+def _descent(x0, low, up, max_iter, lbfgsb):
     """One L-BFGS-B run (Zhu, Byrd, Lu & Nocedal 1997): yields each point it needs f and g at,
-    is sent (f, g) there, and returns its ``_Run`` (seconds 0).
+    as a list of floats, is sent (f, g) there, and returns its ``_Run`` (seconds 0).
 
     This is scipy's own loop around the reverse-communication routine
     ``setulb`` in ``minimize(method="L-BFGS-B", jac=True)``, step for step:
     x0 clipped to the box, one evaluation there before the first ``setulb``
     call (which gets f = 0 and g = 0), the last f and g reused where
-    ``setulb`` asks again at the same x, and the same limits, status and
-    message.
+    ``setulb`` asks again at an equal x, and the same limits, status and
+    message.  x equals the last point asked by ``np.array_equal``'s rule,
+    ``==`` at every coordinate, taken on ``x.tolist()``: -0.0 equals 0.0,
+    and a NaN equals nothing.  ``lbfgsb`` is scipy's ``setulb`` and its
+    status and task messages.
     """
-    # imported here so that ``import bgmo`` does not load scipy.optimize
-    from scipy.optimize._lbfgsb import setulb
-    from scipy.optimize._lbfgsb_py import status_messages, task_messages
-
+    setulb, status_messages, task_messages = lbfgsb
     k = len(x0)
     x = np.clip(x0, low, up)
-    x_at = x.copy()
-    f_at, g_at = yield x_at
+    at = x.tolist()
+    f_at, g_at = yield at
     nfev, nit = 1, 0
     f, g = np.array(0.0), np.zeros(k)
     wa = np.zeros(2 * _MAXCOR * k + 5 * k + 11 * _MAXCOR**2 + 8 * _MAXCOR)
@@ -665,13 +678,15 @@ def _descent(x0, low, up, max_iter):
         g = g.astype(np.float64)
         setulb(_MAXCOR, x, low, up, nbd, f, g, factr, _PGTOL, wa, iwa, task, lsave, isave, dsave,
                _MAXLS, ln_task)
-        if task[0] == 3:  # f and g wanted at x
-            if not np.array_equal(x, x_at):
-                x_at = x.copy()
-                f_at, g_at = yield x_at
+        step = task.item(0)
+        if step == 3:  # f and g wanted at x
+            asked = x.tolist()
+            if asked != at:
+                at = asked
+                f_at, g_at = yield at
                 nfev += 1
             f, g = f_at, g_at
-        elif task[0] == 1:  # a new iterate
+        elif step == 1:  # a new iterate
             nit += 1
             if nit >= max_iter:
                 task[:] = 5, 504
@@ -679,8 +694,8 @@ def _descent(x0, low, up, max_iter):
                 task[:] = 5, 502
         else:
             break
-    status = 0 if task[0] == 4 else 1 if nfev > _MAXFUN or nit >= max_iter else 2
-    message = status_messages[task[0]] + ": " + task_messages[task[1]]
+    status = 0 if step == 4 else 1 if nfev > _MAXFUN or nit >= max_iter else 2
+    message = status_messages[step] + ": " + task_messages[task.item(1)]
     return _Run(x, f, g, nfev, status, message, 0.0)
 
 
@@ -695,11 +710,16 @@ def _lockstep(objective, starts, lo, hi, max_iter) -> list[_Run]:
     read as scipy reads them: an upper bound below its lower one raises
     ``ValueError``, and an infinite or NaN one leaves its side unbounded.
     """
+    # imported here, once per fit, so that ``import bgmo`` does not load scipy.optimize
+    from scipy.optimize._lbfgsb import setulb
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
     if np.any(hi < lo):
         raise ValueError("An upper bound is less than the corresponding lower bound.")
     low, up = np.where(lo > -np.inf, lo, -np.inf), np.where(hi < np.inf, hi, np.inf)
     t0 = time.perf_counter()
-    runs = [_descent(x0, low, up, max_iter) for x0 in starts]
+    lbfgsb = setulb, status_messages, task_messages
+    runs = [_descent(x0, low, up, max_iter, lbfgsb) for x0 in starts]
     ends = [None] * len(runs)
     waiting = [(i, run, next(run)) for i, run in enumerate(runs)]
     while waiting:

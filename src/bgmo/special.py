@@ -58,12 +58,13 @@ def _checked(name: str, arg: str, x, m, n) -> np.ndarray:
 def _each(fn, v):
     """fn at a number v, or at each value of an array v, by the scalar ``math`` function.
 
-    The fitter evaluates a batch of parameter vectors as columns; numpy's own
-    log differs from libm's in the last bit on some doubles, so a column
-    takes the same scalar call per value that a single vector takes.
+    The fitter evaluates a batch of parameter vectors as columns.  numpy's
+    log and scipy's ``gammaln`` differ from libm's log and lgamma in the
+    last bit on some doubles, so a column takes the scalar call a single
+    vector takes, once per value, mapped straight into the result array.
     """
     if isinstance(v, np.ndarray):
-        return np.array([fn(x) for x in v.ravel().tolist()]).reshape(v.shape)
+        return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
     return fn(v)
 
 
@@ -72,26 +73,38 @@ def _log(v):
     return _each(math.log, v) if isinstance(v, np.ndarray) else math.log(v)
 
 
-def _power(base, exponent):
-    """base ** exponent, one row at a time where the exponent is a column (see ``_each``).
+# the exponents numpy special-cases where given as a number (see ``_power``)
+_SCALAR_POWERS = (-1.0, 0.5, 2.0)
 
-    numpy takes some exponents given as a number by other code than the pow
-    it runs over an array of exponents (x ** 2.0 is x * x), so each row gets
-    the scalar exponent a single vector gets.
+
+def _power(base, exponent):
+    """base ** exponent, where the exponent may be a (B, 1) column: one row per value.
+
+    A column takes one broadcast ``np.power``.  numpy 2.4 takes a number
+    exponent of -1, 0.5 or 2 (``_SCALAR_POWERS``) by its reciprocal, sqrt and
+    square, not by that pow, and they can differ from it in the last bit, so
+    the rows with one of those exponents are taken again as ``row ** e``.
+    Every row is then bit for bit what a single vector's number exponent
+    gives (see ``_each``); at any other exponent, 0 and 1 included, the
+    broadcast pow is that value already.
     """
     if isinstance(exponent, np.ndarray):
-        rows = np.broadcast_to(base, np.broadcast_shapes(np.shape(base), exponent.shape))
-        return np.array([row**e for row, e in zip(rows, exponent.ravel().tolist())])
+        out = np.power(base, exponent)
+        for i, e in enumerate(exponent.ravel().tolist()):
+            if e in _SCALAR_POWERS:
+                out[i] = np.broadcast_to(base, out.shape)[i] ** e
+        return out
     return base**exponent
 
 
 def log_beta(m: float, n: float) -> float:
     """Return ln B(m, n) = ln Γ(m) + ln Γ(n) - ln Γ(m+n) for m, n > 0.
 
-    Either argument may be an array of values, taken one by one (``_each``).
+    Either argument may be an array of values, each taken by the scalar
+    ``math.lgamma`` a number gets (``_each``).
     """
     if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
-        if np.any(m <= 0) or np.any(n <= 0):
+        if np.less_equal(m, 0).any() or np.less_equal(n, 0).any():
             raise ValueError(f"log_beta requires positive arguments, got ({m}, {n})")
         return _each(math.lgamma, m) + _each(math.lgamma, n) - _each(math.lgamma, m + n)
     if m <= 0 or n <= 0:

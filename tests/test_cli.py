@@ -247,6 +247,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("flag, message", [
         (("--starts", "0"), "starts must be at least 1"),
+        (("--max-iter", "-3"), "max_iter must be at least 1"),
         (("--level", "1.5"), "level must be in (0, 1)"),
     ])
     def test_a_bad_fit_flag_is_a_usage_error(self, capsys, flag, message):

@@ -315,13 +315,20 @@ class TestSearchGradient:
         assert value == math.inf and np.all(grad == 0)
 
     def test_lam_past_the_largest_double_is_zero_likelihood(self):
-        # sigma = 0.0625 and beta = 500: lam = sigma**(-beta) = e^1386 overflows
-        x = np.log([1.0, 1.0, 1.0, 1.0, 0.0625, 500.0])
+        # the middle row's sigma = 0.0625 and beta = 500: lam = sigma**(-beta) = e^1386 overflows
+        x = np.log([
+            [1.3, 0.9, 1.1, 2.0, 6.0, 2.5],
+            [1.0, 1.0, 1.0, 1.0, 0.0625, 500.0],
+            [0.7, 2.1, 0.4, 3.0, 5.0, 3.5],
+        ])
         params = _to_params(x, (4, 5))
-        assert params[4] == math.inf
+        assert params[1, 4] == math.inf and np.all(np.isfinite(params[[0, 2]]))
+        for row, point in zip(params, x):
+            np.testing.assert_array_equal(row, _to_params(point, (4, 5)))
         data = builtin_dataset("turbocharger").values
-        value, grad = objective(x, ModelTemplate("weibull"), data)
-        assert value == math.inf and np.all(grad == 0)
+        values, grads = objective(x, ModelTemplate("weibull"), data)
+        assert values[1] == math.inf and np.all(grads[1] == 0)
+        assert np.all(np.isfinite(values[[0, 2]]))
 
 
 # every baseline, the extended Weibull once per Z kind (k below every builtin observation)
@@ -546,6 +553,11 @@ class TestObservedInformation:
 
 
 class TestFitMle:
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_an_iteration_budget_below_one_is_refused(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            FitConfig(max_iter=max_iter)
+
     def test_exponential_reduction_recovers_rate(self):
         rng = np.random.default_rng(3)
         data = rng.exponential(1 / 1.7, 500)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from bgmo.special import (
+    _each,
+    _power,
     beta_quantile,
     beta_quantile_series,
     log_beta,
@@ -37,6 +39,58 @@ class TestLogBeta:
             log_beta(0.0, 1.0)
         with pytest.raises(ValueError):
             log_beta(1.0, -2.0)
+
+
+def column_cases():
+    """(B, 1) columns: the exponents numpy special-cases for a number, 0, 1, random values, and none."""
+    special = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+    spread = np.random.default_rng(32).uniform(-3.0, 4.0, 9)
+    return {
+        "special": special[:, None],
+        "mixed": np.concatenate([spread[:4], special, spread[4:]])[:, None],
+        "empty": np.empty((0, 1)),
+    }
+
+
+class TestColumnsAreScalarCalls:
+    """A column of values gives, row by row, bit for bit what each value gives as a number:
+    the fitter's block rows equal its one-vector calls only so."""
+
+    @pytest.mark.parametrize("name", column_cases())
+    @pytest.mark.parametrize("fn", [math.log, math.lgamma], ids=["log", "lgamma"])
+    def test_each(self, fn, name):
+        col = np.abs(column_cases()[name]) + 0.25
+        got = _each(fn, col)
+        assert got.shape == col.shape
+        np.testing.assert_array_equal(got.ravel(), [fn(v) for v in col.ravel().tolist()])
+
+    @pytest.mark.parametrize("name", column_cases())
+    def test_log_beta(self, name):
+        m = np.abs(column_cases()[name]) + 0.25
+        n = m[::-1] * 1.7 + 0.1
+        for a, b in ((m, n), (m, 2.5), (0.75, n)):
+            got = log_beta(a, b)
+            pairs = np.broadcast_arrays(a, b)
+            assert got.shape == pairs[0].shape
+            want = [log_beta(x, y) for x, y in zip(*(p.ravel().tolist() for p in pairs))]
+            np.testing.assert_array_equal(got.ravel(), want)
+
+    @pytest.mark.parametrize("name", column_cases())
+    @pytest.mark.parametrize("shape", ["1-D", "2-D"])
+    def test_power(self, name, shape):
+        col = column_cases()[name]
+        rng = np.random.default_rng(7)
+        # 40 points, as the turbocharger data: numpy's loops for short rows differ from long ones
+        t = np.concatenate([[0.0, 1.0, np.inf, 5e-324], np.exp(rng.normal(0.0, 2.0, 36))])
+        base = t if shape == "1-D" else t * rng.uniform(0.5, 2.0, (len(col), 1))
+        with np.errstate(all="ignore"):
+            got = _power(base, col)
+            rows = np.broadcast_to(base, (len(col), len(t)))
+            want = [row ** e for row, e in zip(rows, col.ravel().tolist())]
+        assert got.shape == (len(col), len(t))
+        for row, expected in zip(got, want):
+            np.testing.assert_array_equal(row, expected)
+            assert np.array_equal(np.signbit(row), np.signbit(expected))
 
 
 class TestRegIncBeta:
