@@ -110,6 +110,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _table(path, header, rows):
+    """Write a TSV table: a ``# `` line of column names, then one tab-joined line per row,
+    each number in ``_fmt``'s text and each string as it is."""
+    lines = ["# " + "\t".join(header)]
+    lines += ["\t".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    _emit(path, "\n".join(lines) + "\n")
+
+
 def _fit_config(args) -> FitConfig:
     return FitConfig(
         starts=args.starts,
@@ -156,19 +164,14 @@ def _cmd_compare(args) -> int:
         try:
             r = fit_mle(template, data.values, config)
         except (FitError, ValueError) as exc:
-            rows.append((math.inf, math.inf, spec, math.nan, math.nan, math.nan, f"failed: {exc}"))
+            rows.append((spec, math.inf, math.inf, math.nan, math.nan, math.nan, f"failed: {exc}"))
             any_bad = True
             continue
         conv = "yes" if r.converged else "no"
-        rows.append((r.aic, r.bic, spec, r.caic, r.hqic, r.log_likelihood, conv))
+        rows.append((spec, r.aic, r.bic, r.caic, r.hqic, r.log_likelihood, conv))
         any_bad = any_bad or not r.converged
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    lines = ["# model\taic\tbic\tcaic\thqic\tlogLik\tconverged"]
-    for aic, bic, label, caic, hqic, ll, conv in rows:
-        lines.append(
-            "\t".join([label, _fmt(aic), _fmt(bic), _fmt(caic), _fmt(hqic), _fmt(ll), conv])
-        )
-    _emit(args.out, "\n".join(lines) + "\n")
+    rows.sort(key=lambda r: (r[1], r[2], r[0]))  # by AIC, then BIC, then spec
+    _table(args.out, ("model", "aic", "bic", "caic", "hqic", "logLik", "converged"), rows)
     return 2 if any_bad else 0
 
 
@@ -191,16 +194,10 @@ def _cmd_curves(args) -> int:
     cdf = dist.cdf(grid)
     edges = np.histogram_bin_edges(data.values, bins="fd")
     dens, _ = np.histogram(data.values, bins=edges, density=True)
-    lines = ["# t\tpdf\tcdf\tbin_left\tbin_right\tbin_density"]
-    nbins = len(dens)
-    for i, t in enumerate(grid):
-        row = [_fmt(t), _fmt(pdf[i]), _fmt(cdf[i])]
-        if i < nbins:
-            row += [_fmt(edges[i]), _fmt(edges[i + 1]), _fmt(dens[i])]
-        else:
-            row += ["nan", "nan", "nan"]
-        lines.append("\t".join(row))
-    _emit(args.out, "\n".join(lines) + "\n")
+    # one histogram bin per grid row while the bins last, NaN after
+    bins = [*zip(edges[:-1], edges[1:], dens), *[(math.nan,) * 3] * len(grid)]
+    rows = [(t, p, c, *b) for t, p, c, b in zip(grid, pdf, cdf, bins)]
+    _table(args.out, ("t", "pdf", "cdf", "bin_left", "bin_right", "bin_density"), rows)
     return 0
 
 
@@ -213,15 +210,8 @@ def _cmd_shapes(args) -> int:
         t_hi = max(float(d.quantile(0.99)) for d in dists)
     t_lo = max(float(max(d.support_low for d in dists)), 0.0)
     grid = np.linspace(t_lo, t_hi, args.grid_points + 1)[1:]  # skip the edge point
-    cols = []
-    for d in dists:
-        fn = d.pdf if args.fn == "pdf" else d.hrf
-        cols.append(fn(grid))
-    header = "# t\t" + "\t".join(specs)
-    lines = [header]
-    for i, t in enumerate(grid):
-        lines.append("\t".join([_fmt(t)] + [_fmt(c[i]) for c in cols]))
-    _emit(args.out, "\n".join(lines) + "\n")
+    cols = [getattr(d, args.fn)(grid) for d in dists]
+    _table(args.out, ("t", *specs), zip(grid, *cols))
     return 0
 
 

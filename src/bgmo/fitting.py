@@ -19,8 +19,8 @@ each restart follows exactly the path ``minimize`` would take from its start.
 
 The score is taken in the log coordinates the search runs in, d/d(log phi),
 so it stays finite where a parameter is subnormal.  The template and the data are bound once per fit:
-``ModelTemplate`` checks its fixed values and resolves its names, free slots
-and baseline class at construction, and ``_Likelihood`` floors the
+``ModelTemplate`` checks its fixed values and resolves its names, search
+coordinates, free slots and baseline class at construction, and ``_Likelihood`` floors the
 observations to the support, checks them against a fixed support edge and
 keeps their log, so each evaluation binds its vectors by position, masks the
 rows outside the parameters' domain and runs one unmasked baseline pass.  The
@@ -44,9 +44,8 @@ import json
 import math
 import time
 import warnings
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -90,9 +89,12 @@ class ModelTemplate:
     as the extended Weibull's Z-function (``z``, ``k``, ``beta``); they are
     passed to ``make_baseline`` as given.
 
-    The names, the slots of the free parameters and the baseline class are
-    resolved once, at construction, so that ``build`` binds a vector by
-    position.
+    The names, the search coordinates, the slots of the free parameters and
+    the baseline class with its built options are resolved once, at
+    construction, so that ``build`` and the fitter bind a vector by position.
+    ``search_names`` are ``fit_mle``'s coordinates, in free-parameter order:
+    the free names, except that a Weibull baseline with ``lam`` and ``beta``
+    both free is searched in its scale ``sigma`` = lam**(-1/beta).
     """
 
     baseline: str
@@ -101,13 +103,18 @@ class ModelTemplate:
     baseline_param_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     param_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     free_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    search_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     # every parameter's value in param_names order, NaN in the free slots
     _values: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _free_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # the support's lower edge, or None where a free parameter moves it
+    # the support's lower edge, or None where a free parameter moves it, and then that parameter's slot
     _support_edge: float | None = field(init=False, repr=False, compare=False)
-    # the baseline class, with its built options (e.g. the extended Weibull's Z) bound
-    _new_baseline: Callable[..., Baseline] = field(init=False, repr=False, compare=False)
+    _edge_slot: int | None = field(init=False, repr=False, compare=False)
+    # the free slots (i, j) of the Weibull scale sigma, searched for lam, and of beta, or None
+    _scale: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+    # the baseline class and its built options (e.g. the extended Weibull's Z)
+    _baseline_class: type[Baseline] = field(init=False, repr=False, compare=False)
+    _options: dict[str, object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b_cls = baseline_class(self.baseline)
@@ -125,22 +132,22 @@ class ModelTemplate:
         probe = make_baseline(
             self.baseline, **{name: self.fixed.get(name, 1.0) for name in base_names}, **self.options
         )
-        built_options = {f.name: getattr(probe, f.name) for f in fields(probe)}
-        edge_param = b_cls.edge_param
-        if edge_param is None:
-            edge = probe.support_low
-        else:  # None where the edge is a free parameter
-            edge = float(self.fixed[edge_param]) if edge_param in self.fixed else None
+        free = tuple(name for name in names if name not in self.fixed)
+        edge_slot = names.index(b_cls.edge_param) if b_cls.edge_param in free else None
+        scale = self.baseline == "weibull" and {"lam", "beta"} <= set(free)
+        search = tuple("sigma" if scale and name == "lam" else name for name in free)
         resolved = dict(
             baseline_param_names=base_names,
             param_names=names,
-            free_names=tuple(name for name in names if name not in self.fixed),
+            free_names=free,
+            search_names=search,
             _values=tuple(float(self.fixed.get(name, math.nan)) for name in names),
             _free_slots=tuple(i for i, name in enumerate(names) if name not in self.fixed),
-            _support_edge=edge,
-            _new_baseline=partial(
-                b_cls, **{k: v for k, v in built_options.items() if k not in base_names}
-            ),
+            _support_edge=probe.support_low if edge_slot is None else None,
+            _edge_slot=edge_slot,
+            _scale=(search.index("sigma"), search.index("beta")) if scale else None,
+            _baseline_class=b_cls,
+            _options={f.name: getattr(probe, f.name) for f in fields(probe) if f.name not in base_names},
         )
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
@@ -153,7 +160,7 @@ class ModelTemplate:
         """Bind a point (see ``_free``).  ``BgmoParams`` and the baseline reject values
         outside their domain with ``ValueError``, fixed values included."""
         m, n, theta, alpha, *base = self._full(self._free(point).tolist())
-        return BgmoDistribution(BgmoParams(m, n, theta, alpha), self._new_baseline(*base))
+        return BgmoDistribution(BgmoParams(m, n, theta, alpha), self._baseline_class(*base, **self._options))
 
     def _free(self, point) -> np.ndarray:
         """The free values of a point: a vector of ``k_params`` values in ``free_names`` order,
@@ -180,10 +187,12 @@ class FitConfig:
     """Search controls: restart count, iteration budget, seed, level, box.
 
     ``start_box`` maps search-coordinate names to (low, high) ranges, sampled
-    log-uniformly; it is also the hard search region.  The coordinates are
-    the free parameters, except that a Weibull baseline with ``lam`` and
-    ``beta`` both free is searched in ``sigma`` = lam**(-1/beta), so its box
-    key is ``sigma``, not ``lam``; ``fit_mle`` rejects any other key.
+    log-uniformly; it is also the hard search region.  Its keys are the
+    template's ``ModelTemplate.search_names``: the free parameters, except
+    that a Weibull baseline with ``lam`` and ``beta`` both free is searched
+    in ``sigma`` = lam**(-1/beta), so its box key is ``sigma``, not ``lam``;
+    ``fit_mle`` rejects any other key.  A range needs both ends positive and
+    finite and low <= high, or construction raises ``ValueError``.
     Unlisted coordinates use (0.05, 20), except:
 
     - ``sigma``: the sample mean times or divided by 100;
@@ -207,6 +216,9 @@ class FitConfig:
             raise ValueError("max_iter must be at least 1")
         if not 0 < self.level < 1:
             raise ValueError("level must be in (0, 1)")
+        for key, (low, high) in self.start_box.items():
+            if not (_in_domain(low, high) and low <= high):
+                raise ValueError(f"start_box[{key!r}] needs 0 < low <= high < inf, got {(low, high)}")
 
 
 @dataclass(frozen=True)
@@ -344,8 +356,6 @@ class _Likelihood:
         self.t = np.maximum(t, Baseline._eval_floor(edge or 0.0))
         self.outside = edge is not None and self.low < edge
         self.points = Points(self.t)
-        names = _search_names(template)
-        self.scale = (names.index("sigma"), names.index("beta")) if _weibull_scale(template) else None
 
     def __call__(self, values):
         """Log-likelihood and its score in the free parameters' logs, from one baseline pass.
@@ -368,19 +378,18 @@ class _Likelihood:
         count = len(rows)
         # one row binds numbers, so its evaluation runs on floats; more bind columns
         full = template._full(rows[0].tolist() if count == 1 else rows.T.copy())
-        new = template._new_baseline
-        ok = _in_domain(*full[:4]) & new.func._in_domain(*full[4:]) & (not self.outside)
-        if template._support_edge is None:  # the edge moves with a free parameter
-            ok = ok & (self.low >= full[template.param_names.index(new.func.edge_param)])
+        ok = _in_domain(*full[:4]) & template._baseline_class._in_domain(*full[4:]) & (not self.outside)
+        if template._edge_slot is not None:  # the edge moves with a free parameter
+            ok = ok & (self.low >= full[template._edge_slot])
         total, scores = np.full(count, -math.inf), np.full((count, template.k_params), math.nan)
         (keep,) = np.array(ok, ndmin=1).nonzero()  # ok is one flag for one row, else one per row
         if keep.size:
             if count > 1:
                 full = [v[keep][:, None] if isinstance(v, np.ndarray) else v for v in full]
             m, n, theta, alpha, *base = full
-            b = new.func._columns(*base, **new.keywords)
+            b = template._baseline_class._columns(*base, **template._options)
             x = self.points
-            if template._support_edge is None and np.any(self.low == b.support_low):
+            if template._edge_slot is not None and np.any(self.low == b.support_low):
                 # the floor of an edge on the smallest observation leaves the other rows' points as they are
                 x = Points(np.maximum(self.t, b._eval_floor(b.support_low)))
             total[keep], scores[keep] = self._evaluate(m, n, theta, alpha, b, x)
@@ -467,10 +476,11 @@ class _Likelihood:
         a (B,) array of values and a (B, k) array of gradients.
         """
         block = np.atleast_2d(x)
-        params = _to_params(block, self.scale)
+        scale = self.template._scale
+        params = _to_params(block, scale)
         value, grad = self(params)
-        if self.scale is not None:
-            i, j = self.scale
+        if scale is not None:
+            i, j = scale
             with np.errstate(all="ignore"):  # the rows of zero likelihood are NaN
                 grad[:, j] += block[:, i] * -params[:, j] * grad[:, i]  # d log lam/d log beta = -beta log sigma
                 grad[:, i] *= -params[:, j]  # d log lam/d log sigma = -beta
@@ -562,29 +572,17 @@ def info_criteria(log_l: float, k: int, n: int) -> InfoCriteria:
 # --- the fitter ----------------------------------------------------------------
 
 
-def _weibull_scale(template: ModelTemplate) -> bool:
-    """Whether Weibull's ``lam`` is searched as the scale sigma (``beta`` is free too)."""
-    return template.baseline == "weibull" and {"lam", "beta"} <= set(template.free_names)
-
-
-def _search_names(template: ModelTemplate) -> tuple[str, ...]:
-    """Names of ``fit_mle``'s search coordinates, in free-parameter order."""
-    if _weibull_scale(template):
-        return tuple("sigma" if name == "lam" else name for name in template.free_names)
-    return template.free_names
-
-
 def _default_box(template: ModelTemplate, data) -> dict[str, tuple[float, float]]:
-    box = dict.fromkeys(_search_names(template), (0.05, 20.0))
-    if _weibull_scale(template):
+    box = dict.fromkeys(template.search_names, (0.05, 20.0))
+    if template._scale is not None:
         mean = float(np.mean(data))
         box["sigma"] = (mean * 1e-2, mean * 1e2)
-    rate = baseline_class(template.baseline).hazard_rate
+    rate = template._baseline_class.hazard_rate
     if rate in box and set(template.baseline_param_names) - {rate} <= set(template.fixed):
         # log sf = -rate*Z(t) with Z known, so the baseline alone has the
         # closed-form MLE n / sum Z(t); Z is minus the log sf at rate 1
-        unit = {name: template.fixed.get(name, 1.0) for name in template.baseline_param_names}
-        unit_baseline = make_baseline(template.baseline, **unit, **template.options)
+        unit = template._full([1.0] * template.k_params)[4:]
+        unit_baseline = template._baseline_class(*unit, **template._options)
         total = -float(np.sum(unit_baseline.log_sf(data)))
         if 0 < total < math.inf:
             rate0 = data.size / total
@@ -776,7 +774,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     k = len(free)
     if k == 0:
         raise ValueError("template fixes every parameter; nothing to fit")
-    names = _search_names(template)
+    names = template.search_names
     unknown = set(config.start_box) - set(names)
     if unknown:
         raise ValueError(f"start_box keys {sorted(unknown)} are not search coordinates {names}")
@@ -785,7 +783,7 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     lo = np.log([box[n][0] for n in names])
     hi = np.log([box[n][1] for n in names])
     lik = _Likelihood(template, data)
-    scale = lik.scale
+    scale = template._scale
 
     def param_dict(x):
         return {n: float(v) for n, v in zip(free, _to_params(x, scale))}

@@ -467,6 +467,8 @@ class TestFactory:
     def test_extended_weibull_variant(self):
         b = make_baseline("extended_weibull", delta=2.0, z="log_ratio", k=3.0)
         assert b.support_low == 3.0
+        # a built Z-function is taken as it is
+        assert make_baseline("extended_weibull", delta=2.0, z=b.z) == b
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

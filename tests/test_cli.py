@@ -408,6 +408,14 @@ class TestUsageErrors:
             rc, out, err = run(capsys, "eval", "--dist", spec, "--fn", fn, "--t", "1")
             assert rc == 1 and out == "" and message in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("", "error: empty model spec"),
+        ("exponential m2 lambda=1", "error: expected name=value, got 'm2'"),
+    ])
+    def test_a_malformed_spec_is_a_usage_error(self, capsys, spec, message):
+        rc, out, err = run(capsys, "eval", "--dist", spec, "--t", "1")
+        assert rc == 1 and out == "" and err.startswith(message)
+
     def test_non_numeric_value(self, capsys):
         spec = "exponential m=1 n=1 theta=1 alpha=1 lambda=abc"
         rc, _, err = run(capsys, "eval", "--dist", spec, "--t", "1")

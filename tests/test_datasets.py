@@ -51,6 +51,8 @@ class TestLoadDataset:
         p = tmp_path / "d.csv"
         p.write_text("1.0, 2.0, 3.0\n4.0,5.0\n")
         np.testing.assert_array_equal(load_dataset(p).values, [1, 2, 3, 4, 5])
+        p.write_text("1,,2\n")  # an empty field is skipped
+        np.testing.assert_array_equal(load_dataset(p).values, [1, 2])
 
     def test_parse_error_position(self, tmp_path):
         p = tmp_path / "d.txt"

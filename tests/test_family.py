@@ -660,6 +660,14 @@ class TestShapeMeasures:
         assert expected == pytest.approx(1.30627, abs=1e-5)
         assert dist(1, 1, 1, 1).moors_kurtosis() == pytest.approx(expected, abs=1e-9)
 
+    def test_degenerate_quartiles_and_octiles(self):
+        # k = 1e17 puts every quantile on the location to double precision
+        d = dist(1, 1, 1, 1, ExponentiatedPareto(1.0, 1e17, 1.0))
+        with pytest.raises(ArithmeticError, match="degenerate quartiles"):
+            d.bowley_skewness()
+        with pytest.raises(ArithmeticError, match="degenerate octiles"):
+            d.moors_kurtosis()
+
     def test_bowley_bounded(self):
         for params in [(0.5, 2, 1.5, 0.3), (3, 0.4, 0.6, 1.5)]:
             b = dist(*params, Weibull(1.0, 2.0)).bowley_skewness()

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from bgmo import fitting
 from bgmo.baselines import BASELINE_FAMILIES, Baseline, ExponentiatedPareto, Weibull
 from bgmo.datasets import BUILTIN_NAMES, builtin_dataset
 from bgmo.family import BgmoDistribution, BgmoParams
@@ -21,7 +22,6 @@ from bgmo.fitting import (
     _Likelihood,
     _lockstep,
     _pinned,
-    _search_names,
     _to_params,
     ModelTemplate,
     fit_mle,
@@ -350,7 +350,7 @@ class TestObjectiveKernel:
     @staticmethod
     def search_setup(baseline, fixed, options=None):
         tpl = ModelTemplate(baseline, fixed=fixed, options=options or {})
-        names = _search_names(tpl)
+        names = tpl.search_names
         # the Weibull scale sigma (the modified Weibull's own sigma is a rate)
         weibull_scale = baseline == "weibull" and "sigma" in names
         scale = (names.index("sigma"), names.index("beta")) if weibull_scale else None
@@ -459,13 +459,13 @@ class TestKernelTotalIsLogLikelihood:
     def test_beyond_the_box_and_the_support(self, baseline, options, fixed):
         tpl = ModelTemplate(baseline, fixed=fixed, options=options)
         clean = builtin_dataset("turbocharger").values
-        lo, hi = np.log([_default_box(tpl, clean)[n] for n in _search_names(tpl)]).T
+        lo, hi = np.log([_default_box(tpl, clean)[n] for n in tpl.search_names]).T
         rng = np.random.default_rng(26)
         for extra in (0.0, 1e-320, 1e300, math.nan, -1.0, 1e5):
             data = np.append(clean, extra)
             lik = _Likelihood(tpl, data)
             x = lo - 3.0 + rng.random((60, len(lo))) * (hi - lo + 6.0)
-            values = _to_params(x, lik.scale)
+            values = _to_params(x, tpl._scale)
             totals, _ = lik(values)
             for row, total in zip(values, totals):
                 want = oracles.log_pdf_sum(tpl, row, data)
@@ -557,6 +557,13 @@ class TestFitMle:
     def test_an_iteration_budget_below_one_is_refused(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             FitConfig(max_iter=max_iter)
+
+    @pytest.mark.parametrize(
+        "bounds", [(0.0, 10.0), (-1.0, 10.0), (1.0, math.inf), (math.nan, 2.0), (5.0, 1.0)]
+    )
+    def test_a_start_box_range_outside_the_domain_is_refused(self, bounds):
+        with pytest.raises(ValueError, match=r"start_box\['beta'\] needs 0 < low <= high < inf"):
+            FitConfig(start_box={"beta": bounds})
 
     def test_exponential_reduction_recovers_rate(self):
         rng = np.random.default_rng(3)
@@ -856,6 +863,25 @@ class TestModelTemplate:
             ModelTemplate("gaussian")
         with pytest.raises(ValueError):
             ModelTemplate("weibull", fixed={"zeta": 1.0})
+        with pytest.raises(ValueError, match=r"options \['k'\] not in \(\) for weibull"):
+            ModelTemplate("weibull", options={"k": 2.0})
+
+    def test_search_names(self):
+        six = ModelTemplate("weibull")
+        assert six.search_names == ("m", "n", "theta", "alpha", "sigma", "beta")
+        assert six._scale == (4, 5)
+        # with beta fixed, lam is searched as it is
+        rate = ModelTemplate("weibull", fixed={"beta": 2.0})
+        assert rate.search_names == rate.free_names == ("m", "n", "theta", "alpha", "lam")
+        assert rate._scale is None
+
+    def test_a_free_support_edge_is_its_own_coordinate_checked_per_evaluation(self):
+        tpl = ModelTemplate("exponentiated_pareto", fixed=NESTED)
+        assert tpl.search_names == tpl.free_names == ("theta_p", "k", "gamma")
+        assert tpl._support_edge is None and tpl._scale is None
+        lik = _Likelihood(tpl, [1.0, 3.0, 4.0])
+        assert math.isfinite(lik([0.5, 2.0, 1.5])[0])
+        assert lik([2.0, 2.0, 1.5])[0] == -math.inf  # the location is above the smallest observation
 
 
 # the lockstep template cases: every baseline six-parameter and nested
@@ -866,11 +892,11 @@ LOCKSTEP_CASES = [
 ]
 
 
-def minimize_runs(lik, starts, lo, hi, max_iter):
+def minimize_runs(lik, starts, lo, hi, max_iter, maxfun):
     """One ``scipy.optimize.minimize`` L-BFGS-B run per start: the reference ``_lockstep`` must match."""
     from scipy.optimize import minimize
 
-    options = dict(maxiter=max_iter, ftol=_F_TOL)
+    options = dict(maxiter=max_iter, ftol=_F_TOL, maxfun=maxfun)
     bounds = list(zip(lo, hi))
     return [
         minimize(lik.objective, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
@@ -878,10 +904,11 @@ def minimize_runs(lik, starts, lo, hi, max_iter):
     ]
 
 
-def assert_lockstep_matches_minimize(tpl, data, starts, lo, hi, max_iter=2000):
+def assert_lockstep_matches_minimize(tpl, data, starts, lo, hi, max_iter=2000, maxfun=15000):
+    """``maxfun`` is scipy's evaluation limit, which must equal ``fitting._MAXFUN``."""
     lik = _Likelihood(tpl, data)
     runs = _lockstep(lik.objective, starts, lo, hi, max_iter)
-    for run, want in zip(runs, minimize_runs(lik, starts, lo, hi, max_iter), strict=True):
+    for run, want in zip(runs, minimize_runs(lik, starts, lo, hi, max_iter, maxfun), strict=True):
         np.testing.assert_array_equal(run.x, want.x)
         np.testing.assert_array_equal(run.jac, want.jac)
         assert (run.fun, run.nfev, run.status, run.message) == (
@@ -902,7 +929,7 @@ class TestLockstep:
     @staticmethod
     def box(tpl, data, start_box=None):
         box = dict(_default_box(tpl, data), **(start_box or {}))
-        names = _search_names(tpl)
+        names = tpl.search_names
         return np.log([box[n][0] for n in names]), np.log([box[n][1] for n in names])
 
     @pytest.mark.parametrize(
@@ -923,6 +950,15 @@ class TestLockstep:
         lo, hi = self.box(tpl, data)
         starts = lo + np.random.default_rng(3).random((4, len(lo))) * (hi - lo)
         runs = assert_lockstep_matches_minimize(tpl, data, starts, lo, hi, max_iter=3)
+        assert {run.status for run in runs} == {1}
+
+    def test_an_evaluation_limited_run(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAXFUN", 5)
+        tpl = ModelTemplate("weibull")
+        data = builtin_dataset("turbocharger").values
+        lo, hi = self.box(tpl, data)
+        starts = lo + np.random.default_rng(3).random((4, len(lo))) * (hi - lo)
+        runs = assert_lockstep_matches_minimize(tpl, data, starts, lo, hi, maxfun=5)
         assert {run.status for run in runs} == {1}
 
     def test_a_run_pinned_on_a_bound(self):
@@ -962,10 +998,12 @@ class TestLockstep:
         assert not result.converged
 
     def test_an_upper_bound_below_its_lower_one(self):
+        # FitConfig refuses such a start_box range, so the box is passed to _lockstep itself
         tpl = ModelTemplate("weibull", fixed=NESTED)
         data = builtin_dataset("turbocharger").values
+        lo, hi = self.box(tpl, data, {"beta": (3.0, 2.0)})
         with pytest.raises(ValueError, match="upper bound is less than"):
-            fit_mle(tpl, data, FitConfig(starts=2, start_box={"beta": (3.0, 2.0)}))
+            _lockstep(_Likelihood(tpl, data).objective, [lo], lo, hi, 10)
 
 
 def block_cases():
@@ -974,9 +1012,9 @@ def block_cases():
     for tag, options in KERNEL_CASES:
         for fixed in ({}, NESTED):
             tpl = ModelTemplate(tag, fixed=fixed, options=options)
-            lo, hi = np.log([_default_box(tpl, data)[n] for n in _search_names(tpl)]).T
+            lo, hi = np.log([_default_box(tpl, data)[n] for n in tpl.search_names]).T
             values = _to_params(lo + np.random.default_rng(9).random((8, len(lo))) * (hi - lo),
-                                _Likelihood(tpl, data).scale)
+                                tpl._scale)
             values[1, -1] = -1.0  # outside every baseline's domain
             # exponents numpy takes by special code when given as a number (x ** 2.0 is x * x)
             values[5:] = np.array([2.0, 0.5, 1.0])[:, None]

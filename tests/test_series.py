@@ -299,6 +299,7 @@ class TestPdfExpansion:
         # the tail is the measured gap to the exact pdf, in plain Python types
         assert ev.tail < 1e-15 and ev.tail == abs(ev.value - d.pdf(1.0))
         assert type(ev.value) is float and type(ev.tail) is float and type(ev.converged) is bool
+        assert float(ev) == ev.value
 
     def test_noninteger_near_direct(self):
         d = dist(2.5, 1.3, 0.7, 1.5, Weibull(1.0, 2.0))
@@ -327,6 +328,19 @@ class TestPdfExpansion:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             pdf_via_expansion(dist(2, 1, 1, 1), 1.0, "powers_of_t")
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda d: cdf_via_expansion(d, 1.0, "powers_of_t"), "unknown cdf expansion form 'powers_of_t'"),
+            (lambda d: order_stat_pdf(d, 1, 3, 1.0, method="exact"), "unknown order statistic method 'exact'"),
+            (lambda d: renyi_entropy(d, 2.0, method="exact"), "unknown entropy method 'exact'"),
+        ],
+        ids=["cdf_form", "order_stat_method", "entropy_method"],
+    )
+    def test_an_unknown_form_or_method(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(dist(2, 1, 1, 1))
 
 
 class TestCdfExpansion:
@@ -762,6 +776,9 @@ class TestMgf:
     def test_divergence_beyond_abscissa(self):
         with pytest.raises(DivergenceError):
             mgf(dist(1, 1, 1, 1), 1.5)
+        # e^(s t) overflows in the Weibull(1, 2) tail long before the density decays
+        with pytest.raises(DivergenceError, match="integrand not finite"):
+            mgf(dist(1, 1, 1, 1, Weibull(1.0, 2.0)), 200.0)
 
 
 class TestRenyi:
@@ -791,6 +808,11 @@ class TestRenyi:
         # terms have no error bound
         with pytest.raises(DivergenceError, match=rf"a = {a}, does not decay"):
             renyi_entropy(dist(*shapes, baseline), 2.0)
+
+    def test_series_raises_on_a_non_positive_sum(self):
+        # two terms of a = 18.5: 1 - 18.5 S^theta weights, a sum below 0
+        with pytest.raises(DivergenceError, match="non-positive integral sum"):
+            renyi_entropy(dist(10.25, 1, 1, 1), 2.0, max_terms=2)
 
 
 class TestAsymptotes:

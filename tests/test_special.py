@@ -39,6 +39,8 @@ class TestLogBeta:
             log_beta(0.0, 1.0)
         with pytest.raises(ValueError):
             log_beta(1.0, -2.0)
+        with pytest.raises(ValueError, match="positive arguments"):
+            log_beta(np.array([1.0, 0.0]), 2.0)
 
 
 def column_cases():
@@ -290,6 +292,17 @@ class TestBetaQuantileSeries:
     def test_order_domain(self):
         with pytest.raises(ValueError):
             beta_quantile_series(0.1, 2, 3, 5)
+
+    @pytest.mark.parametrize("u, m, n, message", [
+        (0.1, 0.0, 3, "positive shapes"), (0.1, 2, -1.0, "positive shapes"),
+        (1.0, 2, 3, r"u in \[0, 1\)"), (-0.1, 2, 3, r"u in \[0, 1\)"),
+    ])
+    def test_shape_and_level_domain(self, u, m, n, message):
+        with pytest.raises(ValueError, match=message):
+            beta_quantile_series(u, m, n)
+
+    def test_zero_level(self):
+        assert beta_quantile_series(0.0, 2, 3) == 0.0
 
     @pytest.mark.parametrize("u, m, n", [(1e-10, 1000, 1000), (1e-100, 600, 600)])
     def test_no_underflow_where_m_beta_u_underflows(self, u, m, n):
