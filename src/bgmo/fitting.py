@@ -22,7 +22,8 @@ so it stays finite where a parameter is subnormal.  The template and the data ar
 ``ModelTemplate`` checks its fixed values and resolves its names, search
 coordinates, free slots and baseline class at construction, and ``_Likelihood`` floors the
 observations to the support, checks them against a fixed support edge and
-keeps their log, so each evaluation binds its vectors by position, masks the
+keeps their log, once per distinct value where at least half of them repeat
+one, so each evaluation binds its vectors by position, masks the
 rows outside the parameters' domain and runs one unmasked baseline pass.  The
 public functions read a point by one rule (``ModelTemplate._free``); ``log_likelihood``
 is the kernel's total, -inf outside the domain, where ``score`` and
@@ -335,6 +336,15 @@ class _Likelihood:
     location) is checked per evaluation: an observation below it has zero
     likelihood, and one on it is evaluated at the edge's floor.
 
+    Where at least half the observations repeat an earlier one (at most n/2
+    distinct values, as nicotine's 19 of 346), the points are the distinct
+    values: every per-observation term is formed once per value, and each
+    sum (the log-likelihood and the score rows) takes them back to data
+    order first (``_in_data_order``), so it adds the same n doubles in the
+    same order as a pass over every observation, bit for bit.  Elsewhere
+    the points are the observations themselves: with few repeats the
+    expansion costs more than it saves.
+
     One mask, from the shapes' and the baseline's domains and the support
     edge, selects the rows that are evaluated; any other row gives -inf and
     NaN, and nothing raises.  The free parameters of several rows become
@@ -355,7 +365,10 @@ class _Likelihood:
         edge = template._support_edge
         self.t = np.maximum(t, Baseline._eval_floor(edge or 0.0))
         self.outside = edge is not None and self.low < edge
-        self.points = Points(self.t)
+        distinct, inverse = np.unique(self.t, return_inverse=True)
+        if 2 * len(distinct) > len(self.t):  # with fewer repeats, expanding costs more than it saves
+            distinct, inverse = self.t, None
+        self.points, self.inverse = Points(distinct), inverse
 
     def __call__(self, values):
         """Log-likelihood and its score in the free parameters' logs, from one baseline pass.
@@ -391,7 +404,7 @@ class _Likelihood:
             x = self.points
             if template._edge_slot is not None and np.any(self.low == b.support_low):
                 # the floor of an edge on the smallest observation leaves the other rows' points as they are
-                x = Points(np.maximum(self.t, b._eval_floor(b.support_low)))
+                x = Points(np.maximum(x.t, b._eval_floor(b.support_low)))
             total[keep], scores[keep] = self._evaluate(m, n, theta, alpha, b, x)
         return (float(total[0]), scores[0]) if np.ndim(values) == 1 else (total, scores)
 
@@ -408,7 +421,7 @@ class _Likelihood:
             log_f, _, log_1ms, log_d, _, log_z, log_w = _log_pdf_core(
                 m, n, theta, alpha, log_g, log_gbar, log_gcdf
             )
-            total = log_f.sum(axis=-1)
+            total = self._in_data_order(log_f).sum(axis=-1)
             batch = total.ndim == 1
             if not batch and not math.isfinite(total):
                 return -math.inf, np.full(template.k_params, math.nan)
@@ -446,9 +459,9 @@ class _Likelihood:
                 stacked = np.empty((len(rows), *log_f.shape))
                 for out, row in zip(stacked, rows):
                     out[...] = row
-                sums = list(stacked.sum(axis=-1)[:, :, None])
+                sums = list(self._in_data_order(stacked).sum(axis=-1)[:, :, None])
             else:
-                sums = np.array(rows).sum(axis=1).tolist()
+                sums = self._in_data_order(np.array(rows)).sum(axis=1).tolist()
             sum_log_z, sum_log_w, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = sums
             psi_mn = digamma(m + n)
             full = [
@@ -465,6 +478,15 @@ class _Likelihood:
         score = score[:, :, 0].T
         score[~finite] = math.nan
         return np.where(finite, total, -math.inf), score
+
+    def _in_data_order(self, a):
+        """Per-point terms along a's last axis, one per observation in data order.
+
+        ``np.take`` gives a C-contiguous copy, so its sum adds the same doubles
+        in the same order as a pass over every observation; a fancy index on
+        the last axis would not be contiguous, and numpy would sum it otherwise.
+        """
+        return a if self.inverse is None else np.take(a, self.inverse, axis=-1)
 
     def objective(self, x):
         """Negative log-likelihood at search point x and its gradient in x.
@@ -732,6 +754,15 @@ def _lockstep(objective, starts, lo, hi, max_iter) -> list[_Run]:
     return ends
 
 
+def _indices(bad) -> str:
+    """The observations flagged by ``bad`` for an error message: their indices, only
+    the first five and their count of all where there are more, so its length is bounded."""
+    where = np.flatnonzero(bad)
+    if where.size <= 5:
+        return f"indices {where.tolist()}"
+    return f"indices {str(where[:5].tolist())[:-1]}, ...] ({where.size} of {bad.size})"
+
+
 def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> FitResult:
     """Box-constrained multi-start L-BFGS-B maximum likelihood.
 
@@ -757,16 +788,13 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     if data.size == 0:
         raise ValueError("data is empty")
     if not np.all(np.isfinite(data)):
-        bad = np.nonzero(~np.isfinite(data))[0]
-        raise ValueError(f"non-finite observations at indices {bad.tolist()}")
-    bad = np.nonzero(data <= 0)[0]
-    if bad.size:
-        raise ValueError(f"observations at indices {bad.tolist()} are outside the support")
+        raise ValueError(f"non-finite observations at {_indices(~np.isfinite(data))}")
+    if np.any(data <= 0):
+        raise ValueError(f"observations at {_indices(data <= 0)} are outside the support")
     edge = template._support_edge or 0.0  # an edge a free parameter moves is checked per evaluation
-    bad = np.nonzero(data < edge)[0]
-    if bad.size:
+    if np.any(data < edge):
         raise ValueError(
-            f"observations at indices {bad.tolist()} are below the support edge "
+            f"observations at {_indices(data < edge)} are below the support edge "
             f"{edge:g} of {template.baseline}"
         )
 

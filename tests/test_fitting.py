@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bgmo import fitting
-from bgmo.baselines import BASELINE_FAMILIES, Baseline, ExponentiatedPareto, Weibull
+from bgmo.baselines import BASELINE_FAMILIES, Baseline, ExponentiatedPareto, Points, Weibull
 from bgmo.datasets import BUILTIN_NAMES, builtin_dataset
 from bgmo.family import BgmoDistribution, BgmoParams
 from bgmo.fitting import (
@@ -775,6 +775,19 @@ class TestFitMle:
         with pytest.raises(ValueError, match=r"indices \[0, 1\] are below the support edge 2.5 "):
             fit_mle(tpl, [1.0, 2.0, 3.0, 4.0], FitConfig(starts=2))
 
+    @pytest.mark.parametrize("bad_value, tail", [
+        (math.nan, r"^non-finite observations at indices \[0, 2, 4, 6, 8, \.\.\.\] \(5000 of 10000\)$"),
+        (-1.0, r"^observations at indices \[0, 2, 4, 6, 8, \.\.\.\] \(5000 of 10000\) are outside the support$"),
+        (1.0, r"^observations at indices \[0, 2, 4, 6, 8, \.\.\.\] \(5000 of 10000\) are below the support edge 2 "
+              r"of extended_weibull$"),
+    ])
+    def test_many_bad_observations_are_named_by_the_first_five_and_a_count(self, bad_value, tail):
+        tpl = ModelTemplate("extended_weibull", fixed=NESTED, options={"z": "log_ratio", "k": 2.0})
+        data = np.where(np.arange(10_000) % 2 == 0, bad_value, 3.0)
+        with pytest.raises(ValueError, match=tail) as error:
+            fit_mle(tpl, data, FitConfig(starts=1))
+        assert len(str(error.value)) < 200
+
     def test_a_free_location_above_an_observation_is_zero_likelihood(self):
         # a free exponentiated-Pareto location moves the edge, so each
         # evaluation checks it; on the smallest observation it is evaluated
@@ -1028,8 +1041,69 @@ def block_cases():
                                f"{'nested' if fixed else 'six'}")
 
 
+def compressed_cases():
+    """Per template and sample where most observations repeat one (nicotine, 19 distinct
+    of 346, and a scrambled sample of 30 values drawn 8 times each): a 14-row block of free
+    values in the default box, with the exponentiated-Pareto location on the smallest
+    observation, and the central steps around its first row as ``observed_information``
+    takes them."""
+    rng = np.random.default_rng(7)
+    samples = {
+        "nicotine": builtin_dataset("nicotine").values,
+        "tied": rng.permutation(np.repeat(rng.gamma(2.0, 0.5, 30).round(3), 8)),
+    }
+    templates = {
+        "weibull-six": ModelTemplate("weibull"),
+        "weibull-nested": ModelTemplate("weibull", fixed=NESTED),
+        "frechet-six": ModelTemplate("frechet"),
+        "frechet-nested": ModelTemplate("frechet", fixed=NESTED),
+        "exponentiated-pareto-six": ModelTemplate("exponentiated_pareto"),
+    }
+    for name, data in samples.items():
+        for tag, tpl in templates.items():
+            lo, hi = np.log([_default_box(tpl, data)[n] for n in tpl.search_names]).T
+            values = _to_params(lo + np.random.default_rng(3).random((14, len(lo))) * (hi - lo), tpl._scale)
+            if "theta_p" in tpl.free_names:
+                values[:, tpl.free_names.index("theta_p")] = data.min()
+            x = values[0]
+            stepped = np.array([p for e in np.diag(1e-4 * x) for p in (x + e, x - e)])
+            yield pytest.param(tpl, data, values, stepped, id=f"{tag}-{name}")
+
+
+def direct_pass(lik):
+    """The kernel bound to every observation in data order, as where no value repeats."""
+    direct = _Likelihood(lik.template, lik.t)
+    direct.points, direct.inverse = Points(lik.t), None
+    return direct
+
+
 class TestBatchedKernel:
     """Row b of a block call is the one-vector call at row b, bit for bit."""
+
+    @pytest.mark.parametrize("tpl, data, values, stepped", compressed_cases())
+    def test_distinct_values_give_the_direct_pass(self, tpl, data, values, stepped):
+        # evaluated once per distinct value and put back in data order before each sum
+        lik = _Likelihood(tpl, data)
+        assert lik.inverse is not None and len(lik.points.t) < len(data) / 2
+        direct = direct_pass(lik)
+        for block in (values[0], values, stepped):
+            totals, scores = lik(block)
+            want_totals, want_scores = direct(block)
+            np.testing.assert_array_equal(totals, want_totals)
+            np.testing.assert_array_equal(scores, want_scores)
+        assert np.all(np.isfinite(lik(values)[0])), "every row of the block is evaluated"
+        assert lik(values[0])[0] == oracles.log_pdf_sum(tpl, values[0], data)
+
+    def test_at_least_half_repeated_binds_the_distinct_values(self):
+        for name in ("turbocharger", "carbon_fibres"):  # 34 of 40 and 80 of 100 distinct
+            data = builtin_dataset(name).values
+            lik = _Likelihood(ModelTemplate("weibull"), data)
+            assert lik.inverse is None and lik.points.t is lik.t
+        data = builtin_dataset("nicotine").values
+        lik = _Likelihood(ModelTemplate("weibull"), data)
+        assert len(data) == 346 and len(lik.points.t) == 19
+        np.testing.assert_array_equal(lik.points.t, np.unique(data))
+        np.testing.assert_array_equal(lik.points.t[lik.inverse], data)
 
     @pytest.mark.parametrize("tpl, data, values", block_cases())
     def test_rows_equal_one_vector_calls(self, tpl, data, values):
