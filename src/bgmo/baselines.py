@@ -373,7 +373,7 @@ class Weibull(Baseline):
         return _log(self.lam) + self.beta * x.log_t
 
     def _inv_hazard(self, y):
-        return (y / self.lam) ** (1.0 / self.beta)
+        return _power(y / self.lam, 1.0 / self.beta)
 
     def _log_rate(self, x, h):
         return _log(self.lam) + _log(self.beta) + (self.beta - 1.0) * x.log_t
@@ -425,7 +425,7 @@ class Frechet(Baseline):
         return self.lam * (_log(self.delta) - x.log_t)
 
     def _inv_hazard(self, y):
-        return self.delta * y ** (-1.0 / self.lam)
+        return self.delta * _power(y, -1.0 / self.lam)
 
     def _log_rate(self, x, h):
         return _log(self.lam) + self.lam * _log(self.delta) - (self.lam + 1.0) * x.log_t
@@ -590,18 +590,16 @@ class ModifiedWeibull(Baseline):
         # bracket that is relative to the root.  Where h(t) = y, the larger
         # term is at least y/2 and each is at most y (a zero coefficient's
         # bound is inf), so lo <= t <= hi <= max(2, 2^(1/gamma)) * lo.
-        target = np.atleast_1d(y)
-        by_sigma = target / self.sigma if self.sigma else np.inf
-        by_beta = (target / self.beta) ** (1.0 / self.gamma) if self.beta else np.inf
+        by_sigma = y / self.sigma if self.sigma else np.inf
+        by_beta = _power(y / self.beta, 1.0 / self.gamma) if self.beta else np.inf
         hi = np.minimum(by_sigma, by_beta)
         lo = np.minimum(0.5 * by_sigma, 0.5 ** (1.0 / self.gamma) * by_beta)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            below = self._hazard(mid) < target
+            below = self._hazard(mid) < y
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return out.reshape(np.shape(y)) if np.shape(y) else out[0]
+        return 0.5 * (lo + hi)
 
     def _log_rate(self, x, h):
         log_rate = np.log(self.sigma + _zmul(self.beta * self.gamma, _power(x.t, self.gamma - 1.0)))
@@ -661,7 +659,7 @@ class ExponentiatedPareto(Baseline):
 
     def _inv_hazard(self, y):
         base = -np.expm1(-y / self.gamma)  # 1 - G^(1/gamma)
-        return self.theta_p * base ** (-1.0 / self.k)
+        return self.theta_p * _power(base, -1.0 / self.k)
 
     def _log_rate(self, x, h):
         # |h'| = gamma k theta_p^k t^-(k+1) / [1 - (theta_p/t)^k], the base's log being -h/gamma

@@ -132,9 +132,8 @@ def _fit_config(args) -> FitConfig:
 
 def _cmd_eval(args) -> int:
     dist = build_distribution(args.dist)
-    fn = getattr(dist, args.fn)
-    # one point at a time, all before one write: a bad point leaves stdout empty
-    _emit(None, "".join(_fmt(fn(float(t))) + "\n" for t in _parse_values(args.t)))
+    # every point in one call, before one write: a bad point leaves stdout empty
+    _emit(None, "".join(_fmt(v) + "\n" for v in getattr(dist, args.fn)(_parse_values(args.t)).tolist()))
     return 0
 
 

@@ -531,7 +531,8 @@ def score(template: ModelTemplate, params, data) -> np.ndarray:
 def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarray:
     """Negative Hessian of the log-likelihood: central differences of ``score``, symmetrized.
 
-    The score at every stepped point comes from one batched likelihood call.
+    The score at every stepped point comes from one batched likelihood call
+    of 2k + 1 points for k free parameters, the centre once.
 
     The steps are 1e-4 of each value (relative, so a tiny rate keeps its
     precision).  A value of exactly 0 (the modified Weibull's sigma or beta
@@ -541,19 +542,16 @@ def observed_information(template: ModelTemplate, params_hat, data) -> np.ndarra
     """
     x = template._free(params_hat)
     template.build(x)  # a point outside the parameters' domain raises ValueError
-    steps = np.diag(np.where(x == 0.0, 1e-6, 1e-4 * np.abs(x)))
-    # every stepped point in one batch, in the order the rows below take them
-    points = np.array([
-        p for i, e in enumerate(steps)
-        for p in ((x + e, x + 2.0 * e, x + 0.0) if x[i] == 0.0 else (x + e, x + -e))
-    ])
-    s = iter(_per_value(_Likelihood(template, data)(points)[1], points))
+    k, zero = len(x), (x == 0.0)[:, None]  # zero and h are columns, one entry per row of H
+    h = np.where(zero, 1e-6, 1e-4 * np.abs(x)[:, None])
+    steps = np.diag(h[:, 0])
+    # one block of 2k + 1 points: x + h_i e_i for each i, then x + 2 h_i e_i where x_i = 0
+    # and x - h_i e_i elsewhere, then x itself
+    points = x + np.concatenate([steps, np.where(zero, 2.0 * steps, -steps), np.zeros((1, k))])
+    s = _per_value(_Likelihood(template, data)(points)[1], points)
+    up, other, centre = s[:k], s[k:-1], s[-1]
     with np.errstate(all="ignore"):  # a difference that overflows is caught below
-        H = np.array([
-            (4.0 * next(s) - next(s) - 3.0 * next(s)) / (2.0 * e[i]) if x[i] == 0.0
-            else (next(s) - next(s)) / (2.0 * e[i])
-            for i, e in enumerate(steps)
-        ])
+        H = np.where(zero, (4.0 * up - other - 3.0 * centre) / (2.0 * h), (up - other) / (2.0 * h))
         info = -0.5 * (H + H.T)
     if not np.all(np.isfinite(info)):
         names = template.free_names
@@ -676,8 +674,8 @@ def _descent(x0, low, up, max_iter, lbfgsb):
     ``setulb`` asks again at an equal x, and the same limits, status and
     message.  x equals the last point asked by ``np.array_equal``'s rule,
     ``==`` at every coordinate, taken on ``x.tolist()``: -0.0 equals 0.0,
-    and a NaN equals nothing.  ``lbfgsb`` is scipy's ``setulb`` and its
-    status and task messages.
+    and a NaN equals nothing.  The box [low, up] is finite.  ``lbfgsb`` is
+    scipy's ``setulb`` and its status and task messages.
     """
     setulb, status_messages, task_messages = lbfgsb
     k = len(x0)
@@ -691,9 +689,7 @@ def _descent(x0, low, up, max_iter, lbfgsb):
     task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
     isave, dsave = np.zeros(44, np.int32), np.zeros(29)
     factr = _F_TOL / np.finfo(float).eps
-    bounded_low, bounded_up = np.isfinite(low), np.isfinite(up)
-    nbd = np.where(bounded_low & bounded_up, 2, bounded_low + 3 * bounded_up).astype(np.int32)
-    low, up = np.where(bounded_low, low, 0.0), np.where(bounded_up, up, 0.0)
+    nbd = np.full(k, 2, np.int32)  # every coordinate bounded on both sides
     while True:
         g = g.astype(np.float64)
         setulb(_MAXCOR, x, low, up, nbd, f, g, factr, _PGTOL, wa, iwa, task, lsave, isave, dsave,
@@ -726,9 +722,12 @@ def _lockstep(objective, starts, lo, hi, max_iter) -> list[_Run]:
     one ``objective`` call on the block of those points, so a fit makes as
     many objective calls as its longest run makes evaluations.  The runs do
     not interact: each follows exactly the path it would follow alone.  A
-    run's seconds count from the start of the batch to its stop.  Bounds are
-    read as scipy reads them: an upper bound below its lower one raises
-    ``ValueError``, and an infinite or NaN one leaves its side unbounded.
+    run's seconds count from the start of the batch to its stop.  The box
+    is finite, as ``FitConfig`` and ``_default_box`` build it, so every
+    coordinate is bounded on both sides (a default end overflows only for
+    data within a factor 1e3 of the ends of the double range, and then
+    every start and run is non-finite); an upper bound below its lower one
+    raises ``ValueError``, as in scipy.
     """
     # imported here, once per fit, so that ``import bgmo`` does not load scipy.optimize
     from scipy.optimize._lbfgsb import setulb
@@ -736,10 +735,9 @@ def _lockstep(objective, starts, lo, hi, max_iter) -> list[_Run]:
 
     if np.any(hi < lo):
         raise ValueError("An upper bound is less than the corresponding lower bound.")
-    low, up = np.where(lo > -np.inf, lo, -np.inf), np.where(hi < np.inf, hi, np.inf)
     t0 = time.perf_counter()
     lbfgsb = setulb, status_messages, task_messages
-    runs = [_descent(x0, low, up, max_iter, lbfgsb) for x0 in starts]
+    runs = [_descent(x0, lo, hi, max_iter, lbfgsb) for x0 in starts]
     ends = [None] * len(runs)
     waiting = [(i, run, next(run)) for i, run in enumerate(runs)]
     while waiting:
@@ -810,23 +808,17 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
     box.update(config.start_box)
     lo = np.log([box[n][0] for n in names])
     hi = np.log([box[n][1] for n in names])
-    lik = _Likelihood(template, data)
-    scale = template._scale
-
-    def param_dict(x):
-        return {n: float(v) for n, v in zip(free, _to_params(x, scale))}
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         sob = qmc.Sobol(d=k, scramble=True, seed=config.seed).random(config.starts)
     starts = lo + sob * (hi - lo)
-
-    best = None
-    trace = []
-    for x0, run in zip(starts, _lockstep(lik.objective, starts, lo, hi, config.max_iter)):
-        trace.append(Restart(
-            start=param_dict(x0),
-            end=param_dict(run.x),
+    runs = _lockstep(_Likelihood(template, data).objective, starts, lo, hi, config.max_iter)
+    scale = template._scale
+    ends = _to_params(np.array([run.x for run in runs]), scale).tolist()
+    trace = tuple(
+        Restart(
+            start=dict(zip(free, start)),
+            end=dict(zip(free, end)),
             neg_log_lik=float(run.fun),
             nfev=run.nfev,
             status=run.status,
@@ -834,30 +826,29 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
             at_bound=_pinned(names, run.x, run.jac, lo, hi),
             seconds=run.seconds,
             moved=not np.array_equal(run.x, x0),
-        ))
-        if not math.isfinite(run.fun):
-            continue
-        if (
+        )
+        for x0, start, run, end in zip(starts, _to_params(starts, scale).tolist(), runs, ends)
+    )
+    best = None  # the index of the best finite run so far
+    for i, run in enumerate(runs):
+        if math.isfinite(run.fun) and (
             best is None
-            or run.fun < best.fun - _F_TOL
-            or (abs(run.fun - best.fun) <= _F_TOL and tuple(run.x) < tuple(best.x))
+            or run.fun < runs[best].fun - _F_TOL
+            or (abs(run.fun - runs[best].fun) <= _F_TOL and tuple(run.x) < tuple(runs[best].x))
         ):
-            best, best_moved = run, trace[-1].moved
+            best = i
     if best is None:
         raise FitError(
             f"all {config.starts} restarts produced non-finite likelihood "
             f"(baseline={template.baseline}, n={data.size}); widen start_box or check data"
         )
-
-    at_boundary = _pinned(names, best.x, best.jac, lo, hi)
-    estimates_vec = _to_params(best.x, scale)
-    estimates = {n: float(v) for n, v in zip(free, estimates_vec)}
-    log_l = -float(best.fun)
+    chosen = trace[best]  # the report's one source
+    estimates, at_boundary, log_l = dict(chosen.end), chosen.at_bound, -chosen.neg_log_lik
 
     info_pd, cov, ci = False, None, None
     se = {n: math.nan for n in free}
     try:
-        info = observed_information(template, estimates_vec, data)
+        info = observed_information(template, estimates, data)
         np.linalg.cholesky(info)
         cov = np.linalg.inv(info)
         diag = np.diag(cov)
@@ -883,12 +874,12 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         bic=crit.bic,
         caic=crit.caic,
         hqic=crit.hqic,
-        converged=best.status == 0 and best_moved and not at_boundary,
+        converged=chosen.status == 0 and chosen.moved and not at_boundary,
         information_pd=info_pd,
         at_boundary=at_boundary,
         n_obs=int(data.size),
         k_params=k,
         level=config.level,
-        trace=tuple(trace),
-        restarts_at_best=sum(abs(r.neg_log_lik - best.fun) <= _F_TOL for r in trace),
+        trace=trace,
+        restarts_at_best=sum(abs(r.neg_log_lik - chosen.neg_log_lik) <= _F_TOL for r in trace),
     )

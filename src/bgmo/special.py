@@ -86,7 +86,10 @@ def _power(base, exponent):
     the rows with one of those exponents are taken again as ``row ** e``.
     Every row is then bit for bit what a single vector's number exponent
     gives (see ``_each``); at any other exponent, 0 and 1 included, the
-    broadcast pow is that value already.
+    broadcast pow is that value already.  A number base is taken as a 0-d
+    array: a float or ``numpy.float64`` would take the C library's ``pow``,
+    which differs from numpy's array loop in the last bit on some doubles,
+    so a point gets exactly what it gets inside an array.
     """
     if isinstance(exponent, np.ndarray):
         out = np.power(base, exponent)
@@ -94,7 +97,7 @@ def _power(base, exponent):
             if e in _SCALAR_POWERS:
                 out[i] = np.broadcast_to(base, out.shape)[i] ** e
         return out
-    return base**exponent
+    return np.asarray(base) ** exponent
 
 
 def log_beta(m: float, n: float) -> float:

@@ -607,6 +607,26 @@ def test_a_scalar_point_gives_a_python_float(name):
         assert isinstance(out, np.ndarray) and out.shape == shape
 
 
+# the baselines that raise an evaluation point or a level to a power
+POWER_BASELINES = [Weibull(1.0, 1.5), Frechet(1.5, 1.0), ModifiedWeibull(0.5, 0.8, 1.7), ExponentiatedPareto(0.8, 1.7, 2.4)]
+
+
+@pytest.mark.parametrize("baseline", POWER_BASELINES, ids=lambda b: b.tag)
+def test_a_number_evaluates_exactly_as_inside_an_array(baseline):
+    # a number's power takes numpy's array loop too (``special._power``): the C library's pow,
+    # which a float or numpy.float64 base takes, differs from it in the last bit on some doubles
+    rng = np.random.default_rng(1)
+    ts = baseline.support_low + rng.lognormal(0.0, 1.0, 400)
+    levels = rng.random(400)
+    family = ("log_pdf", "pdf", "cdf", "sf", "log_sf", "hrf", "rhrf", "chrf", "quantile")
+    own = ("log_pdf", "pdf", "cdf", "sf", "log_sf", "log_cdf", "hrf", "quantile", "isf")
+    for obj, names in ((dist(0.7, 2.5, 0.5, 2.5, baseline), family), (baseline, own)):
+        for name in names:
+            fn = getattr(obj, name)
+            at = levels if name in ("quantile", "isf") else ts
+            np.testing.assert_array_equal([fn(v) for v in at.tolist()], fn(at), err_msg=f"{obj!r}.{name}")
+
+
 @pytest.mark.parametrize("shapes", SWEEP_SHAPES)
 @pytest.mark.parametrize(
     "baseline", EACH_FAMILY,

@@ -732,6 +732,32 @@ class TestFitMle:
         assert -best.neg_log_lik == pytest.approx(result.log_likelihood, abs=1e-9)
         assert not result.converged
 
+    @pytest.mark.parametrize(
+        "tpl, stuck",
+        [
+            (ModelTemplate("weibull", fixed=NESTED), False),
+            (ModelTemplate("weibull"), False),
+            (ModelTemplate("exponentiated_pareto", fixed=NESTED), True),
+        ],
+        ids=["weibull-nested", "weibull-six", "exponentiated-pareto-stuck"],
+    )
+    def test_the_report_is_one_restart_record(self, tpl, stuck):
+        data = builtin_dataset("turbocharger").values
+        # the stuck fit of the test above, whose best restart never moved
+        box = {"theta_p": (0.5 * data.min(), 2.0 * data.min())}
+        config = FitConfig(starts=4, seed=4, start_box=box) if stuck else FitConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = fit_mle(tpl, data, config)
+        chosen = [
+            r for r in result.trace
+            if r.end == result.estimates and r.neg_log_lik == -result.log_likelihood
+            and r.at_bound == result.at_boundary
+        ]
+        assert chosen, "the estimates, log-likelihood and pins are one restart's, exactly"
+        assert all(result.converged == (r.status == 0 and r.moved and not r.at_bound) for r in chosen)
+        assert chosen[0].moved is not stuck
+
     def test_start_box_keys_are_search_coordinates(self):
         data = builtin_dataset("turbocharger").values
         six = ModelTemplate("weibull")

@@ -106,6 +106,56 @@ def test_the_sweep_matches_its_golden(name):
     assert new == golden, f"every entry of {name} is the same, but the file's text is not"
 
 
+def twin_mismatches(records: list) -> list[str]:
+    """One line per scalar entry of the eval sweep that is not its array twin's element.
+
+    Each evaluating method is recorded at each point, one call per point, and
+    in one call over all points (``name[]``); ``quantile`` at the levels in
+    (0, 1), ``eval_sweep.LEVELS``, and then outside, and in one call over
+    the former.  A number must evaluate exactly as it does inside an array.
+    """
+    lines = []
+    for record in records:
+        label = " ".join(str(record[name]) for name in LABELS if name in record)
+        evaluations = record["evaluations"]
+        for name in (*eval_sweep.METHODS, "quantile"):
+            scalars, array = evaluations[name], evaluations[name + "[]"]
+            if name == "quantile":
+                scalars = scalars[: len(eval_sweep.LEVELS)]
+            if not isinstance(array, list) or len(array) != len(scalars):
+                lines.append(f"{label}/{name}[]: {array!r} holds no element per point")
+                continue
+            lines += [
+                f"{label}/{name}/{i}: {one!r} != {name}[]/{i} {element!r}"
+                for i, (one, element) in enumerate(zip(scalars, array))
+                if one != element
+            ]
+    return lines
+
+
+def test_each_scalar_evaluation_is_its_array_twin():
+    # checks the golden itself, so a mismatch shows without running the sweep
+    mismatched = twin_mismatches(json.loads((GOLDEN / "eval_sweep.json").read_text()))
+    assert not mismatched, f"{len(mismatched)} scalar entries differ from their array twin:\n" + "\n".join(mismatched)
+
+
+def test_a_twin_mismatch_names_its_entry():
+    methods = {name: ["0x1.0p+0"] for name in eval_sweep.METHODS}
+    methods.update({name + "[]": ["0x1.0p+0"] for name in eval_sweep.METHODS})
+    levels = ["0x1.0p-1"] * len(eval_sweep.LEVELS)
+    record = {"baseline": "Weibull(lam=1, beta=2)", "shapes": [1.0, 2.0], "evaluations": dict(
+        methods, quantile=[*levels, "ValueError: quantile requires u in (0, 1)"], **{"quantile[]": levels}
+    )}
+    assert twin_mismatches([record]) == []
+    record["evaluations"]["pdf"] = ["0x1.8p+0"]
+    record["evaluations"]["quantile[]"] = "ValueError: quantile requires u in (0, 1)"
+    assert twin_mismatches([record]) == [
+        "Weibull(lam=1, beta=2) [1.0, 2.0]/pdf/0: '0x1.8p+0' != pdf[]/0 '0x1.0p+0'",
+        "Weibull(lam=1, beta=2) [1.0, 2.0]/quantile[]: 'ValueError: quantile requires u in (0, 1)' "
+        "holds no element per point",
+    ]
+
+
 def test_a_change_names_its_key_both_values_and_the_gap():
     old = [{"baseline": "Weibull(lam=1, beta=2)", "shapes": [1.0, 2.0], "pdf": ["0x1.0p+0", "0x1.8p+0"], "ok": "x"}]
     new = [{"baseline": "Weibull(lam=1, beta=2)", "shapes": [1.0, 2.0], "pdf": ["0x1.0p+0", "0x1.0p+1"], "ok": "y"}]
