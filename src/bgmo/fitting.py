@@ -202,6 +202,9 @@ class FitConfig:
       closed-form MLE n / sum Z(t), times or divided by 100;
     - the exponentiated-Pareto location ``theta_p``: below the smallest
       observation.
+
+    ``fit_mle`` holds the default ranges to the same rule: on data near the
+    ends of the double range one can overflow, and it names the coordinate.
     """
 
     starts: int = 24
@@ -218,8 +221,13 @@ class FitConfig:
         if not 0 < self.level < 1:
             raise ValueError("level must be in (0, 1)")
         for key, (low, high) in self.start_box.items():
-            if not (_in_domain(low, high) and low <= high):
-                raise ValueError(f"start_box[{key!r}] needs 0 < low <= high < inf, got {(low, high)}")
+            _require_range(f"start_box[{key!r}]", low, high)
+
+
+def _require_range(what: str, low, high) -> None:
+    """Raise ``ValueError`` naming ``what`` unless 0 < low <= high < inf: both ends in the domain."""
+    if not (_in_domain(low, high) and low <= high):
+        raise ValueError(f"{what} needs 0 < low <= high < inf, got {(low, high)}")
 
 
 @dataclass(frozen=True)
@@ -346,16 +354,17 @@ class _Likelihood:
     expansion costs more than it saves.
 
     One mask, from the shapes' and the baseline's domains and the support
-    edge, selects the rows that are evaluated; any other row gives -inf and
-    NaN, and nothing raises.  The free parameters of several rows become
-    columns, one row per vector, and the fixed ones stay numbers; every step
-    is elementwise, and where numpy's array code could differ in the last
-    bit from what a number gets, a column takes the number's call per value:
-    the parameters' logs and log-gammas by the scalar ``math`` function
-    (``special._each``), powers with a column exponent by one broadcast
-    with its special-cased exponents redone (``special._power``).  So each
-    row gets exactly the arithmetic of a one-row call.  One row binds
-    numbers, so it runs the same code on floats.
+    edge, selects the rows that are evaluated; ``_evaluate`` returns their raw
+    sums, and one rule in ``__call__`` gives each row of non-finite total,
+    evaluated or not, -inf and NaN.  Nothing raises.  The free parameters of
+    several rows become columns, one row per vector, and the fixed ones stay
+    numbers; every step is elementwise, and where numpy's array code could
+    differ in the last bit from what a number gets, a column takes the
+    number's call per value: the parameters' logs and log-gammas by the scalar
+    ``math`` function (``special._each``), powers with a column exponent by
+    one broadcast with its special-cased exponents redone
+    (``special._power``).  So each row gets exactly the arithmetic of a
+    one-row call; one row binds numbers and runs on floats.
     """
 
     def __init__(self, template: ModelTemplate, data):
@@ -382,9 +391,9 @@ class _Likelihood:
         taken in log space, so the score stays finite wherever the
         log-likelihood is, including where sf_G or 1 - s underflows or phi is
         subnormal.  A vector gives a number and a vector; a (B, k) block
-        gives a (B,) array of values and a (B, k) array of scores.  Where the
-        likelihood is zero or the values are outside the parameters' domain,
-        the value is -inf and the score all NaN.
+        gives a (B,) array of values and a (B, k) array of scores.  One rule,
+        applied here to ``_evaluate``'s raw sums, gives a row outside the
+        mask or of a non-finite total -inf and an all-NaN score.
         """
         template = self.template
         rows = np.atleast_2d(np.asarray(values, dtype=float))
@@ -394,7 +403,7 @@ class _Likelihood:
         ok = _in_domain(*full[:4]) & template._baseline_class._in_domain(*full[4:]) & (not self.outside)
         if template._edge_slot is not None:  # the edge moves with a free parameter
             ok = ok & (self.low >= full[template._edge_slot])
-        total, scores = np.full(count, -math.inf), np.full((count, template.k_params), math.nan)
+        total, scores = np.full(count, math.nan), np.empty((count, template.k_params))
         (keep,) = np.array(ok, ndmin=1).nonzero()  # ok is one flag for one row, else one per row
         if keep.size:
             if count > 1:
@@ -406,13 +415,15 @@ class _Likelihood:
                 # the floor of an edge on the smallest observation leaves the other rows' points as they are
                 x = Points(np.maximum(x.t, b._eval_floor(b.support_low)))
             total[keep], scores[keep] = self._evaluate(m, n, theta, alpha, b, x)
+        zero = ~np.isfinite(total)  # the one zero-likelihood rule: rows masked out or of non-finite total
+        total[zero], scores[zero] = -math.inf, math.nan
         return (float(total[0]), scores[0]) if np.ndim(values) == 1 else (total, scores)
 
     def _evaluate(self, m, n, theta, alpha, b, x):
-        """Log-likelihood and score at points x from one pass of baseline b.
+        """The raw sums at points x from one pass of baseline b: log-likelihood and score.
 
-        The parameters are numbers, giving a number and a vector, or columns
-        of values, giving a (B,) array and a (B, k) array.
+        Numbers give a total and a (1, k) score, on floats; columns give (B,) and (B, k).
+        A total that is not finite is returned as summed: ``__call__`` owns the rule.
         """
         template = self.template
         r = len(self.t)
@@ -421,10 +432,6 @@ class _Likelihood:
             log_f, _, log_1ms, log_d, _, log_z, log_w = _log_pdf_core(
                 m, n, theta, alpha, log_g, log_gbar, log_gcdf
             )
-            total = self._in_data_order(log_f).sum(axis=-1)
-            batch = total.ndim == 1
-            if not batch and not math.isfinite(total):
-                return -math.inf, np.full(template.k_params, math.nan)
             m_odds = (1.0 - m) * np.exp(log_w - log_z)  # (1-m) * w/z, w = s^theta = 1 - z
             # d(log f)/d(log s) over theta
             beta_layer = m_odds + (n - 1.0)
@@ -453,15 +460,14 @@ class _Likelihood:
                 w_alpha = np.where(deep, (1.0 - m) / theta, w_alpha)
                 for i, (_, _, dlogcdf) in enumerate(partials):
                     base_rows[2 * i + 1] = np.where(deep, (m - 1.0) * dlogcdf, base_rows[2 * i + 1])
-            rows = [log_z, log_w, theta_row, gbar_d, w_alpha, *base_rows]
-            # one reduction over all per-observation terms: the same pairwise sums as one by one
-            if batch:
-                stacked = np.empty((len(rows), *log_f.shape))
-                for out, row in zip(stacked, rows):
-                    out[...] = row
-                sums = list(self._in_data_order(stacked).sum(axis=-1)[:, :, None])
-            else:
-                sums = self._in_data_order(np.array(rows)).sum(axis=1).tolist()
+            rows = [log_f, log_z, log_w, theta_row, gbar_d, w_alpha, *base_rows]
+            # one reduction, each row summed contiguously, so the same pairwise sums as one by one;
+            # log f's sum first, then the score's: floats for one row, so it runs on floats, columns for a block
+            stacked = np.empty((len(rows), *log_f.shape))
+            for out, row in zip(stacked, rows):
+                out[...] = row
+            sums = self._in_data_order(stacked).sum(axis=-1)
+            total, sums = sums[0], (sums[1:].tolist() if sums.ndim == 1 else sums[1:, :, None])
             sum_log_z, sum_log_w, sum_theta, sum_gbar_d, sum_w_alpha, *sum_base = sums
             psi_mn = digamma(m + n)
             full = [
@@ -472,12 +478,7 @@ class _Likelihood:
                 *(g + sf for g, sf in zip(sum_base[::2], sum_base[1::2])),
             ]
         score = np.array([full[slot] for slot in template._free_slots])
-        if not batch:
-            return float(total), score
-        finite = np.isfinite(total)
-        score = score[:, :, 0].T
-        score[~finite] = math.nan
-        return np.where(finite, total, -math.inf), score
+        return total, score.reshape(-1, total.size).T
 
     def _in_data_order(self, a):
         """Per-point terms along a's last axis, one per observation in data order.
@@ -594,23 +595,24 @@ def info_criteria(log_l: float, k: int, n: int) -> InfoCriteria:
 
 def _default_box(template: ModelTemplate, data) -> dict[str, tuple[float, float]]:
     box = dict.fromkeys(template.search_names, (0.05, 20.0))
-    if template._scale is not None:
-        mean = float(np.mean(data))
-        box["sigma"] = (mean * 1e-2, mean * 1e2)
     rate = template._baseline_class.hazard_rate
-    if rate in box and set(template.baseline_param_names) - {rate} <= set(template.fixed):
-        # log sf = -rate*Z(t) with Z known, so the baseline alone has the
-        # closed-form MLE n / sum Z(t); Z is minus the log sf at rate 1
-        unit = template._full([1.0] * template.k_params)[4:]
-        unit_baseline = template._baseline_class(*unit, **template._options)
-        total = -float(np.sum(unit_baseline.log_sf(data)))
-        if 0 < total < math.inf:
-            rate0 = data.size / total
-            box[rate] = (rate0 * 1e-2, rate0 * 1e2)
-    if "theta_p" in box:
-        # exponentiated-Pareto location must stay below the smallest observation
+    with np.errstate(over="ignore"):  # a sum past the largest double is inf, and fit_mle names its range
+        if template._scale is not None:
+            mean = float(np.mean(data))
+            box["sigma"] = (mean * 1e-2, mean * 1e2)
+        if rate in box and set(template.baseline_param_names) - {rate} <= set(template.fixed):
+            # log sf = -rate*Z(t) with Z known, so the baseline alone has the
+            # closed-form MLE n / sum Z(t); Z is minus the log sf at rate 1
+            unit = template._full([1.0] * template.k_params)[4:]
+            unit_baseline = template._baseline_class(*unit, **template._options)
+            total = -float(np.sum(unit_baseline.log_sf(data)))
+            if 0 < total < math.inf:
+                rate0 = data.size / total
+                box[rate] = (rate0 * 1e-2, rate0 * 1e2)
+    if template._edge_slot is not None:
+        # a moving support edge (the exponentiated-Pareto location) must stay below the smallest observation
         tmin = float(np.min(data))
-        box["theta_p"] = (tmin * 1e-3, tmin * (1.0 - 1e-9))
+        box[template.param_names[template._edge_slot]] = (tmin * 1e-3, tmin * (1.0 - 1e-9))
     return box
 
 
@@ -723,15 +725,21 @@ def _lockstep(objective, starts, lo, hi, max_iter) -> list[_Run]:
     many objective calls as its longest run makes evaluations.  The runs do
     not interact: each follows exactly the path it would follow alone.  A
     run's seconds count from the start of the batch to its stop.  The box
-    is finite, as ``FitConfig`` and ``_default_box`` build it, so every
-    coordinate is bounded on both sides (a default end overflows only for
-    data within a factor 1e3 of the ends of the double range, and then
-    every start and run is non-finite); an upper bound below its lower one
-    raises ``ValueError``, as in scipy.
+    is finite, as ``FitConfig`` and ``fit_mle`` check it, so every
+    coordinate is bounded on both sides; an upper bound below its lower one
+    raises ``ValueError``, as in scipy.  A scipy whose private ``setulb``
+    does not import raises ``ImportError`` naming its version.
     """
-    # imported here, once per fit, so that ``import bgmo`` does not load scipy.optimize
-    from scipy.optimize._lbfgsb import setulb
-    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+    try:  # imported here, once per fit, so that ``import bgmo`` does not load scipy.optimize
+        from scipy.optimize._lbfgsb import setulb
+        from scipy.optimize._lbfgsb_py import status_messages, task_messages
+    except ImportError as error:
+        from scipy import __version__
+
+        raise ImportError(
+            f"the fitter steps scipy 1.17's private L-BFGS-B routine setulb, which did not import "
+            f"from the installed scipy {__version__}; it needs scipy>=1.17,<1.18"
+        ) from error
 
     if np.any(hi < lo):
         raise ValueError("An upper bound is less than the corresponding lower bound.")
@@ -806,6 +814,8 @@ def fit_mle(template: ModelTemplate, data, config: FitConfig = FitConfig()) -> F
         raise ValueError(f"start_box keys {sorted(unknown)} are not search coordinates {names}")
     box = _default_box(template, data)
     box.update(config.start_box)
+    for name in names:  # a default range overflows only for data near the ends of the double range
+        _require_range(f"the default range of {name!r} (set start_box[{name!r}] to replace it)", *box[name])
     lo = np.log([box[n][0] for n in names])
     hi = np.log([box[n][1] for n in names])
     with warnings.catch_warnings():

@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -565,6 +567,30 @@ class TestFitMle:
         with pytest.raises(ValueError, match=r"start_box\['beta'\] needs 0 < low <= high < inf"):
             FitConfig(start_box={"beta": bounds})
 
+    @pytest.mark.parametrize(
+        "baseline, data, name",
+        [
+            ("weibull", [1e307, 1.1e307, 1.5e307], "sigma"),  # the mean times 100 overflows
+            ("exponentiated_pareto", [5e-324, 1.0, 2.0], "theta_p"),  # 1e-3 of the smallest is 0
+        ],
+        ids=["weibull-sigma", "exponentiated-pareto-theta-p"],
+    )
+    def test_a_default_range_outside_the_domain_is_a_usage_error(self, baseline, data, name):
+        # refused before any log of the box or restart, so no RuntimeWarning escapes either
+        with pytest.raises(ValueError, match=rf"default range of '{name}' \(set start_box\['{name}'\] "
+                                             rf"to replace it\) needs 0 < low <= high < inf, got \("):
+            fit_mle(ModelTemplate(baseline, fixed=NESTED), data, FitConfig(starts=3))
+
+    def test_a_start_box_in_the_domain_replaces_an_overflowing_default(self):
+        data = [1e307, 1.1e307, 1.5e307]
+        config = FitConfig(starts=3, start_box={"sigma": (1e305, 1e306)})
+        assert math.isfinite(fit_mle(ModelTemplate("weibull", fixed=NESTED), data, config).log_likelihood)
+
+    def test_a_default_box_sum_past_the_largest_double_does_not_warn(self):
+        # the exponential rate's closed form needs sum t, which overflows: the rate keeps (0.05, 20)
+        data = np.array([1e307, 1.7e308])
+        assert _default_box(exp_reduction_template(), data) == {"lam": (0.05, 20.0)}
+
     def test_exponential_reduction_recovers_rate(self):
         rng = np.random.default_rng(3)
         data = rng.exponential(1 / 1.7, 500)
@@ -1044,12 +1070,32 @@ class TestLockstep:
         with pytest.raises(ValueError, match="upper bound is less than"):
             _lockstep(_Likelihood(tpl, data).objective, [lo], lo, hi, 10)
 
+    def test_a_scipy_without_the_private_routine_is_named(self, monkeypatch):
+        import scipy
+
+        monkeypatch.setitem(sys.modules, "scipy.optimize._lbfgsb", None)
+        message = (r"the fitter steps scipy 1\.17's private L-BFGS-B routine setulb, .* installed scipy "
+                   + re.escape(scipy.__version__))
+        with pytest.raises(ImportError, match=message):
+            fit_mle(ModelTemplate("weibull", fixed=NESTED), builtin_dataset("turbocharger").values)
+
+
+# a Weibull (lam, beta) in the domain whose likelihood is zero: the cumulative hazard
+# 1e300 t**200 overflows above t = 1.1, at every turbocharger observation and at nicotine's largest
+ZERO_LIKELIHOOD = (1e300, 200.0)
+
 
 def block_cases():
-    """Per template case: the data and a block of free values, with rows outside the domain."""
-    data = builtin_dataset("turbocharger").values
+    """Per template case: the data and a block of free values, with rows outside the domain.
+
+    The Weibull cases add a last row that the mask keeps but whose likelihood is zero
+    (``ZERO_LIKELIHOOD``), and run on nicotine too, the distinct-value path.
+    """
     for tag, options in KERNEL_CASES:
-        for fixed in ({}, NESTED):
+        for fixed, name in itertools.product(
+            ({}, NESTED), ("turbocharger", "nicotine") if tag == "weibull" else ("turbocharger",)
+        ):
+            data = builtin_dataset(name).values
             tpl = ModelTemplate(tag, fixed=fixed, options=options)
             lo, hi = np.log([_default_box(tpl, data)[n] for n in tpl.search_names]).T
             values = _to_params(lo + np.random.default_rng(9).random((8, len(lo))) * (hi - lo),
@@ -1063,8 +1109,20 @@ def block_cases():
                 values[3, theta_p] = 2.0 * data.min()  # an observation below the edge
             if not fixed:
                 values[4, 0] = math.inf  # a shape outside its domain
+            if tag == "weibull":  # lam and beta are the last two free values
+                values = np.vstack([values, values[0]])
+                values[-1, -2:] = ZERO_LIKELIHOOD
             yield pytest.param(tpl, data, values, id=f"{tag}{'-' + options['z'] if options else ''}-"
-                               f"{'nested' if fixed else 'six'}")
+                               f"{'nested' if fixed else 'six'}{'' if name == 'turbocharger' else '-' + name}")
+
+
+def search_point(tpl, values):
+    """The search point of free values: their logs, with log sigma = -log(lam)/beta for a Weibull scale."""
+    x = np.log(values)
+    if tpl._scale is not None:
+        i, j = tpl._scale
+        x[..., i] = -x[..., i] / values[..., j]
+    return x
 
 
 def compressed_cases():
@@ -1156,6 +1214,20 @@ class TestBatchedKernel:
             assert f == want[0]
             np.testing.assert_array_equal(g, want[1])
 
+    @pytest.mark.parametrize(
+        "tpl, data, values", [case for case in block_cases() if case.values[0].baseline == "weibull"]
+    )
+    def test_an_in_domain_row_of_zero_likelihood(self, tpl, data, values):
+        lik = _Likelihood(tpl, data)
+        zero = values[-1]
+        tpl.build(zero)  # in the domain, so the mask keeps it
+        total, got = lik(zero)
+        assert total == -math.inf and np.all(np.isnan(got))
+        totals, scores = lik(values)  # its block-mates are their one-row calls (test_rows_equal_one_vector_calls)
+        assert totals[-1] == -math.inf and np.all(np.isnan(scores[-1]))
+        f, g = lik.objective(search_point(tpl, zero))
+        assert f == math.inf and np.all(g == 0.0)
+
     def test_a_one_row_block_is_a_vector_call(self):
         data = builtin_dataset("turbocharger").values
         lik = _Likelihood(ModelTemplate("weibull"), data)
@@ -1206,3 +1278,25 @@ class TestBatchedKernel:
             for i, e in enumerate(np.diag(np.where(x == 0.0, 1e-6, 1e-4 * np.abs(x))))
         ])
         np.testing.assert_array_equal(observed_information(tpl, x, data), -0.5 * (H + H.T))
+
+
+BLOCK_CASES = [case.values for case in block_cases()]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_a_row_does_not_depend_on_its_block_mates(data):
+    # the lockstep rests on this: any subset of a block_cases block, in any order, with rows
+    # outside the domain and rows of zero likelihood, gives each row its one-row result exactly
+    tpl, sample, values = data.draw(st.sampled_from(BLOCK_CASES))
+    order = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1, max_size=len(values), unique=True))
+    lik = _Likelihood(tpl, sample)
+    block = values[order]
+    with np.errstate(all="ignore"):  # the logs of values outside the domain
+        x = search_point(tpl, block)
+    (totals, scores), (fs, gs) = lik(block), lik.objective(x)
+    for row, point, total, got, f, g in zip(block, x, totals, scores, fs, gs):
+        want, want_objective = lik(row), lik.objective(point)
+        assert total == want[0] and f == want_objective[0]
+        np.testing.assert_array_equal(got, want[1])
+        np.testing.assert_array_equal(g, want_objective[1])
