@@ -119,8 +119,9 @@ class Baseline:
     - ``_hazard_partials(x, h)``: for the fitter's analytic score, the pairs
       (d log g, d log h) per parameter in ``param_names`` order, each taken
       with respect to the parameter's log, or to the parameter itself where
-      it is 0 (a d log h may be a scalar); or ``_partials(x, h)`` where the
-      family forms the triples itself.
+      it is 0 (a d log h may be a scalar), except ``hazard_rate``, whose
+      pair ``_partials`` forms; or ``_partials(x, h)`` where the family
+      forms the triples itself.
 
     From h this class derives both tails: e^-h is the tail h belongs to and
     -expm1(-h) the other, whose log is log h where h is tiny, so both keep
@@ -132,7 +133,8 @@ class Baseline:
     p of h's own tail and at -log1p(-p) for the other, the tail set per point
     (``_hazard_levels``); the quadrature of ``series`` applies that rule to
     its fixed levels once and calls ``_inv_hazard`` itself.
-    It also handles support masking and the scalar rule (``_scalar_or_array``).
+    It also handles support masking and the scalar rule (``_scalar_or_array``);
+    ``support_low`` is the parameter ``edge_param`` names, else 0.
     ``log_parts`` (or ``log_tails`` where the density is not needed) is the
     one pass the family layer makes: log g, log sf and log G from one floor,
     one ``_hazard`` and one support mask (none where every point is on the
@@ -144,8 +146,7 @@ class Baseline:
     tag = ""
     param_names: tuple[str, ...] = ()
     option_names: tuple[str, ...] = ()  # structural settings, never fitted
-    hazard_rate: str | None = None  # the r of log sf = -r*Z(t), if any
-    support_low = 0.0
+    hazard_rate: str | None = None  # the r of log sf = -r*Z(t), if any; the first parameter
     edge_param: str | None = None  # the parameter support_low equals, if any
     _lower_tail = False  # h is -log G rather than -log sf
     _log_hazard = None
@@ -167,6 +168,10 @@ class Baseline:
         self = object.__new__(cls)
         self.__dict__.update(zip(cls.param_names, values), **options)
         return self
+
+    @property
+    def support_low(self):
+        return 0.0 if self.edge_param is None else getattr(self, self.edge_param)
 
     def params(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self.param_names}
@@ -315,15 +320,19 @@ class Baseline:
             return _scalar_or_array(self._inv_hazard(_hazard_levels(levels, lower, self._lower_tail)), p)
 
     def _partials(self, x, h):
-        """The triples (d log g, d log sf, d log G) from ``_hazard_partials``.
+        """The triples (d log g, d log sf, d log G) from ``_hazard_partials``, after the pair
+        (1 - h, 1) of the rate r of h = r*Z(t) (``hazard_rate``, the first parameter).
 
         d log of h's own tail is -h d log h, and of the other tail
         d log h * h/expm1(h), also where h underflows.
         """
+        pairs = self._hazard_partials(x, h)
+        if self.hazard_rate is not None:
+            pairs = ((1.0 - h, 1.0), *pairs)
         neg_h, other = -h, 1.0 / exprel(h)
         return [
             (dlogg, *self._by_tail(neg_h * dlogh, dlogh * other))
-            for dlogg, dlogh in self._hazard_partials(x, h)
+            for dlogg, dlogh in pairs
         ]
 
     @staticmethod
@@ -354,7 +363,7 @@ class Exponential(Baseline):
         return _log(self.lam)
 
     def _hazard_partials(self, x, h):
-        return ((1.0 - h, 1.0),)
+        return ()
 
 
 @dataclass(frozen=True, repr=False)
@@ -379,8 +388,8 @@ class Weibull(Baseline):
         return _log(self.lam) + _log(self.beta) + (self.beta - 1.0) * x.log_t
 
     def _hazard_partials(self, x, h):
-        one_minus_h, beta_log_t = 1.0 - h, self.beta * x.log_t
-        return ((one_minus_h, 1.0), (1.0 + beta_log_t * one_minus_h, beta_log_t))
+        beta_log_t = self.beta * x.log_t
+        return ((1.0 + beta_log_t * (1.0 - h), beta_log_t),)
 
 
 @dataclass(frozen=True, repr=False)
@@ -403,8 +412,7 @@ class Lomax(Baseline):
 
     def _hazard_partials(self, x, h):
         r = x.t / (self.delta + x.t)  # -d log1p(t/delta)/d log delta
-        d_delta = ((self.beta + 1.0) * r - 1.0, -self.beta * r / h)  # h/beta = log1p(t/delta)
-        return ((1.0 - h, 1.0), d_delta)
+        return (((self.beta + 1.0) * r - 1.0, -self.beta * r / h),)  # h/beta = log1p(t/delta)
 
 
 @dataclass(frozen=True, repr=False)
@@ -431,8 +439,8 @@ class Frechet(Baseline):
         return _log(self.lam) + self.lam * _log(self.delta) - (self.lam + 1.0) * x.log_t
 
     def _hazard_partials(self, x, h):
-        # h = (delta/t)^lam: d log h is lam log(delta/t) and lam
-        lam_log_ratio, one_minus_h = self.lam * (_log(self.delta) - x.log_t), 1.0 - h
+        # h = (delta/t)^lam: d log h is lam log(delta/t), which is log h, and lam
+        lam_log_ratio, one_minus_h = self._log_hazard(x), 1.0 - h
         return ((1.0 + lam_log_ratio * one_minus_h, lam_log_ratio), (self.lam * one_minus_h, self.lam))
 
 
@@ -458,7 +466,7 @@ class Gompertz(Baseline):
         lam_t = self.lam * x.t
         e = np.expm1(lam_t)
         log_h_lam = (lam_t * (e + 1.0) - e) / e  # d log h/d log lam
-        return ((1.0 - h, 1.0), (lam_t - h * log_h_lam, log_h_lam))
+        return ((lam_t - h * log_h_lam, log_h_lam),)
 
 
 @dataclass(frozen=True)
@@ -555,7 +563,7 @@ class ExtendedWeibull(Baseline):
         return _log(self.delta) + np.log(self.z.deriv(x.t))
 
     def _hazard_partials(self, x, h):
-        return ((1.0 - h, 1.0),)
+        return ()
 
 
 @dataclass(frozen=True, repr=False)
@@ -638,10 +646,6 @@ class ExponentiatedPareto(Baseline):
     param_names = ("theta_p", "k", "gamma")
     edge_param = "theta_p"
     _lower_tail = True
-
-    @property
-    def support_low(self):
-        return self.theta_p
 
     def _log_base(self, t):
         # log[1 - (theta_p/t)^k] = log(1 - e^-a), a = k log(t/theta_p), by the

@@ -6,10 +6,11 @@ ranking), ``curves`` (fitted pdf/cdf over a data-driven grid plus histogram)
 and ``shapes`` (pdf/hazard columns for one or more parameter sets).
 
 Exit codes: 0 success, 1 usage or I/O error, 2 numerical non-convergence.
-Any ``ValueError`` the library raises on the input (a parameter out of its
-domain, a bad data file, a quantile level outside (0, 1), a bad fit flag)
-is a usage error, and any ``OSError`` reading data or writing a report (a
-directory given as a file, a file without permission) an I/O error.
+Every usage error is a ``ValueError``: the CLI's own (a malformed spec, a
+flag out of range) and the library's on the input (a parameter out of its
+domain, a bad data file, a quantile level outside (0, 1), a bad fit flag, a
+negative seed).  Any ``OSError`` reading data or writing a report (a
+directory given as a file, a file without permission) is an I/O error.
 ``eval`` and ``quantile`` write nothing unless every point evaluates.
 
 A model spec is one string: the baseline family tag followed by name=value
@@ -44,35 +45,31 @@ DEFAULT_GALLERY = (
 )
 
 
-class CliError(Exception):
-    """Usage or I/O problem; reported on stderr with exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse defaults to exit code 2, which this tool reserves for
-        # numerical non-convergence
+        # numerical non-convergence: a usage error is a ValueError, exit code 1
         self.print_usage(sys.stderr)
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _template(spec: str) -> ModelTemplate:
     """The spec's ``ModelTemplate``: its values fixed, its Z-function settings options."""
     tokens = spec.split()
     if not tokens:
-        raise CliError("empty model spec")
+        raise ValueError("empty model spec")
     tag = tokens[0].lower()
     option_names = baseline_class(tag).option_names
     fixed, options = {}, {}
     for tok in tokens[1:]:
         name, eq, value = tok.partition("=")
         if not eq:
-            raise CliError(f"expected name=value, got {tok!r}")
+            raise ValueError(f"expected name=value, got {tok!r}")
         if name != "z":  # the extended Weibull's Z kind is a word
             try:
                 value = float(value)
             except ValueError:
-                raise CliError(f"{name}={value!r} is not a number") from None
+                raise ValueError(f"{name}={value!r} is not a number") from None
         if name in option_names:
             options[name] = value
         else:
@@ -84,7 +81,7 @@ def build_distribution(spec: str) -> BgmoDistribution:
     """The distribution a spec names; it must set every parameter."""
     template = _template(spec)
     if template.free_names:
-        raise CliError(f"model spec must set {list(template.free_names)} (got {spec!r})")
+        raise ValueError(f"model spec must set {list(template.free_names)} (got {spec!r})")
     return template.build(())
 
 
@@ -153,7 +150,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_compare(args) -> int:
     if len(args.candidates) < 2:
-        raise CliError("compare needs at least two --candidate specs")
+        raise ValueError("compare needs at least two --candidate specs")
     data = _load_data(args.data)
     config = _fit_config(args)
     rows = []
@@ -174,6 +171,13 @@ def _cmd_compare(args) -> int:
     return 2 if any_bad else 0
 
 
+def _grid_points(args) -> int:
+    """``--grid-points``, which must be at least 1."""
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
+    return args.grid_points
+
+
 def _grid(data: np.ndarray, points: int) -> np.ndarray:
     """``points`` values over the data's range, widened by 5% of it at each end."""
     lo, hi = float(np.min(data)), float(np.max(data))
@@ -188,7 +192,7 @@ def _cmd_curves(args) -> int:
         dist = template.build(fit_mle(template, data.values, _fit_config(args)).estimates)
     else:
         dist = build_distribution(args.dist)
-    grid = _grid(data.values, args.grid_points)
+    grid = _grid(data.values, _grid_points(args))
     pdf = dist.pdf(grid)
     cdf = dist.cdf(grid)
     edges = np.histogram_bin_edges(data.values, bins="fd")
@@ -203,12 +207,17 @@ def _cmd_curves(args) -> int:
 def _cmd_shapes(args) -> int:
     specs = args.dists or list(DEFAULT_GALLERY)
     dists = [build_distribution(s) for s in specs]
+    points = _grid_points(args)
+    t_lo = max(float(max(d.support_low for d in dists)), 0.0)
     if args.t_max is not None:
         t_hi = args.t_max
+        if not t_lo < t_hi < math.inf:
+            raise ValueError(
+                f"--t-max must be finite and above the grid's lower end {t_lo:g}, got {t_hi:g}"
+            )
     else:
         t_hi = max(float(d.quantile(0.99)) for d in dists)
-    t_lo = max(float(max(d.support_low for d in dists)), 0.0)
-    grid = np.linspace(t_lo, t_hi, args.grid_points + 1)[1:]  # skip the edge point
+    grid = np.linspace(t_lo, t_hi, points + 1)[1:]  # skip the edge point
     cols = [getattr(d, args.fn)(grid) for d in dists]
     _table(args.out, ("t", *specs), zip(grid, *cols))
     return 0
@@ -300,7 +309,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args)
-    except (CliError, ValueError, FitError, OSError) as exc:
+    except (ValueError, FitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,20 +37,13 @@ class Dataset:
         return int(self.values.size)
 
 
-class DatasetParseError(ValueError):
-    """A token failed to parse; the message carries line:column."""
-
-
 def _parse_text(text: str, name: str) -> Dataset:
-    body = "\n".join(
-        line for line in text.splitlines() if not line.lstrip().startswith("#")
-    )
-    sep = "," if "," in body else None  # None: any run of whitespace
+    # the numbered lines that are neither blank nor comments, sniffed and parsed
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+             if line.strip()[:1] not in ("", "#")]
+    sep = "," if any("," in line for _, line in lines) else None  # None: any run of whitespace
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in lines:
         tokens = [tok.strip() for tok in line.split(sep)]
         pos = 0
         for tok in tokens:
@@ -61,11 +54,11 @@ def _parse_text(text: str, name: str) -> Dataset:
             try:
                 values.append(float(tok))
             except ValueError:
-                raise DatasetParseError(
+                raise ValueError(
                     f"{name}: cannot parse {tok!r} as a number at {lineno}:{col}"
                 ) from None
     if not values:
-        raise DatasetParseError(f"{name}: no numeric values found")
+        raise ValueError(f"{name}: no numeric values found")
     return Dataset(name=name, values=np.array(values))
 
 
@@ -74,6 +67,7 @@ def load_dataset(path) -> Dataset:
 
     Values are comma separated if any non-comment line holds a comma, and
     whitespace separated otherwise.  Lines starting with ``#`` are ignored.
+    A token that is not a number raises ``ValueError`` naming its line:column.
     """
     path = Path(path)
     return _parse_text(path.read_text(), name=path.stem)

@@ -31,6 +31,13 @@ from .special import _log, _scalar_or_array
 __all__ = ["BgmoParams", "BgmoDistribution"]
 
 
+def _require_seed(seed) -> None:
+    """Raise ``ValueError`` naming the seed where it is a negative integer: numpy's own
+    error for it does not name it."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def _log_gamma_variates(rng: np.random.Generator, shape: float, count: int) -> np.ndarray:
     """log of ``count`` Gamma(shape, 1) draws, finite for every shape > 0.
 
@@ -234,7 +241,7 @@ class BgmoDistribution:
         return _scalar_or_array(tilt_inverse(p.alpha, self.baseline, log_s_theta / p.theta), u)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
-        """``count`` draws, deterministic for a fixed seed.
+        """``count`` draws, deterministic for a fixed non-negative seed.
 
         z = 1 - s^theta ~ Beta(m, n) is drawn as the gamma ratio
         G_m/(G_m + G_n) in log space and mapped through the tilt inverse
@@ -245,6 +252,7 @@ class BgmoDistribution:
         """
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
+        _require_seed(seed)
         p = self.params
         rng = np.random.default_rng(seed)
         # in place and released early: the tilt inverse sets the peak memory, so

@@ -53,8 +53,8 @@ import numpy as np
 from scipy.special import digamma, ndtri
 
 from .baselines import Baseline, Points, _in_domain, baseline_class, make_baseline
-from .family import BgmoDistribution, BgmoParams, _log_pdf_core
-from .special import _log
+from .family import BgmoDistribution, BgmoParams, _log_pdf_core, _require_seed
+from .special import _each, _log
 
 __all__ = [
     "FitConfig",
@@ -193,7 +193,8 @@ class FitConfig:
     that a Weibull baseline with ``lam`` and ``beta`` both free is searched
     in ``sigma`` = lam**(-1/beta), so its box key is ``sigma``, not ``lam``;
     ``fit_mle`` rejects any other key.  A range needs both ends positive and
-    finite and low <= high, or construction raises ``ValueError``.
+    finite and low <= high, or construction raises ``ValueError``, as it
+    does for a negative seed.
     Unlisted coordinates use (0.05, 20), except:
 
     - ``sigma``: the sample mean times or divided by 100;
@@ -218,6 +219,7 @@ class FitConfig:
             raise ValueError("starts must be at least 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        _require_seed(self.seed)
         if not 0 < self.level < 1:
             raise ValueError("level must be in (0, 1)")
         for key, (low, high) in self.start_box.items():
@@ -622,15 +624,14 @@ def _to_params(x, scale: tuple[int, int] | None):
     Every coordinate is a log parameter, except that with ``scale = (i, j)``
     coordinate i is log sigma and parameter i is lam = sigma**(-beta), beta
     being parameter j: one product gives every row's log lam, and lam is its
-    ``math.exp`` per value, as a single point takes it.  A lam past the
-    largest double is inf, a point of zero likelihood.
+    ``math.exp`` per value (``special._each``), as a single point takes it.
+    A lam past the largest double is inf, a point of zero likelihood.
     """
     params = np.exp(x)
     if scale is not None:
         i, j = scale
         rows = params.reshape(-1, params.shape[-1])  # a view: writing a row writes params
-        log_lam = (-rows[:, j] * np.reshape(x, rows.shape)[:, i]).tolist()
-        rows[:, i] = np.fromiter(map(_exp, log_lam), float, len(log_lam))
+        rows[:, i] = _each(_exp, -rows[:, j] * np.reshape(x, rows.shape)[:, i])
     return params
 
 

@@ -106,14 +106,16 @@ def expansion_coefficients(
     The integer-shape cdf table ``psi`` is included when m and n are integer;
     ``xi`` (rows l, columns k, the order-statistic weights) and the cdf-power
     tables ``d_table`` (powers of the chi series, one row per power) require
-    both ``r`` and ``sample_n``.
+    both ``r`` and ``sample_n``: one without the other raises ``ValueError``.
     """
+    if (r is None) != (sample_n is None):
+        raise ValueError(f"r and sample_n go together, got r={r}, sample_n={sample_n}")
     delta, delta_prime = delta_coeffs(m, n, theta, max_terms)
     phi = _phi_coeffs(m, n, theta, max_terms)
     chi = _chi_coeffs(m, n, theta, max_terms)
     psi = _psi_cdf_coeffs(m, n, theta, max_terms) if _is_int(m) and _is_int(n) else None
     xi = d_table = None
-    if r is not None and sample_n is not None:
+    if r is not None:
         d_table = _chi_powers(chi, r, sample_n)
         # xi[l, k] = sum_j w_j * phi_l * d_table[j, k]
         xi = np.outer(phi, _order_stat_weights(r, sample_n) @ d_table)
@@ -510,6 +512,17 @@ def _support_quad(fn: Callable, baseline: Baseline, *args, check: str | None = N
     )
 
 
+def _require_finite(function: str, **orders) -> None:
+    """Raise ``ValueError`` naming ``function`` and the first of ``orders`` that is not finite.
+
+    ``_support_quad`` counts non-finite integrand values as 0, so an order of
+    inf or NaN would otherwise integrate to a silent 0.
+    """
+    for name, value in orders.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{function} needs a finite order {name}, got {value}")
+
+
 def _exp_of(log_fn: Callable) -> Callable:
     """exp(log_fn(...)), quiet where the log is infinite."""
 
@@ -577,6 +590,7 @@ def pwm_mo(alpha: float, baseline: Baseline, p: int, q: float, r: float) -> floa
     integrand fails its tail-decay check (heavy-tailed baselines with p too
     large).
     """
+    _require_finite("pwm_mo", p=p, q=q, r=r)
     if p < 0 or q <= -1 or r <= -1:
         raise ValueError("pwm orders need p >= 0, q > -1 and r > -1")
     return _tilt_integral(alpha, baseline, f"pwm({p},{q},{r})", t_power=p, c_power=q, s_power=r)
@@ -584,6 +598,7 @@ def pwm_mo(alpha: float, baseline: Baseline, p: int, q: float, r: float) -> floa
 
 def moment_series(dist: BgmoDistribution, s: int, max_terms: int = 60) -> float:
     """E[T^s] as the delta-weighted sum of tilted-survival PWMs."""
+    _require_finite("moment_series", s=s)
     if s < 1:
         raise ValueError("moment order must be a positive integer")
     return _delta_mixture(dist, max_terms, f"moment_series({s})", t_power=s)
@@ -591,6 +606,7 @@ def moment_series(dist: BgmoDistribution, s: int, max_terms: int = 60) -> float:
 
 def moment_direct(dist: BgmoDistribution, s: float) -> float:
     """E[T^s] by direct quadrature of t^s against the density."""
+    _require_finite("moment_direct", s=s)
     return _support_quad(
         _exp_of(lambda t: np.where(t > 0, dist.log_pdf(t) + s * np.log(t), -np.inf)),
         dist.baseline,
@@ -606,6 +622,7 @@ def order_stat_moment(
     max_terms: int = 60,
 ) -> float:
     """E[T_{r:n}^s] through the order-statistic series and tilted PWMs."""
+    _require_finite("order_stat_moment", r=r, sample_n=sample_n, s=s)
     w = _order_stat_poly(dist, r, sample_n, max_terms)
     k = np.flatnonzero(w)
     what = f"order_stat_moment({r},{sample_n},{s})"
@@ -618,6 +635,7 @@ def mgf(dist: BgmoDistribution, s: float) -> float:
     Raises ``DivergenceError`` when s sits at or beyond the abscissa of
     convergence of the baseline tail.
     """
+    _require_finite("mgf", s=s)
     return _support_quad(
         _exp_of(lambda t: dist.log_pdf(t) + s * t),
         dist.baseline,
@@ -631,6 +649,7 @@ def mgf_series(dist: BgmoDistribution, s: float, max_terms: int = 60) -> float:
     Each term is the mgf of a variable with survival S^(theta(j+n)), weighted
     by delta_j/(theta(j+n)); the weights sum to one for integer m.
     """
+    _require_finite("mgf_series", s=s)
     return _delta_mixture(dist, max_terms, f"mgf_series({s})", rate=s)
 
 
@@ -646,6 +665,7 @@ def renyi_entropy(
     ``direct`` integrates f^delta as-is.  The two agree wherever the
     expansion converges.
     """
+    _require_finite("renyi_entropy", delta=delta)
     if delta <= 0 or delta == 1.0:
         raise ValueError("entropy order must be positive and different from 1")
     if method == "direct":

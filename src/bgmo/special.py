@@ -70,7 +70,7 @@ def _each(fn, v):
 
 def _log(v):
     """``math.log`` of a number, or of each value of an array (see ``_each``)."""
-    return _each(math.log, v) if isinstance(v, np.ndarray) else math.log(v)
+    return _each(math.log, v)
 
 
 # the exponents numpy special-cases where given as a number (see ``_power``)

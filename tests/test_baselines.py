@@ -211,6 +211,22 @@ def test_every_family_codes_its_partials():
         assert {"_hazard_partials", "_partials"} & set(vars(cls)), cls.__name__
 
 
+def test_the_hazard_rate_is_the_first_parameter():
+    # ``Baseline._partials`` puts the rate's pair (1 - h, 1) first
+    rates = [cls for cls in BASELINE_FAMILIES.values() if cls.hazard_rate is not None]
+    assert len(rates) == 5
+    for cls in rates:
+        assert cls.param_names[0] == cls.hazard_rate, cls.__name__
+
+
+def test_the_support_edge_follows_edge_param():
+    # only the extended Weibull, whose edge is its Z's, codes its own
+    assert [cls for cls in BASELINE_FAMILIES.values() if "support_low" in vars(cls)] == [ExtendedWeibull]
+    for b in PARTIALS_CASES:
+        if not isinstance(b, ExtendedWeibull):
+            assert b.support_low == (getattr(b, b.edge_param) if b.edge_param else 0.0), b.tag
+
+
 @pytest.mark.parametrize(
     "b", PARTIALS_CASES,
     ids=lambda b: f"{b.tag}-{b.z.kind}" if isinstance(b, ExtendedWeibull) else b.tag,

@@ -439,6 +439,36 @@ class TestUsageErrors:
             assert rc == 0 and out == "".join(repr(evaluate(t)) + "\n" for t in points)
             assert out == "".join(repr(v) + "\n" for v in evaluate(np.array(points)).tolist())
 
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--data", "builtin:turbocharger"),
+        ("sample", "--dist", REDUCTION, "--count", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_a_negative_seed_is_a_usage_error(self, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--seed", "-1")
+        assert rc == 1 and out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ("shapes",),
+        ("curves", "--data", "builtin:turbocharger", "--dist",
+         "weibull m=1 n=1 theta=1 alpha=1 lambda=0.0001 beta=2"),
+    ], ids=lambda argv: argv[0])
+    def test_a_grid_without_points_is_a_usage_error(self, capsys, argv, points):
+        rc, out, err = run(capsys, *argv, "--grid-points", points)
+        assert rc == 1 and out == ""
+        assert err == f"error: --grid-points must be at least 1, got {points}\n"
+
+    @pytest.mark.parametrize("dists, t_max, lower", [
+        ((), "-1", "0"), ((), "0", "0"), ((), "nan", "0"), ((), "inf", "0"),
+        # the exponentiated Pareto's support starts at theta_p = 3
+        (("--dist", "exponentiated_pareto m=1 n=1 theta=1 alpha=1 theta_p=3 k=2 gamma=1"), "2", "3"),
+    ])
+    def test_a_t_max_off_the_grid_is_a_usage_error(self, capsys, dists, t_max, lower):
+        rc, out, err = run(capsys, "shapes", *dists, "--t-max", t_max)
+        assert rc == 1 and out == ""
+        assert err == f"error: --t-max must be finite and above the grid's lower end {lower}, got {t_max}\n"
+
     def test_a_directory_as_the_data_file_is_an_io_error(self, capsys, tmp_path):
         rc, out, err = run(capsys, "fit", "--data", str(tmp_path))
         assert rc == 1 and out == "" and err.startswith("error: ")

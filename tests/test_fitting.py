@@ -560,6 +560,12 @@ class TestFitMle:
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             FitConfig(max_iter=max_iter)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)], ids=["int", "numpy_int"])
+    def test_a_negative_seed_is_refused(self, seed):
+        # numpy's own error for it ("expected non-negative integer") does not name the seed
+        with pytest.raises(ValueError, match=f"seed must be non-negative, got {seed}"):
+            FitConfig(seed=seed)
+
     @pytest.mark.parametrize(
         "bounds", [(0.0, 10.0), (-1.0, 10.0), (1.0, math.inf), (math.nan, 2.0), (5.0, 1.0)]
     )

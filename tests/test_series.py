@@ -5,6 +5,8 @@ import mpmath
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as scipy_beta
 from test_gmo import ALL_BASELINES, BASELINE_IDS
@@ -181,6 +183,11 @@ class TestExpansionCoeffs:
 
         co = expansion_coefficients(2.5, 2, 1.0)
         assert co.psi is None and co.xi is None
+
+    @pytest.mark.parametrize("context", [{"r": 2}, {"sample_n": 3}], ids=["r", "sample_n"])
+    def test_an_order_statistic_context_needs_both_r_and_sample_n(self, context):
+        with pytest.raises(ValueError, match="r and sample_n go together"):
+            series.expansion_coefficients(2, 3, 1, **context)
 
 
 def _loop_phi(m, n, theta, L):
@@ -813,6 +820,63 @@ class TestRenyi:
         # two terms of a = 18.5: 1 - 18.5 S^theta weights, a sum below 0
         with pytest.raises(DivergenceError, match="non-positive integral sum"):
             renyi_entropy(dist(10.25, 1, 1, 1), 2.0, max_terms=2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("function, call", [
+    ("mgf", lambda d, v: mgf(d, v)),
+    ("moment_series", lambda d, v: moment_series(d, v)),
+    ("mgf_series", lambda d, v: mgf_series(d, v)),
+    ("order_stat_moment", lambda d, v: order_stat_moment(d, 2, 3, v)),
+    ("pwm_mo", lambda d, v: pwm_mo(1.0, EXP, v, 0.0, 0.0)),
+    ("moment_direct", lambda d, v: moment_direct(d, v)),
+    ("renyi_entropy", lambda d, v: renyi_entropy(d, v)),
+    ("renyi_entropy", lambda d, v: renyi_entropy(d, v, method="direct")),
+], ids=[
+    "mgf", "moment_series", "mgf_series", "order_stat_moment", "pwm_mo", "moment_direct",
+    "renyi_entropy", "renyi_entropy_direct",
+])
+def test_a_non_finite_order_is_refused(function, call, value):
+    # the quadrature counts non-finite integrand values as 0, so these once returned 0.0
+    # (moment_direct at -inf, where the moment is infinite, too) or raised an unrelated error
+    with pytest.raises(ValueError, match=rf"^{function} needs a finite order \w+, got {value}$"):
+        call(dist(2, 3, 1, 1), value)
+
+
+_SHAPE = st.floats(math.log(0.5), math.log(3.0)).map(math.exp)  # log-uniform in [0.5, 3]
+_ORIGIN_POWER = st.floats(0.0, math.log(3.0)).map(math.exp)  # in [1, 3]: f^2 integrable at the origin
+# a power tail's shape, in [5, 8]: with theta n >= 1/4 the tail index of f is at least 5/4,
+# so the first moment exists everywhere in the box (at 4 the corner theta = n = 1/2 has none)
+_TAIL = st.floats(math.log(5.0), math.log(8.0)).map(math.exp)
+FINITE_MEAN_BASELINES = {
+    "exponential": st.builds(Exponential, _SHAPE),
+    "weibull": st.builds(Weibull, _SHAPE, _ORIGIN_POWER),
+    "lomax": st.builds(Lomax, _TAIL, _SHAPE),
+    "frechet": st.builds(Frechet, _TAIL, _SHAPE),
+    "gompertz": st.builds(Gompertz, _SHAPE, _SHAPE),
+    "extended_weibull": st.one_of(
+        st.builds(ExtendedWeibull, _SHAPE, st.sampled_from(
+            [ZFunction("linear"), ZFunction("square"), ZFunction("gompertz_link", beta=1.5)]
+        )),
+        st.builds(ExtendedWeibull, _TAIL, st.just(ZFunction("log_ratio", k=0.5))),
+    ),
+    "modified_weibull": st.builds(ModifiedWeibull, _SHAPE, _SHAPE, _ORIGIN_POWER),
+    "exponentiated_pareto": st.builds(ExponentiatedPareto, _SHAPE, _TAIL, _ORIGIN_POWER),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(FINITE_MEAN_BASELINES))
+@given(data=st.data())
+def test_the_series_equals_the_direct_form_over_the_box(tag, data):
+    # integer m in {1, 2, 3}, so every binomial row is finite; n, theta and alpha log-uniform
+    # in [0.5, 3].  The entropy is the log of the integral of f^2, so its absolute gap is
+    # the integrals' relative gap.
+    assert set(FINITE_MEAN_BASELINES) == set(BASELINE_FAMILIES)
+    m = data.draw(st.integers(1, 3))
+    n, theta, alpha = data.draw(st.tuples(_SHAPE, _SHAPE, _SHAPE))
+    d = dist(m, n, theta, alpha, data.draw(FINITE_MEAN_BASELINES[tag]))
+    assert moment_series(d, 1) == pytest.approx(moment_direct(d, 1), rel=1e-10)
+    assert renyi_entropy(d, 2) == pytest.approx(renyi_entropy(d, 2, method="direct"), rel=0, abs=1e-10)
 
 
 class TestAsymptotes:
